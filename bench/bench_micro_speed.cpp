@@ -11,7 +11,11 @@
  *     are measured rather than asserted,
  *   - a flat-vs-reference bitwise parity self-check over randomized
  *     candidates and all five objectives — the bench exits non-zero on
- *     any mismatch, which is what the CI perf-smoke step gates on.
+ *     any mismatch, which is what the CI perf-smoke step gates on;
+ *   - common::Rng: a bitwise check of its stream against
+ *     std::mt19937_64 and the std distributions (also fatal on any
+ *     mismatch) and the Bernoulli-draw rate MAGMA's mutation runs on,
+ *     next to the same draw through the std engine and distribution.
  *
  * Self-timed (no google-benchmark dependency), so it always builds and
  * can run as a CI gate. Flags, on top of the shared bench_common.h set
@@ -28,6 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -134,6 +139,53 @@ parityCheck(const Workload& w, uint64_t seed, int n, int64_t* checked)
     return bad;
 }
 
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Stream-contract self-check: `n` draws from common::Rng against
+ * std::mt19937_64 driving the std distributions Rng documents itself as
+ * equal to, cycling through the draw shapes. Returns the number of
+ * mismatching draws (0 = pass).
+ */
+int64_t
+rngParityCheck(uint64_t seed, int64_t n)
+{
+    common::Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::normal_distribution<double> normal(0.0, 1.0);
+    int64_t bad = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        bool same = true;
+        switch (i % 5) {
+        case 0:
+            same = rng.engine()() == ref();
+            break;
+        case 1:
+            same = sameBits(rng.uniform(), unit(ref));
+            break;
+        case 2:
+            same = rng.bernoulli(0.05) == (unit(ref) < 0.05);
+            break;
+        case 3: {
+            int k = 1 + static_cast<int>(i % 100);
+            same = rng.uniformInt(k) ==
+                   std::uniform_int_distribution<int64_t>(0, k - 1)(ref);
+            break;
+        }
+        default:
+            same = sameBits(rng.gauss(), normal(ref));
+            break;
+        }
+        bad += !same;
+    }
+    return bad;
+}
+
 }  // namespace
 
 int
@@ -199,6 +251,41 @@ main(int argc, char** argv)
                 1e6 / hit_per_s);
     std::printf("job-table build      %10.2f /s  (%.1f ms)\n", table_per_s,
                 1e3 / table_per_s);
+
+    // ------------------------------------------------------------- rng ---
+    const int64_t rng_parity_n = 1000000;
+    int64_t rng_bad = rngParityCheck(args.seed, rng_parity_n);
+    if (rng_bad != 0)
+        std::fprintf(stderr, "Rng/std stream parity FAILED on %lld of %lld "
+                             "draws\n",
+                     static_cast<long long>(rng_bad),
+                     static_cast<long long>(rng_parity_n));
+    // MAGMA's per-gene mutation test: bernoulli(0.05), 1000 per call.
+    const int draws = 1000;
+    common::Rng bern_rng(args.seed);
+    int64_t hits = 0;
+    double bern_per_s = rate(
+        [&] {
+            for (int i = 0; i < draws; ++i)
+                hits += bern_rng.bernoulli(0.05);
+        },
+        budget_s, draws);
+    std::mt19937_64 std_engine(args.seed);
+    std::uniform_real_distribution<double> std_unit(0.0, 1.0);
+    double std_bern_per_s = rate(
+        [&] {
+            for (int i = 0; i < draws; ++i)
+                hits += std_unit(std_engine) < 0.05;
+        },
+        budget_s, draws);
+    sink = static_cast<double>(hits);
+    std::printf("rng stream parity    %lld draws -> %s\n",
+                static_cast<long long>(rng_parity_n),
+                rng_bad == 0 ? "OK (bitwise identical)" : "FAILED");
+    std::printf("Rng::bernoulli       %10.0f /s  (%.2f ns)\n", bern_per_s,
+                1e9 / bern_per_s);
+    std::printf("std engine+dist      %10.0f /s  (%.2f ns)\n",
+                std_bern_per_s, 1e9 / std_bern_per_s);
     (void)sink;
 
     // ------------------------------- candidate-evaluation throughput ---
@@ -256,6 +343,10 @@ main(int argc, char** argv)
     json.field("cost_model_query_per_sec", q_per_s);
     json.field("cost_cache_hit_per_sec", hit_per_s);
     json.field("job_table_build_per_sec", table_per_s);
+    json.field("rng_parity_ok", rng_bad == 0);
+    json.field("rng_parity_checked", rng_parity_n);
+    json.field("rng_bernoulli_per_sec", bern_per_s);
+    json.field("std_bernoulli_per_sec", std_bern_per_s);
     json.field("ref_evals_per_sec_t1", ref_t1);
     json.field("flat_evals_per_sec_t1", flat_t1);
     json.field("speedup_t1", speedup_t1);
@@ -279,7 +370,7 @@ main(int argc, char** argv)
         std::printf("JSON telemetry written to %s\n", json_path.c_str());
     }
 
-    if (bad != 0)
+    if (bad != 0 || rng_bad != 0)
         return 1;
     if (check_speedup > 0.0 && speedup_t1 < check_speedup) {
         std::fprintf(stderr,

@@ -1,6 +1,7 @@
 #ifndef MAGMA_COMMON_RNG_H_
 #define MAGMA_COMMON_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -8,20 +9,88 @@
 namespace magma::common {
 
 /**
+ * MT19937-64 that produces exactly std::mt19937_64's output stream (same
+ * seeding, same words in the same order), but generates it a whole
+ * 312-word block at a time: one refill runs the twist as three plain
+ * loops over the state and then tempers the block into an output buffer
+ * in one more loop. The loops are branch-free portable C++ that the
+ * compiler auto-vectorizes; a draw is then a bounds check and a load.
+ *
+ * Satisfies UniformRandomBitGenerator, so std::shuffle and the std
+ * distributions accept it exactly as they accept std::mt19937_64.
+ * Construction seeds the state as the standard engine does; the first
+ * block is generated lazily on the first draw.
+ */
+class Mt19937_64 {
+  public:
+    using result_type = uint64_t;
+    static constexpr size_t kStateSize = 312;
+    static constexpr result_type default_seed = 5489u;
+
+    explicit Mt19937_64(result_type seed = default_seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type operator()()
+    {
+        if (next_ == kStateSize)
+            refill();
+        return out_[next_++];
+    }
+
+  private:
+    /** Twist the state one block forward and temper it into out_. */
+    void refill();
+
+    uint64_t state_[kStateSize];
+    uint64_t out_[kStateSize] = {};
+    size_t next_ = kStateSize;
+};
+
+/**
  * Deterministic seeded random number generator used by every stochastic
  * component (optimizers, workload generation, RL agents).
  *
  * All randomness in the repository flows through an Rng instance so that
- * experiments are reproducible given a seed. The generator is a
- * std::mt19937_64 wrapped with the handful of draw shapes the search
- * algorithms need.
+ * experiments are reproducible given a seed. Stream contract:
+ *
+ *  - the raw words (engine()()) are the std::mt19937_64 stream for the
+ *    same seed, bit for bit;
+ *  - uniform() is the closed form of libstdc++'s
+ *    generate_canonical<double, 53> over one 64-bit word x, i.e.
+ *    double(x) * 2^-64 clamped below 1 — what
+ *    std::uniform_real_distribution<double>(0, 1) returns on that
+ *    engine — computed here without the standard library's
+ *    distribution code, so the value no longer depends on it;
+ *  - uniformInt, gauss and permutation still go through the std
+ *    distributions and std::shuffle over that word stream.
+ *
+ * Changing any of this changes every fixed-seed result in the repository
+ * (tests/test_golden.cc pins them).
  */
 class Rng {
   public:
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull) : engine_(seed) {}
 
     /** Uniform double in [0, 1). */
-    double uniform() { return unit_(engine_); }
+    double uniform() { return toUnit(engine_()); }
+
+    /**
+     * The word-to-double map behind uniform(): double(x) * 2^-64, or
+     * nextafter(1, 0) when that rounds up to 1.
+     */
+    static double toUnit(uint64_t x)
+    {
+        // double(x) rounded once: both halves convert exactly (a signed
+        // conversion, which needs no branch on the top bit), the product
+        // by 2^32 is exact, and the sum rounds to nearest. Scaling by
+        // 2^-64 is exact.
+        double hi = static_cast<double>(static_cast<int64_t>(x >> 32));
+        double lo = static_cast<double>(static_cast<int64_t>(x & 0xffffffff));
+        double u = (hi * 0x1p32 + lo) * 0x1p-64;
+        return u < 1.0 ? u : kBelowOne;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -68,11 +137,13 @@ class Rng {
     int weightedChoice(const std::vector<double>& weights);
 
     /** Access to the raw engine for std distributions. */
-    std::mt19937_64& engine() { return engine_; }
+    Mt19937_64& engine() { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
-    std::uniform_real_distribution<double> unit_{0.0, 1.0};
+    /** nextafter(1.0, 0.0): generate_canonical's clamp for u >= 1. */
+    static constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+
+    Mt19937_64 engine_;
     std::normal_distribution<double> normal_{0.0, 1.0};
 };
 

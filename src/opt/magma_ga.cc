@@ -2,17 +2,10 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
+
+#include "obs/profiler.h"
 
 namespace magma::opt {
-namespace {
-
-struct Scored {
-    sched::Mapping m;
-    double fitness = 0.0;
-};
-
-}  // namespace
 
 void
 MagmaGa::crossoverGen(sched::Mapping& a, sched::Mapping& b, common::Rng& rng)
@@ -84,57 +77,47 @@ MagmaGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
     const int n_accels = eval.numAccels();
     const int pop_size = cfg_.population;
 
-    std::vector<Scored> pop;
-    pop.reserve(pop_size);
-    for (const auto& s : opts.seeds) {
-        if (static_cast<int>(pop.size()) >= pop_size)
-            break;
-        pop.push_back({s, 0.0});
-    }
-    while (static_cast<int>(pop.size()) < pop_size)
-        pop.push_back({sched::Mapping::random(g, n_accels, rng_), 0.0});
-
-    if (!scorePopulation(rec, pop))
+    GaPopulation pop(pop_size, opts.seeds, g, n_accels, rng_);
+    if (!pop.scoreAll(rec))
         return;  // budget exhausted mid-initialization
 
     const int elites = std::max(2, static_cast<int>(pop_size *
                                                     cfg_.eliteRatio));
+    // Daughter slot for a last pair that only has room for the son: she
+    // still takes part in crossover, but is not kept.
+    sched::Mapping spare;
     while (!rec.exhausted()) {
-        std::sort(pop.begin(), pop.end(), [](const Scored& a,
-                                             const Scored& b) {
-            return a.fitness > b.fitness;
-        });
+        pop.rank();
+        {
+            PROFILE_SCOPE("opt.breed");
+            // Elites survive unchanged; children are bred from elite
+            // pairs straight into the next generation's slots.
+            pop.carryElites(elites);
+            for (int k = elites; k < pop_size; k += 2) {
+                const bool pair = k + 1 < pop_size;
+                int di = rng_.uniformInt(elites);
+                int mi = rng_.uniformInt(elites);
+                sched::Mapping& son = pop.child(k);
+                sched::Mapping& daughter = pair ? pop.child(k + 1) : spare;
+                son = pop.ranked(di);
+                daughter = pop.ranked(mi);
 
-        // Elites survive unchanged; children are bred from elite pairs.
-        std::vector<Scored> next(pop.begin(), pop.begin() + elites);
-        while (static_cast<int>(next.size()) < pop_size) {
-            int di = rng_.uniformInt(elites);
-            int mi = rng_.uniformInt(elites);
-            sched::Mapping son = pop[di].m;
-            sched::Mapping daughter = pop[mi].m;
+                if (cfg_.enableCrossoverGen &&
+                    rng_.bernoulli(cfg_.crossoverGenRate))
+                    crossoverGen(son, daughter, rng_);
+                if (cfg_.enableCrossoverRg &&
+                    rng_.bernoulli(cfg_.crossoverRgRate))
+                    crossoverRg(son, daughter, rng_);
+                if (cfg_.enableCrossoverAccel &&
+                    rng_.bernoulli(cfg_.crossoverAccelRate))
+                    crossoverAccel(son, pop.ranked(mi), n_accels, rng_);
 
-            if (cfg_.enableCrossoverGen &&
-                rng_.bernoulli(cfg_.crossoverGenRate))
-                crossoverGen(son, daughter, rng_);
-            if (cfg_.enableCrossoverRg &&
-                rng_.bernoulli(cfg_.crossoverRgRate))
-                crossoverRg(son, daughter, rng_);
-            if (cfg_.enableCrossoverAccel &&
-                rng_.bernoulli(cfg_.crossoverAccelRate))
-                crossoverAccel(son, pop[mi].m, n_accels, rng_);
-
-            mutate(son, cfg_.mutationRate, n_accels, rng_);
-            next.push_back({std::move(son), 0.0});
-            if (static_cast<int>(next.size()) < pop_size) {
-                mutate(daughter, cfg_.mutationRate, n_accels, rng_);
-                next.push_back({std::move(daughter), 0.0});
+                mutate(son, cfg_.mutationRate, n_accels, rng_);
+                if (pair)
+                    mutate(daughter, cfg_.mutationRate, n_accels, rng_);
             }
         }
-
-        // Whole-generation batch: the children are independent, so they
-        // fan out over the evaluation engine's threads.
-        scorePopulation(rec, next, elites);
-        pop = std::move(next);
+        pop.advance(rec, elites);
     }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "exec/eval_engine.h"
 #include "obs/profiler.h"
@@ -85,7 +86,7 @@ SearchRecorder::evaluate(const sched::Mapping& m)
 }
 
 std::vector<double>
-SearchRecorder::evaluateBatch(const std::vector<sched::Mapping>& ms)
+SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms)
 {
     PROFILE_SCOPE("opt.generation");
     size_t n = static_cast<size_t>(
@@ -134,6 +135,58 @@ SearchRecorder::finish()
 {
     result_.samplesUsed = used_;
     return std::move(result_);
+}
+
+GaPopulation::GaPopulation(int size, const std::vector<sched::Mapping>& seeds,
+                           int group_size, int num_accels, common::Rng& rng)
+    : curFit_(size), nextFit_(size), order_(size)
+{
+    cur_.reserve(size);
+    for (const auto& s : seeds) {
+        if (static_cast<int>(cur_.size()) >= size)
+            break;
+        cur_.push_back(s);
+    }
+    while (static_cast<int>(cur_.size()) < size)
+        cur_.push_back(sched::Mapping::random(group_size, num_accels, rng));
+    next_ = cur_;
+}
+
+bool
+GaPopulation::scoreAll(SearchRecorder& rec)
+{
+    std::vector<double> fits = rec.evaluateBatch(cur_);
+    std::copy(fits.begin(), fits.end(), curFit_.begin());
+    return fits.size() == cur_.size();
+}
+
+void
+GaPopulation::rank()
+{
+    std::iota(order_.begin(), order_.end(), 0);
+    std::sort(order_.begin(), order_.end(),
+              [this](int a, int b) { return curFit_[a] > curFit_[b]; });
+}
+
+void
+GaPopulation::carryElites(int elites)
+{
+    for (int i = 0; i < elites; ++i) {
+        next_[i] = ranked(i);
+        nextFit_[i] = rankedFitness(i);
+    }
+}
+
+void
+GaPopulation::advance(SearchRecorder& rec, int first)
+{
+    // Whole-generation batch: the children are independent, so they fan
+    // out over the evaluation engine's threads.
+    std::span<const sched::Mapping> next(next_);
+    std::vector<double> fits = rec.evaluateBatch(next.subspan(first));
+    std::copy(fits.begin(), fits.end(), nextFit_.begin() + first);
+    cur_.swap(next_);
+    curFit_.swap(nextFit_);
 }
 
 SearchResult

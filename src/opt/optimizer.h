@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,7 +106,7 @@ class SearchRecorder {
      * over the same candidates, at any thread count. Returns empty once
      * exhausted().
      */
-    std::vector<double> evaluateBatch(const std::vector<sched::Mapping>& ms);
+    std::vector<double> evaluateBatch(std::span<const sched::Mapping> ms);
 
     bool exhausted() const { return used_ >= opts_.sampleBudget; }
     int64_t remaining() const { return opts_.sampleBudget - used_; }
@@ -138,25 +139,53 @@ class SearchRecorder {
 };
 
 /**
- * Score `pop[first..]` through the recorder's batch path, writing each
- * individual's `.fitness` back. Shared by the population GAs. Returns
- * false when the budget truncated the batch (unscored individuals keep
- * their previous fitness and the caller should stop the search).
+ * The population of a generational GA (MAGMA, stdGA), kept in two
+ * buffers of mappings plus parallel fitness that swap every generation.
+ * Breeding assigns children into the next generation's pre-sized slots,
+ * which reuses their capacity, so the generation loop allocates no
+ * mappings in steady state.
+ *
+ * Per generation: rank() the current one best-first, carryElites(),
+ * fill child(i) for every slot past the elites, then advance().
  */
-template <typename ScoredT>
-bool
-scorePopulation(SearchRecorder& rec, std::vector<ScoredT>& pop,
-                size_t first = 0)
-{
-    std::vector<sched::Mapping> ms;
-    ms.reserve(pop.size() - first);
-    for (size_t i = first; i < pop.size(); ++i)
-        ms.push_back(pop[i].m);
-    std::vector<double> fits = rec.evaluateBatch(ms);
-    for (size_t i = 0; i < fits.size(); ++i)
-        pop[first + i].fitness = fits[i];
-    return fits.size() == ms.size();
-}
+class GaPopulation {
+  public:
+    /** `seeds` first (at most `size`), then uniform random mappings. */
+    GaPopulation(int size, const std::vector<sched::Mapping>& seeds,
+                 int group_size, int num_accels, common::Rng& rng);
+
+    /**
+     * Score the whole current generation. Returns false when the budget
+     * truncated the batch; the caller should then stop.
+     */
+    bool scoreAll(SearchRecorder& rec);
+
+    /**
+     * Order the current generation by descending fitness. Sorting an
+     * index array with the comparator std::sort would apply to the
+     * individuals yields the same order, ties included.
+     */
+    void rank();
+    /** The r-th best individual as of the last rank(). */
+    const sched::Mapping& ranked(int r) const { return cur_[order_[r]]; }
+    double rankedFitness(int r) const { return curFit_[order_[r]]; }
+
+    /** Copy the `elites` best into the next generation's first slots. */
+    void carryElites(int elites);
+    /** Next-generation slot `i` to breed into. */
+    sched::Mapping& child(int i) { return next_[i]; }
+
+    /**
+     * Score next-generation slots [first, end) and make it the current
+     * generation.
+     */
+    void advance(SearchRecorder& rec, int first);
+
+  private:
+    std::vector<sched::Mapping> cur_, next_;
+    std::vector<double> curFit_, nextFit_;
+    std::vector<int> order_;
+};
 
 /**
  * Base class of every mapping-search method in M3E (Table IV): the manual

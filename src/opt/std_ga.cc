@@ -1,17 +1,8 @@
 #include "opt/std_ga.h"
 
 #include <algorithm>
-#include <vector>
 
 namespace magma::opt {
-namespace {
-
-struct Scored {
-    sched::Mapping m;
-    double fitness = 0.0;
-};
-
-}  // namespace
 
 void
 StdGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
@@ -22,43 +13,31 @@ StdGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
     const int pop_size = cfg_.population;
 
     // --- Initial population: seeds first, then random fill. ---
-    std::vector<Scored> pop;
-    pop.reserve(pop_size);
-    for (const auto& s : opts.seeds) {
-        if (static_cast<int>(pop.size()) >= pop_size)
-            break;
-        pop.push_back({s, 0.0});
-    }
-    while (static_cast<int>(pop.size()) < pop_size)
-        pop.push_back({sched::Mapping::random(g, n_accels, rng_), 0.0});
-
-    if (!scorePopulation(rec, pop))
+    GaPopulation pop(pop_size, opts.seeds, g, n_accels, rng_);
+    if (!pop.scoreAll(rec))
         return;  // budget exhausted mid-initialization
 
-    auto tournament = [&]() -> const Scored& {
+    auto tournament = [&]() -> const sched::Mapping& {
         int best = rng_.uniformInt(pop_size);
         for (int i = 1; i < cfg_.tournamentSize; ++i) {
             int c = rng_.uniformInt(pop_size);
-            if (pop[c].fitness > pop[best].fitness)
+            if (pop.rankedFitness(c) > pop.rankedFitness(best))
                 best = c;
         }
-        return pop[best];
+        return pop.ranked(best);
     };
 
     const int elites = std::max(1, static_cast<int>(pop_size *
                                                     cfg_.eliteRatio));
     while (!rec.exhausted()) {
-        std::sort(pop.begin(), pop.end(), [](const Scored& a,
-                                             const Scored& b) {
-            return a.fitness > b.fitness;
-        });
-
-        std::vector<Scored> next(pop.begin(), pop.begin() + elites);
-        while (static_cast<int>(next.size()) < pop_size) {
-            sched::Mapping child = tournament().m;
+        pop.rank();
+        pop.carryElites(elites);
+        for (int k = elites; k < pop_size; ++k) {
+            sched::Mapping& child = pop.child(k);
+            child = tournament();
             // Single-pivot crossover over the concatenated gene string.
             if (rng_.bernoulli(cfg_.crossoverRate)) {
-                const sched::Mapping& other = tournament().m;
+                const sched::Mapping& other = tournament();
                 int pivot = rng_.uniformInt(2 * g);
                 for (int i = pivot; i < 2 * g; ++i) {
                     if (i < g)
@@ -74,12 +53,9 @@ StdGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
                 if (rng_.bernoulli(cfg_.mutationRate))
                     child.priority[i] = rng_.uniform();
             }
-            next.push_back({std::move(child), 0.0});
         }
-
         // Whole-generation batch evaluation of the bred children.
-        scorePopulation(rec, next, elites);
-        pop = std::move(next);
+        pop.advance(rec, elites);
     }
 }
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <numeric>
+#include <random>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -62,11 +65,145 @@ TEST(Rng, UniformIntInclusiveRange)
     }
 }
 
+namespace {
+
+uint64_t
+bits(double d)
+{
+    uint64_t u;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+}
+
+/** Seeds the stream-contract tests cover: 0, std's default, Rng's
+ * default, all ones and an arbitrary one. */
+const uint64_t kContractSeeds[] = {0, 5489, 0x9e3779b97f4a7c15ull, ~0ull,
+                                   20240607};
+
+/** A URBG that returns one fixed word, to drive the conversion. */
+struct FixedWord {
+    using result_type = uint64_t;
+    uint64_t word;
+    static constexpr uint64_t min() { return 0; }
+    static constexpr uint64_t max() { return ~0ull; }
+    uint64_t operator()() { return word; }
+};
+
+}  // namespace
+
 TEST(Rng, DeterministicGivenSeed)
 {
     Rng a(42), b(42);
     for (int i = 0; i < 100; ++i)
-        EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
+        EXPECT_EQ(bits(a.uniform()), bits(b.uniform())) << i;
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    constexpr size_t kBlock = Mt19937_64::kStateSize;
+    for (uint64_t seed : kContractSeeds) {
+        std::mt19937_64 ref(seed);
+        Mt19937_64 eng(seed);
+        Rng rng(seed);
+        std::vector<uint64_t> want(4 * kBlock);
+        for (uint64_t& w : want)
+            w = ref();
+        for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(eng(), want[i]) << "seed " << seed << " draw " << i;
+            ASSERT_EQ(rng.engine()(), want[i])
+                << "seed " << seed << " draw " << i;
+        }
+        // The block boundaries, spelled out: the last word of the first
+        // block and the first two of the second.
+        Mt19937_64 edge(seed);
+        for (size_t i = 0; i < kBlock - 1; ++i)
+            edge();
+        EXPECT_EQ(edge(), want[311]) << seed;
+        EXPECT_EQ(edge(), want[312]) << seed;
+        EXPECT_EQ(edge(), want[313]) << seed;
+    }
+    // Default construction matches too.
+    std::mt19937_64 ref;
+    Mt19937_64 eng;
+    for (int i = 0; i < 700; ++i)
+        ASSERT_EQ(eng(), ref()) << i;
+}
+
+TEST(Rng, UniformMatchesStdDistributionBitwise)
+{
+    for (uint64_t seed : kContractSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        std::uniform_real_distribution<double> unit(0.0, 1.0);
+        std::uniform_real_distribution<double> range(-3.0, 7.0);
+        for (int i = 0; i < 1000; ++i) {
+            ASSERT_EQ(bits(rng.uniform()), bits(unit(ref)))
+                << seed << " " << i;
+            ASSERT_EQ(bits(rng.uniform(-3.0, 7.0)), bits(range(ref)))
+                << seed << " " << i;
+            ASSERT_EQ(rng.bernoulli(0.3), unit(ref) < 0.3)
+                << seed << " " << i;
+        }
+    }
+}
+
+TEST(Rng, IntGaussPermutationMatchStd)
+{
+    for (uint64_t seed : kContractSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        std::normal_distribution<double> normal(0.0, 1.0);
+        for (int i = 0; i < 300; ++i) {
+            int n = 1 + i % 97;
+            ASSERT_EQ(rng.uniformInt(n),
+                      std::uniform_int_distribution<int64_t>(0, n - 1)(ref));
+            ASSERT_EQ(rng.uniformInt(-5, n),
+                      std::uniform_int_distribution<int64_t>(-5, n)(ref));
+            // Consecutive gauss() calls share the distribution's cached
+            // second Box-Muller value, so the reference keeps one object.
+            ASSERT_EQ(bits(rng.gauss()), bits(normal(ref)))
+                << seed << " " << i;
+            std::vector<int> want(n);
+            std::iota(want.begin(), want.end(), 0);
+            std::shuffle(want.begin(), want.end(), ref);
+            ASSERT_EQ(rng.permutation(n), want) << seed << " " << i;
+        }
+    }
+}
+
+TEST(Rng, ToUnitMatchesGenerateCanonicalAtEdges)
+{
+    const double below_one = std::nextafter(1.0, 0.0);
+    const uint64_t two53 = 1ull << 53;
+    const uint64_t two63 = 1ull << 63;
+    const uint64_t edges[] = {0,
+                              1,
+                              two53 - 1,
+                              two53 + 1,
+                              two63 - 1,
+                              two63,
+                              two63 + 1024,
+                              two63 + 1025,
+                              two63 + 3072,
+                              0xfffffffffffff7ffull,
+                              ~0ull - 2047,
+                              ~0ull - 1024,
+                              ~0ull - 1023,
+                              ~0ull};
+    for (uint64_t x : edges) {
+        FixedWord g{x};
+        double want = std::generate_canonical<double, 53>(g);
+        EXPECT_EQ(bits(Rng::toUnit(x)), bits(want)) << x;
+        EXPECT_LT(Rng::toUnit(x), 1.0) << x;
+    }
+    // Ties round to even: 2^63 + 1024 down, 2^63 + 1025 up.
+    EXPECT_EQ(Rng::toUnit(two63 + 1024), 0.5);
+    EXPECT_EQ(Rng::toUnit(two63 + 1025), 0.5 + 0x1p-53);
+    // Words that round to 2^64 clamp just below one.
+    EXPECT_EQ(Rng::toUnit(~0ull - 1023), below_one);  // 2^64 - 1024
+    EXPECT_EQ(Rng::toUnit(~0ull), below_one);          // 2^64 - 1
+    EXPECT_EQ(Rng::toUnit(0), 0.0);
+    EXPECT_EQ(Rng::toUnit(1), 0x1p-64);
 }
 
 TEST(Rng, DifferentSeedsDiffer)
