@@ -15,7 +15,10 @@
  *   - common::Rng: a bitwise check of its stream against
  *     std::mt19937_64 and the std distributions (also fatal on any
  *     mismatch) and the Bernoulli-draw rate MAGMA's mutation runs on,
- *     next to the same draw through the std engine and distribution.
+ *     next to the same draw through the std engine and distribution;
+ *   - MAGMA's per-child mutation: a bitwise check of the cut-form
+ *     MagmaGa::mutate against the bernoulli(rate) form (fatal on any
+ *     mismatch) and its children/s on a group-100 mapping.
  *
  * Self-timed (no google-benchmark dependency), so it always builds and
  * can run as a CI gate. Flags, on top of the shared bench_common.h set
@@ -186,6 +189,39 @@ rngParityCheck(uint64_t seed, int64_t n)
     return bad;
 }
 
+/**
+ * Mutation self-check: `n` children mutated by MagmaGa::mutate at the
+ * precomputed cut of `rate`, against the same loop written with
+ * bernoulli(rate) on an identically seeded Rng. Returns the number of
+ * mismatching children (0 = pass); a final engine word that differs
+ * (a different number of draws) counts as one more.
+ */
+int64_t
+mutateParityCheck(uint64_t seed, double rate, int group, int accels,
+                  int64_t n)
+{
+    common::Rng init(seed);
+    const sched::Mapping parent = sched::Mapping::random(group, accels, init);
+    const common::BernoulliCut cut = common::Rng::bernoulliCut(rate);
+    common::Rng by_cut(seed + 1), by_rate(seed + 1);
+    sched::Mapping got, want;
+    int64_t bad = 0;
+    for (int64_t c = 0; c < n; ++c) {
+        got = parent;
+        want = parent;
+        opt::MagmaGa::mutate(got, cut, accels, by_cut);
+        for (int i = 0; i < group; ++i) {
+            if (by_rate.bernoulli(rate))
+                want.accelSel[i] = by_rate.uniformInt(accels);
+            if (by_rate.bernoulli(rate))
+                want.priority[i] = by_rate.uniform();
+        }
+        bad += !(got == want);
+    }
+    bad += by_cut.engine()() != by_rate.engine()();
+    return bad;
+}
+
 }  // namespace
 
 int
@@ -286,6 +322,36 @@ main(int argc, char** argv)
                 1e9 / bern_per_s);
     std::printf("std engine+dist      %10.0f /s  (%.2f ns)\n",
                 std_bern_per_s, 1e9 / std_bern_per_s);
+
+    // MAGMA's mutation at its default rate, as its run loop calls it.
+    const int accels = platform.numSubAccels();
+    const int64_t mutate_parity_n = 20000;
+    int64_t mutate_bad = mutateParityCheck(args.seed, 0.05, w.group, accels,
+                                           mutate_parity_n);
+    if (mutate_bad != 0)
+        std::fprintf(stderr, "cut/rate mutate parity FAILED on %lld of "
+                             "%lld children\n",
+                     static_cast<long long>(mutate_bad),
+                     static_cast<long long>(mutate_parity_n));
+    common::Rng mutate_rng(args.seed);
+    sched::Mapping child =
+        sched::Mapping::random(w.group, accels, mutate_rng);
+    const common::BernoulliCut mutation_cut =
+        common::Rng::bernoulliCut(0.05);
+    const int children = 100;
+    double mutate_per_s = rate(
+        [&] {
+            for (int c = 0; c < children; ++c)
+                opt::MagmaGa::mutate(child, mutation_cut, accels,
+                                     mutate_rng);
+        },
+        budget_s, children);
+    sink = child.priority[0];
+    std::printf("mutate parity        %lld children -> %s\n",
+                static_cast<long long>(mutate_parity_n),
+                mutate_bad == 0 ? "OK (bitwise identical)" : "FAILED");
+    std::printf("MagmaGa::mutate      %10.0f /s  (%.2f us per child)\n",
+                mutate_per_s, 1e6 / mutate_per_s);
     (void)sink;
 
     // ------------------------------- candidate-evaluation throughput ---
@@ -347,6 +413,8 @@ main(int argc, char** argv)
     json.field("rng_parity_checked", rng_parity_n);
     json.field("rng_bernoulli_per_sec", bern_per_s);
     json.field("std_bernoulli_per_sec", std_bern_per_s);
+    json.field("mutate_parity_ok", mutate_bad == 0);
+    json.field("mutate_children_per_sec", mutate_per_s);
     json.field("ref_evals_per_sec_t1", ref_t1);
     json.field("flat_evals_per_sec_t1", flat_t1);
     json.field("speedup_t1", speedup_t1);
@@ -370,7 +438,7 @@ main(int argc, char** argv)
         std::printf("JSON telemetry written to %s\n", json_path.c_str());
     }
 
-    if (bad != 0 || rng_bad != 0)
+    if (bad != 0 || rng_bad != 0 || mutate_bad != 0)
         return 1;
     if (check_speedup > 0.0 && speedup_t1 < check_speedup) {
         std::fprintf(stderr,

@@ -1,6 +1,7 @@
 #ifndef MAGMA_COMMON_RNG_H_
 #define MAGMA_COMMON_RNG_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <random>
@@ -49,6 +50,22 @@ class Mt19937_64 {
 };
 
 /**
+ * A Bernoulli rate compiled to a cut on the raw engine word (see
+ * Rng::bernoulliCut): the draw is true exactly when uniform() on the same
+ * word would be below the rate, decided by one integer compare.
+ */
+struct BernoulliCut {
+    uint64_t below = 0;   ///< words strictly below this draw true
+    bool always = false;  ///< every word draws true (rate above any uniform())
+
+    /** Whether a draw that consumes `word` comes out true. */
+    constexpr bool admits(uint64_t word) const
+    {
+        return (word < below) | always;
+    }
+};
+
+/**
  * Deterministic seeded random number generator used by every stochastic
  * component (optimizers, workload generation, RL agents).
  *
@@ -63,6 +80,11 @@ class Mt19937_64 {
  *    std::uniform_real_distribution<double>(0, 1) returns on that
  *    engine — computed here without the standard library's
  *    distribution code, so the value no longer depends on it;
+ *  - bernoulli(p) is uniform() < p on one word. The cut form
+ *    bernoulli(bernoulliCut(p)) consumes the same one word and returns
+ *    the same value, decided by an integer compare: toUnit is monotone in
+ *    the word, so uniform() < p exactly when the word is below the
+ *    smallest word whose toUnit is at least p;
  *  - uniformInt, gauss and permutation still go through the std
  *    distributions and std::shuffle over that word stream.
  *
@@ -80,7 +102,7 @@ class Rng {
      * The word-to-double map behind uniform(): double(x) * 2^-64, or
      * nextafter(1, 0) when that rounds up to 1.
      */
-    static double toUnit(uint64_t x)
+    static constexpr double toUnit(uint64_t x)
     {
         // double(x) rounded once: both halves convert exactly (a signed
         // conversion, which needs no branch on the top bit), the product
@@ -120,6 +142,40 @@ class Rng {
 
     /** Bernoulli draw with probability p of true. */
     bool bernoulli(double p) { return uniform() < p; }
+
+    /**
+     * Bernoulli draw against a precomputed cut: the same word and the
+     * same outcome as bernoulli(p) for the p the cut was made from.
+     */
+    bool bernoulli(const BernoulliCut& cut) { return cut.admits(engine_()); }
+
+    /**
+     * The cut of rate p: the smallest word w with toUnit(w) >= p, so that
+     * the words drawing true are exactly those with toUnit(w) < p. A p
+     * that is NaN or at most 0 never draws true; a p above
+     * nextafter(1, 0), the largest uniform(), always does.
+     */
+    static constexpr BernoulliCut bernoulliCut(double p)
+    {
+        if (!(p > 0.0))
+            return {0, false};
+        if (p > kBelowOne)
+            return {0, true};
+        // toUnit(w) >= p exactly when double(w), rounded to nearest even,
+        // reaches s = p * 2^64 (exact, and at most 2^64 - 2048, so the
+        // clamp to kBelowOne never decides it).
+        double s = p * 0x1p64;
+        uint64_t w = static_cast<uint64_t>(s);
+        if (s <= 0x1p53)  // words up to 2^53 convert exactly: ceil(s)
+            return {w + (static_cast<double>(w) < s), false};
+        // Above 2^53, s is an integer and the words rounding up to it lie
+        // within half the gap to the next double below. The midpoint is a
+        // tie, which goes to s only when s's last mantissa bit is even.
+        uint64_t bits = std::bit_cast<uint64_t>(s);
+        uint64_t gap =
+            w - static_cast<uint64_t>(std::bit_cast<double>(bits - 1));
+        return {w - gap / 2 + (bits & 1), false};
+    }
 
     /** Random permutation of [0, n). */
     std::vector<int> permutation(int n);

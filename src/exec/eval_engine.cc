@@ -83,20 +83,14 @@ EvalEngine::simulateBatch(const sched::Mapping* batch, size_t count) const
     PROFILE_SCOPE("exec.eval.sim_batch");
     std::vector<sched::SimPoint> out(count);
     if (flat_) {
-        auto one = [this](const sched::Mapping& m, sched::EvalScratch& s) {
-            eval_->countSample();
-            flat_->simulate(m, s, false);
-            return sched::SimPoint{s.makespanSeconds(),
-                                   flat_->totalJoules(m)};
-        };
         if (pool_->numThreads() == 1) {
             sched::EvalScratch& s = scratch_[0];
             for (size_t i = 0; i < count; ++i)
-                out[i] = one(batch[i], s);
+                out[i] = flat_->simPoint(batch[i], s);
         } else {
             pool_->parallelForLane(
                 static_cast<int64_t>(count), [&](int lane, int64_t i) {
-                    out[i] = one(batch[i], scratch_[lane]);
+                    out[i] = flat_->simPoint(batch[i], scratch_[lane]);
                 });
         }
     } else {

@@ -155,6 +155,16 @@ Nsga2::evolve(int group_size, int num_accels,
     int64_t gen = 0;
     traceMoGeneration(gen, archive);
 
+    // MAGMA's operator rates as word cuts, computed once per run.
+    const common::BernoulliCut gen_cut =
+        common::Rng::bernoulliCut(cfg_.ops.crossoverGenRate);
+    const common::BernoulliCut rg_cut =
+        common::Rng::bernoulliCut(cfg_.ops.crossoverRgRate);
+    const common::BernoulliCut accel_cut =
+        common::Rng::bernoulliCut(cfg_.ops.crossoverAccelRate);
+    const common::BernoulliCut mutation_cut =
+        common::Rng::bernoulliCut(cfg_.ops.mutationRate);
+
     while (true) {
         std::vector<ObjectiveVector> rows = objectiveRows(pop);
         std::vector<int> ranks = nonDominatedRanks(rows);
@@ -184,23 +194,19 @@ Nsga2::evolve(int group_size, int num_accels,
             sched::Mapping son = pop[di].m;
             sched::Mapping daughter = pop[mi].m;
 
-            if (cfg_.ops.enableCrossoverGen &&
-                rng_.bernoulli(cfg_.ops.crossoverGenRate))
+            if (cfg_.ops.enableCrossoverGen && rng_.bernoulli(gen_cut))
                 opt::MagmaGa::crossoverGen(son, daughter, rng_);
-            if (cfg_.ops.enableCrossoverRg &&
-                rng_.bernoulli(cfg_.ops.crossoverRgRate))
+            if (cfg_.ops.enableCrossoverRg && rng_.bernoulli(rg_cut))
                 opt::MagmaGa::crossoverRg(son, daughter, rng_);
-            if (cfg_.ops.enableCrossoverAccel &&
-                rng_.bernoulli(cfg_.ops.crossoverAccelRate))
+            if (cfg_.ops.enableCrossoverAccel && rng_.bernoulli(accel_cut))
                 opt::MagmaGa::crossoverAccel(son, pop[mi].m, num_accels,
                                              rng_);
 
-            opt::MagmaGa::mutate(son, cfg_.ops.mutationRate, num_accels,
-                                 rng_);
+            opt::MagmaGa::mutate(son, mutation_cut, num_accels, rng_);
             children.push_back({std::move(son), {}});
             if (static_cast<int>(children.size()) < pop_size) {
-                opt::MagmaGa::mutate(daughter, cfg_.ops.mutationRate,
-                                     num_accels, rng_);
+                opt::MagmaGa::mutate(daughter, mutation_cut, num_accels,
+                                     rng_);
                 children.push_back({std::move(daughter), {}});
             }
         }

@@ -6,13 +6,19 @@
 #include "obs/profiler.h"
 
 namespace magma::opt {
+namespace {
+
+/** crossoverGen's fair coin between the two genomes. */
+constexpr common::BernoulliCut kHalf = common::Rng::bernoulliCut(0.5);
+
+}  // namespace
 
 void
 MagmaGa::crossoverGen(sched::Mapping& a, sched::Mapping& b, common::Rng& rng)
 {
     int g = a.size();
     int pivot = rng.uniformInt(g);
-    if (rng.bernoulli(0.5)) {
+    if (rng.bernoulli(kHalf)) {
         for (int i = pivot; i < g; ++i)
             std::swap(a.accelSel[i], b.accelSel[i]);
     } else {
@@ -60,6 +66,13 @@ void
 MagmaGa::mutate(sched::Mapping& m, double rate, int num_accels,
                 common::Rng& rng)
 {
+    mutate(m, common::Rng::bernoulliCut(rate), num_accels, rng);
+}
+
+void
+MagmaGa::mutate(sched::Mapping& m, const common::BernoulliCut& rate,
+                int num_accels, common::Rng& rng)
+{
     int g = m.size();
     for (int i = 0; i < g; ++i) {
         if (rng.bernoulli(rate))
@@ -83,6 +96,15 @@ MagmaGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
 
     const int elites = std::max(2, static_cast<int>(pop_size *
                                                     cfg_.eliteRatio));
+    // Operator rates as word cuts, computed once per run.
+    const common::BernoulliCut gen_cut =
+        common::Rng::bernoulliCut(cfg_.crossoverGenRate);
+    const common::BernoulliCut rg_cut =
+        common::Rng::bernoulliCut(cfg_.crossoverRgRate);
+    const common::BernoulliCut accel_cut =
+        common::Rng::bernoulliCut(cfg_.crossoverAccelRate);
+    const common::BernoulliCut mutation_cut =
+        common::Rng::bernoulliCut(cfg_.mutationRate);
     // Daughter slot for a last pair that only has room for the son: she
     // still takes part in crossover, but is not kept.
     sched::Mapping spare;
@@ -102,19 +124,16 @@ MagmaGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
                 son = pop.ranked(di);
                 daughter = pop.ranked(mi);
 
-                if (cfg_.enableCrossoverGen &&
-                    rng_.bernoulli(cfg_.crossoverGenRate))
+                if (cfg_.enableCrossoverGen && rng_.bernoulli(gen_cut))
                     crossoverGen(son, daughter, rng_);
-                if (cfg_.enableCrossoverRg &&
-                    rng_.bernoulli(cfg_.crossoverRgRate))
+                if (cfg_.enableCrossoverRg && rng_.bernoulli(rg_cut))
                     crossoverRg(son, daughter, rng_);
-                if (cfg_.enableCrossoverAccel &&
-                    rng_.bernoulli(cfg_.crossoverAccelRate))
+                if (cfg_.enableCrossoverAccel && rng_.bernoulli(accel_cut))
                     crossoverAccel(son, pop.ranked(mi), n_accels, rng_);
 
-                mutate(son, cfg_.mutationRate, n_accels, rng_);
+                mutate(son, mutation_cut, n_accels, rng_);
                 if (pair)
-                    mutate(daughter, cfg_.mutationRate, n_accels, rng_);
+                    mutate(daughter, mutation_cut, n_accels, rng_);
             }
         }
         pop.advance(rec, elites);

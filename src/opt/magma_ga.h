@@ -62,6 +62,9 @@ class MagmaGa : public Optimizer {
     /** Per-gene mutation at the given rate (in place). */
     static void mutate(sched::Mapping& m, double rate, int num_accels,
                        common::Rng& rng);
+    /** mutate() at a rate precomputed as a cut; the same draws. */
+    static void mutate(sched::Mapping& m, const common::BernoulliCut& rate,
+                       int num_accels, common::Rng& rng);
 
   protected:
     void run(const sched::MappingEvaluator& eval, const SearchOptions& opts,

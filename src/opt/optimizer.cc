@@ -105,8 +105,11 @@ SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms)
     }
     // Sequential bookkeeping in submission order keeps budget accounting
     // and convergence curves identical to the serial path.
-    for (size_t i = 0; i < n; ++i)
-        record(ms[i], fitness[i]);
+    {
+        PROFILE_SCOPE("opt.record");
+        for (size_t i = 0; i < n; ++i)
+            record(ms[i], fitness[i]);
+    }
     // One evaluateBatch call per generation in every population method —
     // this is the per-generation choke point the search trace hangs off.
     if (obs_counters_) {

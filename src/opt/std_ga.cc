@@ -29,6 +29,11 @@ StdGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
 
     const int elites = std::max(1, static_cast<int>(pop_size *
                                                     cfg_.eliteRatio));
+    // Fixed rates as word cuts, computed once per run.
+    const common::BernoulliCut crossover_cut =
+        common::Rng::bernoulliCut(cfg_.crossoverRate);
+    const common::BernoulliCut mutation_cut =
+        common::Rng::bernoulliCut(cfg_.mutationRate);
     while (!rec.exhausted()) {
         pop.rank();
         pop.carryElites(elites);
@@ -36,7 +41,7 @@ StdGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
             sched::Mapping& child = pop.child(k);
             child = tournament();
             // Single-pivot crossover over the concatenated gene string.
-            if (rng_.bernoulli(cfg_.crossoverRate)) {
+            if (rng_.bernoulli(crossover_cut)) {
                 const sched::Mapping& other = tournament();
                 int pivot = rng_.uniformInt(2 * g);
                 for (int i = pivot; i < 2 * g; ++i) {
@@ -48,9 +53,9 @@ StdGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
             }
             // Per-gene mutation.
             for (int i = 0; i < g; ++i) {
-                if (rng_.bernoulli(cfg_.mutationRate))
+                if (rng_.bernoulli(mutation_cut))
                     child.accelSel[i] = rng_.uniformInt(n_accels);
-                if (rng_.bernoulli(cfg_.mutationRate))
+                if (rng_.bernoulli(mutation_cut))
                     child.priority[i] = rng_.uniform();
             }
         }

@@ -44,10 +44,11 @@ EvalScratch::ensure(int jobs, int accels)
     queue_jobs_.resize(jobs);
     queue_begin_.resize(accels + 1);
     fill_.resize(accels);
+    queue_no_stall_.resize(jobs);
+    queue_req_bw_.resize(jobs);
     cursor_.resize(accels);
     remaining_.resize(accels);
     req_bw_.resize(accels);
-    live_job_.resize(accels);
     rate_.resize(accels);
     finish_.resize(jobs);
 }
@@ -103,61 +104,81 @@ FlatEvaluator::decodeInto(const Mapping& m, EvalScratch& s) const
         s.queue_begin_[a + 1] += s.queue_begin_[a];
 
     // Fill in ascending job order — the same insertion order decode()
-    // produces before its stable sort.
+    // produces before its stable sort. Each position also takes its
+    // job's priority as the sort key; the no-stall column holds the keys
+    // until the gather below overwrites them.
+    const double* prio = m.priority.data();
+    int32_t* q = s.queue_jobs_.data();
+    double* key = s.queue_no_stall_.data();
     for (int a = 0; a < accels; ++a)
         s.fill_[a] = s.queue_begin_[a];
-    for (int j = 0; j < jobs; ++j)
-        s.queue_jobs_[s.fill_[m.accelSel[j]]++] = j;
+    for (int j = 0; j < jobs; ++j) {
+        int32_t pos = s.fill_[m.accelSel[j]]++;
+        q[pos] = j;
+        key[pos] = prio[j];
+    }
 
     // Per-queue stable insertion sort by priority. Strict '<' moves keep
     // equal priorities in original (ascending job id) order, matching
-    // decode()'s std::stable_sort exactly.
-    const double* prio = m.priority.data();
-    int32_t* q = s.queue_jobs_.data();
+    // decode()'s std::stable_sort exactly. Each sorted queue's table
+    // cells are then gathered into the queue-ordered columns.
+    const double* no_stall = no_stall_seconds_.data();
+    const double* req = req_bw_gbps_.data();
+    double* qns = s.queue_no_stall_.data();
+    double* qreq = s.queue_req_bw_.data();
     for (int a = 0; a < accels; ++a) {
         int32_t lo = s.queue_begin_[a];
         int32_t hi = s.queue_begin_[a + 1];
         for (int32_t i = lo + 1; i < hi; ++i) {
             int32_t job = q[i];
-            double p = prio[job];
+            double p = key[i];
             int32_t k = i;
-            while (k > lo && p < prio[q[k - 1]]) {
+            while (k > lo && p < key[k - 1]) {
                 q[k] = q[k - 1];
+                key[k] = key[k - 1];
                 --k;
             }
             q[k] = job;
+            key[k] = p;
+        }
+        for (int32_t i = lo; i < hi; ++i) {
+            size_t cell = static_cast<size_t>(q[i]) * accels + a;
+            qns[i] = no_stall[cell];
+            qreq[i] = req[cell];
         }
     }
 }
 
+template <bool kRecord>
 void
-FlatEvaluator::simulate(const Mapping& m, EvalScratch& s,
-                        bool record_timeline) const
+FlatEvaluator::simulateRounds(const Mapping& m, EvalScratch& s,
+                              bool record_timeline) const
 {
     assert(m.size() == jobs_);
     PROFILE_SCOPE("sched.flat.simulate");
     s.ensure(jobs_, accels_);
-    s.events_.clear();
     decodeInto(m, s);
 
     const int num_accels = accels_;
     const double system_bw = system_bw_;
     const bool proportional = (policy_ == BwPolicy::Proportional);
-    const double* no_stall = no_stall_seconds_.data();
-    const double* req_col = req_bw_gbps_.data();
 
     // Raw-pointer views of the scratch keep the inner loop free of
     // vector indirection the optimizer cannot hoist past stores.
     const int32_t* qjobs = s.queue_jobs_.data();
     const int32_t* qbegin = s.queue_begin_.data();
+    const double* qns = s.queue_no_stall_.data();
+    const double* qreq = s.queue_req_bw_.data();
     int32_t* cursor = s.cursor_.data();
     double* remaining = s.remaining_.data();
     double* req_bw = s.req_bw_.data();
-    int32_t* live_job = s.live_job_.data();
     double* rate = s.rate_.data();
     double* finish = s.finish_.data();
 
-    std::fill(s.finish_.begin(), s.finish_.end(), 0.0);
+    if constexpr (kRecord) {
+        s.events_.clear();
+        std::fill(s.finish_.begin(), s.finish_.end(), 0.0);
+    }
 
     // The remainder replays BwAllocator::run on the flattened queues:
     // same traversal order, same expressions, so every intermediate
@@ -167,18 +188,19 @@ FlatEvaluator::simulate(const Mapping& m, EvalScratch& s,
     // but only through identities that are exact in IEEE arithmetic
     // (x / x == 1.0 for normal x, 1.0 * dt == dt, remaining / 1.0 ==
     // remaining), so the fusion is unobservable in the results.
+    //
+    // Launch slot a's next queued job; false once its queue is drained.
+    // A drained slot leaves the live list, so its remaining/req_bw are
+    // never read again (the reference zeroes them, which only adds 0.0
+    // terms to the demand sum).
     auto launchNext = [&](int a) {
-        if (cursor[a] < qbegin[a + 1]) {
-            int j = qjobs[cursor[a]++];
-            size_t i = static_cast<size_t>(j) * num_accels + a;
-            live_job[a] = j;
-            remaining[a] = no_stall[i];
-            req_bw[a] = req_col[i];
-        } else {
-            live_job[a] = -1;
-            remaining[a] = 0.0;
-            req_bw[a] = 0.0;
-        }
+        int32_t c = cursor[a];
+        if (c == qbegin[a + 1])
+            return false;
+        remaining[a] = qns[c];
+        req_bw[a] = qreq[c];
+        cursor[a] = c + 1;
+        return true;
     };
 
     // Compacted list of slots whose queue is not yet drained, in
@@ -191,8 +213,7 @@ FlatEvaluator::simulate(const Mapping& m, EvalScratch& s,
     double total_req = 0.0;
     for (int a = 0; a < num_accels; ++a) {
         cursor[a] = qbegin[a];
-        launchNext(a);
-        if (live_job[a] >= 0) {
+        if (launchNext(a)) {
             live_idx[live_count++] = a;
             total_req += req_bw[a];
         }
@@ -232,13 +253,13 @@ FlatEvaluator::simulate(const Mapping& m, EvalScratch& s,
         assert(std::isfinite(dt));
         dt = std::max(dt, 0.0);
 
-        if (record_timeline) {
+        if (kRecord && record_timeline) {
             for (int k = 0; k < live_count; ++k) {
                 int a = live_idx[k];
                 ScheduleEvent ev;
                 ev.start = now;
                 ev.end = now + dt;
-                ev.job = live_job[a];
+                ev.job = qjobs[cursor[a] - 1];
                 ev.accel = a;
                 ev.allocBw = full_speed ? req_bw[a] : rate[a] * req_bw[a];
                 s.events_.push_back(ev);
@@ -262,18 +283,25 @@ FlatEvaluator::simulate(const Mapping& m, EvalScratch& s,
                 remaining[a] -= (r == 1.0) ? dt : r * dt;
             }
             if (remaining[a] <= done_below) {
-                finish[live_job[a]] = now;
-                launchNext(a);
+                if constexpr (kRecord)
+                    finish[qjobs[cursor[a] - 1]] = now;
+                if (!launchNext(a))
+                    continue;
             }
-            if (live_job[a] >= 0) {
-                live_idx[write++] = a;
-                total_req += req_bw[a];
-            }
+            live_idx[write++] = a;
+            total_req += req_bw[a];
         }
         live_count = write;
     }
 
     s.makespan_ = now;
+}
+
+void
+FlatEvaluator::simulate(const Mapping& m, EvalScratch& s,
+                        bool record_timeline) const
+{
+    simulateRounds<true>(m, s, record_timeline);
 }
 
 double
@@ -299,8 +327,16 @@ double
 FlatEvaluator::fitness(const Mapping& m, EvalScratch& s) const
 {
     ref_->countSample();
-    simulate(m, s, false);
+    simulateRounds<false>(m, s, false);
     return objectiveValue(m, s);
+}
+
+SimPoint
+FlatEvaluator::simPoint(const Mapping& m, EvalScratch& s) const
+{
+    ref_->countSample();
+    simulateRounds<false>(m, s, false);
+    return {s.makespan_, totalJoules(m)};
 }
 
 ScheduleResult

@@ -34,9 +34,11 @@ EvalMode evalModeFromName(const std::string& name);
  * must only be used by one thread at a time; exec::EvalEngine keeps one
  * per worker lane.
  *
- * After a simulate()/fitness()/evaluate() call the scratch holds the
- * schedule outcome (makespan, per-job finish times, optional timeline
- * events) until the next call overwrites it.
+ * After a simulate()/evaluate() call the scratch holds the schedule
+ * outcome (makespan, per-job finish times, optional timeline events)
+ * until the next call overwrites it. fitness() and simPoint() take the
+ * record-free path: after them only the makespan is defined, and the
+ * finish times and events are stale.
  */
 class EvalScratch {
   public:
@@ -64,12 +66,18 @@ class EvalScratch {
     std::vector<int32_t> queue_jobs_;   // jobs
     std::vector<int32_t> queue_begin_;  // accels + 1
     std::vector<int32_t> fill_;         // accels: decode fill cursors
+    // The Job Analysis Table cells of each queue position's (job,
+    // sub-accelerator) pair, gathered in queue order after the sort, so a
+    // launch reads position `cursor` directly instead of indexing the
+    // table through queue_jobs_.
+    std::vector<double> queue_no_stall_;  // jobs: no-stall seconds
+    std::vector<double> queue_req_bw_;    // jobs: required BW
 
-    // Event-driven simulation state (one slot per sub-accelerator).
+    // Event-driven simulation state (one slot per sub-accelerator). The
+    // live slot's job is queue_jobs_[cursor_[a] - 1].
     std::vector<int32_t> cursor_;     // next queue position
     std::vector<double> remaining_;   // no-stall seconds left of live job
     std::vector<double> req_bw_;      // live job's required BW
-    std::vector<int32_t> live_job_;   // live job id, -1 when drained
     std::vector<double> rate_;        // granted/required BW of the round
 
     std::vector<double> finish_;      // jobs: completion times
@@ -105,13 +113,22 @@ class FlatEvaluator {
   public:
     explicit FlatEvaluator(const MappingEvaluator& ref);
 
-    /** Objective value of a candidate; counts one sample. Zero-alloc. */
+    /**
+     * Objective value of a candidate; counts one sample. Zero-alloc and
+     * record-free: afterwards `s` holds only the makespan.
+     */
     double fitness(const Mapping& m, EvalScratch& s) const;
 
     /**
+     * Makespan and energy of a candidate for the multi-objective layer;
+     * counts one sample. Record-free like fitness().
+     */
+    SimPoint simPoint(const Mapping& m, EvalScratch& s) const;
+
+    /**
      * Full simulation into `s` (makespan, finish times, optional
-     * timeline); counts one sample. Zero-alloc in steady state: the
-     * scratch's buffers are reused across calls.
+     * timeline); counts no sample (evaluate() does). Zero-alloc in
+     * steady state: the scratch's buffers are reused across calls.
      */
     void simulate(const Mapping& m, EvalScratch& s,
                   bool record_timeline = false) const;
@@ -136,8 +153,21 @@ class FlatEvaluator {
     const MappingEvaluator& reference() const { return *ref_; }
 
   private:
-    /** Decode `m` into s's flattened queues (exact decode() order). */
+    /**
+     * Decode `m` into s's flattened queues (exact decode() order) and
+     * gather each position's table cells into the queue-ordered columns.
+     */
     void decodeInto(const Mapping& m, EvalScratch& s) const;
+
+    /**
+     * The schedule simulation, written once for both uses. kRecord keeps
+     * per-job finish times and (with record_timeline) the timeline;
+     * without it the rounds compute the makespan alone. Both replay the
+     * same floating-point operations, so the makespans are identical.
+     */
+    template <bool kRecord>
+    void simulateRounds(const Mapping& m, EvalScratch& s,
+                        bool record_timeline) const;
 
     const MappingEvaluator* ref_;
     int jobs_ = 0;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <set>
@@ -17,6 +18,8 @@
 #include "common/pca.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "opt/magma_ga.h"
+#include "sched/mapping.h"
 
 using namespace magma::common;
 
@@ -242,6 +245,159 @@ TEST(Rng, BernoulliDegenerateRates)
         EXPECT_FALSE(rng.bernoulli(0.0));
         EXPECT_TRUE(rng.bernoulli(1.0));
     }
+}
+
+/** The cut draw equals toUnit(w) < p on the words around the cut, at
+ * both ends of the word range and on random words, for rates from the
+ * degenerate edges to the largest uniform() and beyond. */
+TEST(Rng, BernoulliCutMatchesUniformCompare)
+{
+    const double below_one = std::nextafter(1.0, 0.0);
+    const double rates[] = {0.0,
+                            -0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            0x1p-64,
+                            0x1p-60,
+                            0.05,
+                            0.5,
+                            0.9,
+                            below_one,
+                            1.0,
+                            1.5,
+                            std::numeric_limits<double>::quiet_NaN()};
+    std::mt19937_64 words(0xc075);
+    for (double p : rates) {
+        SCOPED_TRACE(testing::Message() << "p = " << p);
+        const BernoulliCut c = Rng::bernoulliCut(p);
+        const uint64_t cut = c.below;
+        for (uint64_t w : {cut - 1, cut, cut + 1, uint64_t{0}, ~uint64_t{0}})
+            ASSERT_EQ(c.admits(w), Rng::toUnit(w) < p) << "word " << w;
+        for (int i = 0; i < 10000; ++i) {
+            uint64_t w = words();
+            ASSERT_EQ(c.admits(w), Rng::toUnit(w) < p) << "word " << w;
+        }
+    }
+    // Random rates across the binades, their exact powers of two (where
+    // the gap to the double below halves) and rates close under 1: the
+    // cut is the first word whose uniform() reaches p.
+    Rng meta(77);
+    for (int i = 0; i < 20000; ++i) {
+        int k = meta.uniformInt(70);
+        double p = std::ldexp(1.0 + meta.uniform(), -2 - k);
+        if (i % 4 == 1)
+            p = std::ldexp(1.0, -1 - k);
+        if (i % 4 == 2)
+            p = 1.0 - std::ldexp(1.0 + meta.uniform(), -2 - k % 52);
+        const BernoulliCut c = Rng::bernoulliCut(p);
+        ASSERT_FALSE(c.always) << p;
+        ASSERT_GT(c.below, 0u) << p;
+        ASSERT_LT(Rng::toUnit(c.below - 1), p) << p;
+        ASSERT_GE(Rng::toUnit(c.below), p) << p;
+    }
+    static_assert(Rng::bernoulliCut(0.5).below == (1ull << 63) - 512);
+    EXPECT_EQ(Rng::bernoulliCut(0x1p-64).below, 1u);
+    EXPECT_EQ(Rng::bernoulliCut(below_one).below, ~0ull - 3070);
+    EXPECT_FALSE(Rng::bernoulliCut(below_one).always);
+    EXPECT_TRUE(Rng::bernoulliCut(1.0).always);
+    EXPECT_FALSE(Rng::bernoulliCut(std::nan("")).admits(0));
+    EXPECT_FALSE(Rng::bernoulliCut(-1.0).admits(0));
+
+    // The draw consumes exactly one word, as bernoulli(p) does.
+    Rng a(31), b(31);
+    const BernoulliCut c = Rng::bernoulliCut(0.3);
+    for (int i = 0; i < 100000; ++i)
+        ASSERT_EQ(a.bernoulli(0.3), b.bernoulli(c)) << i;
+    EXPECT_EQ(a.engine()(), b.engine()());
+}
+
+namespace {
+
+/** MagmaGa::mutate as written with bernoulli(rate) draws. */
+void
+mutateByRate(magma::sched::Mapping& m, double rate, int accels, Rng& rng)
+{
+    for (int i = 0; i < m.size(); ++i) {
+        if (rng.bernoulli(rate))
+            m.accelSel[i] = rng.uniformInt(accels);
+        if (rng.bernoulli(rate))
+            m.priority[i] = rng.uniform();
+    }
+}
+
+}  // namespace
+
+/** MAGMA's cut-form operators breed the same children from the same word
+ * stream as the bernoulli(rate) form: mutation at the dyn/serve archive
+ * rate 0.05 and at a high rate, and the crossover gates of a breeding
+ * step, over 100K children each. */
+TEST(Rng, CutFormOperatorsMatchBernoulliForm)
+{
+    using magma::opt::MagmaGa;
+    using magma::sched::Mapping;
+    const int genes = 12;
+    const int accels = 4;
+    for (double rate : {0.05, 0.7}) {
+        SCOPED_TRACE(testing::Message() << "rate " << rate);
+        Rng by_rate(5), by_cut(5), by_static(5);
+        const BernoulliCut cut = Rng::bernoulliCut(rate);
+        Rng init(9);
+        const Mapping parent = Mapping::random(genes, accels, init);
+        for (int child = 0; child < 100000; ++child) {
+            Mapping want = parent, got = parent, via_rate = parent;
+            mutateByRate(want, rate, accels, by_rate);
+            MagmaGa::mutate(got, cut, accels, by_cut);
+            MagmaGa::mutate(via_rate, rate, accels, by_static);
+            ASSERT_EQ(got, want) << "child " << child;
+            ASSERT_EQ(via_rate, want) << "child " << child;
+        }
+        const uint64_t next = by_rate.engine()();
+        EXPECT_EQ(by_cut.engine()(), next);
+        EXPECT_EQ(by_static.engine()(), next);
+    }
+
+    // A breeding step's crossover gates and crossoverGen's fair coin.
+    const magma::opt::MagmaConfig cfg;
+    const BernoulliCut gen_cut = Rng::bernoulliCut(cfg.crossoverGenRate);
+    const BernoulliCut rg_cut = Rng::bernoulliCut(cfg.crossoverRgRate);
+    const BernoulliCut accel_cut = Rng::bernoulliCut(cfg.crossoverAccelRate);
+    const BernoulliCut mut_cut = Rng::bernoulliCut(cfg.mutationRate);
+    Rng by_rate(17), by_cut(17), init(3);
+    const Mapping dad = Mapping::random(genes, accels, init);
+    const Mapping mom = Mapping::random(genes, accels, init);
+    for (int pair = 0; pair < 50000; ++pair) {
+        Mapping son_a = dad, daughter_a = mom;
+        if (by_rate.bernoulli(cfg.crossoverGenRate)) {
+            // crossoverGen with its coin drawn as bernoulli(0.5).
+            int pivot = by_rate.uniformInt(genes);
+            if (by_rate.bernoulli(0.5)) {
+                for (int i = pivot; i < genes; ++i)
+                    std::swap(son_a.accelSel[i], daughter_a.accelSel[i]);
+            } else {
+                for (int i = pivot; i < genes; ++i)
+                    std::swap(son_a.priority[i], daughter_a.priority[i]);
+            }
+        }
+        if (by_rate.bernoulli(cfg.crossoverRgRate))
+            MagmaGa::crossoverRg(son_a, daughter_a, by_rate);
+        if (by_rate.bernoulli(cfg.crossoverAccelRate))
+            MagmaGa::crossoverAccel(son_a, mom, accels, by_rate);
+        mutateByRate(son_a, cfg.mutationRate, accels, by_rate);
+        mutateByRate(daughter_a, cfg.mutationRate, accels, by_rate);
+
+        Mapping son_b = dad, daughter_b = mom;
+        if (by_cut.bernoulli(gen_cut))
+            MagmaGa::crossoverGen(son_b, daughter_b, by_cut);
+        if (by_cut.bernoulli(rg_cut))
+            MagmaGa::crossoverRg(son_b, daughter_b, by_cut);
+        if (by_cut.bernoulli(accel_cut))
+            MagmaGa::crossoverAccel(son_b, mom, accels, by_cut);
+        MagmaGa::mutate(son_b, mut_cut, accels, by_cut);
+        MagmaGa::mutate(daughter_b, mut_cut, accels, by_cut);
+
+        ASSERT_EQ(son_b, son_a) << "pair " << pair;
+        ASSERT_EQ(daughter_b, daughter_a) << "pair " << pair;
+    }
+    EXPECT_EQ(by_rate.engine()(), by_cut.engine()());
 }
 
 TEST(Rng, PermutationIsPermutation)

@@ -98,6 +98,66 @@ TEST(FlatEval, RandomizedBitwiseParityAcrossPlatformsPoliciesObjectives)
     }
 }
 
+/** The benchmark's shape (Mix, group 100, 16 GB/s) and its neighbours —
+ * S3/S4/S5, groups of 1 and 300 — with mappings that leave
+ * sub-accelerators empty and priorities of +-0.0 (equal under '<', so
+ * the stable job-id order decides). The record-free path (fitness,
+ * simPoint) and the recording one (simulate) alternate on one scratch,
+ * so neither may depend on state the other leaves behind. */
+TEST(FlatEval, BenchmarkShapeParityAlternatingRecordFreeAndRecording)
+{
+    const accel::Setting settings[] = {accel::Setting::S3, accel::Setting::S4,
+                                       accel::Setting::S5};
+    int shape = 0;
+    for (accel::Setting setting : settings) {
+        for (int group : {100, 1, 300}) {
+            ++shape;
+            sched::BwPolicy policy = (shape % 3 == 0)
+                                         ? sched::BwPolicy::EvenSplit
+                                         : sched::BwPolicy::Proportional;
+            auto p = m3e::makeProblem(dnn::TaskType::Mix, setting, 16.0,
+                                      group, /*seed=*/100 + shape,
+                                      Objective::Throughput, policy);
+            const sched::MappingEvaluator& ev = p->evaluator();
+            const int accels = ev.numAccels();
+            FlatEvaluator flat(ev);
+            EvalScratch scratch;
+            common::Rng rng(200 + shape);
+            for (int i = 0; i < 24; ++i) {
+                Mapping m = Mapping::random(group, accels, rng);
+                if (i % 3 == 1) {
+                    // Only the first and last sub-accelerators get work.
+                    for (int& a : m.accelSel)
+                        a = (a % 2 == 0) ? 0 : accels - 1;
+                }
+                if (i % 3 == 2) {
+                    for (double& pr : m.priority)
+                        pr = rng.bernoulli(0.5) ? 0.0 : -0.0;
+                }
+                ScheduleResult want = ev.evaluate(m, true);
+                SCOPED_TRACE(testing::Message()
+                             << "shape " << shape << " candidate " << i);
+
+                EXPECT_EQ(flat.fitness(m, scratch), ev.fitness(m));
+                EXPECT_EQ(scratch.makespanSeconds(), want.makespanSeconds);
+
+                flat.simulate(m, scratch, true);
+                EXPECT_EQ(scratch.makespanSeconds(), want.makespanSeconds);
+                EXPECT_EQ(scratch.finishTime(), want.finishTime);
+                ASSERT_EQ(scratch.events().size(), want.events.size());
+
+                sched::SimPoint sp = flat.simPoint(m, scratch);
+                EXPECT_EQ(sp.makespanSeconds, want.makespanSeconds);
+                EXPECT_EQ(sp.joules, ev.totalJoules(m));
+
+                flat.simulate(m, scratch, false);
+                EXPECT_EQ(scratch.finishTime(), want.finishTime);
+                EXPECT_TRUE(scratch.events().empty());
+            }
+        }
+    }
+}
+
 /** Equal priorities must keep the decoder's stable job-id order. */
 TEST(FlatEval, TiedPrioritiesMatchStableDecodeOrder)
 {
