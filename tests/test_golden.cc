@@ -14,16 +14,22 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "api/registry.h"
+#include "api/spec.h"
 #include "dyn/engine.h"
 #include "dyn/runner.h"
 #include "dyn/trace.h"
 #include "m3e/problem.h"
 #include "mo/nsga2.h"
+#include "mo/pareto.h"
+#include "serve/fingerprint.h"
+#include "serve/mapping_store.h"
+#include "serve/service.h"
 
 using namespace magma;
 
@@ -121,7 +127,10 @@ TEST(Golden, Nsga2FrontPinned)
     EXPECT_EQ(h, 0x6888a602536d3e54ull) << "actual: " << hex(h);
 }
 
-TEST(Golden, DynReplayPinned)
+namespace {
+
+dyn::WorkloadTrace
+goldenTrace()
 {
     dyn::WorkloadTrace trace;
     trace.base.task = dnn::TaskType::Mix;
@@ -135,18 +144,168 @@ TEST(Golden, DynReplayPinned)
           "t=1.5 kind=depart name=a"})
         trace.events.push_back(dyn::WorkloadEvent::fromText(line));
     trace.validate();
+    return trace;
+}
 
+dyn::DynConfig
+goldenDynConfig()
+{
     dyn::DynConfig cfg;
     cfg.search.sampleBudget = 160;
     cfg.search.seed = 5;
-    dyn::DynResult r = dyn::EventEngine(cfg).replay(trace);
+    return cfg;
+}
+
+/** The replay's stdout form: one eventLine per event plus the summary. */
+std::string
+replayDigest(const dyn::DynResult& r)
+{
     std::string digest;
     for (size_t i = 0; i < r.records.size(); ++i)
         digest += dyn::eventLine(static_cast<int64_t>(i), r.records[i]) +
                   "\n";
     digest += dyn::summaryLine(r) + "\n";
+    return digest;
+}
+
+}  // namespace
+
+TEST(Golden, DynReplayPinned)
+{
+    dyn::DynResult r = dyn::EventEngine(goldenDynConfig())
+                           .replay(goldenTrace());
+    std::string digest = replayDigest(r);
     uint64_t h = fnv1a64(digest);
     EXPECT_EQ(h, 0x0b5fe5473af66c33ull)
         << "actual: " << hex(h) << "\n"
         << digest;
+}
+
+TEST(Golden, DynStoreSeededReplayPinned)
+{
+    // The first replay writes its solutions back; the second starts with
+    // no running mapping, so its first event takes the store tier.
+    serve::MappingStore store;
+    dyn::DynConfig cfg = goldenDynConfig();
+    cfg.store = &store;
+    dyn::EventEngine(cfg).replay(goldenTrace());
+    dyn::DynResult r = dyn::EventEngine(cfg).replay(goldenTrace());
+    ASSERT_EQ(dyn::RemapSource::Store, r.records[0].source);
+    std::ostringstream saved;
+    store.save(saved);
+    std::string digest = replayDigest(r) + saved.str();
+    uint64_t h = fnv1a64(digest);
+    EXPECT_EQ(h, 0xe9943466e5dc9996ull) << "actual: " << hex(h) << "\n" << digest;
+}
+
+TEST(Golden, DynArchiveSeededReplayPinned)
+{
+    // Three members against a 6-job first event: positional tiling plus
+    // the round-robin mutated top-up to the population of 8.
+    mo::ParetoArchive archive(
+        {sched::Objective::Throughput, sched::Objective::Energy});
+    common::Rng rng(21);
+    for (int i = 0; i < 3; ++i) {
+        mo::MoPoint p;
+        p.m = sched::Mapping::random(4 + i, 4, rng);
+        p.objs = {10.0 + i, 10.0 - i};  // mutually non-dominated
+        ASSERT_TRUE(archive.insert(p));
+    }
+    dyn::DynConfig cfg = goldenDynConfig();
+    cfg.archive = &archive;
+    dyn::DynResult r = dyn::EventEngine(cfg).replay(goldenTrace());
+    ASSERT_EQ(dyn::RemapSource::Archive, r.records[0].source);
+    std::string digest = replayDigest(r);
+    uint64_t h = fnv1a64(digest);
+    EXPECT_EQ(h, 0x5e95411ad181c6adull) << "actual: " << hex(h) << "\n" << digest;
+}
+
+namespace {
+
+serve::MapRequest
+goldenRequest()
+{
+    serve::MapRequest req;
+    req.problem.task = dnn::TaskType::Mix;
+    req.problem.setting = accel::Setting::S2;
+    req.problem.systemBwGbps = 4.0;
+    req.problem.groupSize = 12;
+    req.problem.workloadSeed = 31;
+    req.search.sampleBudget = 240;
+    req.search.seed = 9;
+    req.writeBack = false;
+    return req;
+}
+
+/** A solved-looking entry for a different 10-job Mix group on the same
+ * platform: the golden request hits it on the coarse tier. */
+void
+seedStore(serve::MappingStore& store, bool with_group)
+{
+    serve::MapRequest req = goldenRequest();
+    req.problem.groupSize = 10;
+    req.problem.workloadSeed = 32;
+    dnn::JobGroup group = dnn::WorkloadGenerator(req.problem.workloadSeed)
+                              .makeGroup(req.problem.task,
+                                         req.problem.groupSize);
+    common::Rng rng(17);
+    sched::Mapping m = sched::Mapping::random(group.size(), 4, rng);
+    store.update(serve::fingerprintOf(group, req.problem), group.task, m,
+                 with_group ? group : dnn::JobGroup{}, 50.0, 100);
+}
+
+std::string
+responseDigest(const serve::MapResponse& r)
+{
+    std::string d = r.best.toText();
+    d += " fitness=" + hex(bitsOf(r.bestFitness));
+    d += " samples=" + std::to_string(r.samplesUsed);
+    d += " trf0=" + hex(bitsOf(r.trf0Fitness));
+    return d;
+}
+
+uint64_t
+servedHash(const serve::ServiceConfig& cfg, bool with_group)
+{
+    serve::MappingService service(cfg);
+    if (cfg.archive == nullptr)
+        seedStore(service.store(), with_group);
+    serve::MapResponse r = service.submit(goldenRequest()).get();
+    EXPECT_EQ(cfg.archive == nullptr, r.warmStart);
+    EXPECT_FALSE(r.exactHit);
+    EXPECT_EQ(cfg.archive != nullptr, r.archiveSeeded);
+    return fnv1a64(responseDigest(r));
+}
+
+}  // namespace
+
+TEST(Golden, ServedJobMatchedStoreHitPinned)
+{
+    uint64_t h = servedHash(serve::ServiceConfig{}, true);
+    EXPECT_EQ(h, 0x1a2bbf46b0c6a535ull) << "actual: " << hex(h);
+}
+
+TEST(Golden, ServedGrouplessStoreHitPinned)
+{
+    uint64_t h = servedHash(serve::ServiceConfig{}, false);
+    EXPECT_EQ(h, 0x39c8fe06a679e7f7ull) << "actual: " << hex(h);
+}
+
+TEST(Golden, ServedArchiveSeededPinned)
+{
+    // Five 8-job members for a 12-job request: tiled positionally and
+    // topped up round-robin to the population of 12.
+    mo::ParetoArchive archive(
+        {sched::Objective::Throughput, sched::Objective::Energy});
+    common::Rng rng(23);
+    for (int i = 0; i < 5; ++i) {
+        mo::MoPoint p;
+        p.m = sched::Mapping::random(8, 4, rng);
+        p.objs = {20.0 + i, 20.0 - i};  // mutually non-dominated
+        ASSERT_TRUE(archive.insert(p));
+    }
+    serve::ServiceConfig cfg;
+    cfg.archive = &archive;
+    uint64_t h = servedHash(cfg, false);
+    EXPECT_EQ(h, 0xb21b86573fa522b4ull) << "actual: " << hex(h);
 }
