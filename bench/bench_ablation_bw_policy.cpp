@@ -49,9 +49,11 @@ main(int argc, char** argv)
                               sched::BwPolicy::EvenSplit);
             opt::SearchOptions opts;
             opts.sampleBudget = args.budget();
-            double fp = m3e::makeOptimizer(m3e::Method::Magma, args.seed)
+            const api::OptimizerRegistry& reg =
+                api::OptimizerRegistry::global();
+            double fp = reg.make("MAGMA", args.seed)
                             ->search(prop.evaluator(), opts).bestFitness;
-            double fe = m3e::makeOptimizer(m3e::Method::Magma, args.seed)
+            double fe = reg.make("MAGMA", args.seed)
                             ->search(even.evaluator(), opts).bestFitness;
             std::printf("  %8g %14.1f %14.1f %8.3f\n", bw, fp, fe,
                         fp / fe);

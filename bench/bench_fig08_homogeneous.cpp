@@ -35,7 +35,7 @@ main(int argc, char** argv)
     for (dnn::TaskType task : tasks) {
         auto problem = m3e::makeProblem(task, accel::Setting::S1, 16.0,
                                         args.groupSize(), args.seed);
-        auto runs = bench::runMethods(*problem, m3e::paperMethods(),
+        auto runs = bench::runMethods(*problem, api::tableIvMethods(),
                                       args.budget(), args.seed,
                                       args.full ? -1 : 1000);
         bench::printNormalizedByMagma(

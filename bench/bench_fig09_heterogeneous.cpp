@@ -48,7 +48,7 @@ main(int argc, char** argv)
     for (const Config& c : configs) {
         auto problem = m3e::makeProblem(c.task, c.setting, c.bw,
                                         args.groupSize(), args.seed);
-        auto runs = bench::runMethods(*problem, m3e::paperMethods(),
+        auto runs = bench::runMethods(*problem, api::tableIvMethods(),
                                       args.budget(), args.seed,
                                       args.full ? -1 : 1000);
         bench::printNormalizedByMagma(c.label, runs, &csv, c.label);

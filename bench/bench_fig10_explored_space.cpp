@@ -26,9 +26,8 @@ main(int argc, char** argv)
     auto problem = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2,
                                     16.0, args.groupSize(), args.seed);
 
-    const std::vector<m3e::Method> methods = {
-        m3e::Method::Magma, m3e::Method::RlPpo2, m3e::Method::StdGa,
-        m3e::Method::Pso, m3e::Method::Cma};
+    const std::vector<std::string> methods = {"MAGMA", "RL PPO2", "stdGA",
+                                               "PSO", "CMA"};
 
     opt::SearchOptions base;
     base.recordSamples = true;
@@ -38,7 +37,8 @@ main(int argc, char** argv)
     // "Exhaustively sampled" stand-in: random with a much larger budget
     // (the paper used ~1M random samples over 2 days).
     {
-        auto random = m3e::makeOptimizer(m3e::Method::Random, args.seed);
+        auto random =
+            api::OptimizerRegistry::global().make("Random", args.seed);
         opt::SearchOptions opts;
         opts.sampleBudget = args.budget() * (args.full ? 20 : 10);
         opts.recordSamples = true;

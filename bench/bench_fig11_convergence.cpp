@@ -36,7 +36,7 @@ runCase(const char* label, dnn::TaskType task, accel::Setting setting,
 
     opt::SearchOptions base;
     base.recordConvergence = true;
-    auto runs = bench::runMethods(*problem, m3e::paperMethods(), budget,
+    auto runs = bench::runMethods(*problem, api::tableIvMethods(), budget,
                                   args.seed, rl_budget, base);
     for (const auto& r : runs) {
         std::vector<double> pts =

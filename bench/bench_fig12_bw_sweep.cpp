@@ -27,9 +27,8 @@ sweep(const char* label, accel::Setting setting,
         std::printf(" %10s", ("BW=" + common::CsvWriter::num(bw)).c_str());
     std::printf("   (normalized by MAGMA)\n");
 
-    const std::vector<m3e::Method> methods = {
-        m3e::Method::HeraldLike, m3e::Method::RlA2c, m3e::Method::RlPpo2,
-        m3e::Method::Magma};
+    const std::vector<std::string> methods = {"Herald-like", "RL A2C",
+                                               "RL PPO2", "MAGMA"};
 
     // One workload per BW point (same seed), methods sweep across.
     std::vector<std::vector<bench::MethodRun>> by_bw;

@@ -100,7 +100,7 @@ main(int argc, char** argv)
                                             bw, args.groupSize(),
                                             args.seed);
             auto magma_opt =
-                m3e::makeOptimizer(m3e::Method::Magma, args.seed);
+                api::OptimizerRegistry::global().make("MAGMA", args.seed);
             opt::SearchOptions opts;
             opts.sampleBudget = args.budget();
             vals[i] =

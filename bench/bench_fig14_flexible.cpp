@@ -42,7 +42,8 @@ analyze(m3e::Problem& p)
 double
 runMagma(m3e::Problem& p, const bench::BenchArgs& args)
 {
-    auto magma_opt = m3e::makeOptimizer(m3e::Method::Magma, args.seed);
+    auto magma_opt =
+        api::OptimizerRegistry::global().make("MAGMA", args.seed);
     opt::SearchOptions opts;
     opts.sampleBudget = args.budget();
     return magma_opt->search(p.evaluator(), opts).bestFitness;

@@ -61,7 +61,8 @@ main(int argc, char** argv)
         baselines::HeraldLike::buildMapping(problem->evaluator());
     show("Herald-like", herald, *problem, csv);
 
-    auto magma_opt = m3e::makeOptimizer(m3e::Method::Magma, args.seed);
+    auto magma_opt =
+        api::OptimizerRegistry::global().make("MAGMA", args.seed);
     opt::SearchOptions opts;
     opts.sampleBudget = args.budget();
     opt::SearchResult res = magma_opt->search(problem->evaluator(), opts);

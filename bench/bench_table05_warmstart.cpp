@@ -57,13 +57,17 @@ magmaEpochs(m3e::Problem& p, int epochs, int pop,
     return magma_ga.search(p.evaluator(), opts).bestFitness;
 }
 
+/** Warm-start `target` from the solution of `solved_group`
+ * (job-matched transfer) and measure the Table V rows. */
 WarmRow
-transferTo(m3e::Problem& target, const opt::WarmStartEngine& ws,
-           dnn::TaskType task, int pop, const bench::BenchArgs& args)
+transferTo(m3e::Problem& target, const sched::Mapping& solved,
+           const dnn::JobGroup& solved_group, int pop,
+           const bench::BenchArgs& args)
 {
     common::Rng rng(args.seed + 17);
-    auto seeds = ws.makeSeeds(task, pop, target.group(),
-                              target.evaluator().numAccels(), rng);
+    auto seeds = opt::transfer::seedsFromStored(
+        solved, solved_group, target.group(), pop,
+        target.evaluator().numAccels(), rng);
     WarmRow row;
     // Raw: a random population before any optimization (mean fitness).
     std::vector<sched::Mapping> random_pop;
@@ -99,7 +103,7 @@ main(int argc, char** argv)
     dnn::WorkloadGenerator gen(args.seed);
     auto groups = gen.makeGroups(dnn::TaskType::Mix, group, 5);
 
-    opt::WarmStartEngine ws;
+    sched::Mapping insts0_best;
     {
         m3e::Problem insts0(groups[0],
                             accel::makeSetting(accel::Setting::S4, 1.0));
@@ -109,7 +113,7 @@ main(int argc, char** argv)
         opt::SearchOptions opts;
         opts.sampleBudget = static_cast<int64_t>(pop) * 101;
         opt::SearchResult solved = magma_ga.search(insts0.evaluator(), opts);
-        ws.store(dnn::TaskType::Mix, solved.best, groups[0]);
+        insts0_best = solved.best;
         std::printf("  %-10s %8s %8s %8s %8s %8.2f  (optimized: %.1f "
                     "GFLOP/s)\n",
                     "Insts0", "-", "-", "-", "-", 1.0, solved.bestFitness);
@@ -117,8 +121,7 @@ main(int argc, char** argv)
     for (int i = 1; i < 5; ++i) {
         m3e::Problem target(groups[i],
                             accel::makeSetting(accel::Setting::S4, 1.0));
-        WarmRow row =
-            transferTo(target, ws, dnn::TaskType::Mix, pop, args);
+        WarmRow row = transferTo(target, insts0_best, groups[0], pop, args);
         std::printf("  Insts%-5d %8.2f %8.2f %8.2f %8.2f %8.2f\n", i,
                     row.raw / row.trf100, row.trf0 / row.trf100,
                     row.trf1 / row.trf100, row.trf30 / row.trf100, 1.0);
@@ -144,7 +147,7 @@ main(int argc, char** argv)
         for (accel::Setting s : settings) {
             dnn::WorkloadGenerator g2(args.seed + static_cast<int>(s));
             auto two = g2.makeGroups(task, group, 2);
-            opt::WarmStartEngine engine;
+            sched::Mapping src_best;
             {
                 m3e::Problem src(two[0], accel::makeSetting(s, 1.0));
                 opt::MagmaConfig cfg;
@@ -152,12 +155,10 @@ main(int argc, char** argv)
                 opt::MagmaGa magma_ga(args.seed, cfg);
                 opt::SearchOptions opts;
                 opts.sampleBudget = static_cast<int64_t>(pop) * 51;
-                engine.store(task,
-                             magma_ga.search(src.evaluator(), opts).best,
-                             two[0]);
+                src_best = magma_ga.search(src.evaluator(), opts).best;
             }
             m3e::Problem dst(two[1], accel::makeSetting(s, 1.0));
-            WarmRow row = transferTo(dst, engine, task, pop, args);
+            WarmRow row = transferTo(dst, src_best, two[0], pop, args);
             raw_n.push_back(row.raw / row.trf100);
             trf0_n.push_back(row.trf0 / row.trf100);
             trf1_n.push_back(row.trf1 / row.trf100);

@@ -5,9 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.h"
 #include "bench/bench_common.h"
 #include "common/csv.h"
-#include "m3e/factory.h"
 #include "m3e/problem.h"
 
 namespace magma::bench {
@@ -21,24 +21,25 @@ struct MethodRun {
 };
 
 /**
- * Run a line-up of methods on one problem under a shared budget.
+ * Run a line-up of methods (registry names) on one problem under a
+ * shared budget.
  * RL methods optionally get their own (smaller) default budget since one
  * sample costs a policy update; --full equalizes everything at 10K as the
  * paper does.
  */
 inline std::vector<MethodRun>
-runMethods(m3e::Problem& problem, const std::vector<m3e::Method>& methods,
+runMethods(m3e::Problem& problem, const std::vector<std::string>& methods,
            int64_t budget, uint64_t seed, int64_t rl_budget = -1,
            const opt::SearchOptions& base_opts = {})
 {
     std::vector<MethodRun> runs;
-    for (m3e::Method m : methods) {
+    for (const std::string& m : methods) {
         opt::SearchOptions opts = base_opts;
-        bool is_rl = (m == m3e::Method::RlA2c || m == m3e::Method::RlPpo2);
+        bool is_rl = (m == "RL A2C" || m == "RL PPO2");
         opts.sampleBudget = (is_rl && rl_budget > 0) ? rl_budget : budget;
-        auto optimizer = m3e::makeOptimizer(m, seed);
+        auto optimizer = api::OptimizerRegistry::global().make(m, seed);
         MethodRun run;
-        run.name = m3e::methodName(m);
+        run.name = m;
         run.result = optimizer->search(problem.evaluator(), opts);
         run.gflops = run.result.bestFitness;
         run.samples = run.result.samplesUsed;

@@ -9,9 +9,9 @@
 
 #include <cstdio>
 
+#include "api/registry.h"
 #include "cost/cost_model.h"
 #include "dnn/model_zoo.h"
-#include "m3e/factory.h"
 #include "m3e/problem.h"
 
 int
@@ -58,9 +58,11 @@ main()
                 group, accel::makeFlexibleSetting(accel::Setting::S1, bw));
             opt::SearchOptions opts;
             opts.sampleBudget = 2000;
-            double ff = m3e::makeOptimizer(m3e::Method::Magma, 1)
+            const api::OptimizerRegistry& reg =
+                api::OptimizerRegistry::global();
+            double ff = reg.make("MAGMA", 1)
                             ->search(fixed.evaluator(), opts).bestFitness;
-            double fx = m3e::makeOptimizer(m3e::Method::Magma, 1)
+            double fx = reg.make("MAGMA", 1)
                             ->search(flexp.evaluator(), opts).bestFitness;
             std::printf("  %-8s %6.0f %10.1f %10.1f %7.2fx\n",
                         dnn::taskTypeName(task).c_str(), bw, ff, fx,

@@ -14,9 +14,9 @@
 #include <cstdio>
 
 #include "analysis/timeline.h"
+#include "api/registry.h"
 #include "baselines/ai_mt_like.h"
 #include "baselines/herald_like.h"
-#include "m3e/factory.h"
 #include "m3e/problem.h"
 
 int
@@ -38,7 +38,7 @@ main()
             baselines::HeraldLike::buildMapping(eval));
         double aimt = eval.fitness(baselines::AiMtLike::buildMapping(eval));
 
-        auto magma_opt = m3e::makeOptimizer(m3e::Method::Magma, 1);
+        auto magma_opt = api::OptimizerRegistry::global().make("MAGMA", 1);
         opt::SearchOptions opts;
         opts.sampleBudget = 3000;
         double magma = magma_opt->search(eval, opts).bestFitness;
@@ -50,7 +50,7 @@ main()
     // Visualize the schedule MAGMA found at the tightest budget.
     auto problem = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S4,
                                     4.0, 48, 11);
-    auto magma_opt = m3e::makeOptimizer(m3e::Method::Magma, 1);
+    auto magma_opt = api::OptimizerRegistry::global().make("MAGMA", 1);
     opt::SearchOptions opts;
     opts.sampleBudget = 3000;
     opt::SearchResult best = magma_opt->search(problem->evaluator(), opts);

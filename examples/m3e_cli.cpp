@@ -76,7 +76,6 @@
 #include "api/registry.h"
 #include "api/runner.h"
 #include "exec/cost_cache.h"
-#include "m3e/factory.h"
 #include "mo/pareto.h"
 #include "obs/snapshot.h"
 #include "obs/trace_export.h"
@@ -339,9 +338,9 @@ main(int argc, char** argv)
                          "single-objective)\n");
             return 2;
         }
-        for (m3e::Method m : m3e::paperMethods()) {
+        for (const std::string& method : api::tableIvMethods()) {
             api::ExperimentSpec exp = args.exp;
-            exp.search.method = m3e::methodName(m);
+            exp.search.method = method;
             runOne(runner, exp, args);
         }
     } else {

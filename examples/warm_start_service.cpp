@@ -9,10 +9,10 @@
  * (Trf-0-ep), and one epoch of refinement recovers most of the gap to a
  * full search at a tiny fraction of the cost.
  *
- * Since PR 2 this drives the real serving subsystem: every search goes
- * through serve::MappingService, whose fingerprint-keyed MappingStore
- * replaces the hand-held WarmStartEngine of the original loop — the
- * legacy scenario and the production path can no longer drift apart.
+ * Every search goes through serve::MappingService: its fingerprint-keyed
+ * MappingStore remembers solutions, and the same opt::transfer seeding
+ * helpers the dyn event engine uses turn a store hit into the warm
+ * population, so this scenario is the production path.
  */
 
 #include <cstdio>

@@ -1,12 +1,10 @@
 /**
  * @file
  * Registration of the built-in mapper line-up (Table IV + the Random
- * reference) with the OptimizerRegistry, in the paper's plot order and
- * with the paper's hyper-parameters (each class's defaults).
- *
- * This is the replacement for the old m3e::factory enum switch: the
- * registry is the source of truth, m3e::makeOptimizer is now a
- * compatibility wrapper over these entries.
+ * reference + NSGA-II) with the OptimizerRegistry, in the paper's plot
+ * order and with the paper's hyper-parameters (each class's defaults),
+ * plus the Table IV name list and the population-aware constructor the
+ * warm-starting front ends use.
  */
 
 #include "api/registry.h"
@@ -23,6 +21,32 @@
 #include "opt/tbpsa.h"
 #include "rl/a2c.h"
 #include "rl/ppo2.h"
+
+namespace magma::api {
+
+const std::vector<std::string>&
+tableIvMethods()
+{
+    static const std::vector<std::string> names = {
+        "Herald-like", "AI-MT-like", "PSO",    "CMA",     "DE",
+        "TBPSA",       "stdGA",      "RL A2C", "RL PPO2", "MAGMA"};
+    return names;
+}
+
+std::unique_ptr<opt::Optimizer>
+makeForPopulation(const std::string& name_or_alias, uint64_t seed,
+                  int population)
+{
+    OptimizerRegistry& registry = OptimizerRegistry::global();
+    std::string method = registry.resolve(name_or_alias);
+    if (method != "MAGMA")
+        return registry.make(method, seed);
+    opt::MagmaConfig cfg;
+    cfg.population = population;
+    return std::make_unique<opt::MagmaGa>(seed, cfg);
+}
+
+}  // namespace magma::api
 
 namespace magma::api::detail {
 

@@ -18,10 +18,10 @@ using OptimizerFactory =
 
 /**
  * String-keyed optimizer factory — the source of truth for which mapping
- * methods exist. Every Table IV method self-registers here (see
- * builtin_methods.cc), the legacy m3e::Method enum is a thin
- * compatibility wrapper over lookups, and downstream users add methods
- * with registerOptimizer() without touching m3e/:
+ * methods exist. Every Table IV method registers here (see
+ * builtin_methods.cc) under its paper label, callers construct methods
+ * by name or alias, and downstream users add methods with
+ * registerOptimizer() without touching the core:
  *
  *   static const bool kReg = magma::api::registerOptimizer(
  *       "MyMapper", {"my", "mm"},
@@ -79,6 +79,22 @@ class OptimizerRegistry {
  */
 bool registerOptimizer(std::string name, std::vector<std::string> aliases,
                        OptimizerFactory factory);
+
+/**
+ * The mapper line-up of Table IV / Figs. 8-9: the ten canonical names in
+ * the paper's plot order (Random, the reference method, and NSGA-II are
+ * registered after it and are not part of it).
+ */
+const std::vector<std::string>& tableIvMethods();
+
+/**
+ * Construct `name_or_alias` for a search of the given population — the
+ * serve and dyn front ends pass opt::transfer::populationFor(group size).
+ * MAGMA takes `population`; every other method keeps its registry
+ * default. Throws the registry's did-you-mean error on an unknown name.
+ */
+std::unique_ptr<opt::Optimizer> makeForPopulation(
+    const std::string& name_or_alias, uint64_t seed, int population);
 
 namespace detail {
 /** Defined in builtin_methods.cc; called once by global(). The explicit

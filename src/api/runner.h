@@ -88,8 +88,8 @@ std::unique_ptr<m3e::Problem> buildProblem(
  * The one-call facade from specs to a RunReport: builds the problem,
  * constructs the method through the OptimizerRegistry, runs the search
  * and fills the report. For fixed seeds the result is bitwise identical
- * to hand-wiring m3e::makeProblem + m3e::makeOptimizer (tests/test_api.cc
- * locks this in).
+ * to hand-wiring m3e::makeProblem + OptimizerRegistry::make
+ * (tests/test_api.cc locks this in).
  *
  * The Runner caches the problem of the last (ProblemSpec, objective)
  * pair, so sweeping methods over one workload (m3e_cli --all) re-uses

@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "opt/magma_ga.h"
 #include "opt/warm_start.h"
 #include "sched/evaluator.h"
 #include "serve/fingerprint.h"
@@ -161,7 +160,7 @@ EventEngine::step(const WorkloadEvent& ev)
 
     sched::MappingEvaluator eval(group, platform_, model_, base_.bwPolicy,
                                  nullptr, cfg_.search.objective);
-    const int pop = std::clamp(eval.groupSize(), 8, 100);
+    const int pop = opt::transfer::populationFor(eval.groupSize());
     const int64_t warm_budget =
         cfg_.remapBudget > 0
             ? cfg_.remapBudget
@@ -198,17 +197,9 @@ EventEngine::step(const WorkloadEvent& ev)
     } else if (cfg_.warmRemap && cfg_.store &&
                (hit = cfg_.store->lookup(fp))) {
         PROFILE_SCOPE("dyn.remap.tier_store");
-        sched::Mapping base =
-            hit->entry.group.jobs.empty()
-                ? opt::transfer::adaptPositional(hit->entry.mapping,
-                                                 eval.groupSize(),
-                                                 eval.numAccels())
-                : opt::transfer::adaptJobMatched(
-                      hit->entry.mapping, hit->entry.group, group,
-                      eval.numAccels(), adapt_rng);
-        opts.seeds = opt::transfer::seedsAround(base, pop,
-                                                eval.numAccels(),
-                                                adapt_rng);
+        opts.seeds = opt::transfer::seedsFromStored(
+            hit->entry.mapping, hit->entry.group, group, pop, eval.numAccels(),
+            adapt_rng);
         opts.sampleBudget = warm_budget;
         rec.source = RemapSource::Store;
     } else if (cfg_.warmRemap && cfg_.archive && !cfg_.archive->empty()) {
@@ -216,36 +207,17 @@ EventEngine::step(const WorkloadEvent& ev)
         // Archive members are generic knowledge, so this tier keeps the
         // FULL cold budget (a quality head start, not a cost cut) — the
         // same policy as serve::MappingService's third tier.
-        std::vector<sched::Mapping> adapted;
-        for (const sched::Mapping& m : cfg_.archive->seedMappings()) {
-            if (static_cast<int>(adapted.size()) >= pop)
-                break;
-            adapted.push_back(opt::transfer::adaptPositional(
-                m, eval.groupSize(), eval.numAccels()));
-        }
-        opts.seeds = adapted;
-        for (size_t k = 0; static_cast<int>(opts.seeds.size()) < pop;
-             ++k) {
-            sched::Mapping m = adapted[k % adapted.size()];
-            opt::MagmaGa::mutate(m, 0.05, eval.numAccels(), adapt_rng);
-            opts.seeds.push_back(std::move(m));
-        }
+        opts.seeds = opt::transfer::seedsFromArchive(
+            cfg_.archive->seedMappings(), eval.groupSize(), pop,
+            eval.numAccels(), adapt_rng);
         rec.source = RemapSource::Archive;
     }
     rec.budget = opts.sampleBudget;
 
     // 3. Search. MAGMA keeps the paper's population-tracks-group-size
     // rule (the registry factory uses a fixed default).
-    std::string method =
-        api::OptimizerRegistry::global().resolve(cfg_.search.method);
-    std::unique_ptr<opt::Optimizer> optimizer;
-    if (method == "MAGMA") {
-        opt::MagmaConfig ga;
-        ga.population = pop;
-        optimizer = std::make_unique<opt::MagmaGa>(seed, ga);
-    } else {
-        optimizer = api::OptimizerRegistry::global().make(method, seed);
-    }
+    std::unique_ptr<opt::Optimizer> optimizer =
+        api::makeForPopulation(cfg_.search.method, seed, pop);
     opt::SearchResult res;
     {
         // span payload: i = event index, a = best fitness,

@@ -91,6 +91,12 @@ struct MatchIndex {
 
 namespace transfer {
 
+int
+populationFor(int group_size)
+{
+    return std::clamp(group_size, 8, 100);
+}
+
 sched::Mapping
 adaptPositional(const sched::Mapping& stored, int group_size,
                 int num_accels)
@@ -186,55 +192,37 @@ seedsAround(const sched::Mapping& base, int count, int num_accels,
     return seeds;
 }
 
+std::vector<sched::Mapping>
+seedsFromStored(const sched::Mapping& stored,
+                const dnn::JobGroup& stored_group, const dnn::JobGroup& target,
+                int count, int num_accels, common::Rng& rng)
+{
+    sched::Mapping base =
+        stored_group.jobs.empty()
+            ? adaptPositional(stored, target.size(), num_accels)
+            : adaptJobMatched(stored, stored_group, target, num_accels, rng);
+    return seedsAround(base, count, num_accels, rng);
+}
+
+std::vector<sched::Mapping>
+seedsFromArchive(const std::vector<sched::Mapping>& members, int group_size,
+                 int count, int num_accels, common::Rng& rng)
+{
+    std::vector<sched::Mapping> seeds;
+    for (const sched::Mapping& m : members) {
+        if (static_cast<int>(seeds.size()) >= count)
+            break;
+        seeds.push_back(adaptPositional(m, group_size, num_accels));
+    }
+    const size_t adapted = seeds.size();
+    for (size_t k = 0; static_cast<int>(seeds.size()) < count; ++k) {
+        sched::Mapping m = seeds[k % adapted];
+        MagmaGa::mutate(m, 0.05, num_accels, rng);
+        seeds.push_back(std::move(m));
+    }
+    return seeds;
+}
+
 }  // namespace transfer
-
-void
-WarmStartEngine::store(dnn::TaskType task, const sched::Mapping& best)
-{
-    library_[task] = Entry{best, dnn::JobGroup{}};
-}
-
-void
-WarmStartEngine::store(dnn::TaskType task, const sched::Mapping& best,
-                       const dnn::JobGroup& group)
-{
-    library_[task] = Entry{best, group};
-}
-
-bool
-WarmStartEngine::has(dnn::TaskType task) const
-{
-    return library_.count(task) > 0;
-}
-
-std::vector<sched::Mapping>
-WarmStartEngine::makeSeeds(dnn::TaskType task, int count, int group_size,
-                           int num_accels, common::Rng& rng) const
-{
-    auto it = library_.find(task);
-    if (it == library_.end())
-        return {};
-    return transfer::seedsAround(
-        transfer::adaptPositional(it->second.mapping, group_size,
-                                  num_accels),
-        count, num_accels, rng);
-}
-
-std::vector<sched::Mapping>
-WarmStartEngine::makeSeeds(dnn::TaskType task, int count,
-                           const dnn::JobGroup& target, int num_accels,
-                           common::Rng& rng) const
-{
-    auto it = library_.find(task);
-    if (it == library_.end())
-        return {};
-    const Entry& entry = it->second;
-    if (entry.group.jobs.empty())
-        return makeSeeds(task, count, target.size(), num_accels, rng);
-    return transfer::seedsAround(
-        transfer::adaptJobMatched(entry.mapping, entry.group, target,
-                                  num_accels, rng),
-        count, num_accels, rng);
-}
 
 }  // namespace magma::opt

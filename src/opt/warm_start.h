@@ -1,7 +1,6 @@
 #ifndef MAGMA_OPT_WARM_START_H_
 #define MAGMA_OPT_WARM_START_H_
 
-#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,12 +10,21 @@
 namespace magma::opt {
 
 /**
- * Solution-transfer primitives shared by WarmStartEngine and the serve
- * layer's fingerprint-keyed MappingStore (src/serve/). Each adapts a
- * stored solution to a new group, and `seedsAround` turns the adapted
- * base into a seed population (the base verbatim plus mutated copies).
+ * Warm start (Section V-C): solution-transfer primitives plus the seeding
+ * policy the serve layer (src/serve/) and the dynamic-workload engine
+ * (src/dyn/) share. Each primitive adapts a stored solution to a new
+ * group, and `seedsAround` turns the adapted base into a seed population
+ * (the base verbatim plus mutated copies), so the population starts
+ * clustered around previous knowledge but keeps diversity for further
+ * optimization (Trf-N-ep in Table V).
  */
 namespace transfer {
+
+/**
+ * Search population for a group of `group_size` jobs: the paper's
+ * population-tracks-group-size rule (Section V-B2), clamped to [8, 100].
+ */
+int populationFor(int group_size);
 
 /**
  * Positional adaptation: tile/truncate the stored genome onto
@@ -63,69 +71,32 @@ std::vector<sched::Mapping> seedsAround(const sched::Mapping& base,
                                         int count, int num_accels,
                                         common::Rng& rng);
 
-}  // namespace transfer
+/**
+ * Seeds from a stored solution (the warm-start store tier): job-matched
+ * adaptation onto `target` when `stored_group` is known, positional
+ * adaptation onto target.size() jobs when it is empty (a groupless
+ * entry carries no job identities), then `seedsAround` for `count`
+ * seeds.
+ */
+std::vector<sched::Mapping> seedsFromStored(const sched::Mapping& stored,
+                                            const dnn::JobGroup& stored_group,
+                                            const dnn::JobGroup& target,
+                                            int count, int num_accels,
+                                            common::Rng& rng);
 
 /**
- * Warm-start engine (Section V-C): remembers the best mapping found for
- * each task type and, when a new group of the same type arrives, takes
- * over population initialization from the random Init engine.
- *
- * Two transfer modes:
- *  - positional (makeSeeds with a group size): genes are tiled onto the
- *    new genome by index — cheap, but only meaningful when consecutive
- *    groups are positionally similar;
- *  - job-matched (makeSeeds with the target JobGroup, requires the solved
- *    group to have been stored): each new job inherits the gene of a
- *    stored job of the same task + layer type + size class, which is what
- *    carries the "language jobs avoid the LB core" style knowledge across
- *    independently drawn groups.
- *
- * Seeds are the transferred solution plus lightly mutated copies, so the
- * population starts clustered around previous knowledge but retains
- * diversity for further optimization (Trf-N-ep in Table V).
+ * Seeds from Pareto-archive members (generic knowledge: other groups,
+ * possibly other objectives): the first `count` members adapted
+ * positionally onto `group_size` jobs, then topped up round-robin with
+ * lightly mutated copies to exactly `count` seeds, so the population
+ * keeps the archive's diversity (seedsAround would cluster everything
+ * around one member). `members` must be non-empty.
  */
-class WarmStartEngine {
-  public:
-    /** Remember (or replace) the solved mapping for a task type. */
-    void store(dnn::TaskType task, const sched::Mapping& best);
+std::vector<sched::Mapping> seedsFromArchive(
+    const std::vector<sched::Mapping>& members, int group_size, int count,
+    int num_accels, common::Rng& rng);
 
-    /** Remember the solved mapping together with its job group, enabling
-     * job-matched transfer. */
-    void store(dnn::TaskType task, const sched::Mapping& best,
-               const dnn::JobGroup& group);
-
-    /** Whether previous knowledge exists for this task type. */
-    bool has(dnn::TaskType task) const;
-
-    /**
-     * Positional transfer: build `count` seed mappings for a new group of
-     * `group_size` jobs on `num_accels` cores. The first seed is the
-     * stored solution verbatim (resized by gene tiling if the group size
-     * changed); the rest are mutated copies. Returns empty when nothing
-     * is stored.
-     */
-    std::vector<sched::Mapping> makeSeeds(dnn::TaskType task, int count,
-                                          int group_size, int num_accels,
-                                          common::Rng& rng) const;
-
-    /**
-     * Job-matched transfer: each job of `target` inherits the gene of a
-     * similar stored job (same task, layer type and log-size bucket,
-     * with coarser fallbacks). Falls back to positional transfer when
-     * the stored entry has no group attached.
-     */
-    std::vector<sched::Mapping> makeSeeds(dnn::TaskType task, int count,
-                                          const dnn::JobGroup& target,
-                                          int num_accels,
-                                          common::Rng& rng) const;
-
-  private:
-    struct Entry {
-        sched::Mapping mapping;
-        dnn::JobGroup group;  // empty when stored without a group
-    };
-    std::map<dnn::TaskType, Entry> library_;
-};
+}  // namespace transfer
 
 }  // namespace magma::opt
 

@@ -11,8 +11,8 @@
 namespace magma::serve {
 
 /**
- * Workload fingerprint — the MappingStore key (the productionized version
- * of WarmStartEngine's task-type key). Two groups with the same
+ * Workload fingerprint — the MappingStore key (a finer key than the
+ * paper's task type, Section V-C). Two groups with the same
  * fingerprint are "the same workload" for warm-start purposes.
  *
  * `key` covers everything transfer quality depends on: the task type, the

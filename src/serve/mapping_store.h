@@ -61,8 +61,9 @@ struct StoreStats {
 };
 
 /**
- * Fingerprint-keyed warm-start store — the productionized WarmStartEngine
- * (Section V-C) behind the MappingService:
+ * Fingerprint-keyed warm-start store (Section V-C) behind the
+ * MappingService and the dyn event engine; opt::transfer::seedsFromStored
+ * turns a hit into seeds:
  *
  *  - keyed by workload Fingerprint with a two-tier lookup: exact fine key
  *    first, then the best entry sharing the coarse (task + platform) key;

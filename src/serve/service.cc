@@ -13,7 +13,6 @@
 #include "mo/pareto.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "opt/magma_ga.h"
 #include "opt/warm_start.h"
 #include "serve/fingerprint.h"
 
@@ -503,8 +502,7 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
                          req.problem.bwPolicy, req.search.objective);
     sched::MappingEvaluator& eval = problem.evaluator();
 
-    // Paper's setting: population tracks group size (Section V-B2).
-    const int pop = std::clamp(eval.groupSize(), 8, 100);
+    const int pop = opt::transfer::populationFor(eval.groupSize());
 
     MapResponse resp;
     resp.fingerprint = fp.key;
@@ -521,17 +519,9 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     }
     if (hit) {
         common::Rng seed_rng(req.search.seed ^ 0x5eedbeefULL);
-        sched::Mapping base =
-            hit->entry.group.jobs.empty()
-                ? opt::transfer::adaptPositional(hit->entry.mapping,
-                                                 eval.groupSize(),
-                                                 eval.numAccels())
-                : opt::transfer::adaptJobMatched(
-                      hit->entry.mapping, hit->entry.group,
-                      problem.group(), eval.numAccels(), seed_rng);
-        opts.seeds = opt::transfer::seedsAround(base, pop,
-                                                eval.numAccels(),
-                                                seed_rng);
+        opts.seeds = opt::transfer::seedsFromStored(
+            hit->entry.mapping, hit->entry.group, problem.group(), pop,
+            eval.numAccels(), seed_rng);
         opts.sampleBudget =
             req.warmBudget > 0
                 ? req.warmBudget
@@ -545,54 +535,28 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     } else if (req.search.warmStart && cfg_.archive &&
                !cfg_.archive->empty()) {
         // Third tier: both store tiers missed, but a Pareto archive is
-        // wired in. Its member mappings are generic knowledge (other
-        // groups, possibly other objectives), so adapt each positionally
-        // onto this group and seed the search WITHOUT cutting the
-        // budget — a pure quality head start, deterministic because the
-        // archive is read-only to the service.
+        // wired in. Its members are generic knowledge, so they seed the
+        // search WITHOUT cutting the budget — a pure quality head start,
+        // deterministic because the archive is read-only to the service.
         common::Rng seed_rng(req.search.seed ^ 0xa2c417eULL);
-        std::vector<sched::Mapping> adapted;
-        for (const sched::Mapping& m : cfg_.archive->seedMappings()) {
-            if (static_cast<int>(adapted.size()) >= pop)
-                break;
-            adapted.push_back(opt::transfer::adaptPositional(
-                m, eval.groupSize(), eval.numAccels()));
-        }
-        opts.seeds = adapted;
-        // Top up to a full population with lightly mutated copies so
-        // the head start keeps the archive's diversity (seedsAround
-        // would cluster everything around one member).
-        for (size_t k = 0; static_cast<int>(opts.seeds.size()) < pop;
-             ++k) {
-            sched::Mapping m = adapted[k % adapted.size()];
-            opt::MagmaGa::mutate(m, 0.05, eval.numAccels(), seed_rng);
-            opts.seeds.push_back(std::move(m));
-        }
-        resp.archiveSeeded = !opts.seeds.empty();
+        opts.seeds = opt::transfer::seedsFromArchive(
+            cfg_.archive->seedMappings(), eval.groupSize(), pop,
+            eval.numAccels(), seed_rng);
+        resp.archiveSeeded = true;
     }
 
     // 3. Search on this lane's engine with the method the spec names
     // (an unknown name fails this request's future with the registry's
     // did-you-mean error). MAGMA — the default — keeps the paper's rule
-    // of population tracking group size rather than the registry
-    // factory's fixed default.
+    // of population tracking group size.
     std::unique_ptr<exec::EvalEngine> engine;
     if (lane_pool) {
         engine = std::make_unique<exec::EvalEngine>(eval, *lane_pool,
                                                     req.search.eval);
         opts.engine = engine.get();
     }
-    std::string method =
-        api::OptimizerRegistry::global().resolve(req.search.method);
-    std::unique_ptr<opt::Optimizer> optimizer;
-    if (method == "MAGMA") {
-        opt::MagmaConfig cfg;
-        cfg.population = pop;
-        optimizer = std::make_unique<opt::MagmaGa>(req.search.seed, cfg);
-    } else {
-        optimizer = api::OptimizerRegistry::global().make(method,
-                                                          req.search.seed);
-    }
+    std::unique_ptr<opt::Optimizer> optimizer =
+        api::makeForPopulation(req.search.method, req.search.seed, pop);
     opt::SearchResult res;
     {
         PROFILE_SCOPE("serve.search");

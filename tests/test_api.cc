@@ -3,9 +3,10 @@
  * RunReport exact text round-trips (property-style over random specs),
  * OptimizerRegistry completeness (every Table IV method constructible by
  * name and by every alias, did-you-mean errors), downstream
- * self-registration, and the acceptance-criterion parity runs: for fixed
+ * self-registration, the population-aware constructor the warm-starting
+ * front ends use, and the acceptance-criterion parity runs: for fixed
  * seeds, every method through api::Runner must reproduce the hand-wired
- * m3e::makeProblem + m3e::makeOptimizer path bitwise.
+ * m3e::makeProblem + OptimizerRegistry::make path bitwise.
  */
 
 #include <algorithm>
@@ -21,8 +22,8 @@
 #include "api/runner.h"
 #include "api/spec.h"
 #include "common/rng.h"
-#include "m3e/factory.h"
 #include "m3e/problem.h"
+#include "opt/magma_ga.h"
 
 using namespace magma;
 using api::ExperimentSpec;
@@ -87,9 +88,11 @@ randomSearchSpec(common::Rng& rng)
     return s;
 }
 
-/** The pre-redesign manual wiring, verbatim. */
+/** The manual wiring the Runner replaces: problem by hand, method by
+ * registry name. */
 opt::SearchResult
-manualRun(m3e::Method method, const ProblemSpec& ps, const SearchSpec& ss)
+manualRun(const std::string& method, const ProblemSpec& ps,
+          const SearchSpec& ss)
 {
     auto problem = ps.flexible
                        ? m3e::makeFlexibleProblem(
@@ -98,7 +101,7 @@ manualRun(m3e::Method method, const ProblemSpec& ps, const SearchSpec& ss)
                        : m3e::makeProblem(ps.task, ps.setting,
                                           ps.systemBwGbps, ps.groupSize,
                                           ps.workloadSeed, ss.objective);
-    auto optimizer = m3e::makeOptimizer(method, ss.seed);
+    auto optimizer = OptimizerRegistry::global().make(method, ss.seed);
     opt::SearchOptions opts;
     opts.sampleBudget = ss.sampleBudget;
     return optimizer->search(problem->evaluator(), opts);
@@ -213,9 +216,7 @@ TEST(Registry, EveryTableIvMethodConstructibleByNameAndAliases)
 {
     OptimizerRegistry& reg = OptimizerRegistry::global();
     // The full paper line-up (+ Random) is registered, in plot order.
-    std::vector<std::string> expect;
-    for (m3e::Method m : m3e::paperMethods())
-        expect.push_back(m3e::methodName(m));
+    std::vector<std::string> expect = api::tableIvMethods();
     expect.push_back("Random");
     std::vector<std::string> names = reg.names();
     ASSERT_GE(names.size(), expect.size());
@@ -256,8 +257,6 @@ TEST(Registry, UnknownNameThrowsWithSuggestionAndMethodList)
         EXPECT_NE(msg.find("Herald-like"), std::string::npos) << msg;
         EXPECT_NE(msg.find("RL PPO2"), std::string::npos) << msg;
     }
-    // m3e::methodFromName goes through the same resolution.
-    EXPECT_THROW(m3e::methodFromName("nope"), std::invalid_argument);
 }
 
 namespace {
@@ -299,10 +298,6 @@ TEST(Registry, DownstreamSelfRegistrationWorks)
     opt::SearchResult r = o->search(p->evaluator());
     EXPECT_GT(r.bestFitness, 0.0);
     EXPECT_EQ(r.samplesUsed, 1);
-    // Registry-only methods are rejected by the legacy enum with a
-    // pointer to the registry, not mis-mapped onto some enum value.
-    EXPECT_THROW(m3e::methodFromName("RoundRobin-test"),
-                 std::invalid_argument);
     // Duplicate registration is refused.
     EXPECT_THROW(OptimizerRegistry::global().add("rr", {}, nullptr),
                  std::invalid_argument);
@@ -310,26 +305,53 @@ TEST(Registry, DownstreamSelfRegistrationWorks)
 
 // ---------------------------------------------- bitwise parity ---
 
-TEST(Parity, RegistryMatchesEnumFactoryBitwise)
+TEST(MakeForPopulation, MagmaTakesThePopulationBitwise)
+{
+    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 8.0,
+                              24, 21);
+    opt::SearchOptions opts;
+    opts.sampleBudget = 200;
+    auto helper = api::makeForPopulation("magma-ga", 42, 24);
+    opt::SearchResult ours = helper->search(p->evaluator(), opts);
+    opt::MagmaConfig cfg;
+    cfg.population = 24;
+    opt::MagmaGa direct(42, cfg);
+    opt::SearchResult expect = direct.search(p->evaluator(), opts);
+    EXPECT_EQ(ours.best, expect.best);
+    EXPECT_EQ(ours.bestFitness, expect.bestFitness);
+    EXPECT_EQ(ours.samplesUsed, expect.samplesUsed);
+    // The registry default population differs, so the override is real.
+    auto registry_default = OptimizerRegistry::global().make("MAGMA", 42);
+    opt::SearchResult other = registry_default->search(p->evaluator(), opts);
+    EXPECT_NE(ours.best, other.best);
+}
+
+TEST(MakeForPopulation, OtherMethodsKeepTheirRegistryDefault)
 {
     auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 8.0,
                               10, 21);
-    std::vector<m3e::Method> methods = m3e::paperMethods();
-    methods.push_back(m3e::Method::Random);
-    for (m3e::Method m : methods) {
-        opt::SearchOptions opts;
-        opts.sampleBudget = 120;
-        opt::SearchResult via_enum =
-            m3e::makeOptimizer(m, 42)->search(p->evaluator(), opts);
-        opt::SearchResult via_registry =
-            OptimizerRegistry::global()
-                .make(m3e::methodName(m), 42)
-                ->search(p->evaluator(), opts);
-        EXPECT_EQ(via_registry.best, via_enum.best) << m3e::methodName(m);
-        EXPECT_EQ(via_registry.bestFitness, via_enum.bestFitness)
-            << m3e::methodName(m);
-        EXPECT_EQ(via_registry.samplesUsed, via_enum.samplesUsed)
-            << m3e::methodName(m);
+    opt::SearchOptions opts;
+    opts.sampleBudget = 120;
+    for (const char* name : {"PSO", "cma-es", "stdGA", "Random"}) {
+        auto helper = api::makeForPopulation(name, 42, 24);
+        auto registry = OptimizerRegistry::global().make(name, 42);
+        opt::SearchResult ours = helper->search(p->evaluator(), opts);
+        opt::SearchResult expect = registry->search(p->evaluator(), opts);
+        EXPECT_EQ(ours.best, expect.best) << name;
+        EXPECT_EQ(ours.bestFitness, expect.bestFitness) << name;
+        EXPECT_EQ(ours.samplesUsed, expect.samplesUsed) << name;
+    }
+}
+
+TEST(MakeForPopulation, UnknownNameThrowsDidYouMean)
+{
+    try {
+        api::makeForPopulation("MAGMAA", 1, 24);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("did you mean 'MAGMA'?"), std::string::npos)
+            << msg;
     }
 }
 
@@ -345,9 +367,9 @@ TEST(Parity, RunnerMatchesManualPathForEveryTableIvMethod)
     ps.workloadSeed = 31;
 
     api::Runner runner;
-    for (m3e::Method m : m3e::paperMethods()) {
+    for (const std::string& m : api::tableIvMethods()) {
         SearchSpec ss;
-        ss.method = m3e::methodName(m);
+        ss.method = m;
         ss.sampleBudget = 120;
         ss.seed = 42;
         opt::SearchResult manual = manualRun(m, ps, ss);
@@ -374,7 +396,7 @@ TEST(Parity, RunnerReproducesNonDefaultObjectiveAndFlexible)
     ss.sampleBudget = 150;
     ss.seed = 9;
 
-    opt::SearchResult manual = manualRun(m3e::Method::Magma, ps, ss);
+    opt::SearchResult manual = manualRun("MAGMA", ps, ss);
     api::Runner runner;
     RunReport rep = runner.run(ps, ss);
     EXPECT_EQ(rep.best, manual.best);

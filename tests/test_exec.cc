@@ -11,10 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/registry.h"
 #include "exec/cost_cache.h"
 #include "exec/eval_engine.h"
 #include "exec/thread_pool.h"
-#include "m3e/factory.h"
 #include "m3e/problem.h"
 #include "opt/cma_es.h"
 #include "opt/de.h"
@@ -214,53 +214,40 @@ namespace {
  * convergence curve (acceptance criterion of the exec subsystem).
  */
 void
-expectSerialBatchParity(m3e::Method method)
+expectSerialBatchParity(const std::string& method)
 {
     auto p = smallProblem();
     SearchOptions opts;
     opts.sampleBudget = 400;
     opts.recordConvergence = true;
 
-    auto serial_opt = m3e::makeOptimizer(method, /*seed=*/42);
+    const api::OptimizerRegistry& reg = api::OptimizerRegistry::global();
+    auto serial_opt = reg.make(method, /*seed=*/42);
     SearchResult serial = serial_opt->search(p->evaluator(), opts);
 
     opts.threads = 4;
-    auto batch_opt = m3e::makeOptimizer(method, /*seed=*/42);
+    auto batch_opt = reg.make(method, /*seed=*/42);
     SearchResult batched = batch_opt->search(p->evaluator(), opts);
 
-    EXPECT_EQ(batched.bestFitness, serial.bestFitness)
-        << m3e::methodName(method);
-    EXPECT_EQ(batched.best, serial.best) << m3e::methodName(method);
-    EXPECT_EQ(batched.samplesUsed, serial.samplesUsed)
-        << m3e::methodName(method);
+    EXPECT_EQ(batched.bestFitness, serial.bestFitness) << method;
+    EXPECT_EQ(batched.best, serial.best) << method;
+    EXPECT_EQ(batched.samplesUsed, serial.samplesUsed) << method;
     ASSERT_EQ(batched.convergence.size(), serial.convergence.size())
-        << m3e::methodName(method);
+        << method;
     for (size_t i = 0; i < serial.convergence.size(); ++i)
         ASSERT_EQ(batched.convergence[i], serial.convergence[i])
-            << m3e::methodName(method) << " sample " << i;
+            << method << " sample " << i;
 }
 
 }  // namespace
 
-TEST(OptimizerBatchParity, Magma)
-{
-    expectSerialBatchParity(m3e::Method::Magma);
-}
-TEST(OptimizerBatchParity, StdGa)
-{
-    expectSerialBatchParity(m3e::Method::StdGa);
-}
-TEST(OptimizerBatchParity, Pso) { expectSerialBatchParity(m3e::Method::Pso); }
-TEST(OptimizerBatchParity, De) { expectSerialBatchParity(m3e::Method::De); }
-TEST(OptimizerBatchParity, Cma) { expectSerialBatchParity(m3e::Method::Cma); }
-TEST(OptimizerBatchParity, Tbpsa)
-{
-    expectSerialBatchParity(m3e::Method::Tbpsa);
-}
-TEST(OptimizerBatchParity, Random)
-{
-    expectSerialBatchParity(m3e::Method::Random);
-}
+TEST(OptimizerBatchParity, Magma) { expectSerialBatchParity("MAGMA"); }
+TEST(OptimizerBatchParity, StdGa) { expectSerialBatchParity("stdGA"); }
+TEST(OptimizerBatchParity, Pso) { expectSerialBatchParity("PSO"); }
+TEST(OptimizerBatchParity, De) { expectSerialBatchParity("DE"); }
+TEST(OptimizerBatchParity, Cma) { expectSerialBatchParity("CMA"); }
+TEST(OptimizerBatchParity, Tbpsa) { expectSerialBatchParity("TBPSA"); }
+TEST(OptimizerBatchParity, Random) { expectSerialBatchParity("Random"); }
 
 // ---------------------------------------------------------- CostCache ---
 

@@ -16,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -168,13 +169,32 @@ replayDigest(const dyn::DynResult& r)
     return digest;
 }
 
+/** Random mappings with the given job counts on 4 cores, as mutually
+ * non-dominated archive members (throughput rises as energy falls). */
+mo::ParetoArchive
+goldenArchive(const std::vector<int>& job_counts, uint64_t seed)
+{
+    const std::vector<sched::Objective> objectives = {
+        sched::Objective::Throughput, sched::Objective::Energy};
+    mo::ParetoArchive archive(objectives);
+    common::Rng rng(seed);
+    double rank = 0.0;
+    for (int jobs : job_counts) {
+        mo::MoPoint p;
+        p.m = sched::Mapping::random(jobs, 4, rng);
+        p.objs = {10.0 + rank, 10.0 - rank};
+        EXPECT_TRUE(archive.insert(p));
+        rank += 1.0;
+    }
+    return archive;
+}
+
 }  // namespace
 
 TEST(Golden, DynReplayPinned)
 {
-    dyn::DynResult r = dyn::EventEngine(goldenDynConfig())
-                           .replay(goldenTrace());
-    std::string digest = replayDigest(r);
+    dyn::EventEngine engine(goldenDynConfig());
+    std::string digest = replayDigest(engine.replay(goldenTrace()));
     uint64_t h = fnv1a64(digest);
     EXPECT_EQ(h, 0x0b5fe5473af66c33ull)
         << "actual: " << hex(h) << "\n"
@@ -195,29 +215,25 @@ TEST(Golden, DynStoreSeededReplayPinned)
     store.save(saved);
     std::string digest = replayDigest(r) + saved.str();
     uint64_t h = fnv1a64(digest);
-    EXPECT_EQ(h, 0xe9943466e5dc9996ull) << "actual: " << hex(h) << "\n" << digest;
+    EXPECT_EQ(h, 0xe9943466e5dc9996ull)
+        << "actual: " << hex(h) << "\n"
+        << digest;
 }
 
 TEST(Golden, DynArchiveSeededReplayPinned)
 {
     // Three members against a 6-job first event: positional tiling plus
     // the round-robin mutated top-up to the population of 8.
-    mo::ParetoArchive archive(
-        {sched::Objective::Throughput, sched::Objective::Energy});
-    common::Rng rng(21);
-    for (int i = 0; i < 3; ++i) {
-        mo::MoPoint p;
-        p.m = sched::Mapping::random(4 + i, 4, rng);
-        p.objs = {10.0 + i, 10.0 - i};  // mutually non-dominated
-        ASSERT_TRUE(archive.insert(p));
-    }
+    mo::ParetoArchive archive = goldenArchive({4, 5, 6}, 21);
     dyn::DynConfig cfg = goldenDynConfig();
     cfg.archive = &archive;
     dyn::DynResult r = dyn::EventEngine(cfg).replay(goldenTrace());
     ASSERT_EQ(dyn::RemapSource::Archive, r.records[0].source);
     std::string digest = replayDigest(r);
     uint64_t h = fnv1a64(digest);
-    EXPECT_EQ(h, 0x5e95411ad181c6adull) << "actual: " << hex(h) << "\n" << digest;
+    EXPECT_EQ(h, 0x5e95411ad181c6adull)
+        << "actual: " << hex(h) << "\n"
+        << digest;
 }
 
 namespace {
@@ -242,16 +258,14 @@ goldenRequest()
 void
 seedStore(serve::MappingStore& store, bool with_group)
 {
-    serve::MapRequest req = goldenRequest();
-    req.problem.groupSize = 10;
-    req.problem.workloadSeed = 32;
-    dnn::JobGroup group = dnn::WorkloadGenerator(req.problem.workloadSeed)
-                              .makeGroup(req.problem.task,
-                                         req.problem.groupSize);
+    dnn::WorkloadGenerator gen(32);
+    dnn::JobGroup group = gen.makeGroup(dnn::TaskType::Mix, 10);
     common::Rng rng(17);
     sched::Mapping m = sched::Mapping::random(group.size(), 4, rng);
-    store.update(serve::fingerprintOf(group, req.problem), group.task, m,
-                 with_group ? group : dnn::JobGroup{}, 50.0, 100);
+    serve::Fingerprint fp =
+        serve::fingerprintOf(group, goldenRequest().problem);
+    dnn::JobGroup stored = with_group ? group : dnn::JobGroup{};
+    store.update(fp, group.task, m, stored, 50.0, 100);
 }
 
 std::string
@@ -295,15 +309,7 @@ TEST(Golden, ServedArchiveSeededPinned)
 {
     // Five 8-job members for a 12-job request: tiled positionally and
     // topped up round-robin to the population of 12.
-    mo::ParetoArchive archive(
-        {sched::Objective::Throughput, sched::Objective::Energy});
-    common::Rng rng(23);
-    for (int i = 0; i < 5; ++i) {
-        mo::MoPoint p;
-        p.m = sched::Mapping::random(8, 4, rng);
-        p.objs = {20.0 + i, 20.0 - i};  // mutually non-dominated
-        ASSERT_TRUE(archive.insert(p));
-    }
+    mo::ParetoArchive archive = goldenArchive({8, 8, 8, 8, 8}, 23);
     serve::ServiceConfig cfg;
     cfg.archive = &archive;
     uint64_t h = servedHash(cfg, false);

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/registry.h"
 #include "baselines/ai_mt_like.h"
 #include "baselines/herald_like.h"
-#include "m3e/factory.h"
 #include "m3e/problem.h"
 #include "opt/magma_ga.h"
 #include "opt/std_ga.h"
@@ -17,10 +17,10 @@ using namespace magma;
 namespace {
 
 double
-runMethod(m3e::Method method, m3e::Problem& p, int64_t budget,
+runMethod(const std::string& method, m3e::Problem& p, int64_t budget,
           uint64_t seed = 3)
 {
-    auto o = m3e::makeOptimizer(method, seed);
+    auto o = api::OptimizerRegistry::global().make(method, seed);
     opt::SearchOptions opts;
     opts.sampleBudget = budget;
     return o->search(p.evaluator(), opts).bestFitness;
@@ -74,8 +74,8 @@ TEST(PaperClaims, MagmaBeatsHeraldInTheContentionRegime)
     // but not yet saturating (Fig. 12's message): mid-BW on S2.
     auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 4.0,
                               40, 7);
-    double herald = runMethod(m3e::Method::HeraldLike, *p, 1);
-    double magma = runMethod(m3e::Method::Magma, *p, 2000);
+    double herald = runMethod("Herald-like", *p, 1);
+    double magma = runMethod("MAGMA", *p, 2000);
     EXPECT_GT(magma, herald * 1.05);
 }
 
@@ -85,8 +85,8 @@ TEST(PaperClaims, MagmaNearHeraldAtAbundantBw)
     // EFT heuristic is near-optimal; MAGMA must stay within a few percent.
     auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 16.0,
                               30, 23);
-    double herald = runMethod(m3e::Method::HeraldLike, *p, 1);
-    double magma = runMethod(m3e::Method::Magma, *p, 2000);
+    double herald = runMethod("Herald-like", *p, 1);
+    double magma = runMethod("MAGMA", *p, 2000);
     EXPECT_GE(magma, herald * 0.93);
 }
 
@@ -95,8 +95,8 @@ TEST(PaperClaims, MagmaCrushesAiMtOnHeterogeneousMix)
     // Section VI-E reports 39-52x; require a big margin (>5x) here.
     auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 16.0,
                               30, 29);
-    double aimt = runMethod(m3e::Method::AiMtLike, *p, 1);
-    double magma = runMethod(m3e::Method::Magma, *p, 2000);
+    double aimt = runMethod("AI-MT-like", *p, 1);
+    double magma = runMethod("MAGMA", *p, 2000);
     EXPECT_GT(magma, 5.0 * aimt);
 }
 
@@ -108,10 +108,8 @@ TEST(PaperClaims, MagmaBeatsStdGaGivenSameBudget)
                               40, 31);
     double best_magma = 0.0, best_std = 0.0;
     for (uint64_t seed : {1u, 2u, 3u}) {
-        best_magma = std::max(best_magma,
-                              runMethod(m3e::Method::Magma, *p, 1500, seed));
-        best_std = std::max(best_std,
-                            runMethod(m3e::Method::StdGa, *p, 1500, seed));
+        best_magma = std::max(best_magma, runMethod("MAGMA", *p, 1500, seed));
+        best_std = std::max(best_std, runMethod("stdGA", *p, 1500, seed));
     }
     EXPECT_GE(best_magma, best_std * 0.98);
 }
@@ -125,8 +123,8 @@ TEST(PaperClaims, HeterogeneityHelpsWhenBwStarved)
 
     m3e::Problem s3_low(group, accel::makeSetting(accel::Setting::S3, 1.0));
     m3e::Problem s4_low(group, accel::makeSetting(accel::Setting::S4, 1.0));
-    double f3 = runMethod(m3e::Method::Magma, s3_low, 2000);
-    double f4 = runMethod(m3e::Method::Magma, s4_low, 2000);
+    double f3 = runMethod("MAGMA", s3_low, 2000);
+    double f4 = runMethod("MAGMA", s4_low, 2000);
     EXPECT_GT(f4, f3 * 0.95);  // heterogeneous at least comparable at BW=1
 }
 
@@ -136,8 +134,8 @@ TEST(PaperClaims, LowerBwReducesThroughput)
     dnn::JobGroup group = gen.makeGroup(dnn::TaskType::Mix, 30);
     m3e::Problem low(group, accel::makeSetting(accel::Setting::S2, 1.0));
     m3e::Problem high(group, accel::makeSetting(accel::Setting::S2, 16.0));
-    double f_low = runMethod(m3e::Method::Magma, low, 1500);
-    double f_high = runMethod(m3e::Method::Magma, high, 1500);
+    double f_low = runMethod("MAGMA", low, 1500);
+    double f_high = runMethod("MAGMA", high, 1500);
     EXPECT_LT(f_low, f_high);
 }
 
@@ -149,8 +147,8 @@ TEST(PaperClaims, FlexibleArraysOutperformFixed)
     m3e::Problem fixed(group, accel::makeSetting(accel::Setting::S1, 16.0));
     m3e::Problem flex(group,
                       accel::makeFlexibleSetting(accel::Setting::S1, 16.0));
-    double f_fixed = runMethod(m3e::Method::Magma, fixed, 1200);
-    double f_flex = runMethod(m3e::Method::Magma, flex, 1200);
+    double f_fixed = runMethod("MAGMA", fixed, 1200);
+    double f_flex = runMethod("MAGMA", flex, 1200);
     EXPECT_GE(f_flex, f_fixed * 0.98);
 }
 
@@ -163,8 +161,8 @@ TEST(PaperClaims, ProportionalBwAllocationBeatsEvenSplit)
                       sched::BwPolicy::Proportional);
     m3e::Problem even(group, accel::makeSetting(accel::Setting::S2, 2.0),
                       sched::BwPolicy::EvenSplit);
-    double f_prop = runMethod(m3e::Method::Magma, prop, 1500);
-    double f_even = runMethod(m3e::Method::Magma, even, 1500);
+    double f_prop = runMethod("MAGMA", prop, 1500);
+    double f_even = runMethod("MAGMA", even, 1500);
     EXPECT_GE(f_prop, f_even * 0.98);
 }
 
@@ -191,7 +189,7 @@ TEST(PaperClaims, GroupLargerThanCoresUsesAllCores)
     // good mapping on a busy group should occupy every core.
     auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 16.0,
                               40, 59);
-    double f = runMethod(m3e::Method::Magma, *p, 1500);
+    double f = runMethod("MAGMA", *p, 1500);
     EXPECT_GT(f, 0.0);
     opt::MagmaGa magma_ga(3);
     opt::SearchOptions opts;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "m3e/factory.h"
+#include "api/registry.h"
 #include "m3e/problem.h"
 
 using namespace magma;
@@ -80,12 +80,12 @@ TEST(Factory, EveryMethodConstructsAndRunsOnce)
 {
     auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 8.0,
                               8, 17);
-    for (m3e::Method m : m3e::paperMethods()) {
-        auto o = m3e::makeOptimizer(m, 23);
+    for (const std::string& m : api::tableIvMethods()) {
+        auto o = api::OptimizerRegistry::global().make(m, 23);
         opt::SearchOptions opts;
         opts.sampleBudget = 30;
         opt::SearchResult r = o->search(p->evaluator(), opts);
-        EXPECT_GT(r.bestFitness, 0.0) << m3e::methodName(m);
-        EXPECT_LE(r.samplesUsed, 30) << m3e::methodName(m);
+        EXPECT_GT(r.bestFitness, 0.0) << m;
+        EXPECT_LE(r.samplesUsed, 30) << m;
     }
 }

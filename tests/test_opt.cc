@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "m3e/factory.h"
+#include "api/registry.h"
 #include "m3e/problem.h"
 #include "opt/cma_es.h"
 #include "opt/de.h"
@@ -19,6 +19,7 @@ using namespace magma;
 using opt::SearchOptions;
 using opt::SearchResult;
 using sched::Mapping;
+namespace transfer = opt::transfer;
 
 namespace {
 
@@ -27,6 +28,24 @@ smallProblem(uint64_t seed = 11)
 {
     return m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 4.0, 16,
                             seed);
+}
+
+/** gtest parameter names for registry method names ("RL A2C" ->
+ * "RL_A2C"). */
+std::string
+paramName(const ::testing::TestParamInfo<std::string>& info)
+{
+    std::string n = info.param;
+    for (char& c : n)
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return n;
+}
+
+std::unique_ptr<opt::Optimizer>
+make(const std::string& method, uint64_t seed)
+{
+    return api::OptimizerRegistry::global().make(method, seed);
 }
 
 }  // namespace
@@ -82,13 +101,13 @@ TEST(SearchRecorder, RecordsSamplesWhenAsked)
 
 // ------------------------------------------------------ budget respect ---
 
-class BudgetSweep : public ::testing::TestWithParam<m3e::Method> {};
+class BudgetSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BudgetSweep, EveryMethodRespectsBudget)
 {
     auto p = smallProblem();
     p->evaluator().resetSampleCount();
-    auto optimizer = m3e::makeOptimizer(GetParam(), 5);
+    auto optimizer = make(GetParam(), 5);
     SearchOptions opts;
     opts.sampleBudget = 120;
     SearchResult r = optimizer->search(p->evaluator(), opts);
@@ -101,27 +120,19 @@ TEST_P(BudgetSweep, EveryMethodRespectsBudget)
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, BudgetSweep,
-    ::testing::Values(m3e::Method::HeraldLike, m3e::Method::AiMtLike,
-                      m3e::Method::Pso, m3e::Method::Cma, m3e::Method::De,
-                      m3e::Method::Tbpsa, m3e::Method::StdGa,
-                      m3e::Method::Magma, m3e::Method::Random),
-    [](const auto& info) {
-        std::string n = m3e::methodName(info.param);
-        for (char& c : n)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return n;
-    });
+    ::testing::Values("Herald-like", "AI-MT-like", "PSO", "CMA", "DE",
+                      "TBPSA", "stdGA", "MAGMA", "Random"),
+    paramName);
 
-class SeedDeterminism : public ::testing::TestWithParam<m3e::Method> {};
+class SeedDeterminism : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SeedDeterminism, SameSeedSameResult)
 {
     auto p = smallProblem();
     SearchOptions opts;
     opts.sampleBudget = 150;
-    auto o1 = m3e::makeOptimizer(GetParam(), 99);
-    auto o2 = m3e::makeOptimizer(GetParam(), 99);
+    auto o1 = make(GetParam(), 99);
+    auto o2 = make(GetParam(), 99);
     SearchResult r1 = o1->search(p->evaluator(), opts);
     SearchResult r2 = o2->search(p->evaluator(), opts);
     EXPECT_DOUBLE_EQ(r1.bestFitness, r2.bestFitness);
@@ -130,20 +141,13 @@ TEST_P(SeedDeterminism, SameSeedSameResult)
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, SeedDeterminism,
-    ::testing::Values(m3e::Method::Pso, m3e::Method::Cma, m3e::Method::De,
-                      m3e::Method::Tbpsa, m3e::Method::StdGa,
-                      m3e::Method::Magma, m3e::Method::Random),
-    [](const auto& info) {
-        std::string n = m3e::methodName(info.param);
-        for (char& c : n)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return n;
-    });
+    ::testing::Values("PSO", "CMA", "DE", "TBPSA", "stdGA", "MAGMA",
+                      "Random"),
+    paramName);
 
 // --------------------------------------------- search quality (smoke) ----
 
-class BeatsEarlyRandom : public ::testing::TestWithParam<m3e::Method> {};
+class BeatsEarlyRandom : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BeatsEarlyRandom, SearchImprovesOverFirstSamples)
 {
@@ -151,7 +155,7 @@ TEST_P(BeatsEarlyRandom, SearchImprovesOverFirstSamples)
     SearchOptions opts;
     opts.sampleBudget = 600;
     opts.recordConvergence = true;
-    auto optimizer = m3e::makeOptimizer(GetParam(), 13);
+    auto optimizer = make(GetParam(), 13);
     SearchResult r = optimizer->search(p->evaluator(), opts);
     // The incumbent after the full budget must beat the best of the first
     // 20 samples (i.e. the method actually searches).
@@ -161,15 +165,8 @@ TEST_P(BeatsEarlyRandom, SearchImprovesOverFirstSamples)
 
 INSTANTIATE_TEST_SUITE_P(
     Searchers, BeatsEarlyRandom,
-    ::testing::Values(m3e::Method::De, m3e::Method::StdGa,
-                      m3e::Method::Magma, m3e::Method::Tbpsa),
-    [](const auto& info) {
-        std::string n = m3e::methodName(info.param);
-        for (char& c : n)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return n;
-    });
+    ::testing::Values("DE", "stdGA", "MAGMA", "TBPSA"),
+    paramName);
 
 TEST(MagmaQuality, BeatsRandomSearchOnMixS2)
 {
@@ -318,23 +315,31 @@ TEST(MagmaOperators, AblationSwitchesDisableCrossovers)
 
 // ----------------------------------------------------------- warm start --
 
-TEST(WarmStart, EmptyEngineHasNothing)
+namespace {
+
+/** A target group of `n` jobs (positional transfer only reads its size). */
+dnn::JobGroup
+groupOf(int n, uint64_t seed = 90)
 {
-    opt::WarmStartEngine ws;
-    EXPECT_FALSE(ws.has(dnn::TaskType::Mix));
-    common::Rng rng(61);
-    EXPECT_TRUE(ws.makeSeeds(dnn::TaskType::Mix, 5, 10, 4, rng).empty());
+    return dnn::WorkloadGenerator(seed).makeGroup(dnn::TaskType::Mix, n);
+}
+
+}  // namespace
+
+TEST(WarmStart, PopulationTracksGroupSizeWithinBounds)
+{
+    EXPECT_EQ(transfer::populationFor(1), 8);
+    EXPECT_EQ(transfer::populationFor(8), 8);
+    EXPECT_EQ(transfer::populationFor(40), 40);
+    EXPECT_EQ(transfer::populationFor(100), 100);
+    EXPECT_EQ(transfer::populationFor(300), 100);
 }
 
 TEST(WarmStart, StoreAndSeedSameSize)
 {
-    opt::WarmStartEngine ws;
     common::Rng rng(62);
     Mapping best = Mapping::random(20, 4, rng);
-    ws.store(dnn::TaskType::Language, best);
-    EXPECT_TRUE(ws.has(dnn::TaskType::Language));
-    EXPECT_FALSE(ws.has(dnn::TaskType::Vision));
-    auto seeds = ws.makeSeeds(dnn::TaskType::Language, 6, 20, 4, rng);
+    auto seeds = transfer::seedsFromStored(best, {}, groupOf(20), 6, 4, rng);
     ASSERT_EQ(seeds.size(), 6u);
     EXPECT_EQ(seeds[0], best);  // first seed is the stored solution
     for (const auto& s : seeds) {
@@ -348,11 +353,9 @@ TEST(WarmStart, StoreAndSeedSameSize)
 
 TEST(WarmStart, ResizesByGeneTiling)
 {
-    opt::WarmStartEngine ws;
     common::Rng rng(63);
     Mapping best = Mapping::random(10, 4, rng);
-    ws.store(dnn::TaskType::Mix, best);
-    auto seeds = ws.makeSeeds(dnn::TaskType::Mix, 2, 25, 4, rng);
+    auto seeds = transfer::seedsFromStored(best, {}, groupOf(25), 2, 4, rng);
     ASSERT_EQ(seeds.size(), 2u);
     EXPECT_EQ(seeds[0].size(), 25);
     for (int i = 0; i < 25; ++i)
@@ -361,11 +364,9 @@ TEST(WarmStart, ResizesByGeneTiling)
 
 TEST(WarmStart, ClampsAccelGenesToSmallerPlatform)
 {
-    opt::WarmStartEngine ws;
     common::Rng rng(64);
     Mapping best = Mapping::random(10, 8, rng);
-    ws.store(dnn::TaskType::Mix, best);
-    auto seeds = ws.makeSeeds(dnn::TaskType::Mix, 3, 10, 2, rng);
+    auto seeds = transfer::seedsFromStored(best, {}, groupOf(10), 3, 2, rng);
     for (const auto& s : seeds)
         for (int g : s.accelSel)
             EXPECT_LT(g, 2);
@@ -376,7 +377,6 @@ TEST(WarmStart, JobMatchedTransferCopiesGenesFromSimilarJobs)
     // Build a solved group with a deliberate pattern: language jobs on
     // core 0, vision jobs on core 1. A new group's language jobs must
     // inherit core 0 and vision jobs core 1 through job matching.
-    dnn::WorkloadGenerator gen(81);
     dnn::JobGroup solved_group;
     solved_group.task = dnn::TaskType::Mix;
     Mapping solved;
@@ -392,12 +392,11 @@ TEST(WarmStart, JobMatchedTransferCopiesGenesFromSimilarJobs)
         solved.accelSel.push_back(lang ? 0 : 1);
         solved.priority.push_back(0.5);
     }
-    opt::WarmStartEngine ws;
-    ws.store(dnn::TaskType::Mix, solved, solved_group);
 
     dnn::JobGroup target = solved_group;  // same composition, new draw
     common::Rng rng(82);
-    auto seeds = ws.makeSeeds(dnn::TaskType::Mix, 1, target, 4, rng);
+    auto seeds =
+        transfer::seedsFromStored(solved, solved_group, target, 1, 4, rng);
     ASSERT_EQ(seeds.size(), 1u);
     for (int i = 0; i < target.size(); ++i) {
         int expected = target.jobs[i].task == dnn::TaskType::Language ? 0
@@ -408,47 +407,35 @@ TEST(WarmStart, JobMatchedTransferCopiesGenesFromSimilarJobs)
 
 TEST(WarmStart, JobMatchedFallsBackToPositionalWithoutGroup)
 {
-    opt::WarmStartEngine ws;
     common::Rng rng(83);
     Mapping best = Mapping::random(10, 4, rng);
-    ws.store(dnn::TaskType::Mix, best);  // no group attached
     dnn::WorkloadGenerator gen(84);
     dnn::JobGroup target = gen.makeGroup(dnn::TaskType::Mix, 10);
-    auto seeds = ws.makeSeeds(dnn::TaskType::Mix, 2, target, 4, rng);
+    // No stored group attached: the positional path.
+    auto seeds = transfer::seedsFromStored(best, {}, target, 2, 4, rng);
     ASSERT_EQ(seeds.size(), 2u);
     EXPECT_EQ(seeds[0], best);
-}
-
-TEST(WarmStart, EmptyEngineJobMatchedSeedsAreEmpty)
-{
-    opt::WarmStartEngine ws;
-    common::Rng rng(85);
-    dnn::WorkloadGenerator gen(85);
-    dnn::JobGroup target = gen.makeGroup(dnn::TaskType::Vision, 8);
-    EXPECT_TRUE(ws.makeSeeds(dnn::TaskType::Vision, 4, target, 4, rng)
-                    .empty());
 }
 
 TEST(WarmStart, GrouplessStoreMatchesPositionalTransferExactly)
 {
     // A store entry without an attached group must degrade to the
-    // positional path verbatim — including the gene-tiling resize — so
-    // the two makeSeeds overloads cannot drift apart.
-    opt::WarmStartEngine ws;
+    // positional path verbatim — including the gene-tiling resize and
+    // the RNG stream of the mutated copies.
     common::Rng store_rng(86);
     Mapping best = Mapping::random(10, 4, store_rng);
-    ws.store(dnn::TaskType::Mix, best);
 
     dnn::WorkloadGenerator gen(87);
     dnn::JobGroup target = gen.makeGroup(dnn::TaskType::Mix, 14);
 
     common::Rng rng_a(88), rng_b(88);
-    auto job_matched = ws.makeSeeds(dnn::TaskType::Mix, 5, target, 4,
-                                    rng_a);
-    auto positional = ws.makeSeeds(dnn::TaskType::Mix, 5, 14, 4, rng_b);
-    ASSERT_EQ(job_matched.size(), positional.size());
+    auto groupless = transfer::seedsFromStored(best, {}, target, 5, 4, rng_a);
+    Mapping tiled = transfer::adaptPositional(best, 14, 4);
+    auto positional = transfer::seedsAround(tiled, 5, 4, rng_b);
+    ASSERT_EQ(groupless.size(), positional.size());
     for (size_t i = 0; i < positional.size(); ++i)
-        EXPECT_EQ(job_matched[i], positional[i]) << "seed " << i;
+        EXPECT_EQ(groupless[i], positional[i]) << "seed " << i;
+    EXPECT_EQ(rng_a.engine()(), rng_b.engine()());
 }
 
 TEST(WarmStart, SizeClassMissFallsBackToCoarserBucket)
@@ -479,9 +466,6 @@ TEST(WarmStart, SizeClassMissFallsBackToCoarserBucket)
     solved.accelSel.push_back(1);
     solved.priority.push_back(0.75);
 
-    opt::WarmStartEngine ws;
-    ws.store(dnn::TaskType::Mix, solved, solved_group);
-
     dnn::JobGroup target;
     target.task = dnn::TaskType::Mix;
     dnn::Job huge_fc = small_fc;
@@ -490,7 +474,8 @@ TEST(WarmStart, SizeClassMissFallsBackToCoarserBucket)
     target.jobs.push_back(huge_fc);
 
     common::Rng rng(89);
-    auto seeds = ws.makeSeeds(dnn::TaskType::Mix, 1, target, 4, rng);
+    auto seeds =
+        transfer::seedsFromStored(solved, solved_group, target, 1, 4, rng);
     ASSERT_EQ(seeds.size(), 1u);
     EXPECT_EQ(seeds[0].accelSel[0], 3);       // from the coarse bucket
     EXPECT_EQ(seeds[0].priority[0], 0.25);    // gene copied, not drawn
@@ -508,11 +493,10 @@ TEST(WarmStart, JobMatchedTransferBeatsRandomInitOnAverage)
     opt::MagmaGa magma_ga(5);
     opt::SearchResult solved = magma_ga.search(p1->evaluator(), opts);
 
-    opt::WarmStartEngine ws;
-    ws.store(dnn::TaskType::Mix, solved.best, p1->group());
     common::Rng rng(87);
-    auto seeds = ws.makeSeeds(dnn::TaskType::Mix, 20, p2->group(),
-                              p2->evaluator().numAccels(), rng);
+    const int accels = p2->evaluator().numAccels();
+    auto seeds = transfer::seedsFromStored(solved.best, p1->group(),
+                                           p2->group(), 20, accels, rng);
     double warm_mean = 0.0, rand_mean = 0.0;
     for (const auto& s : seeds)
         warm_mean += p2->evaluator().fitness(s);
@@ -534,11 +518,10 @@ TEST(WarmStart, SeedsImproveInitialFitness)
     opt::MagmaGa magma_ga(5);
     SearchResult solved = magma_ga.search(p1->evaluator(), opts);
 
-    opt::WarmStartEngine ws;
-    ws.store(dnn::TaskType::Recommendation, solved.best);
     common::Rng rng(73);
-    auto seeds = ws.makeSeeds(dnn::TaskType::Recommendation, 4, 16,
-                              p2->evaluator().numAccels(), rng);
+    const int accels = p2->evaluator().numAccels();
+    auto seeds = transfer::seedsFromStored(solved.best, {}, p2->group(), 4,
+                                           accels, rng);
 
     // Best seed (0 epochs of further optimization) vs mean random.
     double seeded = 0.0;
@@ -553,26 +536,65 @@ TEST(WarmStart, SeedsImproveInitialFitness)
     EXPECT_GT(seeded, random_mean);
 }
 
-// ----------------------------------------------------------- factory -----
-
-TEST(Factory, NamesRoundTrip)
+TEST(WarmStart, ArchiveSeedsTopUpRoundRobinToCount)
 {
-    for (m3e::Method m : m3e::paperMethods())
-        EXPECT_EQ(m3e::methodFromName(m3e::methodName(m)), m);
-    EXPECT_EQ(m3e::methodFromName("Random"), m3e::Method::Random);
-    EXPECT_THROW(m3e::methodFromName("nope"), std::invalid_argument);
+    // Three 5-job members for a 7-job group: the adapted members first,
+    // then mutated copies of members 0, 1, 2, 0, 1 in that order.
+    common::Rng member_rng(91);
+    std::vector<Mapping> members;
+    for (int i = 0; i < 3; ++i)
+        members.push_back(Mapping::random(5, 4, member_rng));
+
+    common::Rng rng(92), expect_rng(92);
+    auto seeds = transfer::seedsFromArchive(members, 7, 8, 4, rng);
+    ASSERT_EQ(seeds.size(), 8u);
+    for (int k = 0; k < 3; ++k) {
+        Mapping expect = transfer::adaptPositional(members[k], 7, 4);
+        EXPECT_EQ(seeds[k], expect) << "seed " << k;
+    }
+    for (int k = 3; k < 8; ++k) {
+        Mapping expect = seeds[(k - 3) % 3];
+        opt::MagmaGa::mutate(expect, 0.05, 4, expect_rng);
+        EXPECT_EQ(seeds[k], expect) << "seed " << k;
+    }
+    EXPECT_EQ(rng.engine()(), expect_rng.engine()());
 }
+
+TEST(WarmStart, ArchiveSeedsKeepOnlyTheFirstCountMembers)
+{
+    common::Rng member_rng(93);
+    std::vector<Mapping> members;
+    for (int i = 0; i < 6; ++i)
+        members.push_back(Mapping::random(9, 8, member_rng));
+
+    common::Rng rng(94), untouched(94);
+    auto seeds = transfer::seedsFromArchive(members, 9, 4, 2, rng);
+    ASSERT_EQ(seeds.size(), 4u);
+    for (int k = 0; k < 4; ++k) {
+        Mapping expect = transfer::adaptPositional(members[k], 9, 2);
+        EXPECT_EQ(seeds[k], expect) << "seed " << k;
+    }
+    EXPECT_EQ(rng.engine()(), untouched.engine()());  // no top-up drawn
+}
+
+TEST(WarmStart, ArchiveSeedFromEmptyMemberIsAllOnCoreZero)
+{
+    common::Rng rng(95);
+    auto seeds = transfer::seedsFromArchive({Mapping{}}, 4, 1, 3, rng);
+    ASSERT_EQ(seeds.size(), 1u);
+    ASSERT_EQ(seeds[0].size(), 4);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(seeds[0].accelSel[i], 0);
+        EXPECT_EQ(seeds[0].priority[i], (i + 0.5) / 4);
+    }
+}
+
+// ------------------------------------------------------ Table IV line-up --
 
 TEST(Factory, PaperMethodOrderMatchesFigures)
 {
-    auto ms = m3e::paperMethods();
+    const std::vector<std::string>& ms = api::tableIvMethods();
     ASSERT_EQ(ms.size(), 10u);
-    EXPECT_EQ(m3e::methodName(ms.front()), "Herald-like");
-    EXPECT_EQ(m3e::methodName(ms.back()), "MAGMA");
-}
-
-TEST(Factory, OptimizerNamesMatchEnumNames)
-{
-    for (m3e::Method m : m3e::paperMethods())
-        EXPECT_EQ(m3e::makeOptimizer(m, 1)->name(), m3e::methodName(m));
+    EXPECT_EQ(ms.front(), "Herald-like");
+    EXPECT_EQ(ms.back(), "MAGMA");
 }

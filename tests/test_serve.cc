@@ -20,8 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/registry.h"
 #include "api/spec.h"
-#include "m3e/factory.h"
 #include "m3e/problem.h"
 #include "serve/fingerprint.h"
 #include "serve/mapping_store.h"
@@ -836,7 +836,8 @@ TEST(MappingService, HonorsSearchSpecMethodBitwise)
                                     r.problem.systemBwGbps,
                                     r.problem.groupSize,
                                     r.problem.workloadSeed);
-    auto optimizer = m3e::makeOptimizer(m3e::Method::StdGa, r.search.seed);
+    auto optimizer =
+        api::OptimizerRegistry::global().make("stdGA", r.search.seed);
     opt::SearchOptions opts;
     opts.sampleBudget = r.search.sampleBudget;
     opt::SearchResult manual =

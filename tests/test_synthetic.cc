@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "m3e/factory.h"
+#include "api/registry.h"
 #include "m3e/problem.h"
 
 using namespace magma;
@@ -61,7 +61,7 @@ lopsidedOptimalMakespan(const m3e::Problem& p, int jobs)
 
 }  // namespace
 
-class SyntheticOptimum : public ::testing::TestWithParam<m3e::Method> {};
+class SyntheticOptimum : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SyntheticOptimum, ReachesNearOptimalLoadBalance)
 {
@@ -70,25 +70,24 @@ TEST_P(SyntheticOptimum, ReachesNearOptimalLoadBalance)
     double optimal = p->evaluator().throughputGflops(
         lopsidedOptimalMakespan(*p, jobs));
 
-    auto optimizer = m3e::makeOptimizer(GetParam(), 7);
+    auto optimizer =
+        api::OptimizerRegistry::global().make(GetParam(), 7);
     opt::SearchOptions opts;
     opts.sampleBudget = 1500;
     double found = optimizer->search(p->evaluator(), opts).bestFitness;
 
     // Certified bound: nobody can beat the optimum...
     EXPECT_LE(found, optimal * (1.0 + 1e-9))
-        << m3e::methodName(GetParam());
+        << GetParam();
     // ...and a competent searcher gets within 15% of it.
-    EXPECT_GE(found, 0.85 * optimal) << m3e::methodName(GetParam());
+    EXPECT_GE(found, 0.85 * optimal) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Methods, SyntheticOptimum,
-    ::testing::Values(m3e::Method::Magma, m3e::Method::StdGa,
-                      m3e::Method::De, m3e::Method::HeraldLike,
-                      m3e::Method::Tbpsa),
+    ::testing::Values("MAGMA", "stdGA", "DE", "Herald-like", "TBPSA"),
     [](const auto& info) {
-        std::string n = m3e::methodName(info.param);
+        std::string n = info.param;
         for (char& c : n)
             if (!isalnum(static_cast<unsigned char>(c)))
                 c = '_';
@@ -123,7 +122,7 @@ TEST(SyntheticExhaustive, MagmaMatchesExhaustiveAssignmentSearch)
         exhaustive = std::max(exhaustive, p->evaluator().fitness(m));
     }
 
-    auto magma_opt = m3e::makeOptimizer(m3e::Method::Magma, 5);
+    auto magma_opt = api::OptimizerRegistry::global().make("MAGMA", 5);
     opt::SearchOptions opts;
     opts.sampleBudget = 4000;
     double found = magma_opt->search(p->evaluator(), opts).bestFitness;
@@ -155,7 +154,7 @@ TEST(SyntheticBw, OptimizersExploitTheLowBwCore)
         accel::makeSubAccel(cost::DataflowStyle::LB, 64, 218));
     m3e::Problem p(std::move(group), std::move(plat));
 
-    auto magma_opt = m3e::makeOptimizer(m3e::Method::Magma, 3);
+    auto magma_opt = api::OptimizerRegistry::global().make("MAGMA", 3);
     opt::SearchOptions opts;
     opts.sampleBudget = 2000;
     opt::SearchResult r = magma_opt->search(p.evaluator(), opts);
