@@ -14,6 +14,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "dyn/engine.h"
+#include "dyn/trace.h"
 #include "m3e/problem.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -722,4 +725,191 @@ TEST(Observability, FixedSeedSearchBitwiseIdenticalOffVsProfile)
     EXPECT_EQ(off.bestFitness, profile.bestFitness);  // bitwise
     EXPECT_EQ(off.best, profile.best);
     EXPECT_EQ(off.samplesUsed, profile.samplesUsed);
+}
+
+// ------------------------------------------ instrumentation shape ---
+
+namespace {
+
+/** Every span name traced and every profile path, each with its count. */
+struct Shape {
+    std::map<std::string, int> spans;
+    std::map<std::string, int64_t> profile;
+};
+
+/** The shape of what ran since the last call; clears both sinks. */
+Shape
+drainShape(std::vector<TraceEvent>* events = nullptr)
+{
+    Shape shape;
+    std::vector<TraceEvent> drained = Tracer::global().drain();
+    for (const TraceEvent& e : drained)
+        ++shape.spans[e.name];
+    for (const obs::ProfileRow& row : obs::Profiler::global().rows())
+        shape.profile[row.path] = row.count;
+    obs::Profiler::global().reset();
+    if (events)
+        *events = std::move(drained);
+    return shape;
+}
+
+/** Two arrivals and a departure of small bundles. */
+dyn::WorkloadTrace
+shapeTrace()
+{
+    auto event = [](double t, dyn::EventKind kind, const char* bundle,
+                    int jobs, dnn::TaskType task, uint64_t seed) {
+        dyn::WorkloadEvent e;
+        e.timeSeconds = t;
+        e.kind = kind;
+        e.bundle = bundle;
+        e.jobs = jobs;
+        e.task = task;
+        e.seed = seed;
+        return e;
+    };
+    dyn::WorkloadTrace trace;
+    trace.base.task = dnn::TaskType::Mix;
+    trace.base.setting = accel::Setting::S2;
+    trace.base.systemBwGbps = 8.0;
+    trace.base.groupSize = 8;
+    trace.events = {
+        event(0.0, dyn::EventKind::Arrive, "a", 6, dnn::TaskType::Vision, 11),
+        event(0.5, dyn::EventKind::Arrive, "b", 5, dnn::TaskType::Language,
+              12),
+        event(1.0, dyn::EventKind::Depart, "a", 0, dnn::TaskType::Vision, 0)};
+    trace.validate();
+    return trace;
+}
+
+}  // namespace
+
+// Pins the spans and profile nodes that one fixed-seed search, one
+// served request and a short dyn replay produce at profile level, so a
+// change to the instrumentation shows up as a diff of names and counts,
+// not as a silently missing site. Every run is serial: with worker lanes
+// the split of simulate nodes between threads would vary.
+TEST(Observability, InstrumentationShapeIsPinned)
+{
+    LevelGuard guard;
+    obs::setMetricsLevel(MetricsLevel::Counters);
+    auto problem = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2,
+                                    4.0, 12, 9);
+    obs::setMetricsLevel(MetricsLevel::Profile);
+    drainShape();
+
+    // 1. A fixed-seed search.
+    opt::MagmaGa ga(9);
+    opt::SearchOptions opts;
+    opts.sampleBudget = 400;
+    opt::SearchResult result = ga.search(problem->evaluator(), opts);
+    std::vector<TraceEvent> events;
+    Shape search = drainShape(&events);
+    EXPECT_EQ(search.spans, (std::map<std::string, int>{
+                                {"exec.eval.batch", 5},
+                                {"opt.generation", 5},
+                                {"opt.search", 1},
+                                {"sched.flat.compile", 1},
+                            }));
+    const std::string gen = "opt.search/opt.generation";
+    EXPECT_EQ(search.profile, (std::map<std::string, int64_t>{
+                                  {"opt.search", 1},
+                                  {"opt.search/opt.breed", 4},
+                                  {gen, 5},
+                                  {gen + "/exec.eval.batch", 5},
+                                  {gen + "/exec.eval.batch/sched.flat.simulate",
+                                   400},
+                                  {gen + "/opt.record", 5},
+                                  {"opt.search/sched.flat.compile", 1},
+                              }));
+    const TraceEvent* opt_search = nullptr;
+    const TraceEvent* last_generation = nullptr;
+    for (const TraceEvent& e : events) {
+        if (e.name == "opt.search")
+            opt_search = &e;
+        if (e.name == "opt.generation")
+            last_generation = &e;
+    }
+    ASSERT_NE(opt_search, nullptr);
+    ASSERT_NE(last_generation, nullptr);
+    // opt.search: i = samples used, a = best fitness.
+    EXPECT_EQ(result.samplesUsed, 400);
+    EXPECT_EQ(opt_search->i, result.samplesUsed);
+    EXPECT_EQ(opt_search->a, result.bestFitness);
+    EXPECT_EQ(opt_search->b, 0.0);
+    // opt.generation: i = generation index, a = best so far, b = samples
+    // so far.
+    EXPECT_EQ(last_generation->i, 4);
+    EXPECT_EQ(last_generation->a, result.bestFitness);
+    EXPECT_EQ(last_generation->b, static_cast<double>(result.samplesUsed));
+    EXPECT_EQ(last_generation->durSeconds, 0.0);
+
+    // 2. One served request on one serial lane.
+    serve::ServiceConfig cfg;
+    cfg.workers = 1;
+    serve::MappingService service(cfg);
+    serve::MapRequest req;
+    req.problem.task = dnn::TaskType::Mix;
+    req.problem.groupSize = 10;
+    req.problem.workloadSeed = 40;
+    req.problem.setting = accel::Setting::S2;
+    req.problem.systemBwGbps = 4.0;
+    req.search.sampleBudget = 200;
+    req.search.seed = 40;
+    service.submit(std::move(req)).get();
+    service.stop();
+    Shape served = drainShape();
+    EXPECT_EQ(served.spans, (std::map<std::string, int>{
+                                {"exec.eval.batch", 25},
+                                {"opt.generation", 25},
+                                {"opt.search", 1},
+                                {"sched.flat.compile", 1},
+                                {"serve.request", 1},
+                            }));
+    const std::string sgen = "serve.request/serve.search/" + gen;
+    EXPECT_EQ(served.profile,
+              (std::map<std::string, int64_t>{
+                  {"serve.queue_wait", 2},
+                  {"serve.request", 1},
+                  {"serve.request/exec.cost_cache.probe", 24},
+                  {"serve.request/serve.search", 1},
+                  {"serve.request/serve.search/opt.search", 1},
+                  {"serve.request/serve.search/opt.search/opt.breed", 24},
+                  {sgen, 25},
+                  {sgen + "/exec.eval.batch", 25},
+                  {sgen + "/exec.eval.batch/sched.flat.simulate", 200},
+                  {sgen + "/opt.record", 25},
+                  {"serve.request/serve.search/opt.search/sched.flat.compile",
+                   1},
+                  {"serve.request/serve.store_lookup", 1},
+                  {"serve.request/serve.store_write_back", 1},
+              }));
+
+    // 3. A short dyn replay: one cold re-map, then two warm from the
+    // running mapping.
+    dyn::DynConfig dcfg;
+    dcfg.search.sampleBudget = 160;
+    dcfg.search.seed = 5;
+    dyn::EventEngine(dcfg).replay(shapeTrace());
+    Shape replayed = drainShape();
+    EXPECT_EQ(replayed.spans, (std::map<std::string, int>{
+                                  {"dyn.remap", 3},
+                                  {"exec.eval.batch", 39},
+                                  {"opt.generation", 39},
+                                  {"opt.search", 3},
+                                  {"sched.flat.compile", 3},
+                              }));
+    const std::string dgen = "dyn.remap.search/" + gen;
+    EXPECT_EQ(replayed.profile,
+              (std::map<std::string, int64_t>{
+                  {"dyn.remap.search", 3},
+                  {"dyn.remap.search/opt.search", 3},
+                  {"dyn.remap.search/opt.search/opt.breed", 36},
+                  {dgen, 39},
+                  {dgen + "/exec.eval.batch", 39},
+                  {dgen + "/exec.eval.batch/sched.flat.simulate", 240},
+                  {dgen + "/opt.record", 39},
+                  {"dyn.remap.search/opt.search/sched.flat.compile", 3},
+                  {"dyn.remap.tier_previous", 2},
+              }));
 }
