@@ -23,7 +23,7 @@
  * serve::MappingStore as the second warm tier; --archive loads a
  * mo::ParetoArchive as the third. --timeline-out writes the schema-1
  * per-event JSON artifact; --metrics-out snapshots the obs registry
- * (dyn.events / dyn.remaps counters, dyn.remap spans at
+ * (dyn.events / dyn.remaps counters, dyn.remap.search spans at
  * MAGMA_METRICS=trace). --trace-out exports the same drained spans as
  * a Chrome trace-event JSON (open in ui.perfetto.dev); both snapshots
  * share one drain, and their round-trip confirmations go to stderr so

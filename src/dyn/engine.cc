@@ -9,8 +9,7 @@
 #include "api/registry.h"
 #include "dnn/workload.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "opt/warm_start.h"
 #include "sched/evaluator.h"
 #include "serve/fingerprint.h"
@@ -179,7 +178,7 @@ EventEngine::step(const WorkloadEvent& ev)
         serve::fingerprintOf(group, platform_, cfg_.search.objective);
     std::optional<serve::MappingStore::Hit> hit;
     if (cfg_.warmRemap && mapping_.size() > 0) {
-        PROFILE_SCOPE("dyn.remap.tier_previous");
+        obs::Scope scope("dyn.remap.tier_previous");
         std::map<std::string, int> prev_index;
         for (size_t i = 0; i < ids_.size(); ++i)
             prev_index[ids_[i]] = static_cast<int>(i);
@@ -196,14 +195,14 @@ EventEngine::step(const WorkloadEvent& ev)
         rec.source = RemapSource::Previous;
     } else if (cfg_.warmRemap && cfg_.store &&
                (hit = cfg_.store->lookup(fp))) {
-        PROFILE_SCOPE("dyn.remap.tier_store");
+        obs::Scope scope("dyn.remap.tier_store");
         opts.seeds = opt::transfer::seedsFromStored(
             hit->entry.mapping, hit->entry.group, group, pop, eval.numAccels(),
             adapt_rng);
         opts.sampleBudget = warm_budget;
         rec.source = RemapSource::Store;
     } else if (cfg_.warmRemap && cfg_.archive && !cfg_.archive->empty()) {
-        PROFILE_SCOPE("dyn.remap.tier_archive");
+        obs::Scope scope("dyn.remap.tier_archive");
         // Archive members are generic knowledge, so this tier keeps the
         // FULL cold budget (a quality head start, not a cost cut) — the
         // same policy as serve::MappingService's third tier.
@@ -222,11 +221,10 @@ EventEngine::step(const WorkloadEvent& ev)
     {
         // span payload: i = event index, a = best fitness,
         // b = samples used
-        obs::Span span("dyn.remap", event_index);
-        PROFILE_SCOPE("dyn.remap.search");
+        obs::Scope scope("dyn.remap.search", event_index);
         res = optimizer->search(eval, opts);
-        span.payload(res.bestFitness,
-                     static_cast<double>(res.samplesUsed));
+        scope.payload(res.bestFitness,
+                      static_cast<double>(res.samplesUsed));
     }
     if (counters) {
         reg.counter("dyn.remaps").add();

@@ -49,8 +49,8 @@ std::string timelineJson(const WorkloadTrace& trace, const DynConfig& cfg,
  * Replays traces through an EventEngine and emits the timeline report:
  * per-event stdout lines (deterministic) and the schema-1 JSON artifact
  * (optionally, with wall-clock). The obs counters/spans the engine
- * records (dyn.events, dyn.remaps, dyn.remap span) accumulate in the
- * global registry for --metrics-out snapshots.
+ * records (dyn.events, dyn.remaps, dyn.remap.search span) accumulate
+ * in the global registry for --metrics-out snapshots.
  */
 class Runner {
   public:

@@ -7,7 +7,7 @@
 
 #include "cost/dataflow.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/scope.h"
 
 namespace magma::exec {
 namespace {
@@ -76,7 +76,7 @@ cost::CostResult
 CostCache::analyze(const cost::CostModel& model, const dnn::LayerShape& layer,
                    int batch, const cost::SubAccelConfig& cfg, int bw_bucket)
 {
-    PROFILE_SCOPE("exec.cost_cache.probe");
+    obs::Scope scope("exec.cost_cache.probe");
     std::string key = makeKey(model, layer, batch, cfg, bw_bucket);
     Shard& shard = shardFor(key);
 

@@ -1,8 +1,7 @@
 #include "exec/eval_engine.h"
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 namespace magma::exec {
 namespace {
@@ -50,8 +49,7 @@ EvalEngine::evaluateBatch(const sched::Mapping* batch, size_t count) const
 {
     countBatch(count, flat_ != nullptr);
     // span payload: i = batch size
-    obs::Span span("exec.eval.batch", static_cast<int64_t>(count));
-    PROFILE_SCOPE("exec.eval.batch");
+    obs::Scope scope("exec.eval.batch", static_cast<int64_t>(count));
     std::vector<double> fitness(count);
     if (flat_) {
         if (pool_->numThreads() == 1) {
@@ -79,8 +77,7 @@ EvalEngine::simulateBatch(const sched::Mapping* batch, size_t count) const
 {
     countBatch(count, flat_ != nullptr);
     // span payload: i = batch size
-    obs::Span span("exec.eval.sim_batch", static_cast<int64_t>(count));
-    PROFILE_SCOPE("exec.eval.sim_batch");
+    obs::Scope scope("exec.eval.sim_batch", static_cast<int64_t>(count));
     std::vector<sched::SimPoint> out(count);
     if (flat_) {
         if (pool_->numThreads() == 1) {

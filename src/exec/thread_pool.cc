@@ -5,8 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 namespace magma::exec {
 namespace {
@@ -131,14 +130,14 @@ ThreadPool::parallelForLane(int64_t n,
     if (n <= 0)
         return;
 
-    PROFILE_SCOPE("exec.pool.dispatch");
+    obs::Scope scope("exec.pool.dispatch");
 
     // Observability: one branch when off; batches that throw go
     // unrecorded (the exception is the signal there).
     const bool measured = obs::countersOn();
     double t0 = 0.0;
     if (measured)
-        t0 = obs::Tracer::global().nowSeconds();
+        t0 = obs::nowSeconds();
 
     if (workers_.empty() || n == 1) {
         // Serial fast path: no locking, same iteration semantics; all
@@ -149,7 +148,7 @@ ThreadPool::parallelForLane(int64_t n,
             PoolMetrics& m = poolMetrics();
             m.batches.add();
             m.batchSize.record(static_cast<double>(n));
-            m.batchSeconds.record(obs::Tracer::global().nowSeconds() - t0);
+            m.batchSeconds.record(obs::nowSeconds() - t0);
         }
         return;
     }
@@ -177,7 +176,7 @@ ThreadPool::parallelForLane(int64_t n,
         PoolMetrics& m = poolMetrics();
         m.batches.add();
         m.batchSize.record(static_cast<double>(n));
-        m.batchSeconds.record(obs::Tracer::global().nowSeconds() - t0);
+        m.batchSeconds.record(obs::nowSeconds() - t0);
     }
 }
 

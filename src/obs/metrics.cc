@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -22,8 +23,6 @@ metricsLevelName(MetricsLevel level)
         return "trace";
     case MetricsLevel::Profile:
         return "profile";
-    case MetricsLevel::Inherit:
-        return "inherit";
     }
     return "counters";
 }
@@ -91,8 +90,17 @@ metricsLevel()
 void
 setMetricsLevel(MetricsLevel level)
 {
-    levelCell().store(static_cast<int>(effectiveLevel(level)),
-                      std::memory_order_relaxed);
+    levelCell().store(static_cast<int>(level), std::memory_order_relaxed);
+}
+
+double
+nowSeconds()
+{
+    static const std::chrono::steady_clock::time_point epoch =
+        std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         epoch)
+        .count();
 }
 
 // --------------------------------------------------------- Histogram ---

@@ -14,24 +14,21 @@
 namespace magma::obs {
 
 /**
- * Process-wide instrumentation level (the MAGMA_METRICS env var and the
- * opt::SearchOptions::metrics knob):
+ * Process-wide instrumentation level (the MAGMA_METRICS env var), in
+ * increasing order of what records:
  *   Off      — instrumentation sites record nothing at all,
  *   Counters — counters/gauges/histograms record (the cheap always-on
  *              default; relaxed atomics on the hot path),
- *   Trace    — Counters plus obs::Span events into the per-thread trace
- *              rings (adds clock reads per span),
- *   Profile  — Trace plus PROFILE_SCOPE wall-clock attribution into the
+ *   Trace    — Counters plus the spans of obs::Scope span sites in the
+ *              per-thread trace rings (adds clock reads per span),
+ *   Profile  — Trace plus every obs::Scope as a node of the
  *              hierarchical obs::Profiler (adds clock reads per scope).
  * The level only gates what is OBSERVED: search results are bitwise
  * identical at every level (instrumentation never touches RNG streams,
  * fitness math or scheduling decisions — CI asserts off-vs-trace CLI
  * output equality).
- *
- * Inherit is only meaningful for per-search overrides (SearchOptions):
- * it resolves to the process level at use.
  */
-enum class MetricsLevel { Off, Counters, Trace, Profile, Inherit };
+enum class MetricsLevel { Off, Counters, Trace, Profile };
 
 /** Level name ("off", "counters", "trace", "profile"). */
 std::string metricsLevelName(MetricsLevel level);
@@ -60,24 +57,22 @@ countersOn()
 inline bool
 traceOn()
 {
-    MetricsLevel level = metricsLevel();
-    return level == MetricsLevel::Trace || level == MetricsLevel::Profile;
+    return metricsLevel() >= MetricsLevel::Trace;
 }
 
-/** True when PROFILE_SCOPE sites should record. */
+/** True when obs::Scope sites should feed the profiler. */
 inline bool
 profileOn()
 {
     return metricsLevel() == MetricsLevel::Profile;
 }
 
-/** Resolve a per-search override against the process level. */
-inline MetricsLevel
-effectiveLevel(MetricsLevel override_level)
-{
-    return override_level == MetricsLevel::Inherit ? metricsLevel()
-                                                   : override_level;
-}
+/**
+ * Seconds on the one clock every obs sink stamps with: steady, epoch at
+ * the first call. Spans, profile nodes and the pool's batch histogram
+ * all read it.
+ */
+double nowSeconds();
 
 /**
  * Monotonic event counter. Hot path is one relaxed atomic add; callers

@@ -1,20 +1,9 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 namespace magma::obs {
-
-double
-Profiler::clockSeconds()
-{
-    static const std::chrono::steady_clock::time_point epoch =
-        std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch)
-        .count();
-}
 
 Profiler::ThreadState&
 Profiler::threadState()

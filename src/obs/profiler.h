@@ -14,7 +14,7 @@ namespace magma::obs {
 
 /**
  * One merged profile-tree node flattened to a row: `path` is the
- * '/'-joined chain of PROFILE_SCOPE names from the root ("opt.search/
+ * '/'-joined chain of obs::Scope names from the root ("opt.search/
  * opt.generation/exec.eval.batch"), `totalSeconds` is inclusive wall
  * time, `selfSeconds` is exclusive (total minus the time attributed to
  * child scopes). Rows come out in deterministic depth-first order with
@@ -29,12 +29,12 @@ struct ProfileRow {
 };
 
 /**
- * Scoped hierarchical wall-clock profiler: PROFILE_SCOPE sites push a
+ * Scoped hierarchical wall-clock profiler: obs::Scope sites push a
  * frame on the calling thread's stack on entry and fold the elapsed
  * time into that thread's scope tree on exit. report() merges every
  * thread's tree (non-destructively) into one self/total/count tree.
  *
- * Off by default: scopes check obs::profileOn() once at construction
+ * Off by default: scopes read the level once at construction
  * (MAGMA_METRICS=profile turns it on) and cost a single branch when
  * off. Like every obs layer, profiling only OBSERVES — search results
  * are bitwise identical whether it is on or off, which the off-vs-
@@ -71,11 +71,8 @@ class Profiler {
 
     static Profiler& global();
 
-    /** Seconds on the profiler clock (steady, arbitrary epoch). */
-    static double clockSeconds();
-
   private:
-    friend class ProfileScope;
+    friend class Scope;
 
     /** One scope-tree node; children keyed (and ordered) by name. */
     struct Node {
@@ -100,51 +97,6 @@ class Profiler {
     mutable std::mutex mu_;  // guards states_ registration
     std::vector<std::shared_ptr<ThreadState>> states_;
 };
-
-/**
- * RAII profiling frame: a no-op (one branch, no clock read) unless the
- * process level is Profile at construction. Use through PROFILE_SCOPE:
- *
- *   void FlatEvaluator::simulate(...) {
- *       PROFILE_SCOPE("sched.flat.simulate");
- *       ...
- *   }
- *
- * `name` must be a string literal (or otherwise outlive the scope).
- */
-class ProfileScope {
-  public:
-    explicit ProfileScope(const char* name)
-    {
-        if (!profileOn())
-            return;
-        state_ = &Profiler::global().threadState();
-        Profiler::enter(*state_, name);
-        t0_ = Profiler::clockSeconds();
-    }
-
-    ProfileScope(const ProfileScope&) = delete;
-    ProfileScope& operator=(const ProfileScope&) = delete;
-
-    ~ProfileScope()
-    {
-        if (!state_)
-            return;
-        Profiler::exit(*state_, Profiler::clockSeconds() - t0_);
-    }
-
-  private:
-    Profiler::ThreadState* state_ = nullptr;
-    double t0_ = 0.0;
-};
-
-#define MAGMA_PROFILE_CONCAT2(a, b) a##b
-#define MAGMA_PROFILE_CONCAT(a, b) MAGMA_PROFILE_CONCAT2(a, b)
-
-/** Profile the enclosing scope under `name` (a string literal). */
-#define PROFILE_SCOPE(name)                                       \
-    ::magma::obs::ProfileScope MAGMA_PROFILE_CONCAT(              \
-        magma_profile_scope_, __LINE__)(name)
 
 }  // namespace magma::obs
 

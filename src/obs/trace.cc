@@ -5,16 +5,6 @@
 
 namespace magma::obs {
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
-
-double
-Tracer::nowSeconds() const
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
-}
-
 Tracer::Ring&
 Tracer::myRing()
 {

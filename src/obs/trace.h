@@ -1,7 +1,6 @@
 #ifndef MAGMA_OBS_TRACE_H_
 #define MAGMA_OBS_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -14,22 +13,9 @@ namespace magma::obs {
 
 /**
  * One completed span (or instant event, durSeconds == 0): what ran,
- * when (seconds since the Tracer epoch), for how long, on which thread,
- * plus three payload slots whose meaning is per-site:
- *   opt.generation   i = generation index, a = best-so-far fitness,
- *                    b = samples used so far
- *   mo.generation    i = generation index, a = archive front size,
- *                    b = front hypervolume (origin ref; NaN when the
- *                        front is too large to slice cheaply)
- *   exec.eval.batch  i = batch size
- *   exec.eval.sim_batch  i = batch size
- *   sched.flat.compile  i = jobs * accels table cells
- *   serve.request    i = serve order, a = queue-wait seconds,
- *                    b = search seconds
- *   dyn.remap        i = event index, a = best fitness,
- *                    b = samples used
- * Every construction site carries a "span payload:" comment naming its
- * slots — magma_lint --check-spans enforces the convention.
+ * when (obs::nowSeconds() at its start), for how long, on which thread,
+ * plus three payload slots whose meaning is per-site — the table is on
+ * obs::Scope (src/obs/scope.h).
  */
 struct TraceEvent {
     std::string name;
@@ -46,15 +32,13 @@ struct TraceEvent {
  * buffer (oldest events overwritten, overwrites counted), so tracing
  * never allocates unboundedly and never blocks one thread on another —
  * the only cross-thread contention is drain() against a ring's own
- * mutex. Recording is gated on obs::traceOn(); at lower levels spans
- * cost one branch.
+ * mutex. obs::Scope and traceInstant() record only at obs::traceOn();
+ * at lower levels a site costs one branch.
  */
 class Tracer {
   public:
     /** Events kept per thread before the ring wraps. */
     static constexpr size_t kRingCapacity = 8192;
-
-    Tracer();
 
     /** Record a completed span on the calling thread's ring. */
     void record(TraceEvent e);
@@ -66,9 +50,6 @@ class Tracer {
      * drain.
      */
     std::vector<TraceEvent> drain(int64_t* dropped = nullptr);
-
-    /** Seconds since this tracer's construction (the span clock). */
-    double nowSeconds() const;
 
     static Tracer& global();
 
@@ -87,62 +68,6 @@ class Tracer {
     std::mutex mu_;  // guards rings_ registration
     std::vector<std::shared_ptr<Ring>> rings_;
     int next_thread_id_ = 0;
-    std::chrono::steady_clock::time_point epoch_;
-};
-
-/**
- * RAII span: stamps the start on construction, records into
- * Tracer::global() on destruction. When tracing is off at construction
- * the whole object is a no-op (no clock read). Payload slots can be
- * filled between the braces:
- *
- *   {
- *       obs::Span span("exec.eval.batch", count);
- *       ... work ...
- *   }
- */
-class Span {
-  public:
-    explicit Span(const char* name, int64_t i = 0)
-        : name_(name), i_(i), on_(traceOn())
-    {
-        if (on_)
-            t0_ = Tracer::global().nowSeconds();
-    }
-
-    Span(const Span&) = delete;
-    Span& operator=(const Span&) = delete;
-
-    /** Fill the payload slots (kept when tracing is on). */
-    void payload(double a, double b = 0.0)
-    {
-        a_ = a;
-        b_ = b;
-    }
-    void setIndex(int64_t i) { i_ = i; }
-
-    ~Span()
-    {
-        if (!on_)
-            return;
-        Tracer& t = Tracer::global();
-        TraceEvent e;
-        e.name = name_;
-        e.startSeconds = t0_;
-        e.durSeconds = t.nowSeconds() - t0_;
-        e.i = i_;
-        e.a = a_;
-        e.b = b_;
-        t.record(std::move(e));
-    }
-
-  private:
-    const char* name_;
-    double t0_ = 0.0;
-    int64_t i_;
-    double a_ = 0.0;
-    double b_ = 0.0;
-    bool on_;
 };
 
 /** Record an instant (zero-duration) event when tracing is on. */
@@ -151,14 +76,13 @@ traceInstant(const char* name, int64_t i, double a = 0.0, double b = 0.0)
 {
     if (!traceOn())
         return;
-    Tracer& t = Tracer::global();
     TraceEvent e;
     e.name = name;
-    e.startSeconds = t.nowSeconds();
+    e.startSeconds = nowSeconds();
     e.i = i;
     e.a = a;
     e.b = b;
-    t.record(std::move(e));
+    Tracer::global().record(std::move(e));
 }
 
 }  // namespace magma::obs

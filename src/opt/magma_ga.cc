@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/profiler.h"
+#include "obs/scope.h"
 
 namespace magma::opt {
 namespace {
@@ -111,7 +111,7 @@ MagmaGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
     while (!rec.exhausted()) {
         pop.rank();
         {
-            PROFILE_SCOPE("opt.breed");
+            obs::Scope scope("opt.breed");
             // Elites survive unchanged; children are bred from elite
             // pairs straight into the next generation's slots.
             pop.carryElites(elites);

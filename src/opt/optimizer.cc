@@ -5,8 +5,7 @@
 #include <numeric>
 
 #include "exec/eval_engine.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 namespace magma::opt {
 namespace {
@@ -32,12 +31,8 @@ optMetrics()
 
 SearchRecorder::SearchRecorder(const sched::MappingEvaluator& eval,
                                const SearchOptions& opts)
-    : eval_(&eval), opts_(opts)
+    : eval_(&eval), opts_(opts), obs_counters_(obs::countersOn())
 {
-    obs::MetricsLevel level = obs::effectiveLevel(opts_.metrics);
-    obs_counters_ = level != obs::MetricsLevel::Off;
-    obs_trace_ = level == obs::MetricsLevel::Trace ||
-                 level == obs::MetricsLevel::Profile;
     if (opts_.recordConvergence)
         result_.convergence.reserve(opts_.sampleBudget);
     if (opts_.engine) {
@@ -88,11 +83,15 @@ SearchRecorder::evaluate(const sched::Mapping& m)
 std::vector<double>
 SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms)
 {
-    PROFILE_SCOPE("opt.generation");
     size_t n = static_cast<size_t>(
         std::min<int64_t>(static_cast<int64_t>(ms.size()), remaining()));
     if (n == 0)
         return {};
+    // One evaluateBatch call per generation in every population method —
+    // this is the per-generation choke point the search trace hangs off.
+    // span payload: i = generation index, a = best-so-far fitness,
+    // b = samples used so far
+    obs::Scope generation("opt.generation", generation_++);
 
     std::vector<double> fitness;
     if (engine_ && n > 1) {
@@ -106,30 +105,16 @@ SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms)
     // Sequential bookkeeping in submission order keeps budget accounting
     // and convergence curves identical to the serial path.
     {
-        PROFILE_SCOPE("opt.record");
+        obs::Scope scope("opt.record");
         for (size_t i = 0; i < n; ++i)
             record(ms[i], fitness[i]);
     }
-    // One evaluateBatch call per generation in every population method —
-    // this is the per-generation choke point the search trace hangs off.
     if (obs_counters_) {
         OptMetrics& m = optMetrics();
         m.samples.add(static_cast<int64_t>(n));
         m.generations.add();
     }
-    if (obs_trace_) {
-        // Recorded directly (not via traceInstant) so a per-search Trace
-        // override takes effect even when the process level is lower.
-        obs::Tracer& t = obs::Tracer::global();
-        obs::TraceEvent e;
-        e.name = "opt.generation";
-        e.startSeconds = t.nowSeconds();
-        e.i = generation_;
-        e.a = result_.bestFitness;
-        e.b = static_cast<double>(used_);
-        t.record(std::move(e));
-    }
-    ++generation_;
+    generation.payload(result_.bestFitness, static_cast<double>(used_));
     return fitness;
 }
 
@@ -196,27 +181,16 @@ SearchResult
 Optimizer::search(const sched::MappingEvaluator& eval,
                   const SearchOptions& opts)
 {
-    obs::MetricsLevel level = obs::effectiveLevel(opts.metrics);
-    bool tracing = level == obs::MetricsLevel::Trace ||
-                   level == obs::MetricsLevel::Profile;
-    double t0 = tracing ? obs::Tracer::global().nowSeconds() : 0.0;
-    PROFILE_SCOPE("opt.search");
+    // span payload: i = samples used, a = best fitness
+    obs::Scope scope("opt.search", 0);
     SearchRecorder rec(eval, opts);
     if (!rec.exhausted())
         run(eval, opts, rec);
     SearchResult result = rec.finish();
-    if (level != obs::MetricsLevel::Off)
+    if (obs::countersOn())
         optMetrics().searches.add();
-    if (tracing) {
-        obs::Tracer& t = obs::Tracer::global();
-        obs::TraceEvent e;
-        e.name = "opt.search";
-        e.startSeconds = t0;
-        e.durSeconds = t.nowSeconds() - t0;
-        e.i = result.samplesUsed;
-        e.a = result.bestFitness;
-        t.record(std::move(e));
-    }
+    scope.setIndex(result.samplesUsed);
+    scope.payload(result.bestFitness);
     return result;
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "sched/evaluator.h"
 #include "sched/flat_eval.h"
 #include "sched/mapping.h"
@@ -55,15 +54,6 @@ struct SearchOptions {
      * same evaluator.
      */
     exec::EvalEngine* engine = nullptr;
-    /**
-     * Per-search observability override: Inherit (the default) follows
-     * the process level (the MAGMA_METRICS env var); Off/Counters/Trace
-     * force it for the search-level sites — the opt.samples /
-     * opt.generations counters and the opt.generation / opt.search
-     * trace events. Purely observational: search results are bitwise
-     * identical at every level.
-     */
-    obs::MetricsLevel metrics = obs::MetricsLevel::Inherit;
 };
 
 /** Outcome of one search run. */
@@ -130,11 +120,9 @@ class SearchRecorder {
     int64_t used_ = 0;
     std::unique_ptr<exec::EvalEngine> owned_engine_;
     exec::EvalEngine* engine_ = nullptr;
-    // Resolved observability level for this search (see
-    // SearchOptions::metrics) plus the generation cursor behind the
-    // opt.generation trace events.
+    // Counters on for this search (the level read once), plus the
+    // generation cursor behind the opt.generation spans.
     bool obs_counters_ = false;
-    bool obs_trace_ = false;
     int64_t generation_ = 0;
 };
 

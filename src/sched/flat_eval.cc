@@ -7,8 +7,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 namespace magma::sched {
 
@@ -67,8 +66,7 @@ FlatEvaluator::FlatEvaluator(const MappingEvaluator& ref)
     // records.
     size_t n = static_cast<size_t>(jobs_) * accels_;
     // span payload: i = jobs * accels table cells
-    obs::Span span("sched.flat.compile", static_cast<int64_t>(n));
-    PROFILE_SCOPE("sched.flat.compile");
+    obs::Scope scope("sched.flat.compile", static_cast<int64_t>(n));
     if (obs::countersOn())
         obs::MetricsRegistry::global().counter("sched.flat.compiles").add();
     no_stall_seconds_.resize(n);
@@ -155,7 +153,7 @@ FlatEvaluator::simulateRounds(const Mapping& m, EvalScratch& s,
                               bool record_timeline) const
 {
     assert(m.size() == jobs_);
-    PROFILE_SCOPE("sched.flat.simulate");
+    obs::Scope scope("sched.flat.simulate");
     s.ensure(jobs_, accels_);
     decodeInto(m, s);
 

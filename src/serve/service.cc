@@ -11,8 +11,7 @@
 #include "exec/thread_pool.h"
 #include "m3e/problem.h"
 #include "mo/pareto.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "opt/warm_start.h"
 #include "serve/fingerprint.h"
 
@@ -344,7 +343,7 @@ MappingService::workerLoop()
         bool exit_lane = false;
         std::vector<Pending> expired;
         {
-            PROFILE_SCOPE("serve.queue_wait");
+            obs::Scope scope("serve.queue_wait");
             std::unique_lock<std::mutex> lk(mu_);
             work_cv_.wait(lk,
                           [this] { return stopping_ || !queueEmpty(); });
@@ -383,14 +382,13 @@ MappingService::workerLoop()
         {
             // span payload: i = serve order, a = queue-wait seconds,
             // b = service seconds
-            obs::Span span("serve.request", serve_order);
-            PROFILE_SCOPE("serve.request");
+            obs::Scope scope("serve.request", serve_order);
             try {
                 resp = serveOne(p.req, lane_pool.get());
                 resp.serveOrder = serve_order;
                 resp.waitSeconds = wait_seconds;
                 resp.serviceSeconds = secondsSince(t0);
-                span.payload(wait_seconds, resp.serviceSeconds);
+                scope.payload(wait_seconds, resp.serviceSeconds);
             } catch (...) {
                 error = std::current_exception();
             }
@@ -514,7 +512,7 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     opts.evalMode = req.search.eval;
     std::optional<MappingStore::Hit> hit;
     if (req.search.warmStart) {
-        PROFILE_SCOPE("serve.store_lookup");
+        obs::Scope scope("serve.store_lookup");
         hit = store_.lookup(fp);
     }
     if (hit) {
@@ -559,7 +557,7 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
         api::makeForPopulation(req.search.method, req.search.seed, pop);
     opt::SearchResult res;
     {
-        PROFILE_SCOPE("serve.search");
+        obs::Scope scope("serve.search");
         res = optimizer->search(eval, opts);
     }
 
@@ -576,7 +574,7 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     // when refinement actually ran past the seeds — otherwise trf0 and
     // the final fitness are the same number by construction.
     if (req.writeBack) {
-        PROFILE_SCOPE("serve.store_write_back");
+        obs::Scope scope("serve.store_write_back");
         store_.update(fp, problem.group().task, res.best, problem.group(),
                       res.bestFitness, res.samplesUsed);
         bool refined = res.samplesUsed >

@@ -3,12 +3,14 @@
  * quantile edge cases (empty, single sample, saturated top bucket,
  * underflow bucket, shard merges), level parsing, registry identity and
  * thread-safety, tracer drain ordering and ring-overflow accounting,
- * snapshot JSON round-trips under randomized (escape-hostile) metric
- * names, Chrome-trace export round-trips (hostile names, dropped-count
+ * which sinks an obs::Scope feeds at each level, snapshot JSON
+ * round-trips under randomized (escape-hostile) metric names,
+ * Chrome-trace export round-trips (hostile names, dropped-count
  * metadata, empty traces), hierarchical-profiler tree merges across
- * threads, and the invariant the whole subsystem is built around:
- * fixed-seed search results are bitwise identical whether observability
- * is off, at full trace, or at profile.
+ * threads, the pinned span and profile shape of a search, a served
+ * request and a dyn replay, and the invariant the whole subsystem is
+ * built around: fixed-seed search results are bitwise identical whether
+ * observability is off, at full trace, or at profile.
  */
 
 #include <cmath>
@@ -27,6 +29,7 @@
 #include "m3e/problem.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/scope.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -70,13 +73,9 @@ TEST(MetricsLevel, NamesRoundTrip)
     EXPECT_THROW(obs::metricsLevelFromName(""), std::invalid_argument);
 }
 
-TEST(MetricsLevel, EffectiveLevelResolvesInherit)
+TEST(MetricsLevel, PredicatesFollowTheProcessLevel)
 {
     LevelGuard guard;
-    obs::setMetricsLevel(MetricsLevel::Trace);
-    EXPECT_EQ(obs::effectiveLevel(MetricsLevel::Inherit),
-              MetricsLevel::Trace);
-    EXPECT_EQ(obs::effectiveLevel(MetricsLevel::Off), MetricsLevel::Off);
     obs::setMetricsLevel(MetricsLevel::Off);
     EXPECT_FALSE(obs::countersOn());
     EXPECT_FALSE(obs::traceOn());
@@ -294,19 +293,64 @@ TEST(Tracer, DrainMergesInStartOrderAndCountsDrops)
     EXPECT_EQ(dropped, 0);
 }
 
-TEST(Tracer, SpanIsNoOpWhenTracingOff)
+// -------------------------------------------------------- scope ---
+
+class ScopeAtLevel : public ::testing::TestWithParam<MetricsLevel> {};
+
+// One obs::Scope feeds both sinks, each from its own level: a span scope
+// records a span from trace up, every scope a profile node at profile,
+// and below its level a scope records nothing anywhere.
+TEST_P(ScopeAtLevel, RecordsIntoTheSinksItsLevelEnables)
 {
+    const MetricsLevel level = GetParam();
     LevelGuard guard;
-    obs::setMetricsLevel(MetricsLevel::Counters);
+    obs::setMetricsLevel(level);
     Tracer::global().drain();
+    obs::Profiler::global().reset();
     {
-        // span payload: i/a/b exercise the setters; nothing records
-        obs::Span span("t.silent", 7);
+        // span payload: i/a/b exercise the setters
+        obs::Scope span("s.span", 7);
         span.payload(1.0, 2.0);
+        span.setIndex(8);
+        obs::Scope profile_only("s.profile_only");
     }
-    obs::traceInstant("t.silent2", 1);
-    EXPECT_TRUE(Tracer::global().drain().empty());
+    obs::traceInstant("s.instant", 1);
+
+    std::vector<TraceEvent> events = Tracer::global().drain();
+    std::vector<obs::ProfileRow> rows = obs::Profiler::global().rows();
+    obs::Profiler::global().reset();
+    if (level < MetricsLevel::Trace) {
+        EXPECT_TRUE(events.empty());
+        EXPECT_TRUE(rows.empty());
+        return;
+    }
+    // The profile-only scope never records a span.
+    ASSERT_EQ(events.size(), 2u);
+    const TraceEvent& span = events[0];
+    EXPECT_EQ(span.name, "s.span");
+    EXPECT_EQ(span.i, 8);
+    EXPECT_EQ(span.a, 1.0);
+    EXPECT_EQ(span.b, 2.0);
+    EXPECT_GE(span.durSeconds, 0.0);
+    EXPECT_EQ(events[1].name, "s.instant");
+    if (level == MetricsLevel::Trace) {
+        EXPECT_TRUE(rows.empty());
+        return;
+    }
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].path, "s.span");
+    EXPECT_EQ(rows[0].count, 1);
+    EXPECT_EQ(rows[1].path, "s.span/s.profile_only");
+    EXPECT_EQ(rows[1].count, 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, ScopeAtLevel,
+    ::testing::Values(MetricsLevel::Off, MetricsLevel::Counters,
+                      MetricsLevel::Trace, MetricsLevel::Profile),
+    [](const ::testing::TestParamInfo<MetricsLevel>& level) {
+        return obs::metricsLevelName(level.param);
+    });
 
 // --------------------------------------------- snapshot round-trip ---
 
@@ -463,25 +507,6 @@ TEST(Observability, FixedSeedSearchBitwiseIdenticalOffVsTrace)
     EXPECT_EQ(off.samplesUsed, trace.samplesUsed);
 }
 
-TEST(Observability, SearchOptionsOverrideTracesBelowProcessLevel)
-{
-    LevelGuard guard;
-    obs::setMetricsLevel(MetricsLevel::Counters);
-    Tracer::global().drain();
-    auto problem = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2,
-                                    4.0, 12, 3);
-    opt::MagmaGa ga(3);
-    opt::SearchOptions opts;
-    opts.sampleBudget = 300;
-    opts.metrics = MetricsLevel::Trace;  // per-search escalation
-    ga.search(problem->evaluator(), opts);
-    std::vector<TraceEvent> events = Tracer::global().drain();
-    int generations = 0;
-    for (const TraceEvent& e : events)
-        generations += e.name == "opt.generation";
-    EXPECT_GT(generations, 0);
-}
-
 // ------------------------------------------- serve integration ---
 
 TEST(Observability, ServeRecordsPerTenantHistograms)
@@ -612,17 +637,6 @@ TEST(ChromeTrace, ParserRejectsMalformedInput)
 
 // ------------------------------------------------------ profiler ---
 
-TEST(Profiler, ScopeIsNoOpBelowProfileLevel)
-{
-    LevelGuard guard;
-    obs::setMetricsLevel(MetricsLevel::Trace);
-    obs::Profiler::global().reset();
-    {
-        PROFILE_SCOPE("p.silent");
-    }
-    EXPECT_TRUE(obs::Profiler::global().rows().empty());
-}
-
 TEST(Profiler, FourThreadTreeMergeIsDeterministic)
 {
     LevelGuard guard;
@@ -634,8 +648,8 @@ TEST(Profiler, FourThreadTreeMergeIsDeterministic)
     for (int t = 0; t < threads; ++t)
         pool.emplace_back([&] {
             for (int i = 0; i < reps; ++i) {
-                PROFILE_SCOPE("p.outer");
-                PROFILE_SCOPE("p.inner");  // child of p.outer
+                obs::Scope outer("p.outer");
+                obs::Scope inner("p.inner");  // child of p.outer
             }
         });
     for (auto& th : pool)
@@ -688,7 +702,7 @@ TEST(MetricsSnapshot, CaptureIncludesProfileRowsOnlyAtProfileLevel)
     obs::Profiler::global().reset();
     obs::setMetricsLevel(MetricsLevel::Profile);
     {
-        PROFILE_SCOPE("cap.scope");
+        obs::Scope scope("cap.scope");
     }
     MetricsRegistry reg;
     MetricsSnapshot snap = SnapshotWriter::capture("test", reg);
@@ -842,7 +856,7 @@ TEST(Observability, InstrumentationShapeIsPinned)
     EXPECT_EQ(last_generation->i, 4);
     EXPECT_EQ(last_generation->a, result.bestFitness);
     EXPECT_EQ(last_generation->b, static_cast<double>(result.samplesUsed));
-    EXPECT_EQ(last_generation->durSeconds, 0.0);
+    EXPECT_GT(last_generation->durSeconds, 0.0);
 
     // 2. One served request on one serial lane.
     serve::ServiceConfig cfg;
@@ -893,7 +907,7 @@ TEST(Observability, InstrumentationShapeIsPinned)
     dyn::EventEngine(dcfg).replay(shapeTrace());
     Shape replayed = drainShape();
     EXPECT_EQ(replayed.spans, (std::map<std::string, int>{
-                                  {"dyn.remap", 3},
+                                  {"dyn.remap.search", 3},
                                   {"exec.eval.batch", 39},
                                   {"opt.generation", 39},
                                   {"opt.search", 3},

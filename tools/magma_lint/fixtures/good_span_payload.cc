@@ -1,24 +1,26 @@
-// magma_lint self-test fixture: every obs::Span site documents its
-// payload slots — a same-line comment, a comment within three lines
-// above, or a justified allow tag. This file must scan clean.
+// magma_lint self-test fixture: every obs::Scope span site (built with
+// an index argument) documents its payload slots — a same-line comment,
+// a comment within three lines above, or a justified allow tag — and
+// profile-only scopes need no comment. This file must scan clean.
 
 namespace obs {
-struct Span {
-    Span(const char*, long long) {}
+struct Scope {
+    explicit Scope(const char*) {}
+    Scope(const char*, long long) {}
 };
 }  // namespace obs
 
 void
 sameLineComment()
 {
-    obs::Span span("fixture.same_line", 1);  // span payload: i = index
+    obs::Scope scope("fixture.same_line", 1);  // span payload: i = index
 }
 
 void
 precedingComment()
 {
     // span payload: i = batch size; a/b unused
-    obs::Span span("fixture.preceding", 2);
+    obs::Scope scope("fixture.preceding", 2);
 }
 
 void
@@ -26,5 +28,13 @@ taggedSpan()
 {
     // magma-lint: allow(span-payload): timing-only span, no payload
     // slots are filled at this site.
-    obs::Span span("fixture.tagged", 0);
+    obs::Scope scope("fixture.tagged", 0);
+}
+
+void
+profileOnly(const obs::Scope& parent)
+{
+    obs::Scope scope("fixture.profile_only");
+    obs::Scope nested{"fixture.profile_only_braced"};
+    (void)parent;
 }

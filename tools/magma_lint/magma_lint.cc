@@ -28,11 +28,13 @@
  *                   shortest format guaranteed to round-trip an IEEE
  *                   double exactly. Display-only lines carry a tag.
  *
- *   span-payload    Every obs::Span construction site carries a
- *                   "span payload:" comment (same line or within the
- *                   three lines above) naming what its i/a/b slots
- *                   mean, mirroring the slot table in src/obs/trace.h;
- *                   payload-free spans carry an allow tag instead.
+ *   span-payload    Every span site — an obs::Scope constructed with an
+ *                   index argument — carries a "span payload:" comment
+ *                   (same line or within the three lines above) naming
+ *                   what its i/a/b slots mean, mirroring the slot table
+ *                   on obs::Scope in src/obs/scope.h; payload-free spans
+ *                   carry an allow tag instead. Profile-only scopes
+ *                   (name argument alone) have no slots and are skipped.
  *                   --check-spans runs just this check over the roots.
  *
  *   header-standalone  (--check-headers) Every public header under src/
@@ -540,11 +542,50 @@ checkDoubleFormat(const FileText& ft, const AllowMap& am,
 // ----------------------------------------------- check: span-payload ---
 
 /**
- * Every obs::Span construction site documents its payload slots: a
- * "span payload:" comment on the same line or within the three lines
- * above (mirroring the slot table in src/obs/trace.h), or a justified
- * allow(span-payload) tag for spans that fill no slots. Returns the
- * number of sites inspected (the --check-spans summary).
+ * True when line `i` declares an obs::Scope built with more than its
+ * name argument — a span site. The argument list may run on over the
+ * next three lines; only a comma at its top level counts.
+ */
+bool
+constructsSpanScope(const FileText& ft, size_t i)
+{
+    const std::string token = "obs::Scope";
+    std::string rest = ft.code[i].substr(ft.code[i].find(token) +
+                                         token.size());
+    for (size_t l = i + 1; l < ft.code.size() && l <= i + 3; ++l)
+        rest += " " + ft.code[l];
+    size_t k = 0;
+    auto skipSpace = [&] {
+        while (k < rest.size() &&
+               std::isspace(static_cast<unsigned char>(rest[k])))
+            ++k;
+    };
+    skipSpace();
+    size_t name = k;
+    while (k < rest.size() && isIdentChar(rest[k]))
+        ++k;
+    skipSpace();
+    if (k == name || k >= rest.size() || (rest[k] != '(' && rest[k] != '{'))
+        return false;  // a type use, not a named construction
+    int depth = 0;
+    for (; k < rest.size(); ++k) {
+        char c = rest[k];
+        if (c == '(' || c == '{' || c == '[')
+            ++depth;
+        else if ((c == ')' || c == '}' || c == ']') && --depth == 0)
+            return false;
+        else if (c == ',' && depth == 1)
+            return true;
+    }
+    return false;
+}
+
+/**
+ * Every span site (see constructsSpanScope) documents its payload slots:
+ * a "span payload:" comment on the same line or within the three lines
+ * above (mirroring the slot table on obs::Scope in src/obs/scope.h), or
+ * a justified allow(span-payload) tag for spans that fill no slots.
+ * Returns the number of sites inspected (the --check-spans summary).
  */
 int
 checkSpanPayload(const FileText& ft, const AllowMap& am,
@@ -553,7 +594,8 @@ checkSpanPayload(const FileText& ft, const AllowMap& am,
     int sites = 0;
     const std::string doc = "span payload:";
     for (size_t i = 0; i < ft.code.size(); ++i) {
-        if (!containsToken(ft.code[i], "obs::Span"))
+        if (!containsToken(ft.code[i], "obs::Scope") ||
+            !constructsSpanScope(ft, i))
             continue;
         ++sites;
         bool documented = false;
@@ -567,9 +609,9 @@ checkSpanPayload(const FileText& ft, const AllowMap& am,
             continue;
         out.push_back(
             {ft.path, static_cast<int>(i + 1), "span-payload",
-             "obs::Span site without a \"span payload:\" comment naming "
-             "its i/a/b slots (see src/obs/trace.h) — document the "
-             "payload or tag payload-free spans with "
+             "obs::Scope span site without a \"span payload:\" comment "
+             "naming its i/a/b slots (see src/obs/scope.h) — document "
+             "the payload or tag payload-free spans with "
              "allow(span-payload)"});
     }
     return sites;
