@@ -4,6 +4,7 @@
  * the contract that lets EvalMode::Flat be the default kernel everywhere
  * without perturbing any search trajectory. */
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -173,6 +174,88 @@ TEST(FlatEval, TiedPrioritiesMatchStableDecodeOrder)
         m.accelSel[j] = j % ev.numAccels();
     expectSameSchedule(ev.evaluate(m, true), flat.evaluate(m, scratch, true));
     EXPECT_EQ(ev.fitness(m), flat.fitness(m, scratch));
+}
+
+/** Priority genomes at the edges of what the decoder admits —
+ * Mapping::fromText accepts any finite priority, not just [0, 1) — on
+ * groups of 1, 12, 100 and 300, with the jobs spread over the
+ * sub-accelerators or all on one. Every case must decode to the
+ * reference's (priority, job id) queue order, so fitness, simPoint and the
+ * recorded schedule (whose events name each queue's jobs in launch order)
+ * match bitwise. */
+TEST(FlatEval, EdgeCasePrioritiesMatchReferenceDecodeOrder)
+{
+    constexpr double kMax = std::numeric_limits<double>::max();
+    constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+    const double kDuplicates[] = {0.75, 0.125, 0.75, 0.5};
+    const double kSignedZeros[] = {0.0, -0.0, 0.0, 1e-300, -0.0};
+    const double kOutOfRange[] = {-1e300, -1.0, -0.5,  1.0, 1.5,
+                                  1e300,  kMax, -kMax, 0.5, 0.0};
+    const double kSubnormals[] = {kTiny,   -kTiny, 1e-310, -1e-310,
+                                  -0.0, 0.0,    2.2250738585072014e-308};
+    struct Shape {
+        accel::Setting setting;
+        int group;
+    };
+    for (Shape shape : {Shape{accel::Setting::S2, 1},
+                        Shape{accel::Setting::S2, 12},
+                        Shape{accel::Setting::S4, 100},
+                        Shape{accel::Setting::S4, 300}}) {
+        const int g = shape.group;
+        auto p = m3e::makeProblem(dnn::TaskType::Mix, shape.setting, 16.0,
+                                  g, /*seed=*/g);
+        const sched::MappingEvaluator& ev = p->evaluator();
+        const int accels = ev.numAccels();
+        FlatEvaluator flat(ev);
+        EvalScratch scratch;
+        common::Rng rng(300 + g);
+
+        std::vector<std::vector<double>> genomes;
+        auto addGenome = [&](auto value_of) {
+            std::vector<double> v(g);
+            for (int j = 0; j < g; ++j)
+                v[j] = value_of(j);
+            genomes.push_back(v);
+        };
+        // Many distinct priorities inside one narrow interval, in
+        // reverse job order.
+        addGenome([&](int j) { return 0.25 + (g - j) * 1e-12; });
+        // The same, straddling 0.5 from above and below.
+        addGenome([&](int j) {
+            return 0.5 + ((j % 2) ? 1.0 : -1.0) * (g - j) * 1e-15;
+        });
+        // Exact duplicates, within one queue and across queues.
+        addGenome([&](int j) { return kDuplicates[j % 4]; });
+        addGenome([&](int j) { return kSignedZeros[j % 5]; });
+        // Negative, >= 1.0 and huge priorities.
+        addGenome([&](int j) { return kOutOfRange[(j * 7) % 10]; });
+        addGenome([&](int j) { return kSubnormals[(j * 3) % 7]; });
+
+        int candidate = 0;
+        for (const std::vector<double>& genome : genomes) {
+            for (int placement = 0; placement < 3; ++placement) {
+                Mapping m = Mapping::random(g, accels, rng);
+                m.priority = genome;
+                if (placement == 1)
+                    m.accelSel.assign(g, 0);
+                if (placement == 2)
+                    m.accelSel.assign(g, accels - 1);
+                // fromText admits every one of these genomes.
+                ASSERT_EQ(Mapping::fromText(m.toText()), m);
+                SCOPED_TRACE(testing::Message() << "group " << g
+                                                << " candidate "
+                                                << candidate++);
+
+                ScheduleResult want = ev.evaluate(m, true);
+                EXPECT_EQ(flat.fitness(m, scratch), ev.fitness(m));
+                EXPECT_EQ(scratch.makespanSeconds(), want.makespanSeconds);
+                sched::SimPoint sp = flat.simPoint(m, scratch);
+                EXPECT_EQ(sp.makespanSeconds, want.makespanSeconds);
+                EXPECT_EQ(sp.joules, ev.totalJoules(m));
+                expectSameSchedule(want, flat.evaluate(m, scratch, true));
+            }
+        }
+    }
 }
 
 /** One scratch must be reusable across problems of different shapes. */
