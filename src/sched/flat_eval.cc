@@ -1,6 +1,7 @@
 #include "sched/flat_eval.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -33,6 +34,18 @@ evalModeFromName(const std::string& name)
                                 "' (flat|reference)");
 }
 
+namespace {
+
+/** Decode bucket count B = bit_ceil(2G): about two buckets per job, and a
+ * power of two so that scaling a priority by it is exact. */
+int
+decodeBuckets(int jobs)
+{
+    return static_cast<int>(std::bit_ceil(2u * static_cast<unsigned>(jobs)));
+}
+
+}  // namespace
+
 void
 EvalScratch::ensure(int jobs, int accels)
 {
@@ -43,6 +56,9 @@ EvalScratch::ensure(int jobs, int accels)
     queue_jobs_.resize(jobs);
     queue_begin_.resize(accels + 1);
     fill_.resize(accels);
+    order_.resize(jobs);
+    bucket_.resize(jobs);
+    bucket_begin_.resize(decodeBuckets(jobs) + 1);
     queue_no_stall_.resize(jobs);
     queue_req_bw_.resize(jobs);
     cursor_.resize(accels);
@@ -59,7 +75,8 @@ FlatEvaluator::FlatEvaluator(const MappingEvaluator& ref)
       system_bw_(ref.platform().systemBwGbps),
       policy_(ref.bwPolicy()),
       objective_(ref.objective()),
-      total_flops_(ref.group().totalFlops())
+      total_flops_(ref.group().totalFlops()),
+      buckets_(decodeBuckets(jobs_))
 {
     // Compile the Job Analysis Table into structure-of-arrays columns so
     // the inner loop streams doubles instead of striding over JobProfile
@@ -89,61 +106,89 @@ FlatEvaluator::decodeInto(const Mapping& m, EvalScratch& s) const
 {
     const int accels = accels_;
     const int jobs = jobs_;
-
-    // Counting pass: queue_begin_[a + 1] = queue length of a, then
-    // prefix-summed into segment offsets.
-    for (int a = 0; a <= accels; ++a)
-        s.queue_begin_[a] = 0;
-    for (int j = 0; j < jobs; ++j) {
-        assert(m.accelSel[j] >= 0 && m.accelSel[j] < accels);
-        ++s.queue_begin_[m.accelSel[j] + 1];
-    }
-    for (int a = 0; a < accels; ++a)
-        s.queue_begin_[a + 1] += s.queue_begin_[a];
-
-    // Fill in ascending job order — the same insertion order decode()
-    // produces before its stable sort. Each position also takes its
-    // job's priority as the sort key; the no-stall column holds the keys
-    // until the gather below overwrites them.
+    const int buckets = buckets_;
+    const double scale = buckets;
     const double* prio = m.priority.data();
-    int32_t* q = s.queue_jobs_.data();
-    double* key = s.queue_no_stall_.data();
-    for (int a = 0; a < accels; ++a)
-        s.fill_[a] = s.queue_begin_[a];
+    const int* sel = m.accelSel.data();
+    int32_t* qbegin = s.queue_begin_.data();
+    int32_t* bucket = s.bucket_.data();
+    int32_t* bucket_begin = s.bucket_begin_.data();
+
+    // Bucket pass: job j falls in bucket floor(p_j * B), clamped to
+    // [0, B - 1]. Mapping::fromText admits any finite priority, and
+    // converting an out-of-range double to int is undefined, so the clamp
+    // comes before the conversion. B is a power of two, so p * B is exact
+    // and the bucket is monotone in priority: p < q implies bucket(p) <=
+    // bucket(q). The same pass counts each queue's length. Both counts
+    // land one slot up and are prefix-summed into begin offsets.
+    std::fill_n(bucket_begin, buckets + 1, 0);
+    std::fill_n(qbegin, accels + 1, 0);
     for (int j = 0; j < jobs; ++j) {
-        int32_t pos = s.fill_[m.accelSel[j]]++;
-        q[pos] = j;
+        assert(sel[j] >= 0 && sel[j] < accels);
+        double x = prio[j] * scale;
+        int32_t b = 0;
+        if (x >= 1.0)
+            b = (x < scale) ? static_cast<int32_t>(x) : buckets - 1;
+        bucket[j] = b;
+        ++bucket_begin[b + 1];
+        ++qbegin[sel[j] + 1];
+    }
+    for (int b = 0; b < buckets; ++b)
+        bucket_begin[b + 1] += bucket_begin[b];
+    for (int a = 0; a < accels; ++a)
+        qbegin[a + 1] += qbegin[a];
+
+    // Scatter in ascending job id, so each bucket holds its jobs in id
+    // order. Each position also takes its job's priority as the sort key;
+    // the no-stall column holds the keys until the distribute pass below
+    // overwrites them.
+    int32_t* order = s.order_.data();
+    double* key = s.queue_no_stall_.data();
+    for (int j = 0; j < jobs; ++j) {
+        int32_t pos = bucket_begin[bucket[j]]++;
+        order[pos] = j;
         key[pos] = prio[j];
     }
 
-    // Per-queue stable insertion sort by priority. Strict '<' moves keep
-    // equal priorities in original (ascending job id) order, matching
-    // decode()'s std::stable_sort exactly. Each sorted queue's table
-    // cells are then gathered into the queue-ordered columns.
+    // Fix-up: an insertion pass over the whole order. Buckets are already
+    // in priority order, so an entry only moves past larger priorities of
+    // its own bucket; strict '<' keeps equal priorities in job-id order.
+    // The result is decode()'s (priority, job id) order.
+    for (int i = 1; i < jobs; ++i) {
+        double p = key[i];
+        if (!(p < key[i - 1]))
+            continue;
+        int32_t job = order[i];
+        int k = i;
+        do {
+            order[k] = order[k - 1];
+            key[k] = key[k - 1];
+            --k;
+        } while (k > 0 && p < key[k - 1]);
+        order[k] = job;
+        key[k] = p;
+    }
+
+    // Distribute: walking the global order appends each queue's jobs in
+    // (priority, job id) order, so every queue comes out sorted — exactly
+    // decode()'s per-queue std::stable_sort. Each position's table cells
+    // are gathered into the queue-ordered columns in the same pass.
     const double* no_stall = no_stall_seconds_.data();
     const double* req = req_bw_gbps_.data();
+    int32_t* fill = s.fill_.data();
+    int32_t* q = s.queue_jobs_.data();
     double* qns = s.queue_no_stall_.data();
     double* qreq = s.queue_req_bw_.data();
-    for (int a = 0; a < accels; ++a) {
-        int32_t lo = s.queue_begin_[a];
-        int32_t hi = s.queue_begin_[a + 1];
-        for (int32_t i = lo + 1; i < hi; ++i) {
-            int32_t job = q[i];
-            double p = key[i];
-            int32_t k = i;
-            while (k > lo && p < key[k - 1]) {
-                q[k] = q[k - 1];
-                key[k] = key[k - 1];
-                --k;
-            }
-            q[k] = job;
-            key[k] = p;
-        }
-        for (int32_t i = lo; i < hi; ++i) {
-            size_t cell = static_cast<size_t>(q[i]) * accels + a;
-            qns[i] = no_stall[cell];
-            qreq[i] = req[cell];
-        }
+    for (int a = 0; a < accels; ++a)
+        fill[a] = qbegin[a];
+    for (int i = 0; i < jobs; ++i) {
+        int32_t job = order[i];
+        int a = sel[job];
+        int32_t pos = fill[a]++;
+        size_t cell = static_cast<size_t>(job) * accels + a;
+        q[pos] = job;
+        qns[pos] = no_stall[cell];
+        qreq[pos] = req[cell];
     }
 }
 

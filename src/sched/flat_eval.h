@@ -61,13 +61,18 @@ class EvalScratch {
 
     // Decoded queues, flattened: queue_jobs_[queue_begin_[a] ..
     // queue_begin_[a+1]) is sub-accelerator a's job queue in ascending
-    // priority order (stable on job id) — the contiguous form of
+    // priority order (ties in job-id order) — the contiguous form of
     // DecodedMapping::queues.
     std::vector<int32_t> queue_jobs_;   // jobs
     std::vector<int32_t> queue_begin_;  // accels + 1
     std::vector<int32_t> fill_;         // accels: decode fill cursors
+    // Decode's global sort: every job in (priority, job id) order, built
+    // by a counting sort on priority buckets and an insertion fix-up.
+    std::vector<int32_t> order_;         // jobs
+    std::vector<int32_t> bucket_;        // jobs: each job's bucket
+    std::vector<int32_t> bucket_begin_;  // buckets + 1
     // The Job Analysis Table cells of each queue position's (job,
-    // sub-accelerator) pair, gathered in queue order after the sort, so a
+    // sub-accelerator) pair, gathered in queue order by the decode, so a
     // launch reads position `cursor` directly instead of indexing the
     // table through queue_jobs_.
     std::vector<double> queue_no_stall_;  // jobs: no-stall seconds
@@ -156,6 +161,9 @@ class FlatEvaluator {
     /**
      * Decode `m` into s's flattened queues (exact decode() order) and
      * gather each position's table cells into the queue-ordered columns.
+     * Linear passes: a counting sort of all jobs on priority buckets, an
+     * insertion fix-up within buckets, then one distribute walk into the
+     * queues (docs/architecture.md gives the exactness argument).
      */
     void decodeInto(const Mapping& m, EvalScratch& s) const;
 
@@ -176,6 +184,8 @@ class FlatEvaluator {
     BwPolicy policy_ = BwPolicy::Proportional;
     Objective objective_ = Objective::Throughput;
     int64_t total_flops_ = 0;
+    // Decode bucket count: a power of two, about two per job.
+    int buckets_ = 1;
 
     // Job Analysis Table columns, [job * accels_ + accel].
     std::vector<double> no_stall_seconds_;
