@@ -285,8 +285,8 @@ main(int argc, char** argv)
                 1e6 / q_per_s);
     std::printf("cost-cache hit       %10.0f /s  (%.3f us)\n", hit_per_s,
                 1e6 / hit_per_s);
-    std::printf("job-table build      %10.2f /s  (%.1f ms)\n", table_per_s,
-                1e3 / table_per_s);
+    std::printf("job-table build      %10.2f /s  (%.1f us)\n", table_per_s,
+                1e6 / table_per_s);
 
     // ------------------------------------------------------------- rng ---
     const int64_t rng_parity_n = 1000000;

@@ -1,84 +1,26 @@
 #include "exec/cost_cache.h"
 
-#include <cstdio>
-#include <cstring>
-#include <functional>
 #include <mutex>
 
-#include "cost/dataflow.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 
 namespace magma::exec {
-namespace {
-
-/**
- * Append a double's exact bit pattern (hex) — std::to_string would round
- * to 6 decimals and let nearby configs collide on one key.
- */
-void
-appendBits(std::string& key, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(bits));
-    key += buf;
-}
-
-}  // namespace
 
 CostCache::CostCache(int shards)
     : shards_(new Shard[shards > 0 ? shards : 1]),
       num_shards_(shards > 0 ? shards : 1)
 {}
 
-std::string
-CostCache::makeKey(const cost::CostModel& model,
-                   const dnn::LayerShape& layer, int batch,
-                   const cost::SubAccelConfig& cfg, int bw_bucket)
-{
-    const cost::EnergyParams& e = model.energy();
-    std::string key = layer.toString();
-    key += '|';
-    key += std::to_string(batch);
-    key += '|';
-    key += cost::dataflowName(cfg.dataflow);
-    key += '|';
-    key += std::to_string(cfg.rows);
-    key += 'x';
-    key += std::to_string(cfg.cols);
-    key += '|';
-    appendBits(key, cfg.slBytes);
-    appendBits(key, cfg.sgBytes);
-    appendBits(key, cfg.freqGhz);
-    appendBits(key, cfg.bytesPerElem);
-    appendBits(key, cfg.nocElemsPerCycle);
-    appendBits(key, cfg.nocLatency);
-    key += cfg.flexibleShape ? '1' : '0';
-    appendBits(key, e.macPj);
-    appendBits(key, e.slPj);
-    appendBits(key, e.sgPj);
-    appendBits(key, e.dramPjPerByte);
-    key += std::to_string(bw_bucket);
-    return key;
-}
-
-CostCache::Shard&
-CostCache::shardFor(const std::string& key)
-{
-    size_t h = std::hash<std::string>{}(key);
-    return shards_[h % num_shards_];
-}
-
 cost::CostResult
 CostCache::analyze(const cost::CostModel& model, const dnn::LayerShape& layer,
                    int batch, const cost::SubAccelConfig& cfg, int bw_bucket)
 {
     obs::Scope scope("exec.cost_cache.probe");
-    std::string key = makeKey(model, layer, batch, cfg, bw_bucket);
-    Shard& shard = shardFor(key);
+    const cost::CostKey key =
+        cost::costKey(cost::layerKey(layer, batch), cost::configKey(cfg),
+                      model.energy(), bw_bucket);
+    Shard& shard = shards_[cost::CostKey::Hash{}(key) % num_shards_];
 
     {
         std::shared_lock<std::shared_mutex> lock(shard.mu);

@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
-#include <string>
 #include <unordered_map>
 
+#include "cost/cost_key.h"
 #include "cost/cost_model.h"
 #include "dnn/layer.h"
 
@@ -31,17 +31,21 @@ struct CostCacheStats {
  *
  * The cost model is deterministic: `analyze(layer, batch, cfg)` is a pure
  * function of its arguments, so its result can be memoized process-wide.
- * Population searches, bandwidth sweeps and sub-accelerator-combination
- * sweeps (Figs. 12-13) re-analyze the same (layer, sub-accel) pairs over
- * and over — each table build for a 100-job group on S4 is 500 queries of
- * which typically < 10% are distinct shapes.
+ * sched::JobAnalyzer already issues one query per distinct (layer shape,
+ * batch, sub-accelerator configuration) within one table build, so this
+ * cache hits only across builds: bandwidth sweeps, sub-accelerator-
+ * combination sweeps (Figs. 12-13) and every dyn event or served request
+ * that rebuilds a problem over already-seen layers.
  *
- * Keys cover every input `CostModel::analyze` reads: the layer shape, the
- * mini-batch, the dataflow and all sub-accelerator config fields, the
- * model's energy parameters, plus a caller-supplied bandwidth bucket for
- * contexts that discriminate cost by memory-bandwidth regime (the
+ * The key is a cost::CostKey: the layer shape, the mini-batch, every
+ * cost-relevant sub-accelerator config field (the dataflow, the array
+ * shape, every capacity, rate and latency, `flexibleShape`; not `name`),
+ * the model's energy parameters, plus a caller-supplied bandwidth bucket
+ * for contexts that discriminate cost by memory-bandwidth regime (the
  * analytical model itself is BW-independent — bandwidth is applied later
- * by the BW Allocator — so callers pass 0 today).
+ * by the BW Allocator — so callers pass 0 today). Doubles are keyed by
+ * bit pattern. A probe packs and hashes the key without formatting text,
+ * so a hit is cheaper than the query it skips.
  *
  * Thread-safe: lookups take a shard's shared lock, inserts its exclusive
  * lock; concurrent misses on the same key may both compute (results are
@@ -83,15 +87,10 @@ class CostCache {
         mutable std::shared_mutex mu;
         // Determinism audit: keyed find/emplace only (plus size() for
         // stats), never iterated — hash order cannot reach results.
-        std::unordered_map<std::string, cost::CostResult> map;
+        std::unordered_map<cost::CostKey, cost::CostResult,
+                           cost::CostKey::Hash>
+            map;
     };
-
-    static std::string makeKey(const cost::CostModel& model,
-                               const dnn::LayerShape& layer, int batch,
-                               const cost::SubAccelConfig& cfg,
-                               int bw_bucket);
-
-    Shard& shardFor(const std::string& key);
 
     std::unique_ptr<Shard[]> shards_;
     int num_shards_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "opt/magma_ga.h"
+
 namespace magma::opt {
 
 void
@@ -51,13 +53,7 @@ StdGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
                         child.priority[i - g] = other.priority[i - g];
                 }
             }
-            // Per-gene mutation.
-            for (int i = 0; i < g; ++i) {
-                if (rng_.bernoulli(mutation_cut))
-                    child.accelSel[i] = rng_.uniformInt(n_accels);
-                if (rng_.bernoulli(mutation_cut))
-                    child.priority[i] = rng_.uniform();
-            }
+            MagmaGa::mutate(child, mutation_cut, n_accels, rng_);
         }
         // Whole-generation batch evaluation of the bred children.
         pop.advance(rec, elites);

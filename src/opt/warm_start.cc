@@ -2,86 +2,100 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
 #include <stdexcept>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 
+#include "cost/cost_key.h"
 #include "opt/magma_ga.h"
 
 namespace magma::opt {
 namespace {
 
-/** Similarity bucket for job-matched transfer: task + layer type +
- * log2-size class of the job's MAC count. */
-std::string
-jobKey(const dnn::Job& job, bool with_size)
+/** Similarity bucket for job-matched transfer: task + layer type, plus
+ * the log2-size class of the job's MAC count in the fine tier. The tag
+ * in the top bits keeps the fine and coarse tiers apart. */
+uint64_t
+similarKey(const dnn::Job& job, bool with_size)
 {
-    // Appended piecewise: `+= "/" + std::to_string(...)` trips GCC 12's
-    // -Wrestrict false positive (PR 105651) under -O2.
-    std::string key = "f:";
-    if (!with_size)
-        key = "c:";
-    key += dnn::taskTypeName(job.task);
-    key += '/';
-    key += dnn::layerTypeName(job.layer.type);
+    uint64_t key = (with_size ? 1ull : 2ull) << 62;
+    key |= static_cast<uint64_t>(job.task) << 40;
+    key |= static_cast<uint64_t>(job.layer.type) << 32;
     if (with_size) {
         int bucket = static_cast<int>(
             std::log2(static_cast<double>(std::max<int64_t>(job.macs(),
                                                             1))));
-        key += '/';
-        key += std::to_string(bucket / 2);  // 4x-wide size classes
+        key |= static_cast<uint32_t>(bucket / 2);  // 4x-wide size classes
     }
     return key;
 }
 
-/** Exact identity bucket: model + full layer signature + batch — the
- * tier a job surviving across events lands in, so it inherits its own
- * gene (duplicates round-robin over the duplicate pool in order). */
-std::string
-exactKey(const dnn::Job& job)
-{
-    std::string key = "e:";
-    key += job.model;
-    key += '/';
-    key += dnn::taskTypeName(job.task);
-    key += '/';
-    key += job.layer.toString();
-    key += '/';
-    key += std::to_string(job.batch);
-    return key;
-}
+/** Exact identity bucket: model + task + full layer signature + batch —
+ * the tier a job surviving across events lands in, so it inherits its
+ * own gene (duplicates round-robin over the duplicate pool in order). */
+struct ExactKey {
+    std::string_view model;
+    dnn::TaskType task;
+    cost::LayerKey layer;
+
+    explicit ExactKey(const dnn::Job& job)
+        : model(job.model), task(job.task),
+          layer(cost::layerKey(job.layer, job.batch))
+    {}
+    bool operator==(const ExactKey&) const = default;
+
+    struct Hash {
+        size_t operator()(const ExactKey& k) const noexcept
+        {
+            return std::hash<std::string_view>{}(k.model) ^
+                   (cost::LayerKey::Hash{}(k.layer) +
+                    static_cast<size_t>(k.task));
+        }
+    };
+};
+
+/** One bucket's stored jobs and its round-robin cursor. */
+struct Pool {
+    std::vector<int> jobs;
+    int cursor = 0;
+
+    int next() { return jobs[cursor++ % static_cast<int>(jobs.size())]; }
+};
 
 /**
  * Similarity index over a stored group: exact -> fine -> coarse bucket
  * pools with per-bucket round-robin cursors, shared by adaptJobMatched
- * and adaptMatched so the two paths cannot drift.
+ * and adaptMatched so the two paths cannot drift. Exact keys view the
+ * stored group's model names, so the index must not outlive it.
  */
 struct MatchIndex {
     // Determinism audit: both maps are keyed find/lookup only, never
     // iterated — matchFor probes fixed key tiers in a fixed order, so
     // hash order cannot influence which stored job is returned.
-    std::unordered_map<std::string, std::vector<int>> pools;
-    std::unordered_map<std::string, int> cursor;
+    std::unordered_map<ExactKey, Pool, ExactKey::Hash> exact;
+    std::unordered_map<uint64_t, Pool> similar;
 
     explicit MatchIndex(const dnn::JobGroup& stored_group)
     {
         for (int j = 0; j < stored_group.size(); ++j) {
             const dnn::Job& job = stored_group.jobs[j];
-            pools[exactKey(job)].push_back(j);
-            pools[jobKey(job, true)].push_back(j);
-            pools[jobKey(job, false)].push_back(j);
+            exact[ExactKey(job)].jobs.push_back(j);
+            similar[similarKey(job, true)].jobs.push_back(j);
+            similar[similarKey(job, false)].jobs.push_back(j);
         }
     }
 
     /** Stored-job index for `job`, or -1 when no tier matches. */
     int matchFor(const dnn::Job& job)
     {
-        for (const std::string& key :
-             {exactKey(job), jobKey(job, true), jobKey(job, false)}) {
-            auto it = pools.find(key);
-            if (it != pools.end())
-                return it->second[cursor[key]++ %
-                                  static_cast<int>(it->second.size())];
+        if (auto it = exact.find(ExactKey(job)); it != exact.end())
+            return it->second.next();
+        for (bool with_size : {true, false}) {
+            auto it = similar.find(similarKey(job, with_size));
+            if (it != similar.end())
+                return it->second.next();
         }
         return -1;
     }
@@ -155,7 +169,9 @@ adaptMatched(const sched::Mapping& stored,
     if (static_cast<int>(match.size()) != target.size())
         throw std::invalid_argument(
             "adaptMatched: match vector size != target group size");
-    MatchIndex index(stored_group);
+    // Built on the first new job only: a pure re-map (every job kept)
+    // never probes it.
+    std::optional<MatchIndex> index;
     sched::Mapping base;
     base.accelSel.resize(target.size());
     base.priority.resize(target.size());
@@ -164,8 +180,11 @@ adaptMatched(const sched::Mapping& stored,
         if (src >= stored.size())
             throw std::invalid_argument(
                 "adaptMatched: match index out of range");
-        if (src < 0)
-            src = index.matchFor(target.jobs[i]);
+        if (src < 0) {
+            if (!index)
+                index.emplace(stored_group);
+            src = index->matchFor(target.jobs[i]);
+        }
         if (src >= 0) {
             base.accelSel[i] = std::min(stored.accelSel[src],
                                         num_accels - 1);

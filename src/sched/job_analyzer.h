@@ -2,7 +2,6 @@
 #define MAGMA_SCHED_JOB_ANALYZER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/platform.h"
@@ -62,17 +61,19 @@ class JobAnalysisTable {
 
 /**
  * The Job Analyzer (Section IV-D2): profiles every job of a group on every
- * sub-accelerator through the cost model. Queries are memoised on
- * (layer shape, batch, sub-accelerator) because batched-job groups contain
- * many repeated layers.
+ * sub-accelerator through the cost model. Batched-job groups repeat
+ * layers and platforms repeat cores, so it issues one query per distinct
+ * (layer shape, batch) and distinct sub-accelerator configuration
+ * (cost::LayerKey x cost::ConfigKey) and copies the result to every
+ * matching cell.
  */
 class JobAnalyzer {
   public:
     /**
      * `cache`, when given, memoizes cost-model results process-wide
      * (exec::CostCache) so repeated analyze() calls — BW sweeps,
-     * sub-accel-combination sweeps, identically-configured cores — skip
-     * the cost model entirely on a hit.
+     * sub-accel-combination sweeps, rebuilt problems — skip the cost
+     * model entirely on a hit.
      */
     explicit JobAnalyzer(const cost::CostModel& model,
                          exec::CostCache* cache = nullptr)

@@ -396,6 +396,43 @@ TEST(DynTransfer, AdaptJobMatchedShrinkHitsExactTier)
     }
 }
 
+TEST(DynTransfer, AdaptMatchedExactTierKeysOnModelLayerAndBatch)
+{
+    // New jobs (match -1) that each equal one stored job in model, task,
+    // layer and batch inherit that job's gene, even where the stored jobs
+    // differ from each other in one of those fields alone.
+    auto job = [](const char* model, dnn::LayerShape layer, int batch) {
+        dnn::Job j;
+        j.model = model;
+        j.task = dnn::TaskType::Vision;
+        j.layer = layer;
+        j.batch = batch;
+        return j;
+    };
+    dnn::JobGroup stored_group;
+    stored_group.task = dnn::TaskType::Vision;
+    stored_group.jobs = {
+        job("A", dnn::fc(64, 32), 1),
+        job("A", dnn::fc(64, 32), 4),
+        job("B", dnn::fc(64, 32), 1),
+        job("A", dnn::conv(16, 8, 7, 7, 3, 3, 1), 1),
+        job("A", dnn::conv(16, 8, 7, 7, 3, 3, 2), 1),
+    };
+    const int n = stored_group.size();
+    common::Rng rng(29);
+    sched::Mapping stored = sched::Mapping::random(n, 4, rng);
+
+    dnn::JobGroup target;
+    target.task = stored_group.task;
+    target.jobs.assign(stored_group.jobs.rbegin(), stored_group.jobs.rend());
+    sched::Mapping adapted = opt::transfer::adaptMatched(
+        stored, stored_group, target, std::vector<int>(n, -1), 4, rng);
+    for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(stored.accelSel[n - 1 - i], adapted.accelSel[i]) << i;
+        EXPECT_EQ(stored.priority[n - 1 - i], adapted.priority[i]) << i;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Event engine
 // ---------------------------------------------------------------------

@@ -5,8 +5,10 @@
  */
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -303,6 +305,74 @@ TEST(CostCache, DiscriminatesConfigAndModelParams)
     EXPECT_EQ(s.hits, 0);
     EXPECT_EQ(s.misses, 5);
     EXPECT_EQ(s.entries, 5);
+
+    // Every key field alone, each from the same base query.
+    struct Query {
+        dnn::LayerShape layer;
+        int batch;
+        cost::SubAccelConfig cfg;
+        cost::EnergyParams energy;
+        int bw_bucket;
+    };
+    const Query base{layer, 4, hb, {}, 0};
+    std::vector<std::pair<const char*, void (*)(Query&)>> edits = {
+        {"type",
+         [](Query& q) { q.layer.type = dnn::LayerType::PointwiseConv2d; }},
+        {"k", [](Query& q) { q.layer.k += 1; }},
+        {"c", [](Query& q) { q.layer.c += 1; }},
+        {"y", [](Query& q) { q.layer.y += 1; }},
+        {"x", [](Query& q) { q.layer.x += 1; }},
+        {"r", [](Query& q) { q.layer.r += 1; }},
+        {"s", [](Query& q) { q.layer.s += 1; }},
+        {"stride", [](Query& q) { q.layer.stride += 1; }},
+        {"batch", [](Query& q) { q.batch = 2; }},
+        {"dataflow",
+         [](Query& q) { q.cfg.dataflow = cost::DataflowStyle::LB; }},
+        {"rows", [](Query& q) { q.cfg.rows = 32; }},
+        {"cols", [](Query& q) { q.cfg.cols = 32; }},
+        {"slBytes", [](Query& q) { q.cfg.slBytes *= 2.0; }},
+        {"sgBytes", [](Query& q) { q.cfg.sgBytes *= 2.0; }},
+        {"freqGhz", [](Query& q) { q.cfg.freqGhz *= 2.0; }},
+        {"bytesPerElem", [](Query& q) { q.cfg.bytesPerElem *= 2.0; }},
+        {"nocElemsPerCycle", [](Query& q) { q.cfg.nocElemsPerCycle *= 2.0; }},
+        {"nocLatency", [](Query& q) { q.cfg.nocLatency *= 2.0; }},
+        {"flexibleShape", [](Query& q) { q.cfg.flexibleShape = true; }},
+        {"macPj", [](Query& q) { q.energy.macPj *= 2.0; }},
+        {"slPj", [](Query& q) { q.energy.slPj *= 2.0; }},
+        {"sgPj", [](Query& q) { q.energy.sgPj *= 2.0; }},
+        {"dramPjPerByte", [](Query& q) { q.energy.dramPjPerByte *= 2.0; }},
+        {"bw_bucket", [](Query& q) { q.bw_bucket = 1; }},
+        // +0.0 and -0.0 compare equal but are distinct keys.
+        {"+0.0", [](Query& q) { q.cfg.nocLatency = 0.0; }},
+        {"-0.0", [](Query& q) { q.cfg.nocLatency = -0.0; }},
+        {"nudged", [](Query& q) {
+             q.cfg.sgBytes = std::nextafter(q.cfg.sgBytes, 1e12);
+         }},
+    };
+    exec::CostCache fields(4);
+    auto run = [&fields](const Query& q) {
+        fields.analyze(cost::CostModel(q.energy), q.layer, q.batch, q.cfg,
+                       q.bw_bucket);
+    };
+    run(base);
+    int64_t expected = 1;
+    for (const auto& [name, edit] : edits) {
+        Query q = base;
+        edit(q);
+        run(q);
+        ++expected;
+        s = fields.stats();
+        EXPECT_EQ(s.misses, expected) << name;
+        EXPECT_EQ(s.entries, expected) << name;
+    }
+    EXPECT_EQ(fields.stats().hits, 0);
+
+    // The name is not a cost input: renaming the core hits.
+    Query renamed = base;
+    renamed.cfg.name = "another name";
+    run(renamed);
+    EXPECT_EQ(fields.stats().hits, 1);
+    EXPECT_EQ(fields.stats().entries, expected);
 }
 
 TEST(CostCache, ClearResetsEverything)

@@ -885,7 +885,8 @@ TEST(Observability, InstrumentationShapeIsPinned)
               (std::map<std::string, int64_t>{
                   {"serve.queue_wait", 2},
                   {"serve.request", 1},
-                  {"serve.request/exec.cost_cache.probe", 24},
+                  // 6 distinct (shape, batch) x 2 distinct S2 configs.
+                  {"serve.request/exec.cost_cache.probe", 12},
                   {"serve.request/serve.search", 1},
                   {"serve.request/serve.search/opt.search", 1},
                   {"serve.request/serve.search/opt.search/opt.breed", 24},

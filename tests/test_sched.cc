@@ -2,10 +2,16 @@
  * evaluator. */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "exec/cost_cache.h"
 #include "m3e/problem.h"
 #include "sched/bw_allocator.h"
 #include "sched/evaluator.h"
@@ -160,8 +166,118 @@ TEST(JobAnalyzer, MemoisesRepeatedLayers)
     sched::JobAnalyzer analyzer(model);
     accel::Platform p = accel::makeSetting(accel::Setting::S1, 16.0);
     analyzer.analyze(g, p);
-    // 1 unique shape x 4 identical sub-accelerators = 4 unique queries.
-    EXPECT_EQ(analyzer.lastUniqueQueries(), 4);
+    // 1 unique shape x 1 configuration shared by 4 identical cores.
+    EXPECT_EQ(analyzer.lastUniqueQueries(), 1);
+}
+
+namespace {
+
+/** Every setting, fixed-shape and flexible. */
+std::vector<accel::Platform>
+allPlatforms()
+{
+    std::vector<accel::Platform> out;
+    for (accel::Setting s : {accel::Setting::S1, accel::Setting::S2,
+                             accel::Setting::S3, accel::Setting::S4,
+                             accel::Setting::S5, accel::Setting::S6}) {
+        out.push_back(accel::makeSetting(s, 16.0));
+        out.push_back(accel::makeFlexibleSetting(s, 16.0));
+    }
+    return out;
+}
+
+uint64_t
+bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+/** Distinct (shape, batch) pairs, counted through the shape text. */
+int64_t
+distinctShapes(const dnn::JobGroup& g)
+{
+    std::set<std::pair<std::string, int>> seen;
+    for (const dnn::Job& j : g.jobs)
+        seen.emplace(j.layer.toString(), j.batch);
+    return static_cast<int64_t>(seen.size());
+}
+
+}  // namespace
+
+TEST(JobAnalyzer, TableBitwiseEqualsPerCellQueries)
+{
+    dnn::WorkloadGenerator gen(11);
+    dnn::JobGroup group = gen.makeGroup(dnn::TaskType::Mix, 40);
+    cost::CostModel model;
+    for (const accel::Platform& p : allPlatforms()) {
+        exec::CostCache cache;
+        sched::JobAnalyzer plain(model);
+        sched::JobAnalyzer cached(model, &cache);
+        // Cold and warm cache builds.
+        std::vector<JobAnalysisTable> tables = {
+            plain.analyze(group, p), cached.analyze(group, p),
+            cached.analyze(group, p)};
+        for (int j = 0; j < group.size(); ++j) {
+            const dnn::Job& job = group.jobs[j];
+            for (int a = 0; a < p.numSubAccels(); ++a) {
+                const cost::SubAccelConfig& cfg = p.subAccels[a];
+                cost::CostResult r = model.analyze(job.layer, job.batch, cfg);
+                for (const JobAnalysisTable& t : tables) {
+                    const JobProfile& got = t.lookup(j, a);
+                    ASSERT_EQ(bits(got.noStallSeconds),
+                              bits(r.noStallSeconds(cfg)))
+                        << p.name << " job " << j << " core " << a;
+                    ASSERT_EQ(bits(got.reqBwGbps), bits(r.reqBwGbps));
+                    ASSERT_EQ(bits(got.dramBytes), bits(r.dramBytes));
+                    ASSERT_EQ(bits(got.energyPj), bits(r.energyPj));
+                    ASSERT_EQ(got.macs, r.macs);
+                }
+            }
+        }
+    }
+}
+
+TEST(JobAnalyzer, OneQueryPerDistinctShapeAndConfiguration)
+{
+    dnn::WorkloadGenerator gen(5);
+    dnn::JobGroup group = gen.makeGroup(dnn::TaskType::Mix, 60);
+    const int64_t shapes = distinctShapes(group);
+    ASSERT_LT(shapes, group.size());  // the group repeats layers
+    cost::CostModel model;
+    sched::JobAnalyzer analyzer(model);
+
+    for (const accel::Platform& p : allPlatforms()) {
+        std::set<std::string> configs;  // every core field but the name
+        for (const cost::SubAccelConfig& c : p.subAccels) {
+            cost::SubAccelConfig unnamed = c;
+            unnamed.name.clear();
+            std::ostringstream os;
+            os << static_cast<int>(unnamed.dataflow) << ' ' << unnamed.rows
+               << ' ' << unnamed.cols << ' ' << bits(unnamed.slBytes) << ' '
+               << bits(unnamed.sgBytes) << ' ' << bits(unnamed.freqGhz)
+               << ' ' << bits(unnamed.bytesPerElem) << ' '
+               << bits(unnamed.nocElemsPerCycle) << ' '
+               << bits(unnamed.nocLatency) << ' ' << unnamed.flexibleShape;
+            configs.insert(os.str());
+        }
+        analyzer.analyze(group, p);
+        EXPECT_EQ(analyzer.lastUniqueQueries(),
+                  shapes * static_cast<int64_t>(configs.size()))
+            << p.name;
+    }
+
+    // Cores that differ only in name share a column.
+    accel::Platform twins = accel::makeSetting(accel::Setting::S1, 16.0);
+    twins.subAccels.resize(2);
+    twins.subAccels[1].name = "another name";
+    analyzer.analyze(group, twins);
+    EXPECT_EQ(analyzer.lastUniqueQueries(), shapes);
+
+    // One cost field apart: two columns, and the second one differs.
+    twins.subAccels[1].nocLatency = 7.0;
+    JobAnalysisTable t = analyzer.analyze(group, twins);
+    EXPECT_EQ(analyzer.lastUniqueQueries(), 2 * shapes);
+    EXPECT_NE(t.lookup(0, 0).noStallSeconds, t.lookup(0, 1).noStallSeconds);
 }
 
 // ---------------------------------------------------------- allocator ----
