@@ -2,7 +2,7 @@
  * @file
  * m3e_dyn — replay a timed dynamic-workload trace (src/dyn/).
  *
- * Loads a "magma-workload-trace v1" file (see examples/specs/*.trace),
+ * Loads a "magma-workload-trace v1" file (samples in examples/specs/),
  * replays its Arrive/Depart/Swap events through a dyn::EventEngine and
  * prints one line per event: how the incremental re-map was seeded
  * (previous mapping / store / archive / cold), the budget it got, the
@@ -202,7 +202,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "timeline written: %s\n",
                      args.timelinePath.c_str());
     if (!args.storePath.empty()) {
-        if (!store.saveFile(args.storePath)) {
+        if (!store.compact(args.storePath)) {
             std::fprintf(stderr, "m3e_dyn: could not save store '%s'\n",
                          args.storePath.c_str());
             return 1;

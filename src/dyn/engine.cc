@@ -262,6 +262,17 @@ EventEngine::step(const WorkloadEvent& ev)
     return rec;
 }
 
+void
+DynResult::add(EventRecord rec)
+{
+    totalSamples += rec.samplesUsed;
+    totalStallSeconds += rec.charge.totalStallSeconds;
+    totalReloadBytes += rec.charge.reloadBytes;
+    finalMakespanSeconds = rec.steadyMakespanSeconds;
+    finalFitness = rec.fitness;
+    records.push_back(std::move(rec));
+}
+
 DynResult
 EventEngine::replay(const WorkloadTrace& trace)
 {
@@ -269,15 +280,8 @@ EventEngine::replay(const WorkloadTrace& trace)
     reset(trace.base);
     DynResult result;
     result.records.reserve(trace.events.size());
-    for (const WorkloadEvent& ev : trace.events) {
-        EventRecord rec = step(ev);
-        result.totalSamples += rec.samplesUsed;
-        result.totalStallSeconds += rec.charge.totalStallSeconds;
-        result.totalReloadBytes += rec.charge.reloadBytes;
-        result.finalMakespanSeconds = rec.steadyMakespanSeconds;
-        result.finalFitness = rec.fitness;
-        result.records.push_back(std::move(rec));
-    }
+    for (const WorkloadEvent& ev : trace.events)
+        result.add(step(ev));
     return result;
 }
 

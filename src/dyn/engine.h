@@ -80,6 +80,9 @@ struct DynResult {
      * the platform). */
     double finalMakespanSeconds = 0.0;
     double finalFitness = 0.0;
+
+    /** Fold one event's record into the totals and append it. */
+    void add(EventRecord rec);
 };
 
 /**

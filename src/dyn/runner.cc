@@ -119,12 +119,7 @@ Runner::run(const WorkloadTrace& trace)
         if (opts_.printEvents)
             std::printf("%s\n",
                         eventLine(static_cast<int64_t>(i), rec).c_str());
-        report.result.totalSamples += rec.samplesUsed;
-        report.result.totalStallSeconds += rec.charge.totalStallSeconds;
-        report.result.totalReloadBytes += rec.charge.reloadBytes;
-        report.result.finalMakespanSeconds = rec.steadyMakespanSeconds;
-        report.result.finalFitness = rec.fitness;
-        report.result.records.push_back(std::move(rec));
+        report.result.add(std::move(rec));
     }
     report.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -7,11 +7,6 @@
 
 namespace magma::exec {
 
-CostCache::CostCache(int shards)
-    : shards_(new Shard[shards > 0 ? shards : 1]),
-      num_shards_(shards > 0 ? shards : 1)
-{}
-
 cost::CostResult
 CostCache::analyze(const cost::CostModel& model, const dnn::LayerShape& layer,
                    int batch, const cost::SubAccelConfig& cfg, int bw_bucket)
@@ -20,12 +15,11 @@ CostCache::analyze(const cost::CostModel& model, const dnn::LayerShape& layer,
     const cost::CostKey key =
         cost::costKey(cost::layerKey(layer, batch), cost::configKey(cfg),
                       model.energy(), bw_bucket);
-    Shard& shard = shards_[cost::CostKey::Hash{}(key) % num_shards_];
 
     {
-        std::shared_lock<std::shared_mutex> lock(shard.mu);
-        auto it = shard.map.find(key);
-        if (it != shard.map.end()) {
+        std::shared_lock<std::shared_mutex> lock(mu_);
+        auto it = map_.find(key);
+        if (it != map_.end()) {
             hits_.fetch_add(1, std::memory_order_relaxed);
             return it->second;
         }
@@ -34,10 +28,10 @@ CostCache::analyze(const cost::CostModel& model, const dnn::LayerShape& layer,
     misses_.fetch_add(1, std::memory_order_relaxed);
     cost::CostResult r = model.analyze(layer, batch, cfg);
 
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
+    std::unique_lock<std::shared_mutex> lock(mu_);
     // A racing miss may have inserted first; keep the existing entry so
     // every reader observes one canonical value.
-    auto [it, inserted] = shard.map.emplace(key, r);
+    auto [it, inserted] = map_.emplace(key, r);
     return it->second;
 }
 
@@ -47,19 +41,17 @@ CostCache::stats() const
     CostCacheStats s;
     s.hits = hits_.load(std::memory_order_relaxed);
     s.misses = misses_.load(std::memory_order_relaxed);
-    for (int i = 0; i < num_shards_; ++i) {
-        std::shared_lock<std::shared_mutex> lock(shards_[i].mu);
-        s.entries += static_cast<int64_t>(shards_[i].map.size());
-    }
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    s.entries = static_cast<int64_t>(map_.size());
     return s;
 }
 
 void
 CostCache::clear()
 {
-    for (int i = 0; i < num_shards_; ++i) {
-        std::unique_lock<std::shared_mutex> lock(shards_[i].mu);
-        shards_[i].map.clear();
+    {
+        std::unique_lock<std::shared_mutex> lock(mu_);
+        map_.clear();
     }
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
@@ -68,7 +60,7 @@ CostCache::clear()
 CostCache&
 CostCache::global()
 {
-    static CostCache cache(16);
+    static CostCache cache;
     // Pull-model gauges: the cache keeps its own atomics and mirrors
     // them into the registry only when a snapshot is taken, so the
     // analyze() hot path pays nothing for observability.

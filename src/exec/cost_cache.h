@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <shared_mutex>
 #include <unordered_map>
 
@@ -27,7 +26,8 @@ struct CostCacheStats {
 };
 
 /**
- * Sharded, read-mostly memo of CostModel layer queries.
+ * Read-mostly memo of CostModel layer queries: one map under one
+ * shared_mutex.
  *
  * The cost model is deterministic: `analyze(layer, batch, cfg)` is a pure
  * function of its arguments, so its result can be memoized process-wide.
@@ -47,20 +47,19 @@ struct CostCacheStats {
  * bit pattern. A probe packs and hashes the key without formatting text,
  * so a hit is cheaper than the query it skips.
  *
- * Thread-safe: lookups take a shard's shared lock, inserts its exclusive
+ * Thread-safe: lookups take the shared lock, inserts the exclusive
  * lock; concurrent misses on the same key may both compute (results are
  * identical) and the first insert wins. Hit/miss counters are atomics.
  *
  * Memory order (audited; see docs/concurrency.md): the hit/miss
  * counters are relaxed because they are pure statistics — all cached
- * DATA moves under the shard shared_mutex, which provides every
- * ordering a reader needs. A stats() read concurrent with analyze()
- * calls may see hits+misses briefly disagree with per-shard sizes;
- * exactness holds at quiescent points (tests join threads first).
+ * DATA moves under the shared_mutex, which provides every ordering a
+ * reader needs. A stats() read concurrent with analyze() calls may see
+ * hits+misses briefly disagree with the map size; exactness holds at
+ * quiescent points (tests join threads first).
  */
 class CostCache {
   public:
-    explicit CostCache(int shards = 16);
 
     /**
      * Memoized CostModel::analyze. A hit returns a copy of the stored
@@ -83,17 +82,11 @@ class CostCache {
     static CostCache& global();
 
   private:
-    struct Shard {
-        mutable std::shared_mutex mu;
-        // Determinism audit: keyed find/emplace only (plus size() for
-        // stats), never iterated — hash order cannot reach results.
-        std::unordered_map<cost::CostKey, cost::CostResult,
-                           cost::CostKey::Hash>
-            map;
-    };
-
-    std::unique_ptr<Shard[]> shards_;
-    int num_shards_;
+    mutable std::shared_mutex mu_;
+    // Determinism audit: keyed find/emplace only (plus size() for
+    // stats), never iterated — hash order cannot reach results.
+    std::unordered_map<cost::CostKey, cost::CostResult, cost::CostKey::Hash>
+        map_;
     std::atomic<int64_t> hits_{0};
     std::atomic<int64_t> misses_{0};
 };

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -160,93 +159,78 @@ constexpr const char* kLogHeader = "magma-store-log v1\n";
 
 }  // namespace
 
-struct MappingStore::Shard {
-    struct Slot {
-        StoreEntry entry;
-        uint64_t lastUsed = 0;
-    };
-    mutable std::mutex mu;
-    // Determinism audit: the three iteration sites over this map (coarse
-    // scan, LRU victim scan, save collection) each carry an
-    // allow(unordered-iter) tag stating why their result is independent
-    // of hash order; everything else is keyed find/emplace/erase.
-    std::unordered_map<std::string, Slot> map;
-};
-
-MappingStore::MappingStore(int capacity, int shards)
-    : capacity_(std::max(1, capacity)),
-      num_shards_(std::max(1, shards)),
-      shards_(new Shard[std::max(1, shards)])
+MappingStore::MappingStore(int capacity) : capacity_(std::max(1, capacity))
 {}
 
 MappingStore::~MappingStore() { closeLog(); }
 
-MappingStore::Shard&
-MappingStore::shardFor(const std::string& key) const
-{
-    return shards_[std::hash<std::string>{}(key) % num_shards_];
-}
-
 std::optional<MappingStore::Hit>
 MappingStore::lookup(const Fingerprint& fp)
 {
-    {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++stats_.lookups;
-    }
+    std::lock_guard<std::mutex> lk(mu_);
+    ++stats_.lookups;
 
     // Tier 1: exact fine-fingerprint hit.
-    {
-        Shard& shard = shardFor(fp.key);
-        std::lock_guard<std::mutex> lk(shard.mu);
-        auto it = shard.map.find(fp.key);
-        if (it != shard.map.end()) {
-            it->second.lastUsed =
-                clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-            std::lock_guard<std::mutex> slk(stats_mu_);
-            ++stats_.exactHits;
-            return Hit{it->second.entry, /*exact=*/true};
-        }
+    auto it = map_.find(fp.key);
+    bool exact = it != map_.end();
+    if (!exact) {
+        // Tier 2: best entry sharing the coarse key. Key order plus a
+        // strict `>` hands fitness ties to the lowest key.
+        for (auto c = map_.begin(); c != map_.end(); ++c)
+            if (c->second.entry.coarse == fp.coarse &&
+                (it == map_.end() ||
+                 c->second.entry.fitness > it->second.entry.fitness))
+                it = c;
     }
+    if (it == map_.end()) {
+        ++stats_.misses;
+        return std::nullopt;
+    }
+    ++(exact ? stats_.exactHits : stats_.coarseHits);
+    it->second.lastUsed = ++clock_;
+    return Hit{it->second.entry, exact};
+}
 
-    // Tier 2: best entry sharing the coarse key (highest fitness, stable
-    // tie-break on key — deterministic for a fixed store content). The
-    // scan only records (key, fitness); the winning entry is copied once
-    // under its shard lock afterwards.
-    std::string best_key;
-    double best_fitness = 0.0;
-    for (int s = 0; s < num_shards_; ++s) {
-        std::lock_guard<std::mutex> lk(shards_[s].mu);
-        // magma-lint: allow(unordered-iter): max-by-(fitness, key) scan —
-        // the winner is the same whatever order the entries are visited.
-        for (const auto& [key, slot] : shards_[s].map) {
-            if (slot.entry.coarse != fp.coarse)
-                continue;
-            if (best_key.empty() || slot.entry.fitness > best_fitness ||
-                (slot.entry.fitness == best_fitness && key < best_key)) {
-                best_key = key;
-                best_fitness = slot.entry.fitness;
-            }
-        }
+bool
+MappingStore::putLocked(StoreEntry e)
+{
+    const uint64_t now = ++clock_;
+    auto it = map_.find(e.key);
+    if (it == map_.end()) {
+        std::string key = e.key;
+        map_.emplace(std::move(key), Slot{std::move(e), now});
+        ++stats_.inserts;
+        return true;
     }
-    if (!best_key.empty()) {
-        Shard& shard = shardFor(best_key);
-        std::lock_guard<std::mutex> lk(shard.mu);
-        auto it = shard.map.find(best_key);
-        if (it != shard.map.end()) {
-            it->second.lastUsed =
-                clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-            std::lock_guard<std::mutex> slk(stats_mu_);
-            ++stats_.coarseHits;
-            return Hit{it->second.entry, /*exact=*/false};
-        }
-        // Evicted between scan and re-lock (rare race): fall through to
-        // a miss rather than serving a stale copy.
+    StoreEntry& cur = it->second.entry;
+    it->second.lastUsed = now;
+    cur.samplesInvested += e.samplesInvested;
+    if (e.fitness > cur.fitness) {
+        cur.mapping = std::move(e.mapping);
+        cur.group = std::move(e.group);
+        cur.fitness = e.fitness;
+        ++stats_.improvements;
+        return true;
     }
+    ++stats_.rejects;
+    return false;
+}
 
-    std::lock_guard<std::mutex> slk(stats_mu_);
-    ++stats_.misses;
-    return std::nullopt;
+std::vector<std::string>
+MappingStore::evictLocked()
+{
+    std::vector<std::string> victims;
+    while (static_cast<int64_t>(map_.size()) > capacity_) {
+        // Ticks are unique under mu_, so the minimum is one entry.
+        auto victim = map_.begin();
+        for (auto it = map_.begin(); it != map_.end(); ++it)
+            if (it->second.lastUsed < victim->second.lastUsed)
+                victim = it;
+        victims.push_back(victim->first);
+        map_.erase(victim);
+        ++stats_.evictions;
+    }
+    return victims;
 }
 
 bool
@@ -256,120 +240,42 @@ MappingStore::update(const Fingerprint& fp, dnn::TaskType task,
 {
     if (best.size() == 0)
         return false;  // an empty mapping carries no transferable knowledge
-    bool changed = false;
-    bool inserted = false;
-    {
-        Shard& shard = shardFor(fp.key);
-        std::lock_guard<std::mutex> lk(shard.mu);
-        auto it = shard.map.find(fp.key);
-        uint64_t now = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (it == shard.map.end()) {
-            Shard::Slot slot;
-            slot.entry = StoreEntry{fp.key,  fp.coarse, task,
-                                    best,    group,     fitness,
-                                    samples_invested};
-            slot.lastUsed = now;
-            shard.map.emplace(fp.key, std::move(slot));
-            changed = inserted = true;
-        } else if (fitness > it->second.entry.fitness) {
-            it->second.entry.mapping = best;
-            it->second.entry.group = group;
-            it->second.entry.fitness = fitness;
-            it->second.entry.samplesInvested += samples_invested;
-            it->second.lastUsed = now;
-            changed = true;
-        } else {
-            it->second.entry.samplesInvested += samples_invested;
-            it->second.lastUsed = now;
-        }
+    StoreEntry e{fp.key,  fp.coarse, task,           best,
+                 group,   fitness,   samples_invested};
+
+    // One log_mu_ section covers the apply and the appends, so the log
+    // lists records in application order. mu_ is dropped before the
+    // fsyncs: lookups never wait on the disk.
+    std::lock_guard<std::mutex> log_lk(log_mu_);
+    std::string put_body;
+    if (log_) {
+        std::ostringstream payload;
+        writeEntry(payload, e);
+        put_body = payload.str();
     }
+    bool changed;
+    std::vector<std::string> evicted;
     {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        if (inserted) {
-            ++stats_.inserts;
-            ++stats_.entries;
-        } else if (changed) {
-            ++stats_.improvements;
-        } else {
-            ++stats_.rejects;
-        }
+        std::lock_guard<std::mutex> lk(mu_);
+        changed = putLocked(std::move(e));
+        evicted = evictLocked();
     }
-    {
+    if (log_) {
         // Log the put as submitted (not the winner): replay re-runs the
-        // same better-fitness-wins rule, so any interleaving of records
-        // converges to the same store content, and rejected write-backs
-        // still replay their samplesInvested accumulation.
-        std::lock_guard<std::mutex> lk(log_mu_);
-        if (log_) {
-            std::ostringstream payload;
-            writeEntry(payload, StoreEntry{fp.key, fp.coarse, task, best,
-                                           group, fitness,
-                                           samples_invested});
-            const std::string body = payload.str();
-            appendRecordLocked("put " + std::to_string(body.size()) + " " +
-                               fnv1a64Hex(body) + "\n" + body);
-        }
+        // same better-fitness-wins rule, and rejected write-backs still
+        // replay their samplesInvested accumulation.
+        appendRecordLocked("put " + std::to_string(put_body.size()) + " " +
+                           fnv1a64Hex(put_body) + "\n" + put_body);
+        for (const std::string& key : evicted)
+            appendRecordLocked("evict " + key + "\n");
     }
-    if (inserted)
-        enforceCapacity();
     return changed;
-}
-
-void
-MappingStore::enforceCapacity()
-{
-    // Lock every shard in index order (the store-wide operations — this,
-    // save, load, clear — all use the same order, so they cannot
-    // deadlock with one another).
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(num_shards_);
-    for (int s = 0; s < num_shards_; ++s)
-        locks.emplace_back(shards_[s].mu);
-
-    int64_t total = 0;
-    for (int s = 0; s < num_shards_; ++s)
-        total += static_cast<int64_t>(shards_[s].map.size());
-
-    std::vector<std::string> evicted_keys;
-    while (total > capacity_) {
-        int victim_shard = -1;
-        std::string victim_key;
-        uint64_t oldest = 0;
-        for (int s = 0; s < num_shards_; ++s) {
-            // magma-lint: allow(unordered-iter): min-by-(lastUsed, key)
-            // victim scan — order-independent for a fixed store content.
-            for (const auto& [key, slot] : shards_[s].map) {
-                if (victim_shard < 0 || slot.lastUsed < oldest ||
-                    (slot.lastUsed == oldest && key < victim_key)) {
-                    victim_shard = s;
-                    victim_key = key;
-                    oldest = slot.lastUsed;
-                }
-            }
-        }
-        shards_[victim_shard].map.erase(victim_key);
-        evicted_keys.push_back(std::move(victim_key));
-        --total;
-    }
-    locks.clear();  // release every shard before touching log_mu_
-
-    if (!evicted_keys.empty()) {
-        {
-            std::lock_guard<std::mutex> lk(stats_mu_);
-            stats_.evictions += static_cast<int64_t>(evicted_keys.size());
-            stats_.entries -= static_cast<int64_t>(evicted_keys.size());
-        }
-        std::lock_guard<std::mutex> lk(log_mu_);
-        if (log_)
-            for (const std::string& key : evicted_keys)
-                appendRecordLocked("evict " + key + "\n");
-    }
 }
 
 void
 MappingStore::recordTransferQuality(double trf0_over_refined)
 {
-    std::lock_guard<std::mutex> lk(stats_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     stats_.transferQualitySum += trf0_over_refined;
     ++stats_.transferQualityCount;
 }
@@ -377,29 +283,24 @@ MappingStore::recordTransferQuality(double trf0_over_refined)
 StoreStats
 MappingStore::stats() const
 {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    return stats_;
+    std::lock_guard<std::mutex> lk(mu_);
+    StoreStats s = stats_;
+    s.entries = static_cast<int64_t>(map_.size());
+    return s;
 }
 
 int64_t
 MappingStore::size() const
 {
-    int64_t total = 0;
-    for (int s = 0; s < num_shards_; ++s) {
-        std::lock_guard<std::mutex> lk(shards_[s].mu);
-        total += static_cast<int64_t>(shards_[s].map.size());
-    }
-    return total;
+    std::lock_guard<std::mutex> lk(mu_);
+    return static_cast<int64_t>(map_.size());
 }
 
 void
 MappingStore::clear()
 {
-    for (int s = 0; s < num_shards_; ++s) {
-        std::lock_guard<std::mutex> lk(shards_[s].mu);
-        shards_[s].map.clear();
-    }
-    std::lock_guard<std::mutex> lk(stats_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
+    map_.clear();
     stats_ = StoreStats{};
 }
 
@@ -408,36 +309,10 @@ MappingStore::clear()
 void
 MappingStore::save(std::ostream& os) const
 {
-    std::vector<StoreEntry> entries;
-    {
-        std::vector<std::unique_lock<std::mutex>> locks;
-        locks.reserve(num_shards_);
-        for (int s = 0; s < num_shards_; ++s)
-            locks.emplace_back(shards_[s].mu);
-        for (int s = 0; s < num_shards_; ++s)
-            // magma-lint: allow(unordered-iter): collection pass only;
-            // entries are key-sorted below before any byte is written.
-            for (const auto& [key, slot] : shards_[s].map)
-                entries.push_back(slot.entry);
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const StoreEntry& a, const StoreEntry& b) {
-                  return a.key < b.key;
-              });
-
-    os << "magma-store-snapshot v1 " << entries.size() << "\n";
-    for (const StoreEntry& e : entries)
-        writeEntry(os, e);
-}
-
-bool
-MappingStore::saveFile(const std::string& path) const
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    save(os);
-    return static_cast<bool>(os);
+    std::lock_guard<std::mutex> lk(mu_);
+    os << "magma-store-snapshot v1 " << map_.size() << "\n";
+    for (const auto& [key, slot] : map_)
+        writeEntry(os, slot.entry);
 }
 
 void
@@ -464,19 +339,14 @@ MappingStore::load(std::istream& is)
     for (size_t n = 0; n < count; ++n)
         parsed.push_back(parseEntry(is));
 
-    clear();
+    std::lock_guard<std::mutex> lk(mu_);
+    map_.clear();
     for (StoreEntry& e : parsed) {
-        Fingerprint fp{e.key, e.coarse};
-        update(fp, e.task, e.mapping, e.group, e.fitness,
-               e.samplesInvested);
+        putLocked(std::move(e));
+        evictLocked();
     }
-
-    // Reloaded knowledge starts with fresh process counters: only the
-    // entry count describes the store itself.
-    int64_t entries = size();
-    std::lock_guard<std::mutex> lk(stats_mu_);
+    // Reloaded knowledge starts with fresh process counters.
     stats_ = StoreStats{};
-    stats_.entries = entries;
 }
 
 bool
@@ -545,9 +415,9 @@ MappingStore::logRecords() const
 bool
 MappingStore::compact(const std::string& snapshot_path)
 {
-    // Holding log_mu_ across the snapshot blocks concurrent appends, so
-    // no put can slip between the fold and the truncation. Lock order
-    // log_mu_ -> shard mutexes matches the policy in the header.
+    // Holding log_mu_ across the snapshot blocks concurrent updates, so
+    // no put can slip between the fold and the truncation. save() takes
+    // mu_ inside it: the log_mu_ -> mu_ order of the header.
     std::lock_guard<std::mutex> lk(log_mu_);
 
     std::ostringstream text;
@@ -638,28 +508,23 @@ MappingStore::replayLog(const std::string& text)
             } catch (const std::invalid_argument&) {
                 break;
             }
-            update(Fingerprint{e.key, e.coarse}, e.task, e.mapping,
-                   e.group, e.fitness, e.samplesInvested);
+            // No capacity pass here: entries leave only on the evict
+            // records that follow, as they did in the live store.
+            std::lock_guard<std::mutex> lk(mu_);
+            putLocked(std::move(e));
             ++applied;
         } else if (kind == "evict") {
             std::string key;
             if (!(rs >> key) || key.empty())
                 break;
-            eraseKey(key);
+            std::lock_guard<std::mutex> lk(mu_);
+            map_.erase(key);
             ++applied;
         } else {
             break;
         }
     }
     return applied;
-}
-
-void
-MappingStore::eraseKey(const std::string& key)
-{
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lk(shard.mu);
-    shard.map.erase(key);
 }
 
 int64_t
@@ -682,12 +547,12 @@ MappingStore::recover(const std::string& snapshot_path,
         applied = replayLog(buf.str());
     }
 
-    // Replay ran through the normal update/evict path, which perturbs
-    // the process counters; recovered knowledge starts them fresh.
-    int64_t entries = size();
-    std::lock_guard<std::mutex> lk(stats_mu_);
+    // One capacity pass covers a torn trailing evict record. Replay
+    // perturbed the process counters; recovered knowledge starts them
+    // fresh.
+    std::lock_guard<std::mutex> lk(mu_);
+    evictLocked();
     stats_ = StoreStats{};
-    stats_.entries = entries;
     return applied;
 }
 

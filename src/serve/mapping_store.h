@@ -1,15 +1,14 @@
 #ifndef MAGMA_SERVE_MAPPING_STORE_H_
 #define MAGMA_SERVE_MAPPING_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <iosfwd>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "dnn/workload.h"
 #include "sched/mapping.h"
@@ -68,24 +67,26 @@ struct StoreStats {
  *  - keyed by workload Fingerprint with a two-tier lookup: exact fine key
  *    first, then the best entry sharing the coarse (task + platform) key;
  *  - bounded: at most `capacity` entries, least-recently-used evicted;
- *  - mutex-sharded: lookups and write-backs from concurrent worker lanes
- *    contend per shard, not store-wide;
+ *  - one key-ordered map under one mutex: a served request does one
+ *    lookup and one write-back next to a search that takes
+ *    milliseconds, so concurrent worker lanes share a single lock;
  *  - persistent: save()/load() stream a line-based snapshot format
  *    ("magma-store-snapshot v1", mappings via Mapping::toText, bitwise
  *    exact) so warm-start knowledge survives process restarts;
  *  - crash-safe: an optional append-log ("magma-store-log v1") records
- *    every put/evict with an fsync per record. recover() loads the last
- *    snapshot and replays the log, tolerating a torn final record, so a
- *    kill -9 mid-write loses at most the record being written. compact()
- *    folds the log back into the snapshot. See docs/formats.md.
+ *    every put/evict with an fsync per record, in the order they were
+ *    applied. recover() loads the last snapshot and replays the log,
+ *    tolerating a torn final record, so a kill -9 mid-write loses at
+ *    most the record being written. compact() folds the log back into
+ *    the snapshot. See docs/formats.md.
  *
  * Write-backs keep the better solution per key, so concurrent tenants of
  * one workload type compound each other's knowledge.
  */
 class MappingStore {
   public:
-    explicit MappingStore(int capacity = 64, int shards = 8);
-    ~MappingStore();  // out-of-line: Shard is incomplete here
+    explicit MappingStore(int capacity = 64);
+    ~MappingStore();
 
     /** A lookup hit: a copy of the entry plus which tier matched. */
     struct Hit {
@@ -95,8 +96,9 @@ class MappingStore {
 
     /**
      * Two-tier lookup. Among coarse candidates the highest-fitness entry
-     * wins (stable tie-break on key), so the result depends only on store
-     * content, never on shard iteration order. Bumps the hit's LRU clock.
+     * wins (ties go to the lowest key), so the result depends only on
+     * store content. Bumps the hit's LRU clock. Takes only `mu_`, so it
+     * never waits on a log fsync.
      */
     std::optional<Hit> lookup(const Fingerprint& fp);
 
@@ -104,7 +106,9 @@ class MappingStore {
      * Insert or improve the entry for `fp.key`. An existing entry is
      * replaced only when `fitness` beats it (first-writer wins ties), so
      * racing write-backs converge on the best known solution. Returns
-     * true when the store changed. May evict the LRU entry past capacity.
+     * true when the store changed. May evict the LRU entry past capacity;
+     * the put and its evictions are logged in one critical section, so
+     * the log lists them in the order they were applied.
      */
     bool update(const Fingerprint& fp, dnn::TaskType task,
                 const sched::Mapping& best, const dnn::JobGroup& group,
@@ -120,14 +124,14 @@ class MappingStore {
 
     /** Write every entry (sorted by key, deterministic) to the stream. */
     void save(std::ostream& os) const;
-    /** Save to a file; returns false when the file cannot be opened. */
-    bool saveFile(const std::string& path) const;
 
     /**
      * Replace the store content with the stream's entries. Atomic:
      * throws std::invalid_argument on a malformed stream and leaves the
      * current content untouched. Counters other than `entries` are not
-     * restored — they describe the process, not the knowledge.
+     * restored — they describe the process, not the knowledge. Entries
+     * are reinserted in stream order (key order for a saved snapshot)
+     * under the usual LRU bound. Nothing is appended to an attached log.
      */
     void load(std::istream& is);
     /** Load from a file; returns false when the file cannot be opened. */
@@ -160,11 +164,14 @@ class MappingStore {
 
     /**
      * Crash recovery: load `snapshot_path` (if present), then replay
-     * `log_path` (if present) through the normal update/evict rules.
-     * A torn final record — the kill -9 case — ends the replay cleanly;
-     * every fully written record is recovered. A malformed snapshot or a
-     * complete-but-wrong log header throws std::invalid_argument.
-     * Returns the number of log records applied.
+     * `log_path` (if present). Puts replay through the better-fitness-
+     * wins rule; entries leave only on `evict` records, so the result
+     * is the content the live store had, whatever its LRU clocks were.
+     * Capacity is enforced once at the end, which covers a torn
+     * trailing evict. A torn final record — the kill -9 case — ends the
+     * replay cleanly; every fully written record is recovered. A
+     * malformed snapshot or a complete-but-wrong log header throws
+     * std::invalid_argument. Returns the number of log records applied.
      */
     int64_t recover(const std::string& snapshot_path,
                     const std::string& log_path);
@@ -173,43 +180,40 @@ class MappingStore {
     int64_t logRecords() const;
 
   private:
-    struct Shard;
+    struct Slot {
+        StoreEntry entry;
+        uint64_t lastUsed = 0;
+    };
 
-    Shard& shardFor(const std::string& key) const;
-    /** Evict LRU entries until size <= capacity (locks all shards). */
-    void enforceCapacity();
-    /** Erase one key (replay of an evict record); no logging. */
-    void eraseKey(const std::string& key);
+    /** Apply one put (better fitness wins) and count it; true when the
+     * store changed. Caller holds mu_. */
+    bool putLocked(StoreEntry e);
+    /** Evict LRU entries until size <= capacity; returns the victims'
+     * keys in eviction order. Caller holds mu_. */
+    std::vector<std::string> evictLocked();
     /** Append one raw record and fsync it. Caller holds log_mu_. */
     void appendRecordLocked(const std::string& record);
     /** Replay buffered log text; returns records applied. */
     int64_t replayLog(const std::string& text);
 
-    int capacity_;
-    int num_shards_;
-    std::unique_ptr<Shard[]> shards_;
-    mutable std::mutex stats_mu_;
-    StoreStats stats_;
+    const int capacity_;
     /**
-     * Append-log state, all guarded by log_mu_. Lock order: log_mu_ may
-     * be taken while holding no shard mutex (update/eviction appends) or
-     * before the all-shard sequence (compact -> save), never after a
-     * shard mutex — so log appends and store-wide operations cannot
-     * deadlock. See docs/concurrency.md.
+     * Lock order: log_mu_ before mu_, never the reverse. update() and
+     * compact() take both; lookup() and the other readers take only
+     * mu_. See docs/concurrency.md.
      */
     mutable std::mutex log_mu_;
+    mutable std::mutex mu_;
+    // Guarded by mu_. Key-ordered, so every scan (coarse tier, LRU
+    // victim, save) visits entries in the same order for the same
+    // content.
+    std::map<std::string, Slot> map_;
+    StoreStats stats_;
+    uint64_t clock_ = 0;  ///< LRU tick source
+    // Append-log state, guarded by log_mu_.
     std::FILE* log_ = nullptr;
     std::string log_path_;
     int64_t log_records_ = 0;
-    /**
-     * LRU tick source. Memory order: relaxed fetch_add is correct —
-     * atomicity alone guarantees unique, monotonically increasing
-     * ticks, and every read/write of the `lastUsed` fields the ticks
-     * land in happens under a shard mutex (the eviction scan locks all
-     * shards), so no additional ordering is carried by the counter.
-     * See docs/concurrency.md.
-     */
-    std::atomic<uint64_t> clock_{0};
 };
 
 }  // namespace magma::serve

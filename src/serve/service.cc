@@ -32,7 +32,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 MappingService::MappingService(ServiceConfig cfg)
     : cfg_(cfg),
       reg_(cfg.registry ? cfg.registry : &obs::MetricsRegistry::global()),
-      store_(cfg.storeCapacity, cfg.storeShards)
+      store_(cfg.storeCapacity)
 {
     cfg_.workers = std::max(1, cfg_.workers);
     if (!cfg_.storePath.empty()) {

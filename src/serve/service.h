@@ -41,7 +41,6 @@ struct ServiceConfig {
     int threadsPerRequest = 1;
     /** Warm-start store bound (LRU-evicted past this). */
     int storeCapacity = 64;
-    int storeShards = 8;
     /**
      * When non-empty: the store's snapshot path. Construction runs crash
      * recovery (snapshot + "<storePath>.log" replay, tolerating a torn

@@ -112,14 +112,14 @@ TEST(DynTrace, HostileBundleNamesSurvive)
 {
     // name= is the last token and captures the rest of the line, so
     // spaces, '=', '#' and key-like text are all legal bundle names.
-    for (const std::string& name :
+    for (const char* name :
          {"my bundle", "a=b=c", "kind=depart", "x #y", "t=0 jobs=3",
           "trailing.inner  spaces ok (not at ends)"}) {
         ASSERT_TRUE(dyn::validBundleName(name)) << name;
         WorkloadEvent e = arrive(1.0, name, 3);
         EXPECT_EQ(e, WorkloadEvent::fromText(e.toText())) << name;
     }
-    for (const std::string& bad :
+    for (const char* bad :
          {"", " lead", "trail ", "\tlead", "nl\ninside"})
         EXPECT_FALSE(dyn::validBundleName(bad));
 }
@@ -127,7 +127,7 @@ TEST(DynTrace, HostileBundleNamesSurvive)
 TEST(DynTrace, MalformedEventsRejected)
 {
     // Missing required keys, recipe on a depart, junk keys/kinds.
-    for (const std::string& line :
+    for (const char* line :
          {"", "kind=arrive jobs=3 task=Vision seed=1 name=x",
           "t=0 jobs=3 task=Vision seed=1 name=x",
           "t=0 kind=arrive jobs=3 task=Vision seed=1",

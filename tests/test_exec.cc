@@ -255,7 +255,7 @@ TEST(OptimizerBatchParity, Random) { expectSerialBatchParity("Random"); }
 
 TEST(CostCache, HitReturnsColdMissValue)
 {
-    exec::CostCache cache(4);
+    exec::CostCache cache;
     cost::CostModel model;
     cost::SubAccelConfig cfg;
     dnn::LayerShape layer = dnn::conv(64, 32, 14, 14, 3, 3);
@@ -283,7 +283,7 @@ TEST(CostCache, HitReturnsColdMissValue)
 
 TEST(CostCache, DiscriminatesConfigAndModelParams)
 {
-    exec::CostCache cache(4);
+    exec::CostCache cache;
     cost::CostModel model;
     dnn::LayerShape layer = dnn::conv(64, 32, 14, 14, 3, 3);
 
@@ -349,7 +349,7 @@ TEST(CostCache, DiscriminatesConfigAndModelParams)
              q.cfg.sgBytes = std::nextafter(q.cfg.sgBytes, 1e12);
          }},
     };
-    exec::CostCache fields(4);
+    exec::CostCache fields;
     auto run = [&fields](const Query& q) {
         fields.analyze(cost::CostModel(q.energy), q.layer, q.batch, q.cfg,
                        q.bw_bucket);
@@ -377,7 +377,7 @@ TEST(CostCache, DiscriminatesConfigAndModelParams)
 
 TEST(CostCache, ClearResetsEverything)
 {
-    exec::CostCache cache(2);
+    exec::CostCache cache;
     cost::CostModel model;
     cost::SubAccelConfig cfg;
     dnn::LayerShape layer = dnn::fc(256, 128);

@@ -2,7 +2,7 @@
  * @file N-thread hammer tests for the shared mutable state of the
  * engine: serve::MappingStore (concurrent put/get/LRU-evict/save),
  * obs::MetricsRegistry (histogram record vs snapshot, counter identity),
- * exec::CostCache (shard contention on overlapping keys) and the
+ * exec::CostCache (contention on overlapping keys) and the
  * obs::Tracer rings (record vs drain).
  *
  * These tests are meaningful everywhere (the post-join invariants catch
@@ -12,6 +12,7 @@
  */
 
 #include <atomic>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -60,7 +61,7 @@ TEST(RaceStress, MappingStorePutGetEvict)
 {
     // Capacity far below the key population forces continuous LRU
     // eviction while other threads look up and write back.
-    serve::MappingStore store(/*capacity=*/16, /*shards=*/4);
+    serve::MappingStore store(/*capacity=*/16);
     dnn::JobGroup group = makeGroup(dnn::TaskType::Mix, 8, 1);
     sched::Mapping mapping = randomMapping(8, 4, 2);
 
@@ -79,8 +80,9 @@ TEST(RaceStress, MappingStorePutGetEvict)
                     break;
                 case 1: {
                     auto hit = store.lookup(fp);
-                    if (hit)
+                    if (hit) {
                         EXPECT_EQ(hit->entry.mapping.size(), mapping.size());
+                    }
                     break;
                 }
                 default:
@@ -104,7 +106,7 @@ TEST(RaceStress, MappingStorePutGetEvict)
 
 TEST(RaceStress, MappingStoreSaveWhileMutating)
 {
-    serve::MappingStore store(/*capacity=*/32, /*shards=*/4);
+    serve::MappingStore store(/*capacity=*/32);
     dnn::JobGroup group = makeGroup(dnn::TaskType::Vision, 6, 3);
     sched::Mapping mapping = randomMapping(6, 2, 4);
 
@@ -125,11 +127,11 @@ TEST(RaceStress, MappingStoreSaveWhileMutating)
         });
     }
     // Saves run concurrently with the writers: every snapshot must be a
-    // well-formed, loadable store image (save locks all shards).
+    // well-formed, loadable store image (save holds the store mutex).
     for (int round = 0; round < 10; ++round) {
         std::ostringstream os;
         store.save(os);
-        serve::MappingStore copy(/*capacity=*/64, /*shards=*/2);
+        serve::MappingStore copy(/*capacity=*/64);
         std::istringstream is(os.str());
         EXPECT_NO_THROW(copy.load(is));
         EXPECT_LE(copy.size(), 48);
@@ -137,6 +139,53 @@ TEST(RaceStress, MappingStoreSaveWhileMutating)
     stop.store(true, std::memory_order_relaxed);
     for (auto& th : writers)
         th.join();
+}
+
+TEST(RaceStress, MappingStoreLogRecoversLiveContent)
+{
+    // Racing writers evict continuously while lookups reorder the LRU.
+    // The log must list puts and evictions in the order they were
+    // applied, so replaying it rebuilds exactly the live content.
+    const std::string log_path = "race_store_recovery_test.log";
+    std::remove(log_path.c_str());
+    constexpr int kLoggedOps = 100;  // every put and evict is fsync'd
+    serve::MappingStore store(/*capacity=*/4);
+    ASSERT_TRUE(store.openLog(log_path));
+    dnn::JobGroup group = makeGroup(dnn::TaskType::Mix, 8, 5);
+    sched::Mapping mapping = randomMapping(8, 4, 6);
+
+    std::vector<std::thread> writers;
+    writers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        writers.emplace_back([&, t] {
+            for (int i = 0; i < kLoggedOps; ++i) {
+                int k = (t * 5 + i) % 12;
+                serve::Fingerprint fp{"log-key-" + std::to_string(k),
+                                      "log-coarse-" + std::to_string(k % 3)};
+                if (i % 2)
+                    (void)store.lookup(fp);
+                else
+                    store.update(fp, dnn::TaskType::Mix, mapping, group,
+                                 /*fitness=*/1.0 + (t * 7 + i) % 5,
+                                 /*samples=*/t + 1);
+            }
+        });
+    }
+    for (auto& th : writers)
+        th.join();
+    store.closeLog();
+
+    EXPECT_LE(store.size(), 4);
+    serve::StoreStats s = store.stats();
+    EXPECT_EQ(s.inserts - s.evictions, s.entries);
+
+    std::ostringstream live, replayed;
+    store.save(live);
+    serve::MappingStore recovered(/*capacity=*/4);
+    recovered.recover("race_store_no_such_snapshot", log_path);
+    recovered.save(replayed);
+    EXPECT_EQ(replayed.str(), live.str());
+    std::remove(log_path.c_str());
 }
 
 // ---------------------------------------------------- MetricsRegistry ---
@@ -206,9 +255,9 @@ TEST(RaceStress, MetricsRegistryLookupIdentity)
 
 // ----------------------------------------------------------- CostCache ---
 
-TEST(RaceStress, CostCacheShardContention)
+TEST(RaceStress, CostCacheOverlappingKeys)
 {
-    exec::CostCache cache(/*shards=*/4);
+    exec::CostCache cache;
     cost::CostModel model;
     cost::SubAccelConfig cfg;
 

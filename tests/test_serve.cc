@@ -255,7 +255,7 @@ TEST(MappingStore, WriteBackKeepsBetterSolution)
 TEST(MappingStore, LruEvictionPastCapacity)
 {
     accel::Platform s2 = accel::makeSetting(accel::Setting::S2, 4.0);
-    MappingStore store(/*capacity=*/2, /*shards=*/2);
+    MappingStore store(/*capacity=*/2);
 
     dnn::JobGroup g1 = makeGroup(dnn::TaskType::Vision, 8, 1);
     dnn::JobGroup g2 = makeGroup(dnn::TaskType::Language, 8, 1);
@@ -319,12 +319,10 @@ TEST(MappingStore, SaveLoadRoundTripsBitwise)
 
 TEST(MappingStore, HashOrderCannotReachOutputs)
 {
-    // Regression for the unordered-iteration audit: the store's three
-    // map-iteration sites (coarse scan, LRU victim scan, save) must be
-    // independent of hash/shard layout. Build the same content with
-    // different insertion orders AND different shard counts; every
-    // observable — saved text, coarse winner, eviction survivor set —
-    // must be identical.
+    // The store's three map-iteration sites (coarse scan, LRU victim
+    // scan, save) must depend only on store content. Build the same
+    // content in different insertion orders; every observable — saved
+    // text, coarse winner, eviction survivor set — must be identical.
     accel::Platform s2 = accel::makeSetting(accel::Setting::S2, 4.0);
     std::vector<Fingerprint> fps;
     std::vector<sched::Mapping> mappings;
@@ -338,11 +336,11 @@ TEST(MappingStore, HashOrderCannotReachOutputs)
     // Same fitness for several keys so tie-breaks are exercised.
     auto fitness = [](int i) { return 5.0 + (i % 3); };
 
-    MappingStore forward(/*capacity=*/64, /*shards=*/8);
+    MappingStore forward(/*capacity=*/64);
     for (int i = 0; i < 8; ++i)
         forward.update(fps[i], groups[i].task, mappings[i], groups[i],
                        fitness(i), 10);
-    MappingStore backward(/*capacity=*/64, /*shards=*/3);
+    MappingStore backward(/*capacity=*/64);
     for (int i = 7; i >= 0; --i)
         backward.update(fps[i], groups[i].task, mappings[i], groups[i],
                         fitness(i), 10);
@@ -354,7 +352,7 @@ TEST(MappingStore, HashOrderCannotReachOutputs)
 
     // Coarse-tier winner: same fingerprint distribution -> same coarse
     // key; the highest-fitness (tie: lowest key) entry must win in both
-    // stores regardless of shard layout.
+    // stores regardless of insertion order.
     dnn::JobGroup probe = makeGroup(dnn::TaskType::Mix, 8, 99);
     Fingerprint pf = serve::fingerprintOf(probe, s2);
     auto ha = forward.lookup(pf);
@@ -366,11 +364,10 @@ TEST(MappingStore, HashOrderCannotReachOutputs)
     EXPECT_EQ(ha->entry.mapping, hb->entry.mapping);
 
     // Eviction: shrink both to the same capacity; the survivor sets
-    // (and so the saved text) must still agree — the victim scan's
-    // (lastUsed, key) order is shard-independent. Touch entries in the
+    // (and so the saved text) must still agree. Touch entries in the
     // same sequence to give both stores identical LRU clocks.
-    MappingStore small_a(/*capacity=*/4, /*shards=*/8);
-    MappingStore small_b(/*capacity=*/4, /*shards=*/2);
+    MappingStore small_a(/*capacity=*/4);
+    MappingStore small_b(/*capacity=*/4);
     for (int i = 0; i < 8; ++i) {
         small_a.update(fps[i], groups[i].task, mappings[i], groups[i],
                        fitness(i), 10);
@@ -542,7 +539,7 @@ TEST(MappingStoreLog, EvictionRecordsReplayAndConverge)
     dnn::JobGroup g2 = makeGroup(dnn::TaskType::Language, 8, 1);
     dnn::JobGroup g3 = makeGroup(dnn::TaskType::Recommendation, 8, 1);
 
-    MappingStore store(/*capacity=*/2, /*shards=*/2);
+    MappingStore store(/*capacity=*/2);
     ASSERT_TRUE(store.openLog(log_path));
     store.update(serve::fingerprintOf(g1, s2), g1.task,
                  randomMapping(8, 4, 1), g1, 10.0, 5);
@@ -555,23 +552,78 @@ TEST(MappingStoreLog, EvictionRecordsReplayAndConverge)
 
     // Full replay into a same-capacity store reproduces the post-evict
     // content exactly.
-    MappingStore recovered(/*capacity=*/2, /*shards=*/4);
+    MappingStore recovered(/*capacity=*/2);
     recovered.recover("serve_store_log_no_such_snapshot", log_path);
     EXPECT_EQ(saveText(recovered), saveText(store));
 
-    // Tearing the trailing evict record does not matter: replaying the
-    // puts through the normal update path re-runs capacity enforcement,
-    // so the replayed store converges on the same survivors anyway.
+    // Tearing the trailing evict record does not matter here: the
+    // capacity pass at the end of recover() evicts the entry the lost
+    // record named, since no lookup reordered the LRU in between.
     const std::string full = slurp(log_path);
     {
         std::ofstream os(log_path, std::ios::binary | std::ios::trunc);
         os.write(full.data(),
                  static_cast<std::streamsize>(full.size() - 3));
     }
-    MappingStore torn(/*capacity=*/2, /*shards=*/2);
+    MappingStore torn(/*capacity=*/2);
     torn.recover("serve_store_log_no_such_snapshot", log_path);
     EXPECT_EQ(saveText(torn), saveText(store));
 
+    std::remove(log_path.c_str());
+}
+
+TEST(MappingStoreLog, RecoveryReproducesLiveLruOrder)
+{
+    // Recovery must not re-run the LRU on clocks it cannot reconstruct:
+    // a reloaded snapshot ticks its entries in key order, and lookups
+    // are not logged. Both cases evict B live; a replay that re-ran the
+    // LRU would evict A instead and then drop B on its evict record,
+    // leaving one entry where the live store had two.
+    const std::string snap = "serve_store_lru_recovery_test.snap";
+    const std::string log_path = snap + ".log";
+    dnn::JobGroup g = makeGroup(dnn::TaskType::Mix, 8, 1);
+    const Fingerprint a{"store-a", "coarse-a"};
+    const Fingerprint b{"store-b", "coarse-b"};
+    const Fingerprint c{"store-c", "coarse-c"};
+    auto put = [&](MappingStore& store, const Fingerprint& fp, int seed) {
+        store.update(fp, g.task, randomMapping(8, 4, seed), g, 1.0, 5);
+    };
+    auto recoverText = [&]() {
+        MappingStore recovered(/*capacity=*/2);
+        recovered.recover(snap, log_path);
+        return saveText(recovered);
+    };
+
+    {
+        // Case 1: B is older than A live, but the snapshot reloads A
+        // first.
+        std::remove(snap.c_str());
+        std::remove(log_path.c_str());
+        MappingStore store(/*capacity=*/2);
+        ASSERT_TRUE(store.openLog(log_path));
+        put(store, b, 1);
+        put(store, a, 2);
+        ASSERT_TRUE(store.compact(snap));
+        put(store, c, 3);
+        store.closeLog();
+        EXPECT_EQ(store.size(), 2);
+        EXPECT_EQ(recoverText(), saveText(store));
+    }
+    {
+        // Case 2: an unlogged lookup makes B the LRU entry live.
+        std::remove(snap.c_str());
+        std::remove(log_path.c_str());
+        MappingStore store(/*capacity=*/2);
+        ASSERT_TRUE(store.openLog(log_path));
+        put(store, a, 1);
+        put(store, b, 2);
+        ASSERT_TRUE(store.lookup(a).has_value());
+        put(store, c, 3);
+        store.closeLog();
+        EXPECT_EQ(store.size(), 2);
+        EXPECT_EQ(recoverText(), saveText(store));
+    }
+    std::remove(snap.c_str());
     std::remove(log_path.c_str());
 }
 
@@ -712,9 +764,13 @@ TEST(MappingService, PriorityLevelsBeforeFairness)
     MappingService service(cfg);
 
     std::vector<std::future<MapResponse>> futures;
+    // Assigned from a named string: g++ 12 at -O3 reports a false
+    // -Wrestrict on assigning the literal inside this loop (GCC bug
+    // 105651), which breaks the -DMAGMA_WERROR=ON build.
+    const std::string tenant_a = "A";
     for (int i = 0; i < 3; ++i) {
         MapRequest r = baseRequest(20 + i);
-        r.tenant = "A";
+        r.tenant = tenant_a;
         r.priority = 1;
         r.search.sampleBudget = 60;
         r.search.warmStart = false;
