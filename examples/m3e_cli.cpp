@@ -34,7 +34,8 @@
  * --stats prints the process-wide exec::CostCache counters (hits, misses,
  * entries) after the run — how much cost-model work memoization skipped —
  * read back through the obs::MetricsRegistry gauges, plus the eval-engine
- * counters when the observability level recorded them, plus (at
+ * counters when the observability level recorded them (with the share of
+ * MAGMA children stopped at their load bound), plus (at
  * MAGMA_METRICS=profile) the top-10 profiler nodes by self time.
  *
  * --metrics-out FILE writes the whole process metrics registry (and, at
@@ -396,6 +397,17 @@ main(int argc, char** argv)
                         counter("sched.flat.candidates"),
                         counter("sched.reference.candidates"),
                         counter("exec.eval.singles"));
+            const long long samples = counter("opt.samples");
+            const long long bounded = counter("opt.bounded_children");
+            // magma-lint: allow(double-format): console stats, never
+            // reparsed (the machine-readable path is --metrics-out).
+            std::printf("load bound: %lld of %lld samples stopped before "
+                        "simulating (%.1f%%), %lld re-scored for ties\n",
+                        bounded, samples,
+                        samples ? 100.0 * static_cast<double>(bounded) /
+                                      static_cast<double>(samples)
+                                : 0.0,
+                        counter("opt.bound_rescored"));
         }
         if (!snap.profile.empty()) {
             // Top-10 nodes by exclusive time; stable_sort keeps the

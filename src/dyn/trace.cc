@@ -145,34 +145,34 @@ WorkloadTrace::validate() const
     std::set<std::string> active;
     for (size_t i = 0; i < events.size(); ++i) {
         const WorkloadEvent& ev = events[i];
-        std::string at = "event " + std::to_string(i) + " ('" +
-                         ev.bundle + "'): ";
+        // The message prefix is built only on the way out.
+        auto fail = [&](const char* what) {
+            throw std::invalid_argument("event " + std::to_string(i) +
+                                        " ('" + ev.bundle + "'): " + what);
+        };
         if (!std::isfinite(ev.timeSeconds) || ev.timeSeconds < 0.0)
-            throw std::invalid_argument(at + "bad time");
+            fail("bad time");
         if (i > 0 && ev.timeSeconds < prev_t)
-            throw std::invalid_argument(at + "time decreases");
+            fail("time decreases");
         prev_t = ev.timeSeconds;
         if (!validBundleName(ev.bundle))
-            throw std::invalid_argument(at + "bad bundle name");
+            fail("bad bundle name");
         switch (ev.kind) {
         case EventKind::Arrive:
             if (ev.jobs <= 0)
-                throw std::invalid_argument(at + "arrive needs jobs > 0");
+                fail("arrive needs jobs > 0");
             if (!active.insert(ev.bundle).second)
-                throw std::invalid_argument(
-                    at + "arrive of an already-active bundle");
+                fail("arrive of an already-active bundle");
             break;
         case EventKind::Depart:
             if (active.erase(ev.bundle) == 0)
-                throw std::invalid_argument(
-                    at + "depart of an inactive bundle");
+                fail("depart of an inactive bundle");
             break;
         case EventKind::Swap:
             if (ev.jobs <= 0)
-                throw std::invalid_argument(at + "swap needs jobs > 0");
+                fail("swap needs jobs > 0");
             if (active.count(ev.bundle) == 0)
-                throw std::invalid_argument(
-                    at + "swap of an inactive bundle");
+                fail("swap of an inactive bundle");
             break;
         }
     }

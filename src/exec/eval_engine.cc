@@ -1,5 +1,8 @@
 #include "exec/eval_engine.h"
 
+#include <algorithm>
+#include <cassert>
+
 #include "obs/metrics.h"
 #include "obs/scope.h"
 
@@ -45,23 +48,32 @@ countBatch(size_t count, bool flat)
 }  // namespace
 
 std::vector<double>
-EvalEngine::evaluateBatch(const sched::Mapping* batch, size_t count) const
+EvalEngine::evaluateBatch(const sched::Mapping* batch, size_t count,
+                          double cutoff, uint8_t* bounded) const
 {
     countBatch(count, flat_ != nullptr);
     // span payload: i = batch size
     obs::Scope scope("exec.eval.batch", static_cast<int64_t>(count));
     std::vector<double> fitness(count);
+    if (bounded)
+        std::fill_n(bounded, count, uint8_t{0});
     if (flat_) {
+        const double makespan_cutoff = flat_->makespanCutoff(cutoff);
+        auto score = [&](size_t i, sched::EvalScratch& s) {
+            fitness[i] = flat_->fitness(batch[i], s, makespan_cutoff);
+            if (bounded)
+                bounded[i] = s.bounded();
+        };
         if (pool_->numThreads() == 1) {
             // Serial flat path: skip the pool's std::function dispatch —
             // one tight loop over lane 0's scratch.
             sched::EvalScratch& s = scratch_[0];
             for (size_t i = 0; i < count; ++i)
-                fitness[i] = flat_->fitness(batch[i], s);
+                score(i, s);
         } else {
             pool_->parallelForLane(
                 static_cast<int64_t>(count), [&](int lane, int64_t i) {
-                    fitness[i] = flat_->fitness(batch[i], scratch_[lane]);
+                    score(static_cast<size_t>(i), scratch_[lane]);
                 });
         }
     } else {
@@ -107,6 +119,15 @@ EvalEngine::fitnessOne(const sched::Mapping& m) const
     if (flat_)
         return flat_->fitness(m, scratch_[0]);
     return eval_->fitness(m);
+}
+
+double
+EvalEngine::rescore(const sched::Mapping& m) const
+{
+    assert(flat_);
+    sched::EvalScratch& s = scratch_[0];
+    flat_->simulate(m, s);
+    return flat_->objectiveValue(m, s);
 }
 
 }  // namespace magma::exec

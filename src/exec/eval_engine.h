@@ -1,6 +1,8 @@
 #ifndef MAGMA_EXEC_EVAL_ENGINE_H_
 #define MAGMA_EXEC_EVAL_ENGINE_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -78,9 +80,19 @@ class EvalEngine {
      * Fitness of `batch[first..first+count)`; result[i] corresponds to
      * batch[first + i]. Each evaluated mapping counts one sample on the
      * evaluator's meter, exactly like serial `fitness` calls.
+     *
+     * `cutoff` is a fitness: the flat kernel may stop a candidate proven
+     * to score below it at its load bound (FlatEvaluator::fitness), and
+     * result[i] is then an upper bound that is still below `cutoff`. The
+     * cutoff is converted to a makespan once per batch. The Reference
+     * kernel ignores it. When `bounded` is given, bounded[i] says whether
+     * candidate i stopped at its bound. The default -inf scores every
+     * candidate exactly.
      */
-    std::vector<double> evaluateBatch(const sched::Mapping* batch,
-                                      size_t count) const;
+    std::vector<double> evaluateBatch(
+        const sched::Mapping* batch, size_t count,
+        double cutoff = -std::numeric_limits<double>::infinity(),
+        uint8_t* bounded = nullptr) const;
 
     std::vector<double> evaluateBatch(
         const std::vector<sched::Mapping>& batch) const
@@ -114,6 +126,14 @@ class EvalEngine {
      * batch is in flight on the same engine.
      */
     double fitnessOne(const sched::Mapping& m) const;
+
+    /**
+     * Exact fitness of a candidate that a batch stopped at its bound, on
+     * the calling thread (lane 0); counts no sample, since the batch
+     * already did. Only the flat kernel bounds, so only a flat engine
+     * re-scores. Must not be called while a batch is in flight.
+     */
+    double rescore(const sched::Mapping& m) const;
 
   private:
     void initKernel(sched::EvalMode mode)

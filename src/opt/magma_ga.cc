@@ -136,7 +136,9 @@ MagmaGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
                     mutate(daughter, mutation_cut, n_accels, rng_);
             }
         }
-        pop.advance(rec, elites);
+        // Children scoring below the worst elite cannot breed, so the
+        // kernel may stop them at their load bound.
+        pop.advance(rec, elites, pop.eliteCutoff(elites));
     }
 }
 

@@ -1,6 +1,7 @@
 #ifndef MAGMA_OPT_OPTIMIZER_H_
 #define MAGMA_OPT_OPTIMIZER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -95,8 +96,24 @@ class SearchRecorder {
      * order, so the result is bitwise identical to looping `evaluate`
      * over the same candidates, at any thread count. Returns empty once
      * exhausted().
+     *
+     * `cutoff` and `bounded` are EvalEngine::evaluateBatch's: a candidate
+     * proven to score below `cutoff` may return an upper bound below it
+     * instead of its fitness, flagged in `bounded`, which must then cover
+     * the batch. It still costs one sample, and it cannot move the
+     * incumbent when `cutoff` is at most bestFitness(). With
+     * recordSamples the cutoff is ignored, so the sample log stays exact.
      */
-    std::vector<double> evaluateBatch(std::span<const sched::Mapping> ms);
+    std::vector<double> evaluateBatch(
+        std::span<const sched::Mapping> ms,
+        double cutoff = -std::numeric_limits<double>::infinity(),
+        std::span<uint8_t> bounded = {});
+
+    /**
+     * Exact fitness of a candidate a batch left at its bound; spends no
+     * budget and records nothing.
+     */
+    double rescore(const sched::Mapping& m);
 
     bool exhausted() const { return used_ >= opts_.sampleBudget; }
     int64_t remaining() const { return opts_.sampleBudget - used_; }
@@ -151,7 +168,9 @@ class GaPopulation {
     /**
      * Order the current generation by descending fitness. Sorting an
      * index array with the comparator std::sort would apply to the
-     * individuals yields the same order, ties included.
+     * individuals yields the same order, ties included. Populations of
+     * at most kSmallSort take smallSort(), the stable sort libstdc++'s
+     * std::sort runs at that size.
      */
     void rank();
     /** The r-th best individual as of the last rank(). */
@@ -164,16 +183,73 @@ class GaPopulation {
     sched::Mapping& child(int i) { return next_[i]; }
 
     /**
-     * Score next-generation slots [first, end) and make it the current
-     * generation.
+     * The cutoff for advance() once carryElites(elites) has run: the
+     * fitness of the worst carried elite. A child scoring below it cannot
+     * become an elite, so its exact fitness is only needed to reproduce
+     * rank()'s order. That order needs it when std::sort sees two
+     * different genomes of equal fitness at or above the cutoff. A
+     * population above kSmallSort whose carried elites hold such a tie
+     * gets -inf, which scores every child exactly: advance() would
+     * re-score every bounded child anyway.
      */
-    void advance(SearchRecorder& rec, int first);
+    double eliteCutoff(int elites) const;
+
+    /**
+     * Score next-generation slots [first, end) and make it the current
+     * generation. With a finite `cutoff` (only ever eliteCutoff()),
+     * children proven to score below it keep an upper bound instead of
+     * their fitness. If a child scored at or above the cutoff then ties a
+     * different genome there, the bounded children are re-scored exactly
+     * before the swap, so rank() orders exactly what an unbounded
+     * generation holds.
+     */
+    void advance(SearchRecorder& rec, int first,
+                 double cutoff = -std::numeric_limits<double>::infinity());
+
+    /** Largest population rank() sorts with smallSort(). */
+    static constexpr int kSmallSort = 16;
 
   private:
+    /**
+     * Whether slots [0, end) of the next generation hold two different
+     * genomes of equal fitness at or above `cutoff`.
+     */
+    bool tieAtOrAbove(double cutoff, int end);
+
     std::vector<sched::Mapping> cur_, next_;
     std::vector<double> curFit_, nextFit_;
     std::vector<int> order_;
+    std::vector<uint8_t> bounded_;  // per slot, from the last advance()
+    std::vector<int> top_;          // tieAtOrAbove() scratch
 };
+
+/**
+ * Sort [first, last) by `less` with the insertion sort libstdc++'s
+ * std::sort runs for 16 elements or fewer (std::__insertion_sort), step
+ * for step, so at that size both give the same order for any input. It
+ * is stable: equal elements keep their input order.
+ */
+template <class It, class Less>
+void
+smallSort(It first, It last, Less less)
+{
+    if (first == last)
+        return;
+    for (It i = first + 1; i != last; ++i) {
+        auto v = std::move(*i);
+        if (less(v, *first)) {
+            std::move_backward(first, i, i + 1);
+            *first = std::move(v);
+        } else {
+            It j = i;
+            for (It prev = j - 1; less(v, *prev); --prev) {
+                *j = std::move(*prev);
+                j = prev;
+            }
+            *j = std::move(v);
+        }
+    }
+}
 
 /**
  * Base class of every mapping-search method in M3E (Table IV): the manual

@@ -36,6 +36,22 @@ evalModeFromName(const std::string& name)
 
 namespace {
 
+/** A job completes once its remaining no-stall seconds are at most
+ * kDoneEps * max(1, now); the same value guards the zero-BW and zero-rate
+ * tests of a round. */
+constexpr double kDoneEps = 1e-18;
+
+// The load bound's margins; docs/architecture.md gives the argument.
+// L' = L * (1 - kBoundSlack) - G * kDoneEps * max(1, L) is a lower bound
+// on the simulated makespan for groups of at most kBoundMaxJobs jobs whose
+// busiest queue sums to at most kBoundMaxSeconds.
+constexpr double kBoundSlack = 1e-9;
+constexpr int kBoundMaxJobs = 100000;
+constexpr double kBoundMaxSeconds = 0x1p40;
+
+/** The makespan cutoff that bounds nothing. */
+constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
+
 /** Decode bucket count B = bit_ceil(2G): about two buckets per job, and a
  * power of two so that scaling a priority by it is exact. */
 int
@@ -192,14 +208,80 @@ FlatEvaluator::decodeInto(const Mapping& m, EvalScratch& s) const
     }
 }
 
+double
+FlatEvaluator::loadBound(const Mapping& m, EvalScratch& s) const
+{
+    // The per-queue sums need no queue order, so they come straight from
+    // the assignment genome; the rounds' slot array is free until then.
+    double* load = s.remaining_.data();
+    std::fill_n(load, accels_, 0.0);
+    const double* no_stall = no_stall_seconds_.data();
+    const int* sel = m.accelSel.data();
+    for (int j = 0; j < jobs_; ++j)
+        load[sel[j]] += no_stall[static_cast<size_t>(j) * accels_ + sel[j]];
+    const double busiest = *std::max_element(load, load + accels_);
+    // Past kBoundMaxSeconds a job may need more rounds than the margin
+    // covers; 0 is a lower bound on any makespan and bounds nothing.
+    if (!(busiest <= kBoundMaxSeconds))
+        return 0.0;
+    return busiest * (1.0 - kBoundSlack) -
+           static_cast<double>(jobs_) * kDoneEps * std::max(1.0, busiest);
+}
+
+double
+FlatEvaluator::makespanCutoff(double fitness_cutoff) const
+{
+    constexpr int kMaxSteps = 64;
+    if (objective_ != Objective::Throughput &&
+        objective_ != Objective::Latency)
+        return kNoCutoff;
+    if (jobs_ > kBoundMaxJobs || !std::isfinite(fitness_cutoff) ||
+        fitness_cutoff <= 0.0)
+        return kNoCutoff;
+    // Both objectives are c / makespan for a makespan > 0, rounded, so
+    // they are non-increasing in the makespan. Start from the quotient
+    // and step one ulp at a time to the least makespan scoring below.
+    auto below = [&](double makespan) {
+        return objectiveFromSimulation(objective_, makespan, 0.0,
+                                       total_flops_) < fitness_cutoff;
+    };
+    const double c = (objective_ == Objective::Throughput)
+                         ? static_cast<double>(total_flops_) / 1e9
+                         : 1.0;
+    double cut = c / fitness_cutoff;
+    if (!(cut > 0.0) || !std::isfinite(cut))
+        return kNoCutoff;
+    for (int i = 0; i < kMaxSteps && !below(cut); ++i)
+        cut = std::nextafter(cut, kNoCutoff);
+    if (!below(cut))
+        return kNoCutoff;
+    for (int i = 0; i < kMaxSteps; ++i) {
+        double lower = std::nextafter(cut, 0.0);
+        if (!(lower > 0.0) || !below(lower))
+            break;
+        cut = lower;
+    }
+    return cut;
+}
+
 template <bool kRecord>
 void
 FlatEvaluator::simulateRounds(const Mapping& m, EvalScratch& s,
-                              bool record_timeline) const
+                              bool record_timeline,
+                              double makespan_cutoff) const
 {
     assert(m.size() == jobs_);
     obs::Scope scope("sched.flat.simulate");
     s.ensure(jobs_, accels_);
+    s.bounded_ = false;
+    if (!kRecord && makespan_cutoff < kNoCutoff) {
+        double bound = loadBound(m, s);
+        if (bound >= makespan_cutoff) {
+            s.makespan_ = bound;
+            s.bounded_ = true;
+            return;
+        }
+    }
     decodeInto(m, s);
 
     const int num_accels = accels_;
@@ -263,7 +345,7 @@ FlatEvaluator::simulateRounds(const Mapping& m, EvalScratch& s,
     }
 
     double now = 0.0;
-    const double eps = 1e-18;
+    const double eps = kDoneEps;
     while (live_count > 0) {
         // Allocation + earliest-completion scan, one fused pass. In an
         // unconstrained proportional round every live job runs at rate
@@ -344,7 +426,7 @@ void
 FlatEvaluator::simulate(const Mapping& m, EvalScratch& s,
                         bool record_timeline) const
 {
-    simulateRounds<true>(m, s, record_timeline);
+    simulateRounds<true>(m, s, record_timeline, kNoCutoff);
 }
 
 double
@@ -367,10 +449,11 @@ FlatEvaluator::objectiveValue(const Mapping& m, const EvalScratch& s) const
 }
 
 double
-FlatEvaluator::fitness(const Mapping& m, EvalScratch& s) const
+FlatEvaluator::fitness(const Mapping& m, EvalScratch& s,
+                       double makespan_cutoff) const
 {
     ref_->countSample();
-    simulateRounds<false>(m, s, false);
+    simulateRounds<false>(m, s, false, makespan_cutoff);
     return objectiveValue(m, s);
 }
 
@@ -378,7 +461,7 @@ SimPoint
 FlatEvaluator::simPoint(const Mapping& m, EvalScratch& s) const
 {
     ref_->countSample();
-    simulateRounds<false>(m, s, false);
+    simulateRounds<false>(m, s, false, kNoCutoff);
     return {s.makespan_, totalJoules(m)};
 }
 

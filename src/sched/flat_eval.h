@@ -2,6 +2,7 @@
 #define MAGMA_SCHED_FLAT_EVAL_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,8 @@ EvalMode evalModeFromName(const std::string& name);
  * outcome (makespan, per-job finish times, optional timeline events)
  * until the next call overwrites it. fitness() and simPoint() take the
  * record-free path: after them only the makespan is defined, and the
- * finish times and events are stale.
+ * finish times and events are stale. After a fitness() that stopped at
+ * its makespan cutoff, the makespan is the load bound (bounded()).
  */
 class EvalScratch {
   public:
@@ -52,6 +54,11 @@ class EvalScratch {
     const std::vector<double>& finishTime() const { return finish_; }
     /** Timeline of the last simulate(record_timeline=true) call. */
     const std::vector<ScheduleEvent>& events() const { return events_; }
+    /**
+     * Whether the last call stopped at the load bound instead of
+     * simulating: makespanSeconds() is then the bound, not the makespan.
+     */
+    bool bounded() const { return bounded_; }
 
   private:
     friend class FlatEvaluator;
@@ -88,6 +95,7 @@ class EvalScratch {
     std::vector<double> finish_;      // jobs: completion times
     std::vector<ScheduleEvent> events_;
     double makespan_ = 0.0;
+    bool bounded_ = false;
 };
 
 /**
@@ -121,8 +129,29 @@ class FlatEvaluator {
     /**
      * Objective value of a candidate; counts one sample. Zero-alloc and
      * record-free: afterwards `s` holds only the makespan.
+     *
+     * `makespan_cutoff` (see makespanCutoff()) skips the decode and the
+     * rounds of a candidate proven to score below the cutoff. The load
+     * bound L' — the busiest queue's summed no-stall seconds, less a
+     * rounding margin — is a lower bound on the makespan
+     * (docs/architecture.md). When L' >= the cutoff the result is the
+     * objective of L' — an upper bound on the fitness, below the
+     * cutoff's fitness — and s.bounded() is set. The default +inf
+     * simulates every candidate.
      */
-    double fitness(const Mapping& m, EvalScratch& s) const;
+    double fitness(const Mapping& m, EvalScratch& s,
+                   double makespan_cutoff =
+                       std::numeric_limits<double>::infinity()) const;
+
+    /**
+     * The makespan cutoff of fitness() for a fitness cutoff: the least
+     * makespan that scores strictly below `fitness_cutoff`. +inf, which
+     * bounds nothing, when the objective reads more than the makespan
+     * (only Throughput and Latency qualify), when `fitness_cutoff` is not
+     * a finite positive value, or past the group size the rounding
+     * margin covers.
+     */
+    double makespanCutoff(double fitness_cutoff) const;
 
     /**
      * Makespan and energy of a candidate for the multi-objective layer;
@@ -175,7 +204,11 @@ class FlatEvaluator {
      */
     template <bool kRecord>
     void simulateRounds(const Mapping& m, EvalScratch& s,
-                        bool record_timeline) const;
+                        bool record_timeline,
+                        double makespan_cutoff) const;
+
+    /** The load bound L' of `m`; uses `s`'s slot arrays as scratch. */
+    double loadBound(const Mapping& m, EvalScratch& s) const;
 
     const MappingEvaluator* ref_;
     int jobs_ = 0;

@@ -1,10 +1,13 @@
 #include "serve/mapping_store.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -157,6 +160,35 @@ parseEntry(std::istream& is)
 
 constexpr const char* kLogHeader = "magma-store-log v1\n";
 
+/** write() all `n` bytes, resuming after short writes and EINTR. */
+bool
+writeAll(int fd, const char* data, size_t n)
+{
+    while (n > 0) {
+        ssize_t w = ::write(fd, data, n);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        data += w;
+        n -= static_cast<size_t>(w);
+    }
+    return true;
+}
+
+/** fsync the directory holding `path`, so a rename into it is durable. */
+bool
+fsyncParentDir(const std::string& path)
+{
+    std::filesystem::path dir = std::filesystem::path(path).parent_path();
+    int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0)
+        return false;
+    bool ok = ::fsync(fd) == 0;
+    return ::close(fd) == 0 && ok;
+}
+
 }  // namespace
 
 MappingStore::MappingStore(int capacity) : capacity_(std::max(1, capacity))
@@ -248,7 +280,8 @@ MappingStore::update(const Fingerprint& fp, dnn::TaskType task,
     // fsyncs: lookups never wait on the disk.
     std::lock_guard<std::mutex> log_lk(log_mu_);
     std::string put_body;
-    if (log_) {
+    const bool logging = log_fd_ >= 0 && !log_stopped_;
+    if (logging) {
         std::ostringstream payload;
         writeEntry(payload, e);
         put_body = payload.str();
@@ -260,7 +293,7 @@ MappingStore::update(const Fingerprint& fp, dnn::TaskType task,
         changed = putLocked(std::move(e));
         evicted = evictLocked();
     }
-    if (log_) {
+    if (logging) {
         // Log the put as submitted (not the winner): replay re-runs the
         // same better-fitness-wins rule, and rejected write-backs still
         // replay their samplesInvested accumulation.
@@ -364,32 +397,64 @@ MappingStore::loadFile(const std::string& path)
 void
 MappingStore::appendRecordLocked(const std::string& record)
 {
-    if (std::fwrite(record.data(), 1, record.size(), log_) !=
-        record.size())
-        return;  // best effort: a full disk must not take serving down
-    std::fflush(log_);
-    ::fsync(::fileno(log_));
-    ++log_records_;
+    if (log_stopped_)
+        return;  // an earlier record of this update failed
+    if (writeAll(log_fd_, record.data(), record.size()) &&
+        ::fsync(log_fd_) == 0) {
+        log_end_ += static_cast<int64_t>(record.size());
+        ++log_records_;
+        return;
+    }
+    // Best effort: a full disk must not take serving down. Cut the
+    // partial record off and stop logging until compact().
+    log_stopped_ = true;
+    const bool cut =
+        ::ftruncate(log_fd_, log_end_) == 0 && ::fsync(log_fd_) == 0;
+    std::lock_guard<std::mutex> lk(mu_);
+    ++stats_.logAppendFailures;
+    if (!cut)
+        ++stats_.logBroken;
+}
+
+bool
+MappingStore::restartLogLocked()
+{
+    const size_t n = std::strlen(kLogHeader);
+    const bool ok = ::ftruncate(log_fd_, 0) == 0 &&
+                    writeAll(log_fd_, kLogHeader, n) &&
+                    ::fsync(log_fd_) == 0;
+    // A torn header would make the next openLog() append behind it.
+    if (!ok && ::ftruncate(log_fd_, 0) != 0) {
+        std::lock_guard<std::mutex> lk(mu_);
+        ++stats_.logBroken;
+    }
+    log_end_ = ok ? static_cast<int64_t>(n) : 0;
+    log_records_ = 0;
+    log_stopped_ = !ok;
+    return ok;
 }
 
 bool
 MappingStore::openLog(const std::string& path)
 {
     std::lock_guard<std::mutex> lk(log_mu_);
-    if (log_) {
-        std::fclose(log_);
-        log_ = nullptr;
+    if (log_fd_ >= 0) {
+        ::close(log_fd_);
+        log_fd_ = -1;
     }
-    std::FILE* f = std::fopen(path.c_str(), "ab");
-    if (!f)
+    int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                    0644);
+    if (fd < 0)
         return false;
-    log_ = f;
-    log_path_ = path;
+    const off_t size = ::lseek(fd, 0, SEEK_END);
+    log_fd_ = fd;
+    log_end_ = size;
     log_records_ = 0;
-    if (std::ftell(log_) == 0) {
-        std::fwrite(kLogHeader, 1, std::strlen(kLogHeader), log_);
-        std::fflush(log_);
-        ::fsync(::fileno(log_));
+    log_stopped_ = false;
+    if (size < 0 || (size == 0 && !restartLogLocked())) {
+        ::close(fd);
+        log_fd_ = -1;
+        return false;
     }
     return true;
 }
@@ -398,11 +463,10 @@ void
 MappingStore::closeLog()
 {
     std::lock_guard<std::mutex> lk(log_mu_);
-    if (log_) {
-        std::fclose(log_);
-        log_ = nullptr;
+    if (log_fd_ >= 0) {
+        ::close(log_fd_);
+        log_fd_ = -1;
     }
-    log_path_.clear();
 }
 
 int64_t
@@ -436,18 +500,13 @@ MappingStore::compact(const std::string& snapshot_path)
         std::remove(tmp.c_str());
         return false;
     }
+    // The rename is durable only once its directory is.
+    if (!fsyncParentDir(snapshot_path))
+        return false;
 
-    if (log_) {
-        std::fclose(log_);
-        log_ = std::fopen(log_path_.c_str(), "wb");
-        if (!log_)
-            return false;
-        std::fwrite(kLogHeader, 1, std::strlen(kLogHeader), log_);
-        std::fflush(log_);
-        ::fsync(::fileno(log_));
-        log_records_ = 0;
-    }
-    return true;
+    // The snapshot now holds everything the log did: restart the log
+    // from its header (O_APPEND writes follow the truncation).
+    return log_fd_ < 0 || restartLogLocked();
 }
 
 int64_t

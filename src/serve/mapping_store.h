@@ -2,7 +2,6 @@
 #define MAGMA_SERVE_MAPPING_STORE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <iosfwd>
 #include <map>
 #include <mutex>
@@ -39,6 +38,12 @@ struct StoreStats {
     int64_t rejects = 0;       ///< write-backs losing to the incumbent
     int64_t evictions = 0;     ///< LRU evictions past capacity
     int64_t entries = 0;       ///< current size
+    /** Log appends that did not reach the disk whole. After one, the log
+     * takes no records until compact() rewrites it. */
+    int64_t logAppendFailures = 0;
+    /** Failed appends whose partial record could not be cut off: the log
+     * then ends in a torn record, which replay stops at. */
+    int64_t logBroken = 0;
     /** Transfer quality: mean of (Trf-0-ep fitness / refined fitness)
      * across warm requests that reported it — 1.0 means transferred
      * solutions needed no refinement at all. */
@@ -149,16 +154,25 @@ class MappingStore {
      * Open (or create) the append-log at `path`. An empty or new file
      * gets the "magma-store-log v1" header. Subsequent update() calls
      * and LRU evictions append one fsync'd record each. Returns false
-     * when the file cannot be opened.
+     * when the file cannot be opened or its header not written.
+     *
+     * An append that fails (short write, ENOSPC, fsync error) is cut
+     * back to the end of the last whole record, and the log takes no
+     * more records until compact(): a record missing from the middle
+     * would make replay apply every later one to a state the live store
+     * never had. The log on disk thus always replays to a prefix of the
+     * live history. StoreStats counts the failures.
      */
     bool openLog(const std::string& path);
     void closeLog();
 
     /**
      * Fold the current content into `snapshot_path` (written to a temp
-     * file, fsync'd, renamed into place — readers never observe a torn
-     * snapshot) and truncate the open log back to its header. Safe to
-     * call with no log attached. Returns false on I/O failure.
+     * file, fsync'd, renamed into place and the directory fsync'd —
+     * readers never observe a torn snapshot) and truncate the open log
+     * back to its header, which resumes a log stopped by a failed
+     * append. Safe to call with no log attached. Returns false on I/O
+     * failure.
      */
     bool compact(const std::string& snapshot_path);
 
@@ -191,8 +205,13 @@ class MappingStore {
     /** Evict LRU entries until size <= capacity; returns the victims'
      * keys in eviction order. Caller holds mu_. */
     std::vector<std::string> evictLocked();
-    /** Append one raw record and fsync it. Caller holds log_mu_. */
+    /** Append one raw record and fsync it; on failure cut it back and
+     * stop the log. Caller holds log_mu_. */
     void appendRecordLocked(const std::string& record);
+    /** Truncate the log to its header and fsync; it then takes records
+     * again. On failure the log is left empty and stopped. Caller holds
+     * log_mu_. */
+    bool restartLogLocked();
     /** Replay buffered log text; returns records applied. */
     int64_t replayLog(const std::string& text);
 
@@ -211,8 +230,9 @@ class MappingStore {
     StoreStats stats_;
     uint64_t clock_ = 0;  ///< LRU tick source
     // Append-log state, guarded by log_mu_.
-    std::FILE* log_ = nullptr;
-    std::string log_path_;
+    int log_fd_ = -1;              ///< O_APPEND descriptor, -1 when none
+    int64_t log_end_ = 0;          ///< bytes up to the last whole record
+    bool log_stopped_ = false;     ///< an append failed; until compact()
     int64_t log_records_ = 0;
 };
 

@@ -218,28 +218,46 @@ TEST(DynTrace, HeaderCommentsAndRejects)
 
 TEST(DynTrace, ValidateEnforcesTimelineInvariants)
 {
-    auto expectInvalid = [](WorkloadTrace t) {
-        EXPECT_THROW(t.validate(), std::invalid_argument);
+    // Each rejection names the event, its bundle and the broken rule.
+    auto expectInvalid = [](const WorkloadTrace& t, const char* message) {
+        try {
+            t.validate();
+            ADD_FAILURE() << "accepted; want: " << message;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_STREQ(e.what(), message);
+        }
     };
     WorkloadTrace t = smallTrace();
     t.events[1].timeSeconds = -1.0;  // decreasing + negative
-    expectInvalid(t);
+    expectInvalid(t, "event 1 ('b'): bad time");
+
+    t = smallTrace();
+    t.events[2].timeSeconds = 0.25;
+    expectInvalid(t, "event 2 ('b'): time decreases");
+
+    t = smallTrace();
+    t.events[1].bundle = "";
+    expectInvalid(t, "event 1 (''): bad bundle name");
 
     t = smallTrace();
     t.events.push_back(arrive(9.0, "b", 3));  // double arrive
-    expectInvalid(t);
+    expectInvalid(t, "event 4 ('b'): arrive of an already-active bundle");
 
     t = smallTrace();
     t.events.push_back(depart(9.0, "ghost"));  // depart inactive
-    expectInvalid(t);
+    expectInvalid(t, "event 4 ('ghost'): depart of an inactive bundle");
 
     t = smallTrace();
     t.events.push_back(swap(9.0, "a", 3));  // swap departed bundle
-    expectInvalid(t);
+    expectInvalid(t, "event 4 ('a'): swap of an inactive bundle");
+
+    t = smallTrace();
+    t.events[2].jobs = 0;
+    expectInvalid(t, "event 2 ('b'): swap needs jobs > 0");
 
     t = smallTrace();
     t.events[0].jobs = 0;  // arrive needs jobs > 0
-    expectInvalid(t);
+    expectInvalid(t, "event 0 ('a'): arrive needs jobs > 0");
 }
 
 TEST(DynTrace, FinalActiveJobsAndFileRoundTrip)

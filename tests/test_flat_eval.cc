@@ -4,6 +4,7 @@
  * the contract that lets EvalMode::Flat be the default kernel everywhere
  * without perturbing any search trajectory. */
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -45,6 +46,57 @@ expectSameSchedule(const ScheduleResult& a, const ScheduleResult& b)
         EXPECT_EQ(a.events[e].accel, b.events[e].accel);
         EXPECT_EQ(a.events[e].allocBw, b.events[e].allocBw);
     }
+}
+
+/** Priority genomes at the edges of what the decoder admits, each with
+ * the jobs spread over the sub-accelerators (random), all on the first
+ * and all on the last: 18 mappings of `g` jobs. */
+std::vector<Mapping>
+edgeCaseMappings(int g, int accels, common::Rng& rng)
+{
+    constexpr double kMax = std::numeric_limits<double>::max();
+    constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+    const double kDuplicates[] = {0.75, 0.125, 0.75, 0.5};
+    const double kSignedZeros[] = {0.0, -0.0, 0.0, 1e-300, -0.0};
+    const double kOutOfRange[] = {-1e300, -1.0, -0.5,  1.0, 1.5,
+                                  1e300,  kMax, -kMax, 0.5, 0.0};
+    const double kSubnormals[] = {kTiny,   -kTiny, 1e-310, -1e-310,
+                                  -0.0, 0.0,    2.2250738585072014e-308};
+
+    std::vector<std::vector<double>> genomes;
+    auto addGenome = [&](auto value_of) {
+        std::vector<double> v(g);
+        for (int j = 0; j < g; ++j)
+            v[j] = value_of(j);
+        genomes.push_back(v);
+    };
+    // Many distinct priorities inside one narrow interval, in reverse job
+    // order.
+    addGenome([&](int j) { return 0.25 + (g - j) * 1e-12; });
+    // The same, straddling 0.5 from above and below.
+    addGenome([&](int j) {
+        return 0.5 + ((j % 2) ? 1.0 : -1.0) * (g - j) * 1e-15;
+    });
+    // Exact duplicates, within one queue and across queues.
+    addGenome([&](int j) { return kDuplicates[j % 4]; });
+    addGenome([&](int j) { return kSignedZeros[j % 5]; });
+    // Negative, >= 1.0 and huge priorities.
+    addGenome([&](int j) { return kOutOfRange[(j * 7) % 10]; });
+    addGenome([&](int j) { return kSubnormals[(j * 3) % 7]; });
+
+    std::vector<Mapping> cases;
+    for (const std::vector<double>& genome : genomes) {
+        for (int placement = 0; placement < 3; ++placement) {
+            Mapping m = Mapping::random(g, accels, rng);
+            m.priority = genome;
+            if (placement == 1)
+                m.accelSel.assign(g, 0);
+            if (placement == 2)
+                m.accelSel.assign(g, accels - 1);
+            cases.push_back(m);
+        }
+    }
+    return cases;
 }
 
 }  // namespace
@@ -185,14 +237,6 @@ TEST(FlatEval, TiedPrioritiesMatchStableDecodeOrder)
  * match bitwise. */
 TEST(FlatEval, EdgeCasePrioritiesMatchReferenceDecodeOrder)
 {
-    constexpr double kMax = std::numeric_limits<double>::max();
-    constexpr double kTiny = std::numeric_limits<double>::denorm_min();
-    const double kDuplicates[] = {0.75, 0.125, 0.75, 0.5};
-    const double kSignedZeros[] = {0.0, -0.0, 0.0, 1e-300, -0.0};
-    const double kOutOfRange[] = {-1e300, -1.0, -0.5,  1.0, 1.5,
-                                  1e300,  kMax, -kMax, 0.5, 0.0};
-    const double kSubnormals[] = {kTiny,   -kTiny, 1e-310, -1e-310,
-                                  -0.0, 0.0,    2.2250738585072014e-308};
     struct Shape {
         accel::Setting setting;
         int group;
@@ -209,52 +253,127 @@ TEST(FlatEval, EdgeCasePrioritiesMatchReferenceDecodeOrder)
         FlatEvaluator flat(ev);
         EvalScratch scratch;
         common::Rng rng(300 + g);
+        const std::vector<Mapping> cases = edgeCaseMappings(g, accels, rng);
+        for (size_t c = 0; c < cases.size(); ++c) {
+            const Mapping& m = cases[c];
+            // fromText admits every one of these genomes.
+            ASSERT_EQ(Mapping::fromText(m.toText()), m);
+            SCOPED_TRACE(testing::Message() << "group " << g << " candidate "
+                                            << c);
 
-        std::vector<std::vector<double>> genomes;
-        auto addGenome = [&](auto value_of) {
-            std::vector<double> v(g);
-            for (int j = 0; j < g; ++j)
-                v[j] = value_of(j);
-            genomes.push_back(v);
-        };
-        // Many distinct priorities inside one narrow interval, in
-        // reverse job order.
-        addGenome([&](int j) { return 0.25 + (g - j) * 1e-12; });
-        // The same, straddling 0.5 from above and below.
-        addGenome([&](int j) {
-            return 0.5 + ((j % 2) ? 1.0 : -1.0) * (g - j) * 1e-15;
-        });
-        // Exact duplicates, within one queue and across queues.
-        addGenome([&](int j) { return kDuplicates[j % 4]; });
-        addGenome([&](int j) { return kSignedZeros[j % 5]; });
-        // Negative, >= 1.0 and huge priorities.
-        addGenome([&](int j) { return kOutOfRange[(j * 7) % 10]; });
-        addGenome([&](int j) { return kSubnormals[(j * 3) % 7]; });
+            ScheduleResult want = ev.evaluate(m, true);
+            EXPECT_EQ(flat.fitness(m, scratch), ev.fitness(m));
+            EXPECT_EQ(scratch.makespanSeconds(), want.makespanSeconds);
+            sched::SimPoint sp = flat.simPoint(m, scratch);
+            EXPECT_EQ(sp.makespanSeconds, want.makespanSeconds);
+            EXPECT_EQ(sp.joules, ev.totalJoules(m));
+            expectSameSchedule(want, flat.evaluate(m, scratch, true));
+        }
+    }
+}
 
-        int candidate = 0;
-        for (const std::vector<double>& genome : genomes) {
-            for (int placement = 0; placement < 3; ++placement) {
-                Mapping m = Mapping::random(g, accels, rng);
-                m.priority = genome;
-                if (placement == 1)
-                    m.accelSel.assign(g, 0);
-                if (placement == 2)
-                    m.accelSel.assign(g, accels - 1);
-                // fromText admits every one of these genomes.
-                ASSERT_EQ(Mapping::fromText(m.toText()), m);
-                SCOPED_TRACE(testing::Message() << "group " << g
-                                                << " candidate "
-                                                << candidate++);
+/** The load bound L' never exceeds the simulated makespan — random and
+ * edge-case mappings (jobs piled on one sub-accelerator make the bound
+ * tightest) on both BW policies, BW-starved and not, groups of 1 to 300.
+ * Each candidate is scored at a makespan cutoff of L' itself, where it
+ * must stop at the bound with an upper bound on its fitness, and one ulp
+ * above, where it must be simulated exactly. */
+TEST(FlatEval, LoadBoundNeverExceedsSimulatedMakespan)
+{
+    const double kTiny = std::numeric_limits<double>::denorm_min();
+    const double kInf = std::numeric_limits<double>::infinity();
+    int shape = 0;
+    int bounded = 0;
+    double tightest = 0.0;  // largest bound / makespan seen
+    for (sched::BwPolicy policy :
+         {sched::BwPolicy::Proportional, sched::BwPolicy::EvenSplit}) {
+        for (double bw : {1.0, 16.0}) {
+            for (int g : {1, 12, 100, 300}) {
+                ++shape;
+                auto p = m3e::makeProblem(dnn::TaskType::Mix,
+                                          accel::Setting::S4, bw, g,
+                                          /*seed=*/shape,
+                                          Objective::Throughput, policy);
+                const sched::MappingEvaluator& ev = p->evaluator();
+                FlatEvaluator flat(ev);
+                EvalScratch scratch;
+                common::Rng rng(500 + shape);
+                std::vector<Mapping> cases =
+                    edgeCaseMappings(g, ev.numAccels(), rng);
+                for (int i = 0; i < 24; ++i)
+                    cases.push_back(Mapping::random(g, ev.numAccels(), rng));
+                for (size_t c = 0; c < cases.size(); ++c) {
+                    const Mapping& m = cases[c];
+                    SCOPED_TRACE(testing::Message() << "shape " << shape
+                                                    << " candidate " << c);
+                    const double exact = ev.fitness(m);
+                    const double makespan = ev.evaluate(m).makespanSeconds;
 
-                ScheduleResult want = ev.evaluate(m, true);
-                EXPECT_EQ(flat.fitness(m, scratch), ev.fitness(m));
-                EXPECT_EQ(scratch.makespanSeconds(), want.makespanSeconds);
-                sched::SimPoint sp = flat.simPoint(m, scratch);
-                EXPECT_EQ(sp.makespanSeconds, want.makespanSeconds);
-                EXPECT_EQ(sp.joules, ev.totalJoules(m));
-                expectSameSchedule(want, flat.evaluate(m, scratch, true));
+                    // Any positive bound passes a cutoff of denorm_min.
+                    double f = flat.fitness(m, scratch, kTiny);
+                    if (!scratch.bounded()) {
+                        EXPECT_EQ(f, exact);
+                        continue;
+                    }
+                    const double bound = scratch.makespanSeconds();
+                    ++bounded;
+                    tightest = std::max(tightest, bound / makespan);
+                    EXPECT_GT(bound, 0.0);
+                    EXPECT_LE(bound, makespan);
+                    EXPECT_GE(f, exact);
+
+                    EXPECT_EQ(flat.fitness(m, scratch, bound), f);
+                    EXPECT_TRUE(scratch.bounded());
+                    EXPECT_EQ(flat.fitness(m, scratch,
+                                           std::nextafter(bound, kInf)),
+                              exact);
+                    EXPECT_FALSE(scratch.bounded());
+                    EXPECT_EQ(scratch.makespanSeconds(), makespan);
+                }
             }
         }
+    }
+    // The bound is exercised, and in places it is as tight as its margin.
+    EXPECT_GT(bounded, 100);
+    EXPECT_GT(tightest, 1.0 - 1e-8);
+}
+
+/** makespanCutoff(T) is the least makespan scoring strictly below T, for
+ * the two objectives that read the makespan alone, and +inf (bound
+ * nothing) otherwise. */
+TEST(FlatEval, MakespanCutoffIsLeastMakespanScoringBelow)
+{
+    const double kInf = std::numeric_limits<double>::infinity();
+    for (Objective obj : kObjectives) {
+        auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S4,
+                                  16.0, 40, 3, obj);
+        const sched::MappingEvaluator& ev = p->evaluator();
+        FlatEvaluator flat(ev);
+        EvalScratch scratch;
+        common::Rng rng(77);
+        const bool makespan_only =
+            obj == Objective::Throughput || obj == Objective::Latency;
+        for (int i = 0; i < 50; ++i) {
+            Mapping m = Mapping::random(40, ev.numAccels(), rng);
+            const double t = flat.fitness(m, scratch);
+            const double cut = flat.makespanCutoff(t);
+            if (!makespan_only) {
+                EXPECT_EQ(cut, kInf);
+                continue;
+            }
+            auto score = [&](double makespan) {
+                return sched::objectiveFromSimulation(
+                    obj, makespan, 0.0, ev.group().totalFlops());
+            };
+            ASSERT_LT(cut, kInf);
+            EXPECT_LT(score(cut), t);
+            EXPECT_GE(score(std::nextafter(cut, 0.0)), t);
+            // The candidate's own makespan scores t, so it is below cut.
+            EXPECT_LT(scratch.makespanSeconds(), cut);
+        }
+        for (double t : {0.0, -1.0, kInf, -kInf,
+                         std::numeric_limits<double>::quiet_NaN()})
+            EXPECT_EQ(flat.makespanCutoff(t), kInf);
     }
 }
 

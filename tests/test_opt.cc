@@ -1,11 +1,16 @@
 /** @file Unit tests for the black-box optimizers and MAGMA's operators. */
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
 #include "api/registry.h"
 #include "m3e/problem.h"
+#include "obs/metrics.h"
 #include "opt/cma_es.h"
 #include "opt/de.h"
 #include "opt/magma_ga.h"
@@ -178,6 +183,211 @@ TEST(MagmaQuality, BeatsRandomSearchOnMixS2)
     double fm = magma_ga.search(p->evaluator(), opts).bestFitness;
     double fr = random.search(p->evaluator(), opts).bestFitness;
     EXPECT_GE(fm, fr);
+}
+
+// ------------------------------------------ bound-pruned child scoring ---
+
+namespace {
+
+/** The bound counters now; tests compare two readings. */
+struct BoundCounts {
+    int64_t bounded = 0;
+    int64_t rescored = 0;
+
+    static BoundCounts now()
+    {
+        obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+        return {reg.counter("opt.bounded_children").value(),
+                reg.counter("opt.bound_rescored").value()};
+    }
+    BoundCounts since(const BoundCounts& before) const
+    {
+        return {bounded - before.bounded, rescored - before.rescored};
+    }
+};
+
+/** Counters on for the test, the previous level restored after. */
+class CountersOn {
+  public:
+    CountersOn() : saved_(obs::metricsLevel())
+    {
+        obs::setMetricsLevel(obs::MetricsLevel::Counters);
+    }
+    ~CountersOn() { obs::setMetricsLevel(saved_); }
+
+  private:
+    obs::MetricsLevel saved_;
+};
+
+SearchResult
+magmaSearch(const sched::MappingEvaluator& ev, sched::EvalMode mode,
+            int threads, int population, int64_t budget,
+            const std::vector<Mapping>& seeds = {},
+            bool record_samples = false)
+{
+    opt::MagmaConfig cfg;
+    cfg.population = population;
+    opt::MagmaGa ga(7, cfg);
+    SearchOptions opts;
+    opts.sampleBudget = budget;
+    opts.recordConvergence = true;
+    opts.recordSamples = record_samples;
+    opts.evalMode = mode;
+    opts.threads = threads;
+    opts.seeds = seeds;
+    return ga.search(ev, opts);
+}
+
+/** Bitwise equality of two searches: best genome (its exact text),
+ * fitness, samples and convergence curve. */
+void
+expectSameSearch(const SearchResult& got, const SearchResult& want)
+{
+    EXPECT_EQ(got.best.toText(), want.best.toText());
+    EXPECT_EQ(got.bestFitness, want.bestFitness);
+    EXPECT_EQ(got.samplesUsed, want.samplesUsed);
+    EXPECT_EQ(got.convergence, want.convergence);
+}
+
+}  // namespace
+
+/** MAGMA with the bounding flat kernel equals MAGMA on the Reference
+ * kernel, which never bounds, bit for bit, at the paper's scale: Mix/S4
+ * group 100, 10K samples, workload seeds 1 and 3 (the second BW-bound and
+ * rich in fitness ties), at 1 and 4 threads. Both the bound and the tie
+ * re-score must have been exercised. */
+TEST(MagmaBound, FlatEqualsReferenceOnMixS4Group100)
+{
+    CountersOn counters;
+    BoundCounts total;
+    for (uint64_t workload_seed : {1u, 3u}) {
+        SCOPED_TRACE(testing::Message() << "workload seed "
+                                        << workload_seed);
+        auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S4,
+                                  16.0, 100, workload_seed);
+        const sched::MappingEvaluator& ev = p->evaluator();
+        SearchResult want =
+            magmaSearch(ev, sched::EvalMode::Reference, 1, 100, 10000);
+        for (int threads : {1, 4}) {
+            BoundCounts before = BoundCounts::now();
+            SearchResult got =
+                magmaSearch(ev, sched::EvalMode::Flat, threads, 100, 10000);
+            BoundCounts delta = BoundCounts::now().since(before);
+            total.bounded += delta.bounded;
+            total.rescored += delta.rescored;
+            expectSameSearch(got, want);
+        }
+    }
+    EXPECT_GT(total.bounded, 0);
+    EXPECT_GT(total.rescored, 0);
+}
+
+/** A warm-started population of at most 16 ranks with the stable small
+ * sort, so children are bounded with no tie check and never re-scored. */
+TEST(MagmaBound, WarmStartedSmallPopulationMatchesReference)
+{
+    CountersOn counters;
+    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 4.0,
+                              12, 21);
+    const sched::MappingEvaluator& ev = p->evaluator();
+    const int population = opt::transfer::populationFor(12);
+    ASSERT_LE(population, opt::GaPopulation::kSmallSort);
+    SearchResult cold = magmaSearch(ev, sched::EvalMode::Flat, 1, population,
+                                    300);
+    common::Rng rng(5);
+    std::vector<Mapping> seeds = opt::transfer::seedsAround(
+        cold.best, population, ev.numAccels(), rng);
+
+    SearchResult want = magmaSearch(ev, sched::EvalMode::Reference, 1,
+                                    population, 2000, seeds);
+    for (int threads : {1, 4}) {
+        BoundCounts before = BoundCounts::now();
+        SearchResult got = magmaSearch(ev, sched::EvalMode::Flat, threads,
+                                       population, 2000, seeds);
+        BoundCounts delta = BoundCounts::now().since(before);
+        expectSameSearch(got, want);
+        EXPECT_GT(delta.bounded, 0);
+        EXPECT_EQ(delta.rescored, 0);
+    }
+}
+
+/** Recording samples turns the bound off: every logged fitness is exact,
+ * and the search itself is unchanged. */
+TEST(MagmaBound, RecordedSamplesStayExact)
+{
+    CountersOn counters;
+    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S4, 16.0,
+                              100, 1);
+    const sched::MappingEvaluator& ev = p->evaluator();
+    SearchResult plain = magmaSearch(ev, sched::EvalMode::Flat, 1, 100, 2000);
+    BoundCounts before = BoundCounts::now();
+    SearchResult recorded = magmaSearch(ev, sched::EvalMode::Flat, 1, 100,
+                                        2000, {}, /*record_samples=*/true);
+    EXPECT_EQ(BoundCounts::now().since(before).bounded, 0);
+    expectSameSearch(recorded, plain);
+    ASSERT_EQ(recorded.sampled.size(), 2000u);
+    ASSERT_EQ(recorded.sampledFitness.size(), 2000u);
+    for (size_t i = 0; i < recorded.sampled.size(); ++i)
+        ASSERT_EQ(recorded.sampledFitness[i], ev.fitness(recorded.sampled[i]))
+            << "sample " << i;
+}
+
+/** smallSort is std::sort at 16 elements or fewer: random inputs with many
+ * ties (and NaNs, which order nothing) sort to the same index order. */
+TEST(MagmaBound, SmallSortEqualsStdSortUpTo16)
+{
+    const double kNaN = std::numeric_limits<double>::quiet_NaN();
+    common::Rng rng(16);
+    for (int n = 1; n <= opt::GaPopulation::kSmallSort; ++n) {
+        for (int trial = 0; trial < 500; ++trial) {
+            std::vector<double> fit(n);
+            for (double& f : fit) {
+                int k = rng.uniformInt(trial % 2 ? 3 : 8);
+                f = (trial % 5 == 0 && k == 0) ? kNaN : k;
+            }
+            auto better = [&](int a, int b) { return fit[a] > fit[b]; };
+            std::vector<int> want(n), got(n);
+            std::iota(want.begin(), want.end(), 0);
+            std::iota(got.begin(), got.end(), 0);
+            std::sort(want.begin(), want.end(), better);
+            opt::smallSort(got.begin(), got.end(), better);
+            ASSERT_EQ(got, want) << "n " << n << " trial " << trial;
+        }
+    }
+}
+
+/** The elite tie rule: above kSmallSort, carried elites holding two
+ * different genomes of equal fitness give no cutoff; copies of one genome,
+ * or a population small enough for the stable sort, do. */
+TEST(MagmaBound, EliteCutoffSkipsTiesOfDifferentGenomes)
+{
+    auto p = smallProblem();
+    const sched::MappingEvaluator& ev = p->evaluator();
+    common::Rng rng(3);
+    Mapping a = Mapping::random(16, ev.numAccels(), rng);
+    // Halving every priority keeps each queue's order, so the fitness is
+    // the same; the genome is not.
+    Mapping b = a;
+    for (double& pr : b.priority)
+        pr *= 0.5;
+    ASSERT_EQ(ev.fitness(a), ev.fitness(b));
+
+    auto cutoff = [&](int size, bool mixed) {
+        std::vector<Mapping> seeds;
+        for (int i = 0; i < size; ++i)
+            seeds.push_back(mixed && i % 2 ? b : a);
+        opt::GaPopulation pop(size, seeds, 16, ev.numAccels(), rng);
+        SearchOptions opts;
+        opt::SearchRecorder rec(ev, opts);
+        EXPECT_TRUE(pop.scoreAll(rec));
+        pop.rank();
+        pop.carryElites(size);
+        return pop.eliteCutoff(size);
+    };
+    const double fa = ev.fitness(a);
+    EXPECT_EQ(cutoff(20, false), fa);
+    EXPECT_EQ(cutoff(20, true), -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(cutoff(16, true), fa);
 }
 
 // --------------------------------------------------- MAGMA's operators ---

@@ -7,7 +7,10 @@
  * warm-start effect across a save/load cycle.
  */
 
+#include <sys/resource.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -623,6 +626,68 @@ TEST(MappingStoreLog, RecoveryReproducesLiveLruOrder)
         EXPECT_EQ(store.size(), 2);
         EXPECT_EQ(recoverText(), saveText(store));
     }
+    std::remove(snap.c_str());
+    std::remove(log_path.c_str());
+}
+
+TEST(MappingStoreLog, FailedAppendLeavesReplayablePrefix)
+{
+    // A short write, forced by lowering RLIMIT_FSIZE (with SIGXFSZ
+    // ignored, write() stops at the limit instead of killing the
+    // process), must cost no record before it, and no record may land
+    // behind the gap it leaves: recover() yields a prefix of the live
+    // history. compact() then resumes the log.
+    const std::string snap = "serve_store_short_write_test.snap";
+    const std::string log_path = snap + ".log";
+    std::remove(snap.c_str());
+    std::remove(log_path.c_str());
+    dnn::JobGroup g = makeGroup(dnn::TaskType::Mix, 8, 1);
+    auto put = [&](MappingStore& store, const char* key, int seed) {
+        store.update(Fingerprint{key, "coarse"}, g.task,
+                     randomMapping(8, 4, seed), g, seed, 5);
+    };
+    auto recoverText = [&](const std::string& snapshot) {
+        MappingStore recovered;
+        recovered.recover(snapshot, log_path);
+        return saveText(recovered);
+    };
+
+    MappingStore store;
+    ASSERT_TRUE(store.openLog(log_path));
+    put(store, "a", 1);
+    put(store, "b", 2);
+    const std::string prefix = saveText(store);
+    const size_t good = slurp(log_path).size();
+
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit low = saved;
+    low.rlim_cur = good + 16;  // room for part of the next record
+    auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &low), 0);
+    put(store, "c", 3);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, old_handler);
+
+    serve::StoreStats st = store.stats();
+    EXPECT_EQ(st.logAppendFailures, 1);
+    EXPECT_EQ(st.logBroken, 0);
+    EXPECT_EQ(store.logRecords(), 2);
+    EXPECT_EQ(slurp(log_path).size(), good);  // the torn record is cut off
+
+    // The disk has room again, but a record behind the lost one would
+    // replay onto a state the live store never had: the log stays
+    // stopped, and the live store keeps serving.
+    put(store, "d", 4);
+    EXPECT_EQ(store.size(), 4);
+    EXPECT_EQ(slurp(log_path).size(), good);
+    EXPECT_EQ(recoverText("serve_store_no_such_snapshot"), prefix);
+
+    ASSERT_TRUE(store.compact(snap));
+    put(store, "e", 5);
+    EXPECT_EQ(store.logRecords(), 1);
+    store.closeLog();
+    EXPECT_EQ(recoverText(snap), saveText(store));
     std::remove(snap.c_str());
     std::remove(log_path.c_str());
 }
