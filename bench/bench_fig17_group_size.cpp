@@ -8,9 +8,11 @@
  */
 
 #include <cstdio>
+#include <memory>
 
+#include "api/registry.h"
 #include "bench/experiment.h"
-#include "opt/magma_ga.h"
+#include "opt/warm_start.h"
 
 using namespace magma;
 
@@ -29,13 +31,12 @@ main(int argc, char** argv)
         auto problem = m3e::makeProblem(dnn::TaskType::Mix,
                                         accel::Setting::S2, 16.0, gs,
                                         args.seed);
-        opt::MagmaConfig cfg;
-        cfg.population = std::max(8, std::min(gs, 100));  // pop ~ group
-        opt::MagmaGa magma_ga(args.seed, cfg);
+        std::unique_ptr<opt::Optimizer> magma_ga = api::makeForPopulation(
+            "MAGMA", args.seed, opt::transfer::populationFor(gs));
         opt::SearchOptions opts;
         opts.sampleBudget = args.budget();
         gflops.push_back(
-            magma_ga.search(problem->evaluator(), opts).bestFitness);
+            magma_ga->search(problem->evaluator(), opts).bestFitness);
     }
 
     std::printf("\n  %-10s %12s %10s\n", "group", "GFLOP/s", "norm");

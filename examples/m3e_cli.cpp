@@ -10,7 +10,7 @@
  *           [--bw GBPS] [--group N] [--budget N] [--seed N]
  *           [--method NAME | --all] [--objective NAME]
  *           [--objectives LIST] [--front-out FILE] [--flexible]
- *           [--timeline] [--threads N] [--eval flat|reference] [--stats]
+ *           [--timeline] [--threads N] [--stats]
  *           [--report FILE] [--metrics-out FILE] [--trace-out FILE]
  *           [--list-methods]
  *
@@ -23,13 +23,6 @@
  * --threads N fans candidate evaluation out over N lanes (0 = auto via
  * MAGMA_THREADS env var / hardware concurrency); results are identical
  * at every thread count — only wall-clock changes.
- *
- * --eval selects the evaluation kernel: "flat" (default) scores
- * candidates through the allocation-free sched::FlatEvaluator fast
- * path, "reference" through the original MappingEvaluator object path.
- * The two are bitwise identical on every candidate, so this flag never
- * changes results — it is the fallback lever if the fast path ever
- * misbehaves on new hardware.
  *
  * --stats prints the process-wide exec::CostCache counters (hits, misses,
  * entries) after the run — how much cost-model work memoization skipped —
@@ -181,9 +174,6 @@ parse(int argc, char** argv)
             a.stats = true;
         else if (flag == "--threads")
             a.exp.search.threads = std::stoi(need(i++));
-        else if (flag == "--eval")
-            a.exp.search.eval =
-                parseOrDie(sched::evalModeFromName, need(i++));
         else if (flag == "--report")
             a.reportPath = need(i++);
         else if (flag == "--metrics-out")
@@ -390,12 +380,10 @@ main(int argc, char** argv)
                 const obs::CounterSnap* c = snap.findCounter(name);
                 return static_cast<long long>(c ? c->value : 0);
             };
-            std::printf("eval engine: %lld candidates in %lld batches "
-                        "(%lld flat / %lld reference), %lld singles\n",
+            std::printf("eval engine: %lld candidates in %lld batches, "
+                        "%lld singles\n",
                         static_cast<long long>(cand->value),
                         counter("exec.eval.batches"),
-                        counter("sched.flat.candidates"),
-                        counter("sched.reference.candidates"),
                         counter("exec.eval.singles"));
             const long long samples = counter("opt.samples");
             const long long bounded = counter("opt.bounded_children");

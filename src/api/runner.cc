@@ -256,7 +256,6 @@ Runner::run(const ProblemSpec& ps, const SearchSpec& ss,
     opt::SearchOptions opts;
     opts.sampleBudget = ss.sampleBudget;
     opts.threads = ss.threads;
-    opts.evalMode = ss.eval;
     opts.recordConvergence = ss.recordConvergence;
     opts.recordSamples = ss.recordSamples;
 

@@ -72,7 +72,6 @@ SearchSpec::toText() const
        << "sample_budget=" << sampleBudget << '\n'
        << "seed=" << seed << '\n'
        << "threads=" << threads << '\n'
-       << "eval=" << sched::evalModeName(eval) << '\n'
        << "record_convergence=" << (recordConvergence ? 1 : 0) << '\n'
        << "record_samples=" << (recordSamples ? 1 : 0) << '\n'
        << "warm_start=" << (warmStart ? 1 : 0) << '\n';
@@ -94,8 +93,6 @@ SearchSpec::applyKey(const std::string& key, const std::string& value)
         seed = parseUint(key, value);
     else if (key == "threads")
         threads = static_cast<int>(parseInt(key, value));
-    else if (key == "eval")
-        eval = sched::evalModeFromName(value);
     else if (key == "record_convergence")
         recordConvergence = parseBool(key, value);
     else if (key == "record_samples")

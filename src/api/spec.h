@@ -9,7 +9,6 @@
 #include "dnn/model.h"
 #include "sched/bw_allocator.h"
 #include "sched/evaluator.h"
-#include "sched/flat_eval.h"
 
 namespace magma::api {
 
@@ -68,9 +67,6 @@ struct SearchSpec {
     int64_t sampleBudget = 10000;  ///< paper's main-experiment budget
     uint64_t seed = 1;             ///< optimizer seed
     int threads = 1;  ///< evaluation lanes (0 = auto, see SearchOptions)
-    /** Evaluation kernel: the flat fast path (default) or the reference
-     * object path — bitwise-identical results, different wall-clock. */
-    sched::EvalMode eval = sched::EvalMode::Flat;
     bool recordConvergence = false;
     bool recordSamples = false;
     /** Allow store-seeded warm starts when served (serve::MapRequest);

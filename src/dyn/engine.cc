@@ -160,10 +160,8 @@ EventEngine::step(const WorkloadEvent& ev)
     sched::MappingEvaluator eval(group, platform_, model_, base_.bwPolicy,
                                  nullptr, cfg_.search.objective);
     const int pop = opt::transfer::populationFor(eval.groupSize());
-    const int64_t warm_budget =
-        cfg_.remapBudget > 0
-            ? cfg_.remapBudget
-            : std::max<int64_t>(pop, cfg_.search.sampleBudget / 4);
+    const int64_t warm_budget = opt::transfer::warmBudget(
+        cfg_.remapBudget, pop, cfg_.search.sampleBudget);
     const uint64_t seed = eventSeed(cfg_.search.seed, event_index);
     common::Rng adapt_rng(seed ^ 0xad4f7ULL);
 
@@ -173,7 +171,6 @@ EventEngine::step(const WorkloadEvent& ev)
     opt::SearchOptions opts;
     opts.sampleBudget = cfg_.search.sampleBudget;
     opts.threads = cfg_.search.threads;
-    opts.evalMode = cfg_.search.eval;
     serve::Fingerprint fp =
         serve::fingerprintOf(group, platform_, cfg_.search.objective);
     std::optional<serve::MappingStore::Hit> hit;

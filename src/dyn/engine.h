@@ -19,10 +19,10 @@ namespace magma::dyn {
 
 /**
  * Knobs of one dynamic replay. `search` supplies the method, objective,
- * seed, thread count, eval kernel and — as `sampleBudget` — the COLD
- * search budget (what an event pays when no previous knowledge applies).
+ * seed, thread count and — as `sampleBudget` — the COLD search budget
+ * (what an event pays when no previous knowledge applies).
  * `remapBudget` is the incremental per-event budget once knowledge
- * exists (<= 0 selects sampleBudget / 4, the Table V warm regime);
+ * exists (<= 0 selects opt::transfer::warmBudget's quarter of it);
  * `warmRemap = false` ablates transfer entirely, making every event a
  * cold full-budget search — the baseline bench_dyn_churn compares
  * against.
@@ -36,7 +36,7 @@ namespace magma::dyn {
  */
 struct DynConfig {
     api::SearchSpec search;
-    int64_t remapBudget = 0;  ///< <= 0: search.sampleBudget / 4
+    int64_t remapBudget = 0;  ///< <= 0: opt::transfer::warmBudget
     bool warmRemap = true;
     ReconfigSpec reconfig;
     serve::MappingStore* store = nullptr;

@@ -1,8 +1,5 @@
 #include "exec/eval_engine.h"
 
-#include <algorithm>
-#include <cassert>
-
 #include "obs/metrics.h"
 #include "obs/scope.h"
 
@@ -14,8 +11,6 @@ struct EngineMetrics {
     obs::Counter& batches;
     obs::Counter& candidates;
     obs::Counter& singles;
-    obs::Counter& flatCandidates;
-    obs::Counter& referenceCandidates;
     obs::Histogram& batchSize;
 };
 
@@ -26,22 +21,18 @@ engineMetrics()
     static EngineMetrics m{reg.counter("exec.eval.batches"),
                            reg.counter("exec.eval.candidates"),
                            reg.counter("exec.eval.singles"),
-                           reg.counter("sched.flat.candidates"),
-                           reg.counter("sched.reference.candidates"),
                            reg.histogram("exec.eval.batch_size")};
     return m;
 }
 
 void
-countBatch(size_t count, bool flat)
+countBatch(size_t count)
 {
     if (!obs::countersOn())
         return;
     EngineMetrics& m = engineMetrics();
     m.batches.add();
     m.candidates.add(static_cast<int64_t>(count));
-    (flat ? m.flatCandidates : m.referenceCandidates)
-        .add(static_cast<int64_t>(count));
     m.batchSize.record(static_cast<double>(count));
 }
 
@@ -51,35 +42,27 @@ std::vector<double>
 EvalEngine::evaluateBatch(const sched::Mapping* batch, size_t count,
                           double cutoff, uint8_t* bounded) const
 {
-    countBatch(count, flat_ != nullptr);
+    countBatch(count);
     // span payload: i = batch size
     obs::Scope scope("exec.eval.batch", static_cast<int64_t>(count));
     std::vector<double> fitness(count);
-    if (bounded)
-        std::fill_n(bounded, count, uint8_t{0});
-    if (flat_) {
-        const double makespan_cutoff = flat_->makespanCutoff(cutoff);
-        auto score = [&](size_t i, sched::EvalScratch& s) {
-            fitness[i] = flat_->fitness(batch[i], s, makespan_cutoff);
-            if (bounded)
-                bounded[i] = s.bounded();
-        };
-        if (pool_->numThreads() == 1) {
-            // Serial flat path: skip the pool's std::function dispatch —
-            // one tight loop over lane 0's scratch.
-            sched::EvalScratch& s = scratch_[0];
-            for (size_t i = 0; i < count; ++i)
-                score(i, s);
-        } else {
-            pool_->parallelForLane(
-                static_cast<int64_t>(count), [&](int lane, int64_t i) {
-                    score(static_cast<size_t>(i), scratch_[lane]);
-                });
-        }
+    const double makespan_cutoff = flat_.makespanCutoff(cutoff);
+    auto score = [&](size_t i, sched::EvalScratch& s) {
+        fitness[i] = flat_.fitness(batch[i], s, makespan_cutoff);
+        if (bounded)
+            bounded[i] = s.bounded();
+    };
+    if (pool_->numThreads() == 1) {
+        // Serial path: skip the pool's std::function dispatch — one
+        // tight loop over lane 0's scratch.
+        sched::EvalScratch& s = scratch_[0];
+        for (size_t i = 0; i < count; ++i)
+            score(i, s);
     } else {
-        pool_->parallelFor(static_cast<int64_t>(count), [&](int64_t i) {
-            fitness[i] = eval_->fitness(batch[i]);
-        });
+        pool_->parallelForLane(
+            static_cast<int64_t>(count), [&](int lane, int64_t i) {
+                score(static_cast<size_t>(i), scratch_[lane]);
+            });
     }
     return fitness;
 }
@@ -87,26 +70,19 @@ EvalEngine::evaluateBatch(const sched::Mapping* batch, size_t count,
 std::vector<sched::SimPoint>
 EvalEngine::simulateBatch(const sched::Mapping* batch, size_t count) const
 {
-    countBatch(count, flat_ != nullptr);
+    countBatch(count);
     // span payload: i = batch size
     obs::Scope scope("exec.eval.sim_batch", static_cast<int64_t>(count));
     std::vector<sched::SimPoint> out(count);
-    if (flat_) {
-        if (pool_->numThreads() == 1) {
-            sched::EvalScratch& s = scratch_[0];
-            for (size_t i = 0; i < count; ++i)
-                out[i] = flat_->simPoint(batch[i], s);
-        } else {
-            pool_->parallelForLane(
-                static_cast<int64_t>(count), [&](int lane, int64_t i) {
-                    out[i] = flat_->simPoint(batch[i], scratch_[lane]);
-                });
-        }
+    if (pool_->numThreads() == 1) {
+        sched::EvalScratch& s = scratch_[0];
+        for (size_t i = 0; i < count; ++i)
+            out[i] = flat_.simPoint(batch[i], s);
     } else {
-        pool_->parallelFor(static_cast<int64_t>(count), [&](int64_t i) {
-            sched::ScheduleResult r = eval_->evaluate(batch[i]);
-            out[i] = {r.makespanSeconds, eval_->totalJoules(batch[i])};
-        });
+        pool_->parallelForLane(
+            static_cast<int64_t>(count), [&](int lane, int64_t i) {
+                out[i] = flat_.simPoint(batch[i], scratch_[lane]);
+            });
     }
     return out;
 }
@@ -116,18 +92,15 @@ EvalEngine::fitnessOne(const sched::Mapping& m) const
 {
     if (obs::countersOn())
         engineMetrics().singles.add();
-    if (flat_)
-        return flat_->fitness(m, scratch_[0]);
-    return eval_->fitness(m);
+    return flat_.fitness(m, scratch_[0]);
 }
 
 double
 EvalEngine::rescore(const sched::Mapping& m) const
 {
-    assert(flat_);
     sched::EvalScratch& s = scratch_[0];
-    flat_->simulate(m, s);
-    return flat_->objectiveValue(m, s);
+    flat_.simulate(m, s);
+    return flat_.objectiveValue(m, s);
 }
 
 }  // namespace magma::exec

@@ -18,19 +18,18 @@ namespace magma::exec {
  * mappings out over a ThreadPool and returns their fitness values in
  * submission order.
  *
- * Evaluation kernel (sched::EvalMode): by default candidates are scored
- * through the allocation-free sched::FlatEvaluator fast path — the
- * engine compiles the evaluator's tables once at construction and keeps
- * one reusable sched::EvalScratch per worker lane, so a whole
- * generation is evaluated without a single heap allocation in the inner
- * loop. EvalMode::Reference falls back to MappingEvaluator::fitness.
- * Both kernels are bitwise identical on every candidate (the flat
- * evaluator's parity contract), so the mode only changes wall-clock.
+ * Candidates are scored through the allocation-free
+ * sched::FlatEvaluator — the engine compiles the evaluator's tables
+ * once at construction and keeps one reusable sched::EvalScratch per
+ * worker lane, so a whole generation is evaluated without a single heap
+ * allocation in the inner loop. The flat kernel is bitwise identical to
+ * MappingEvaluator::fitness on every candidate (its parity contract);
+ * the MappingEvaluator stays the oracle the tests compare against.
  *
  * Why this is safe without per-candidate locking: after construction a
  * MappingEvaluator is immutable — `fitness` reads the Job Analysis Table
  * and runs the BW-Allocator simulation on purely local state — except for
- * the sample meter, which is a relaxed atomic shared by both kernels.
+ * the sample meter, which is a relaxed atomic shared with the flat kernel.
  * Each lane owns its scratch exclusively (ThreadPool::parallelForLane),
  * so there is no per-thread evaluator clone to keep in sync.
  *
@@ -46,12 +45,11 @@ class EvalEngine {
      * env var, else hardware concurrency).
      */
     explicit EvalEngine(const sched::MappingEvaluator& eval,
-                        int threads = 0,
-                        sched::EvalMode mode = sched::EvalMode::Flat)
+                        int threads = 0)
         : eval_(&eval), owned_pool_(std::make_unique<ThreadPool>(threads)),
-          pool_(owned_pool_.get())
+          pool_(owned_pool_.get()), flat_(eval),
+          scratch_(static_cast<size_t>(pool_->numThreads()))
     {
-        initKernel(mode);
     }
 
     /**
@@ -61,20 +59,15 @@ class EvalEngine {
      * churn per request. The pool must outlive the engine and must not
      * have another batch in flight during evaluateBatch.
      */
-    EvalEngine(const sched::MappingEvaluator& eval, ThreadPool& pool,
-               sched::EvalMode mode = sched::EvalMode::Flat)
-        : eval_(&eval), pool_(&pool)
+    EvalEngine(const sched::MappingEvaluator& eval, ThreadPool& pool)
+        : eval_(&eval), pool_(&pool), flat_(eval),
+          scratch_(static_cast<size_t>(pool.numThreads()))
     {
-        initKernel(mode);
     }
 
     int numThreads() const { return pool_->numThreads(); }
     const sched::MappingEvaluator& evaluator() const { return *eval_; }
     ThreadPool& pool() { return *pool_; }
-    sched::EvalMode mode() const
-    {
-        return flat_ ? sched::EvalMode::Flat : sched::EvalMode::Reference;
-    }
 
     /**
      * Fitness of `batch[first..first+count)`; result[i] corresponds to
@@ -84,8 +77,8 @@ class EvalEngine {
      * `cutoff` is a fitness: the flat kernel may stop a candidate proven
      * to score below it at its load bound (FlatEvaluator::fitness), and
      * result[i] is then an upper bound that is still below `cutoff`. The
-     * cutoff is converted to a makespan once per batch. The Reference
-     * kernel ignores it. When `bounded` is given, bounded[i] says whether
+     * cutoff is converted to a makespan once per batch. When `bounded`
+     * is given, bounded[i] says whether
      * candidate i stopped at its bound. The default -inf scores every
      * candidate exactly.
      */
@@ -108,7 +101,7 @@ class EvalEngine {
      * (sched::objectiveFromSimulation), so a whole objective vector
      * costs a single simulation instead of one per objective. Counts one
      * sample per candidate, exactly like evaluateBatch; the makespans
-     * are bitwise identical across kernels and thread counts.
+     * are bitwise identical to MappingEvaluator's at any thread count.
      */
     std::vector<sched::SimPoint> simulateBatch(const sched::Mapping* batch,
                                                size_t count) const;
@@ -120,34 +113,24 @@ class EvalEngine {
     }
 
     /**
-     * Score a single candidate through the engine's kernel on the
-     * calling thread (lane 0) — the serial path of SearchRecorder when a
-     * flat engine exists. Counts one sample. Must not be called while a
-     * batch is in flight on the same engine.
+     * Score a single candidate on the calling thread (lane 0) — the
+     * serial path of SearchRecorder. Counts one sample. Must not be
+     * called while a batch is in flight on the same engine.
      */
     double fitnessOne(const sched::Mapping& m) const;
 
     /**
      * Exact fitness of a candidate that a batch stopped at its bound, on
      * the calling thread (lane 0); counts no sample, since the batch
-     * already did. Only the flat kernel bounds, so only a flat engine
-     * re-scores. Must not be called while a batch is in flight.
+     * already did. Must not be called while a batch is in flight.
      */
     double rescore(const sched::Mapping& m) const;
 
   private:
-    void initKernel(sched::EvalMode mode)
-    {
-        if (mode == sched::EvalMode::Flat) {
-            flat_ = std::make_unique<sched::FlatEvaluator>(*eval_);
-            scratch_.resize(static_cast<size_t>(pool_->numThreads()));
-        }
-    }
-
     const sched::MappingEvaluator* eval_;
     std::unique_ptr<ThreadPool> owned_pool_;  // null when borrowing
     ThreadPool* pool_;
-    std::unique_ptr<sched::FlatEvaluator> flat_;  // null in Reference mode
+    sched::FlatEvaluator flat_;
     /** One per lane; mutated during logically-const evaluation. */
     mutable std::vector<sched::EvalScratch> scratch_;
 };

@@ -236,8 +236,7 @@ Nsga2::searchMo(const sched::MappingEvaluator& eval,
         throw std::invalid_argument(
             "NSGA-II: objectives list must be non-empty");
 
-    VectorFitness vf(eval, objectives, opts.threads, opts.evalMode,
-                     opts.engine);
+    VectorFitness vf(eval, objectives, opts.threads, opts.engine);
     MoSearchResult res;
     res.front = ParetoArchive(objectives, cfg_.archiveCapacity);
 

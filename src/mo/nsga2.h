@@ -39,7 +39,7 @@ class MultiObjective {
      * (order defines the reported vectors; entry 0 is the primary used
      * for scalar summaries). Spends opts.sampleBudget simulations total
      * — each candidate is simulated once for ALL objectives. Uses
-     * opts.threads/evalMode/engine/seeds; recordConvergence and
+     * opts.threads/engine/seeds; recordConvergence and
      * recordSamples are scalar-path knobs and are ignored.
      */
     virtual MoSearchResult searchMo(

@@ -8,8 +8,7 @@ namespace magma::mo {
 
 VectorFitness::VectorFitness(const sched::MappingEvaluator& eval,
                              std::vector<sched::Objective> objectives,
-                             int threads, sched::EvalMode mode,
-                             exec::EvalEngine* engine)
+                             int threads, exec::EvalEngine* engine)
     : eval_(&eval),
       objectives_(std::move(objectives)),
       engine_(engine),
@@ -20,8 +19,7 @@ VectorFitness::VectorFitness(const sched::MappingEvaluator& eval,
         // SearchOptions::engine.
         assert(&engine_->evaluator() == &eval);
     } else {
-        owned_engine_ =
-            std::make_unique<exec::EvalEngine>(eval, threads, mode);
+        owned_engine_ = std::make_unique<exec::EvalEngine>(eval, threads);
         engine_ = owned_engine_.get();
     }
 }

@@ -6,7 +6,6 @@
 
 #include "mo/pareto.h"
 #include "sched/evaluator.h"
-#include "sched/flat_eval.h"
 #include "sched/mapping.h"
 
 namespace magma::exec {
@@ -18,9 +17,9 @@ namespace magma::mo {
 /**
  * Vector-objective evaluation: scores each candidate ONCE — one schedule
  * simulation through exec::EvalEngine::simulateBatch, on the same
- * sched::FlatEvaluator/MappingEvaluator kernels every scalar optimizer
- * uses — and extracts all requested objectives from the resulting
- * (makespan, joules) pair via sched::objectiveFromSimulation.
+ * sched::FlatEvaluator kernel every scalar optimizer uses — and
+ * extracts all requested objectives from the resulting (makespan,
+ * joules) pair via sched::objectiveFromSimulation.
  *
  * Parity contract: element k of an evaluated vector is bitwise equal to
  * the scalar fitness a MappingEvaluator fixed on objectives()[k] would
@@ -35,13 +34,12 @@ namespace magma::mo {
 class VectorFitness {
   public:
     /**
-     * `threads`/`mode` follow opt::SearchOptions semantics (0 threads =
-     * auto). Pass `engine` to borrow an existing exec::EvalEngine
-     * (overrides threads/mode; must wrap `eval` and outlive this).
+     * `threads` follows opt::SearchOptions semantics (0 = auto). Pass
+     * `engine` to borrow an existing exec::EvalEngine (overrides
+     * threads; must wrap `eval` and outlive this).
      */
     VectorFitness(const sched::MappingEvaluator& eval,
                   std::vector<sched::Objective> objectives, int threads = 1,
-                  sched::EvalMode mode = sched::EvalMode::Flat,
                   exec::EvalEngine* engine = nullptr);
     ~VectorFitness();
 

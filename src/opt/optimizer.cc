@@ -45,7 +45,7 @@ sameGenome(const sched::Mapping& a, const sched::Mapping& b)
 
 SearchRecorder::SearchRecorder(const sched::MappingEvaluator& eval,
                                const SearchOptions& opts)
-    : eval_(&eval), opts_(opts), obs_counters_(obs::countersOn())
+    : opts_(opts), obs_counters_(obs::countersOn())
 {
     if (opts_.recordConvergence)
         result_.convergence.reserve(opts_.sampleBudget);
@@ -54,13 +54,9 @@ SearchRecorder::SearchRecorder(const sched::MappingEvaluator& eval,
         // otherwise candidates would be scored against another problem.
         assert(&opts_.engine->evaluator() == &eval);
         engine_ = opts_.engine;
-    } else if (opts_.threads != 1 ||
-               opts_.evalMode == sched::EvalMode::Flat) {
-        // An engine is also built for single-threaded flat searches:
-        // it owns the compiled FlatEvaluator + scratch, and a 1-lane
-        // ThreadPool spawns no threads, so the serial path stays serial.
-        owned_engine_ = std::make_unique<exec::EvalEngine>(
-            eval, opts_.threads, opts_.evalMode);
+    } else {
+        owned_engine_ =
+            std::make_unique<exec::EvalEngine>(eval, opts_.threads);
         engine_ = owned_engine_.get();
     }
 }
@@ -87,7 +83,7 @@ double
 SearchRecorder::evaluate(const sched::Mapping& m)
 {
     assert(!exhausted());
-    double f = engine_ ? engine_->fitnessOne(m) : eval_->fitness(m);
+    double f = engine_->fitnessOne(m);
     record(m, f);
     if (obs_counters_)
         optMetrics().samples.add();
@@ -113,15 +109,14 @@ SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms,
         cutoff = -std::numeric_limits<double>::infinity();
     assert(bounded.empty() || bounded.size() >= n);
     std::vector<double> fitness;
-    if (engine_ && n > 1) {
+    if (n > 1) {
         fitness = engine_->evaluateBatch(
             ms.data(), n, cutoff, bounded.empty() ? nullptr : bounded.data());
     } else {
         std::fill(bounded.begin(), bounded.end(), uint8_t{0});
         fitness.resize(n);
         for (size_t i = 0; i < n; ++i)
-            fitness[i] =
-                engine_ ? engine_->fitnessOne(ms[i]) : eval_->fitness(ms[i]);
+            fitness[i] = engine_->fitnessOne(ms[i]);
     }
     // Sequential bookkeeping in submission order keeps budget accounting
     // and convergence curves identical to the serial path.

@@ -11,7 +11,6 @@
 
 #include "common/rng.h"
 #include "sched/evaluator.h"
-#include "sched/flat_eval.h"
 #include "sched/mapping.h"
 
 namespace magma::exec {
@@ -34,25 +33,16 @@ struct SearchOptions {
     /** Warm-start seeds injected into the initial population (Section V-C). */
     std::vector<sched::Mapping> seeds;
     /**
-     * Evaluation lanes for SearchRecorder::evaluateBatch. 1 keeps the
-     * classic serial path; > 1 builds an exec::EvalEngine internally;
-     * 0 auto-selects (MAGMA_THREADS env var, else hardware concurrency).
-     * The fitness values, budget accounting and convergence curves are
-     * identical at every thread count — only wall-clock changes.
+     * Evaluation lanes of the exec::EvalEngine the search scores through
+     * (1 = serial: a 1-lane pool spawns no thread; 0 = auto via the
+     * MAGMA_THREADS env var, else hardware concurrency). The fitness
+     * values, budget accounting and convergence curves are identical at
+     * every thread count — only wall-clock changes.
      */
     int threads = 1;
     /**
-     * Which evaluation kernel scores candidates: the allocation-free
-     * sched::FlatEvaluator fast path (default) or the reference
-     * MappingEvaluator object path. Bitwise-identical results either
-     * way; Reference is the one-flag fallback (`--eval=reference`).
-     * Ignored when `engine` is set — the engine's own mode wins.
-     */
-    sched::EvalMode evalMode = sched::EvalMode::Flat;
-    /**
      * External batch engine to reuse across searches (overrides
-     * `threads` and `evalMode`). Must outlive the search and wrap the
-     * same evaluator.
+     * `threads`). Must outlive the search and wrap the same evaluator.
      */
     exec::EvalEngine* engine = nullptr;
 };
@@ -124,14 +114,10 @@ class SearchRecorder {
     /** Finalize and hand out the result. */
     SearchResult finish();
 
-    /** Batch engine in use (null on the pure serial path). */
-    const exec::EvalEngine* engine() const { return engine_; }
-
   private:
     /** Spend one budget unit on (m, fitness) — the shared bookkeeping. */
     void record(const sched::Mapping& m, double f);
 
-    const sched::MappingEvaluator* eval_;
     SearchOptions opts_;
     SearchResult result_;
     int64_t used_ = 0;

@@ -111,6 +111,13 @@ populationFor(int group_size)
     return std::clamp(group_size, 8, 100);
 }
 
+int64_t
+warmBudget(int64_t requested, int population, int64_t cold_budget)
+{
+    return requested > 0 ? requested
+                         : std::max<int64_t>(population, cold_budget / 4);
+}
+
 sched::Mapping
 adaptPositional(const sched::Mapping& stored, int group_size,
                 int num_accels)

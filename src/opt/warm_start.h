@@ -1,6 +1,7 @@
 #ifndef MAGMA_OPT_WARM_START_H_
 #define MAGMA_OPT_WARM_START_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,6 +26,15 @@ namespace transfer {
  * population-tracks-group-size rule (Section V-B2), clamped to [8, 100].
  */
 int populationFor(int group_size);
+
+/**
+ * Sample budget of a warm-started search: `requested` when positive,
+ * else a quarter of `cold_budget` (the Table V regime: transferred
+ * solutions need a fraction of the cold cost) but at least one
+ * generation of `population`. serve::MapRequest::warmBudget and
+ * dyn::DynConfig::remapBudget are the `requested` of their front ends.
+ */
+int64_t warmBudget(int64_t requested, int population, int64_t cold_budget);
 
 /**
  * Positional adaptation: tile/truncate the stored genome onto

@@ -5,34 +5,11 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/scope.h"
 
 namespace magma::sched {
-
-std::string
-evalModeName(EvalMode m)
-{
-    switch (m) {
-    case EvalMode::Flat:
-        return "flat";
-    case EvalMode::Reference:
-        return "reference";
-    }
-    return "?";
-}
-
-EvalMode
-evalModeFromName(const std::string& name)
-{
-    for (EvalMode m : {EvalMode::Flat, EvalMode::Reference})
-        if (evalModeName(m) == name)
-            return m;
-    throw std::invalid_argument("unknown eval mode '" + name +
-                                "' (flat|reference)");
-}
 
 namespace {
 

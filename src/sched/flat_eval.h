@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "sched/bw_allocator.h"
@@ -11,22 +10,6 @@
 #include "sched/mapping.h"
 
 namespace magma::sched {
-
-/**
- * Which evaluation kernel scores candidates (SearchOptions/SearchSpec
- * `eval`): the allocation-free FlatEvaluator fast path (the default) or
- * the reference MappingEvaluator object path. The two are bitwise
- * identical on every mapping and objective — tests/test_flat_eval.cc and
- * bench_micro_speed's self-check lock that in — so the mode only changes
- * wall-clock, never results.
- */
-enum class EvalMode { Flat, Reference };
-
-/** Mode name ("flat", "reference"). */
-std::string evalModeName(EvalMode m);
-
-/** Parse an evalModeName(); throws std::invalid_argument. */
-EvalMode evalModeFromName(const std::string& name);
 
 /**
  * Per-thread reusable evaluation state. All buffers are sized once (first
@@ -110,9 +93,8 @@ class EvalScratch {
  * Parity contract: for every mapping, fitness()/evaluate() return results
  * bitwise identical to the reference MappingEvaluator — the simulation
  * replays the exact floating-point operation sequence of
- * BwAllocator::run and MappingEvaluator::objectiveValue. Optimizers can
- * therefore switch kernels freely (EvalMode) without perturbing any
- * search trajectory.
+ * BwAllocator::run and MappingEvaluator::objectiveValue, so every
+ * search scores exactly as it would through the reference evaluator.
  *
  * Thread-safety: immutable after construction; concurrent calls are safe
  * as long as each thread passes its own EvalScratch. Samples are counted

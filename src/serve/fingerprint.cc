@@ -70,7 +70,6 @@ coalesceKeyOf(const Fingerprint& fp, const api::SearchSpec& search,
     std::ostringstream key;
     key << fp.key << "|method=" << search.method
         << "|budget=" << search.sampleBudget
-        << "|eval=" << static_cast<int>(search.eval)
         << "|warm=" << (search.warmStart ? 1 : 0)
         << "|wb=" << (write_back ? 1 : 0) << "|wbudget=" << warm_budget;
     return key.str();

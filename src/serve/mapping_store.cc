@@ -477,6 +477,13 @@ MappingStore::logRecords() const
 }
 
 bool
+MappingStore::logStopped() const
+{
+    std::lock_guard<std::mutex> lk(log_mu_);
+    return log_fd_ >= 0 && log_stopped_;
+}
+
+bool
 MappingStore::compact(const std::string& snapshot_path)
 {
     // Holding log_mu_ across the snapshot blocks concurrent updates, so

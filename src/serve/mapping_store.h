@@ -192,6 +192,8 @@ class MappingStore {
 
     /** Records appended to the log since openLog()/compact(). */
     int64_t logRecords() const;
+    /** Whether an attached log takes no records until compact(). */
+    bool logStopped() const;
 
   private:
     struct Slot {

@@ -64,9 +64,8 @@ struct MapRequest {
     // -- warm start -----------------------------------------------------
     /** search.warmStart gates seeding from the MappingStore on a hit. */
     bool writeBack = true;  ///< publish improved solutions to the store
-    /** Budget on a store hit; <= 0 selects search.sampleBudget / 4 (the
-     * Table V regime: transferred solutions need a fraction of the cold
-     * cost). */
+    /** Budget on a store hit; <= 0 selects a quarter of
+     * search.sampleBudget (opt::transfer::warmBudget). */
     int64_t warmBudget = 0;
 };
 

@@ -509,7 +509,6 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     // (or its coarse tier) is known.
     opt::SearchOptions opts;
     opts.sampleBudget = req.search.sampleBudget;
-    opts.evalMode = req.search.eval;
     std::optional<MappingStore::Hit> hit;
     if (req.search.warmStart) {
         obs::Scope scope("serve.store_lookup");
@@ -520,10 +519,8 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
         opts.seeds = opt::transfer::seedsFromStored(
             hit->entry.mapping, hit->entry.group, problem.group(), pop,
             eval.numAccels(), seed_rng);
-        opts.sampleBudget =
-            req.warmBudget > 0
-                ? req.warmBudget
-                : std::max<int64_t>(pop, req.search.sampleBudget / 4);
+        opts.sampleBudget = opt::transfer::warmBudget(
+            req.warmBudget, pop, req.search.sampleBudget);
         // The convergence curve gives Trf-0-ep for free: the search
         // evaluates the seeds first, so best-so-far after them is the
         // transferred quality before any refinement.
@@ -549,8 +546,7 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     // of population tracking group size.
     std::unique_ptr<exec::EvalEngine> engine;
     if (lane_pool) {
-        engine = std::make_unique<exec::EvalEngine>(eval, *lane_pool,
-                                                    req.search.eval);
+        engine = std::make_unique<exec::EvalEngine>(eval, *lane_pool);
         opts.engine = engine.get();
     }
     std::unique_ptr<opt::Optimizer> optimizer =
@@ -577,6 +573,11 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
         obs::Scope scope("serve.store_write_back");
         store_.update(fp, problem.group().task, res.best, problem.group(),
                       res.bestFitness, res.samplesUsed);
+        // A failed append stops the log. Folding the live store into a
+        // fresh snapshot restarts it; if that fails too, the log stays
+        // stopped and the next write-back retries.
+        if (!cfg_.storePath.empty() && store_.logStopped())
+            store_.compact(cfg_.storePath);
         bool refined = res.samplesUsed >
                        static_cast<int64_t>(opts.seeds.size());
         if (resp.warmStart && refined && res.bestFitness > 0.0)

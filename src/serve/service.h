@@ -46,8 +46,9 @@ struct ServiceConfig {
      * recovery (snapshot + "<storePath>.log" replay, tolerating a torn
      * final record), attaches the append-log — every write-back and
      * eviction is then fsync'd durably — and folds the replayed log into
-     * a fresh snapshot. stop() compacts again. Warm-start knowledge
-     * survives process restarts AND kill -9 mid-write.
+     * a fresh snapshot. stop() compacts again, and so does a write-back
+     * that finds the log stopped by a failed append. Warm-start
+     * knowledge survives process restarts AND kill -9 mid-write.
      */
     std::string storePath;
     /**

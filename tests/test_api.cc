@@ -80,8 +80,6 @@ randomSearchSpec(common::Rng& rng)
     s.sampleBudget = 1 + rng.uniformInt(100000);
     s.seed = rng.engine()();
     s.threads = rng.uniformInt(8);
-    s.eval = rng.uniformInt(2) == 1 ? sched::EvalMode::Flat
-                                    : sched::EvalMode::Reference;
     s.recordConvergence = rng.uniformInt(2) == 1;
     s.recordSamples = rng.uniformInt(2) == 1;
     s.warmStart = rng.uniformInt(2) == 1;
@@ -173,8 +171,6 @@ TEST(SpecText, RejectsUnknownKeysAndBadValues)
     EXPECT_THROW(SearchSpec::fromText("warm_start=maybe\n"),
                  std::invalid_argument);
     EXPECT_THROW(SearchSpec::fromText("objectives=throughput,speed\n"),
-                 std::invalid_argument);
-    EXPECT_THROW(SearchSpec::fromText("eval=turbo\n"),
                  std::invalid_argument);
     // ExperimentSpec accepts keys of either block, rejects strangers.
     EXPECT_NO_THROW(ExperimentSpec::fromText("task=Mix\nmethod=PSO\n"));

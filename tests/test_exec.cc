@@ -18,6 +18,7 @@
 #include "exec/eval_engine.h"
 #include "exec/thread_pool.h"
 #include "m3e/problem.h"
+#include "obs/metrics.h"
 #include "opt/cma_es.h"
 #include "opt/de.h"
 #include "opt/magma_ga.h"
@@ -192,18 +193,30 @@ TEST(SearchRecorderBatch, BitwiseIdenticalToSerialLoop)
         EXPECT_EQ(br.convergence[i], sr.convergence[i]);
 }
 
+/** A recorder given an engine compiles no flat kernel of its own; one
+ * without builds its own engine, which compiles one. */
 TEST(SearchRecorderBatch, ExternalEngineIsUsed)
 {
+    const obs::MetricsLevel saved = obs::metricsLevel();
+    obs::setMetricsLevel(obs::MetricsLevel::Counters);
+    obs::Counter& compiles =
+        obs::MetricsRegistry::global().counter("sched.flat.compiles");
     auto p = smallProblem();
     exec::EvalEngine engine(p->evaluator(), 2);
     SearchOptions opts;
     opts.sampleBudget = 20;
     opts.engine = &engine;
+    const int64_t before = compiles.value();
     opt::SearchRecorder rec(p->evaluator(), opts);
-    EXPECT_EQ(rec.engine(), &engine);
+    EXPECT_EQ(compiles.value(), before);
     std::vector<double> fits =
         rec.evaluateBatch(randomBatch(p->evaluator(), 20, 1));
     EXPECT_EQ(fits.size(), 20u);
+
+    opts.engine = nullptr;
+    opt::SearchRecorder own(p->evaluator(), opts);
+    EXPECT_EQ(compiles.value(), before + 1);
+    obs::setMetricsLevel(saved);
 }
 
 // -------------------------------------------- optimizer serial parity ---

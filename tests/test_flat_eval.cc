@@ -1,8 +1,8 @@
 /** @file Parity tests for the allocation-free fast-path evaluator:
  * sched::FlatEvaluator must be bitwise identical to the reference
  * MappingEvaluator on every mapping, platform, BW policy and objective —
- * the contract that lets EvalMode::Flat be the default kernel everywhere
- * without perturbing any search trajectory. */
+ * the contract that lets it score every search without perturbing any
+ * search trajectory. */
 
 #include <cmath>
 #include <limits>
@@ -13,11 +13,9 @@
 
 #include "exec/eval_engine.h"
 #include "m3e/problem.h"
-#include "opt/magma_ga.h"
 #include "sched/flat_eval.h"
 
 using namespace magma;
-using sched::EvalMode;
 using sched::EvalScratch;
 using sched::FlatEvaluator;
 using sched::Mapping;
@@ -100,15 +98,6 @@ edgeCaseMappings(int g, int accels, common::Rng& rng)
 }
 
 }  // namespace
-
-TEST(EvalMode, NamesRoundTripAndReject)
-{
-    EXPECT_EQ(sched::evalModeName(EvalMode::Flat), "flat");
-    EXPECT_EQ(sched::evalModeName(EvalMode::Reference), "reference");
-    for (EvalMode m : {EvalMode::Flat, EvalMode::Reference})
-        EXPECT_EQ(sched::evalModeFromName(sched::evalModeName(m)), m);
-    EXPECT_THROW(sched::evalModeFromName("turbo"), std::invalid_argument);
-}
 
 /** The headline property: randomized mappings x platforms x BW policies x
  * all five objectives give bitwise-identical fitness and schedules. */
@@ -424,8 +413,7 @@ TEST(FlatEval, EvalEngineFourThreadBatchMatchesSerialReference)
     for (int i = 0; i < 96; ++i)
         batch.push_back(Mapping::random(24, ev.numAccels(), rng));
 
-    exec::EvalEngine flat4(ev, 4, EvalMode::Flat);
-    EXPECT_EQ(flat4.mode(), EvalMode::Flat);
+    exec::EvalEngine flat4(ev, 4);
     EXPECT_EQ(flat4.numThreads(), 4);
     std::vector<double> got = flat4.evaluateBatch(batch);
     ASSERT_EQ(got.size(), batch.size());
@@ -437,45 +425,3 @@ TEST(FlatEval, EvalEngineFourThreadBatchMatchesSerialReference)
         EXPECT_EQ(flat4.fitnessOne(batch[i]), ev.fitness(batch[i]));
 }
 
-/** Reference-mode engine still works and agrees (the fallback lever). */
-TEST(FlatEval, ReferenceModeEngineUnchanged)
-{
-    auto p = m3e::makeProblem(dnn::TaskType::Language, accel::Setting::S2,
-                              8.0, 12, 13);
-    const sched::MappingEvaluator& ev = p->evaluator();
-    common::Rng rng(31);
-    std::vector<Mapping> batch;
-    for (int i = 0; i < 32; ++i)
-        batch.push_back(Mapping::random(12, ev.numAccels(), rng));
-    exec::EvalEngine ref2(ev, 2, EvalMode::Reference);
-    EXPECT_EQ(ref2.mode(), EvalMode::Reference);
-    std::vector<double> got = ref2.evaluateBatch(batch);
-    for (size_t i = 0; i < batch.size(); ++i)
-        EXPECT_EQ(got[i], ev.fitness(batch[i]));
-}
-
-/** End-to-end: a whole MAGMA search is bitwise identical under the flat
- * and reference kernels — best mapping, fitness and convergence curve. */
-TEST(FlatEval, MagmaSearchIdenticalUnderBothKernels)
-{
-    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 8.0,
-                              14, 17);
-    opt::SearchOptions base;
-    base.sampleBudget = 400;
-    base.recordConvergence = true;
-
-    opt::SearchOptions flat_opts = base;
-    flat_opts.evalMode = EvalMode::Flat;
-    opt::MagmaGa ga_flat(5);
-    opt::SearchResult r_flat = ga_flat.search(p->evaluator(), flat_opts);
-
-    opt::SearchOptions ref_opts = base;
-    ref_opts.evalMode = EvalMode::Reference;
-    opt::MagmaGa ga_ref(5);
-    opt::SearchResult r_ref = ga_ref.search(p->evaluator(), ref_opts);
-
-    EXPECT_EQ(r_flat.bestFitness, r_ref.bestFitness);
-    EXPECT_EQ(r_flat.best, r_ref.best);
-    EXPECT_EQ(r_flat.samplesUsed, r_ref.samplesUsed);
-    EXPECT_EQ(r_flat.convergence, r_ref.convergence);
-}

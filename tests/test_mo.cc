@@ -42,6 +42,28 @@ mixS2Problem(int group = 30, uint64_t seed = 1)
                             group, seed);
 }
 
+/** Element k of vecs[i] is the fitness a fresh MappingEvaluator fixed on
+ * objectives[k] gives ms[i], over the same group, platform and cost
+ * model. */
+void
+expectMatchesScalarEvaluators(const m3e::Problem& p,
+                              const std::vector<sched::Objective>& objectives,
+                              const std::vector<sched::Mapping>& ms,
+                              const std::vector<ObjectiveVector>& vecs)
+{
+    ASSERT_EQ(vecs.size(), ms.size());
+    for (size_t k = 0; k < objectives.size(); ++k) {
+        sched::MappingEvaluator scalar(p.group(), p.platform(),
+                                       p.costModel(),
+                                       sched::BwPolicy::Proportional,
+                                       nullptr, objectives[k]);
+        for (size_t i = 0; i < ms.size(); ++i)
+            EXPECT_EQ(vecs[i][k], scalar.fitness(ms[i]))
+                << "objective " << sched::objectiveName(objectives[k])
+                << " candidate " << i;
+    }
+}
+
 MoPoint
 point(std::vector<double> objs)
 {
@@ -223,30 +245,13 @@ TEST(VectorFitness, BitwiseEqualsPerObjectiveScalarEvaluation)
     auto base = mixS2Problem(group);
     common::Rng rng(42);
 
-    for (sched::EvalMode mode :
-         {sched::EvalMode::Flat, sched::EvalMode::Reference}) {
-        mo::VectorFitness vf(base->evaluator(), kAllObjectives, 1, mode);
-        std::vector<sched::Mapping> batch;
-        for (int i = 0; i < 16; ++i)
-            batch.push_back(sched::Mapping::random(
-                group, base->evaluator().numAccels(), rng));
-        std::vector<ObjectiveVector> vecs = vf.evaluateBatch(batch);
-        ASSERT_EQ(vecs.size(), batch.size());
-
-        for (size_t k = 0; k < kAllObjectives.size(); ++k) {
-            // A fresh evaluator fixed on objective k, over the same
-            // group/platform/cost model.
-            sched::MappingEvaluator scalar(
-                base->group(), base->platform(), base->costModel(),
-                sched::BwPolicy::Proportional, nullptr, kAllObjectives[k]);
-            for (size_t i = 0; i < batch.size(); ++i)
-                EXPECT_EQ(vecs[i][k], scalar.fitness(batch[i]))
-                    << "objective "
-                    << sched::objectiveName(kAllObjectives[k])
-                    << " candidate " << i << " mode "
-                    << sched::evalModeName(mode);
-        }
-    }
+    mo::VectorFitness vf(base->evaluator(), kAllObjectives);
+    std::vector<sched::Mapping> batch;
+    for (int i = 0; i < 16; ++i)
+        batch.push_back(sched::Mapping::random(
+            group, base->evaluator().numAccels(), rng));
+    std::vector<ObjectiveVector> vecs = vf.evaluateBatch(batch);
+    expectMatchesScalarEvaluators(*base, kAllObjectives, batch, vecs);
 }
 
 TEST(VectorFitness, OneSamplePerCandidateNotPerObjective)
@@ -298,28 +303,35 @@ TEST(Nsga2, FrontIsMutuallyNonDominated)
             }
 }
 
-TEST(Nsga2, BitwiseIdenticalAcrossThreadCountsAndKernels)
+/** The same front at 1 and 4 threads, and every member's objectives are
+ * the ones MappingEvaluators fixed on each objective give its mapping. */
+TEST(Nsga2, BitwiseIdenticalAcrossThreadCountsAndToScalarEvaluators)
 {
     auto p = mixS2Problem();
     std::vector<sched::Objective> objectives = {
         sched::Objective::Throughput, sched::Objective::Energy};
 
-    auto run = [&](int threads, sched::EvalMode mode) {
+    auto run = [&](int threads) {
         mo::Nsga2 nsga(7);
         opt::SearchOptions opts;
         opts.sampleBudget = 1200;
         opts.threads = threads;
-        opts.evalMode = mode;
         return nsga.searchMo(p->evaluator(), objectives, opts);
     };
 
-    mo::MoSearchResult serial = run(1, sched::EvalMode::Flat);
-    mo::MoSearchResult wide = run(4, sched::EvalMode::Flat);
-    mo::MoSearchResult reference = run(1, sched::EvalMode::Reference);
+    mo::MoSearchResult serial = run(1);
+    mo::MoSearchResult wide = run(4);
     ASSERT_GE(serial.front.size(), 2u);
     EXPECT_EQ(serial.front, wide.front);
     EXPECT_EQ(serial.samplesUsed, wide.samplesUsed);
-    EXPECT_EQ(serial.front, reference.front);
+
+    std::vector<sched::Mapping> members;
+    std::vector<ObjectiveVector> vecs;
+    for (const MoPoint& pt : serial.front.points()) {
+        members.push_back(pt.m);
+        vecs.push_back(pt.objs);
+    }
+    expectMatchesScalarEvaluators(*p, objectives, members, vecs);
 }
 
 TEST(Nsga2, BudgetTruncationMidGeneration)

@@ -220,9 +220,8 @@ class CountersOn {
 };
 
 SearchResult
-magmaSearch(const sched::MappingEvaluator& ev, sched::EvalMode mode,
-            int threads, int population, int64_t budget,
-            const std::vector<Mapping>& seeds = {},
+magmaSearch(const sched::MappingEvaluator& ev, int threads, int population,
+            int64_t budget, const std::vector<Mapping>& seeds = {},
             bool record_samples = false)
 {
     opt::MagmaConfig cfg;
@@ -232,7 +231,6 @@ magmaSearch(const sched::MappingEvaluator& ev, sched::EvalMode mode,
     opts.sampleBudget = budget;
     opts.recordConvergence = true;
     opts.recordSamples = record_samples;
-    opts.evalMode = mode;
     opts.threads = threads;
     opts.seeds = seeds;
     return ga.search(ev, opts);
@@ -249,29 +247,64 @@ expectSameSearch(const SearchResult& got, const SearchResult& want)
     EXPECT_EQ(got.convergence, want.convergence);
 }
 
+/**
+ * The search MappingEvaluator alone would run: MAGMA with recordSamples,
+ * which turns the load bound off, with every sample checked against
+ * MappingEvaluator::fitness. A search's path depends only on its RNG and
+ * the scores it receives, so equal scores make it the reference search.
+ */
+SearchResult
+referenceScoredSearch(const sched::MappingEvaluator& ev, int population,
+                      int64_t budget, const std::vector<Mapping>& seeds = {})
+{
+    BoundCounts before = BoundCounts::now();
+    SearchResult exact = magmaSearch(ev, 1, population, budget, seeds,
+                                     /*record_samples=*/true);
+    EXPECT_EQ(BoundCounts::now().since(before).bounded, 0);
+    EXPECT_EQ(exact.sampled.size(), static_cast<size_t>(budget));
+    EXPECT_EQ(exact.sampledFitness.size(), exact.sampled.size());
+    const size_t n =
+        std::min(exact.sampled.size(), exact.sampledFitness.size());
+    for (size_t i = 0; i < n; ++i) {
+        const double want = ev.fitness(exact.sampled[i]);
+        EXPECT_EQ(exact.sampledFitness[i], want) << "sample " << i;
+        if (exact.sampledFitness[i] != want)
+            break;  // the first mismatch says enough
+    }
+    return exact;
+}
+
 }  // namespace
 
-/** MAGMA with the bounding flat kernel equals MAGMA on the Reference
- * kernel, which never bounds, bit for bit, at the paper's scale: Mix/S4
- * group 100, 10K samples, workload seeds 1 and 3 (the second BW-bound and
- * rich in fitness ties), at 1 and 4 threads. Both the bound and the tie
+/** MAGMA with the load bound equals the reference-scored search bit for
+ * bit at the paper's scale — Mix/S4 group 100, 10K samples, workload
+ * seeds 1 and 3 (the second BW-bound and rich in fitness ties) — and on
+ * a small Mix/S2 group, at 1 and 4 threads. Both the bound and the tie
  * re-score must have been exercised. */
-TEST(MagmaBound, FlatEqualsReferenceOnMixS4Group100)
+TEST(MagmaBound, BoundedEqualsReferenceScoredSearch)
 {
+    struct Case {
+        accel::Setting setting;
+        double bwGbps;
+        int group;
+        uint64_t workloadSeed;
+        int64_t budget;
+    };
     CountersOn counters;
     BoundCounts total;
-    for (uint64_t workload_seed : {1u, 3u}) {
-        SCOPED_TRACE(testing::Message() << "workload seed "
-                                        << workload_seed);
-        auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S4,
-                                  16.0, 100, workload_seed);
+    for (const Case& c : {Case{accel::Setting::S4, 16.0, 100, 1, 10000},
+                          Case{accel::Setting::S4, 16.0, 100, 3, 10000},
+                          Case{accel::Setting::S2, 8.0, 14, 17, 400}}) {
+        SCOPED_TRACE(testing::Message()
+                     << accel::settingName(c.setting) << " group "
+                     << c.group << " workload seed " << c.workloadSeed);
+        auto p = m3e::makeProblem(dnn::TaskType::Mix, c.setting, c.bwGbps,
+                                  c.group, c.workloadSeed);
         const sched::MappingEvaluator& ev = p->evaluator();
-        SearchResult want =
-            magmaSearch(ev, sched::EvalMode::Reference, 1, 100, 10000);
+        SearchResult want = referenceScoredSearch(ev, 100, c.budget);
         for (int threads : {1, 4}) {
             BoundCounts before = BoundCounts::now();
-            SearchResult got =
-                magmaSearch(ev, sched::EvalMode::Flat, threads, 100, 10000);
+            SearchResult got = magmaSearch(ev, threads, 100, c.budget);
             BoundCounts delta = BoundCounts::now().since(before);
             total.bounded += delta.bounded;
             total.rescored += delta.rescored;
@@ -292,44 +325,20 @@ TEST(MagmaBound, WarmStartedSmallPopulationMatchesReference)
     const sched::MappingEvaluator& ev = p->evaluator();
     const int population = opt::transfer::populationFor(12);
     ASSERT_LE(population, opt::GaPopulation::kSmallSort);
-    SearchResult cold = magmaSearch(ev, sched::EvalMode::Flat, 1, population,
-                                    300);
+    SearchResult cold = magmaSearch(ev, 1, population, 300);
     common::Rng rng(5);
     std::vector<Mapping> seeds = opt::transfer::seedsAround(
         cold.best, population, ev.numAccels(), rng);
 
-    SearchResult want = magmaSearch(ev, sched::EvalMode::Reference, 1,
-                                    population, 2000, seeds);
+    SearchResult want = referenceScoredSearch(ev, population, 2000, seeds);
     for (int threads : {1, 4}) {
         BoundCounts before = BoundCounts::now();
-        SearchResult got = magmaSearch(ev, sched::EvalMode::Flat, threads,
-                                       population, 2000, seeds);
+        SearchResult got = magmaSearch(ev, threads, population, 2000, seeds);
         BoundCounts delta = BoundCounts::now().since(before);
         expectSameSearch(got, want);
         EXPECT_GT(delta.bounded, 0);
         EXPECT_EQ(delta.rescored, 0);
     }
-}
-
-/** Recording samples turns the bound off: every logged fitness is exact,
- * and the search itself is unchanged. */
-TEST(MagmaBound, RecordedSamplesStayExact)
-{
-    CountersOn counters;
-    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S4, 16.0,
-                              100, 1);
-    const sched::MappingEvaluator& ev = p->evaluator();
-    SearchResult plain = magmaSearch(ev, sched::EvalMode::Flat, 1, 100, 2000);
-    BoundCounts before = BoundCounts::now();
-    SearchResult recorded = magmaSearch(ev, sched::EvalMode::Flat, 1, 100,
-                                        2000, {}, /*record_samples=*/true);
-    EXPECT_EQ(BoundCounts::now().since(before).bounded, 0);
-    expectSameSearch(recorded, plain);
-    ASSERT_EQ(recorded.sampled.size(), 2000u);
-    ASSERT_EQ(recorded.sampledFitness.size(), 2000u);
-    for (size_t i = 0; i < recorded.sampled.size(); ++i)
-        ASSERT_EQ(recorded.sampledFitness[i], ev.fitness(recorded.sampled[i]))
-            << "sample " << i;
 }
 
 /** smallSort is std::sort at 16 elements or fewer: random inputs with many
@@ -543,6 +552,17 @@ TEST(WarmStart, PopulationTracksGroupSizeWithinBounds)
     EXPECT_EQ(transfer::populationFor(40), 40);
     EXPECT_EQ(transfer::populationFor(100), 100);
     EXPECT_EQ(transfer::populationFor(300), 100);
+
+    // warmBudget: a positive request wins, even below one generation;
+    // otherwise a quarter of the cold budget, at least one generation.
+    EXPECT_EQ(transfer::warmBudget(500, 100, 10000), 500);
+    EXPECT_EQ(transfer::warmBudget(1, 100, 10000), 1);
+    EXPECT_EQ(transfer::warmBudget(0, 100, 10000), 2500);
+    EXPECT_EQ(transfer::warmBudget(-3, 100, 10000), 2500);
+    EXPECT_EQ(transfer::warmBudget(0, 100, 300), 100);
+    EXPECT_EQ(transfer::warmBudget(0, 8, 35), 8);
+    EXPECT_EQ(transfer::warmBudget(0, 8, 36), 9);
+    EXPECT_EQ(transfer::warmBudget(0, 8, 0), 8);
 }
 
 TEST(WarmStart, StoreAndSeedSameSize)

@@ -906,6 +906,49 @@ TEST(MappingService, WarmStartAcrossReloadReachesColdQualityAtQuarterBudget)
     std::remove(path.c_str());
 }
 
+TEST(MappingService, StoppedStoreLogResumesOnNextWriteBack)
+{
+    // A failed append stops the store log (see
+    // MappingStoreLog.FailedAppendLeavesReplayablePrefix). The next
+    // write-back that finds it stopped must compact, which rewrites the
+    // snapshot and restarts the log, so a crash after it loses nothing.
+    const std::string snap = "serve_stopped_log_test.snap";
+    const std::string log_path = snap + ".log";
+    std::remove(snap.c_str());
+    std::remove(log_path.c_str());
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.storePath = snap;
+    MappingService service(cfg);
+    service.submit(baseRequest(1)).get();
+
+    // Room for part of the next record only, and for no snapshot of two
+    // entries, so the compact that follows the failed append fails too.
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit low = saved;
+    low.rlim_cur = slurp(log_path).size() + 16;
+    auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &low), 0);
+    MapResponse limited = service.submit(baseRequest(2)).get();
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, old_handler);
+    EXPECT_GT(limited.samplesUsed, 0);  // the request itself is served
+    EXPECT_EQ(service.store().stats().logAppendFailures, 1);
+    EXPECT_TRUE(service.store().logStopped());
+
+    // The disk has room again: the next write-back resumes the log.
+    service.submit(baseRequest(3)).get();
+    EXPECT_FALSE(service.store().logStopped());
+    EXPECT_EQ(service.store().size(), 3);
+    MappingStore recovered;
+    recovered.recover(snap, log_path);
+    EXPECT_EQ(saveText(recovered), saveText(service.store()));
+    service.stop();
+    std::remove(snap.c_str());
+    std::remove(log_path.c_str());
+}
+
 TEST(MappingService, ConcurrentTenantsCompoundStoreKnowledge)
 {
     // Write-backs from concurrent lanes land in one shared store: after a
