@@ -17,9 +17,10 @@
  *     std::mt19937_64 and the std distributions (also fatal on any
  *     mismatch) and the Bernoulli-draw rate MAGMA's mutation runs on,
  *     next to the same draw through the std engine and distribution;
- *   - MAGMA's per-child mutation: a bitwise check of the cut-form
- *     MagmaGa::mutate against the bernoulli(rate) form (fatal on any
- *     mismatch) and its children/s on a group-100 mapping.
+ *   - MAGMA's per-child mutation: a bitwise check of the skip-sampled
+ *     MagmaGa::mutate, whose gaps come from a table of word cuts, against
+ *     the same gaps found by comparing uniform() with (1 - rate)^k (fatal
+ *     on any mismatch), and its children/s on a group-100 mapping.
  *
  * Self-timed (no google-benchmark dependency), so it always builds and
  * can run as a CI gate. Flags, on top of the shared bench_common.h set
@@ -192,10 +193,10 @@ rngParityCheck(uint64_t seed, int64_t n)
 
 /**
  * Mutation self-check: `n` children mutated by MagmaGa::mutate at the
- * precomputed cut of `rate`, against the same loop written with
- * bernoulli(rate) on an identically seeded Rng. Returns the number of
- * mismatching children (0 = pass); a final engine word that differs
- * (a different number of draws) counts as one more.
+ * gap table of `rate`, against the same gaps written as uniform()
+ * compares with (1 - rate)^k on an identically seeded Rng. Returns the
+ * number of mismatching children (0 = pass); a final engine word that
+ * differs (a different number of draws) counts as one more.
  */
 int64_t
 mutateParityCheck(uint64_t seed, double rate, int group, int accels,
@@ -203,23 +204,32 @@ mutateParityCheck(uint64_t seed, double rate, int group, int accels,
 {
     common::Rng init(seed);
     const sched::Mapping parent = sched::Mapping::random(group, accels, init);
-    const common::BernoulliCut cut = common::Rng::bernoulliCut(rate);
-    common::Rng by_cut(seed + 1), by_rate(seed + 1);
+    const int trials = 2 * group;
+    const common::GeometricSkip skip(rate, trials);
+    common::Rng by_table(seed + 1), by_compare(seed + 1);
     sched::Mapping got, want;
     int64_t bad = 0;
     for (int64_t c = 0; c < n; ++c) {
         got = parent;
         want = parent;
-        opt::MagmaGa::mutate(got, cut, accels, by_cut);
-        for (int i = 0; i < group; ++i) {
-            if (by_rate.bernoulli(rate))
-                want.accelSel[i] = by_rate.uniformInt(accels);
-            if (by_rate.bernoulli(rate))
-                want.priority[i] = by_rate.uniform();
+        opt::MagmaGa::mutate(got, skip, accels, by_table);
+        for (int t = 0;; ++t) {
+            const double u = by_compare.uniform();
+            double all_fail = 1.0 - rate;
+            for (int k = 0; k < trials && u < all_fail; ++k) {
+                ++t;
+                all_fail *= 1.0 - rate;
+            }
+            if (t >= trials)
+                break;
+            if (t & 1)
+                want.priority[t >> 1] = by_compare.uniform();
+            else
+                want.accelSel[t >> 1] = by_compare.uniformInt(accels);
         }
         bad += !(got == want);
     }
-    bad += by_cut.engine()() != by_rate.engine()();
+    bad += by_table.engine()() != by_compare.engine()();
     return bad;
 }
 
@@ -330,21 +340,19 @@ main(int argc, char** argv)
     int64_t mutate_bad = mutateParityCheck(args.seed, 0.05, w.group, accels,
                                            mutate_parity_n);
     if (mutate_bad != 0)
-        std::fprintf(stderr, "cut/rate mutate parity FAILED on %lld of "
+        std::fprintf(stderr, "table/compare mutate parity FAILED on %lld of "
                              "%lld children\n",
                      static_cast<long long>(mutate_bad),
                      static_cast<long long>(mutate_parity_n));
     common::Rng mutate_rng(args.seed);
     sched::Mapping child =
         sched::Mapping::random(w.group, accels, mutate_rng);
-    const common::BernoulliCut mutation_cut =
-        common::Rng::bernoulliCut(0.05);
+    const common::GeometricSkip mutation(0.05, 2 * w.group);
     const int children = 100;
     double mutate_per_s = rate(
         [&] {
             for (int c = 0; c < children; ++c)
-                opt::MagmaGa::mutate(child, mutation_cut, accels,
-                                     mutate_rng);
+                opt::MagmaGa::mutate(child, mutation, accels, mutate_rng);
         },
         budget_s, children);
     sink = child.priority[0];

@@ -390,12 +390,11 @@ main(int argc, char** argv)
             // magma-lint: allow(double-format): console stats, never
             // reparsed (the machine-readable path is --metrics-out).
             std::printf("load bound: %lld of %lld samples stopped before "
-                        "simulating (%.1f%%), %lld re-scored for ties\n",
+                        "simulating (%.1f%%)\n",
                         bounded, samples,
                         samples ? 100.0 * static_cast<double>(bounded) /
                                       static_cast<double>(samples)
-                                : 0.0,
-                        counter("opt.bound_rescored"));
+                                : 0.0);
         }
         if (!snap.profile.empty()) {
             // Top-10 nodes by exclusive time; stable_sort keeps the

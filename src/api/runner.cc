@@ -8,6 +8,7 @@
 #include "api/textio.h"
 #include "mo/nsga2.h"
 #include "obs/snapshot.h"
+#include "opt/warm_start.h"
 
 namespace magma::api {
 
@@ -250,8 +251,9 @@ Runner::run(const ProblemSpec& ps, const SearchSpec& ss,
     m3e::Problem& prob = problem(ps, primary);
     sched::MappingEvaluator& eval = prob.evaluator();
 
-    std::unique_ptr<opt::Optimizer> optimizer =
-        OptimizerRegistry::global().make(ss.method, ss.seed);
+    std::unique_ptr<opt::Optimizer> optimizer = makeForPopulation(
+        ss.method, ss.seed,
+        opt::transfer::populationFor(prob.group().size()));
 
     opt::SearchOptions opts;
     opts.sampleBudget = ss.sampleBudget;

@@ -56,6 +56,32 @@ Mt19937_64::refill()
     next_ = 0;
 }
 
+GeometricSkip::GeometricSkip(double p, int span)
+    : below_(static_cast<size_t>(std::max(span, 1)))
+{
+    const double q = p > 0.0 ? (p < 1.0 ? 1.0 - p : 0.0) : 1.0;
+    if (q == 1.0) {
+        // Every cut admits every word: each gap is span().
+        floor_.fill(this->span());
+        return;
+    }
+    // Below 1, every power of q is at most nextafter(1, 0), so its cut is
+    // a plain word bound.
+    double all_fail = 1.0;
+    for (uint64_t& below : below_) {
+        all_fail *= q;
+        below = Rng::bernoulliCut(all_fail).below;
+    }
+    // One walk down the cuts as the bucket's last word rises.
+    int g = this->span();
+    for (size_t b = 0; b < floor_.size(); ++b) {
+        const uint64_t last = (uint64_t{b} << 56) | ((uint64_t{1} << 56) - 1);
+        while (g > 0 && !(last < below_[g - 1]))
+            --g;
+        floor_[b] = g;
+    }
+}
+
 std::vector<int>
 Rng::permutation(int n)
 {

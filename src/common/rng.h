@@ -1,6 +1,7 @@
 #ifndef MAGMA_COMMON_RNG_H_
 #define MAGMA_COMMON_RNG_H_
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -88,12 +89,18 @@ struct BernoulliCut {
  *  - uniformInt, gauss and permutation still go through the std
  *    distributions and std::shuffle over that word stream.
  *
- * Changing any of this changes every fixed-seed result in the repository
- * (tests/test_golden.cc pins them).
+ * CounterRng (below) is the second generator: a counter-based stream
+ * keyed by (key, stream, substream) that MAGMA's breeding draws from, one
+ * stream per breeding pair. GeometricSkip turns a run of Bernoulli trials
+ * into one word per success. Changing any of this changes every
+ * fixed-seed result in the repository (tests/test_golden.cc pins them).
  */
 class Rng {
   public:
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull) : engine_(seed) {}
+
+    /** One raw engine word. */
+    uint64_t word() { return engine_(); }
 
     /** Uniform double in [0, 1). */
     double uniform() { return toUnit(engine_()); }
@@ -201,6 +208,125 @@ class Rng {
 
     Mt19937_64 engine_;
     std::normal_distribution<double> normal_{0.0, 1.0};
+};
+
+/**
+ * The gaps between successes in a run of independent Bernoulli(p)
+ * trials, compiled to word cuts: gap(word) is the number of failures
+ * before the next success, drawn from one word by inversion. Cut k
+ * admits the words whose uniform() is below (1 - p)^k, the chance that k
+ * trials in a row fail, with the power formed by repeated IEEE
+ * multiplication, so no libm function decides a draw. A p that is NaN or
+ * at most 0 never succeeds, and a p of 1 or more always does.
+ *
+ * The table holds `span` cuts, so a gap of `span` or more reads as span:
+ * `span` trials failed and the next gap is drawn afresh, which the
+ * trials' independence makes exact.
+ */
+class GeometricSkip {
+  public:
+    GeometricSkip(double p, int span);
+
+    int span() const { return static_cast<int>(below_.size()); }
+
+    /** Failures before the next success (at most span()), from one word. */
+    int gap(uint64_t word) const
+    {
+        // The gap falls as the word rises, so the gap of the last word
+        // in the word's top-byte bucket is a floor; the cuts above it
+        // that still admit the word (a prefix, since they are nested)
+        // add one each. Most words need no step past the floor.
+        int g = floor_[word >> 56];
+        while (g < span() && word < below_[g])
+            ++g;
+        return g;
+    }
+
+  private:
+    /** below_[k - 1]: the words below it draw k failures in a row. */
+    std::vector<uint64_t> below_;
+    /** The gap of the largest word with each top byte. */
+    std::array<int, 256> floor_{};
+};
+
+/**
+ * Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1,
+ * 2, 3", SC'11): ten rounds of a keyed bijection on a 128-bit counter.
+ * Random123's published known-answer vectors pin it
+ * (tests/test_common.cc).
+ */
+constexpr std::array<uint32_t, 4>
+philox4x32(std::array<uint32_t, 4> ctr, std::array<uint32_t, 2> key)
+{
+    for (int round = 0; round < 10; ++round) {
+        if (round > 0) {
+            key[0] += 0x9E3779B9u;
+            key[1] += 0xBB67AE85u;
+        }
+        const uint64_t p0 = uint64_t{0xD2511F53u} * ctr[0];
+        const uint64_t p1 = uint64_t{0xCD9E8D57u} * ctr[2];
+        ctr = {static_cast<uint32_t>(p1 >> 32) ^ ctr[1] ^ key[0],
+               static_cast<uint32_t>(p1),
+               static_cast<uint32_t>(p0 >> 32) ^ ctr[3] ^ key[1],
+               static_cast<uint32_t>(p0)};
+    }
+    return ctr;
+}
+
+/**
+ * A counter-based word stream: stream (key, stream, substream) is the
+ * Philox4x32-10 output of the counters {j, stream_lo, stream_hi,
+ * substream} for j = 0, 1, ... under `key`, two words per block (lanes
+ * 0-1, then 2-3, low lane in the low half). Any stream is a pure function
+ * of its three keys, so streams can be drawn in any order, on any thread.
+ *
+ * The draws mirror Rng's on this word stream: uniform() and bernoulli()
+ * take one word through the same Rng::toUnit and cut; uniformInt is
+ * Lemire's multiply-shift on the word's top 32 bits, rejecting (and
+ * drawing again) the few words that would bias it.
+ */
+class CounterRng {
+  public:
+    CounterRng(uint64_t key, uint64_t stream, uint32_t substream)
+        : key_{static_cast<uint32_t>(key), static_cast<uint32_t>(key >> 32)},
+          ctr_{0, static_cast<uint32_t>(stream),
+               static_cast<uint32_t>(stream >> 32), substream}
+    {}
+
+    uint64_t word()
+    {
+        if (next_ == 2) {
+            const std::array<uint32_t, 4> r = philox4x32(ctr_, key_);
+            ++ctr_[0];
+            out_[0] = uint64_t{r[1]} << 32 | r[0];
+            out_[1] = uint64_t{r[3]} << 32 | r[2];
+            next_ = 0;
+        }
+        return out_[next_++];
+    }
+
+    double uniform() { return Rng::toUnit(word()); }
+
+    bool bernoulli(const BernoulliCut& cut) { return cut.admits(word()); }
+
+    /** Uniform integer in [0, n). n must be positive. */
+    int uniformInt(int n)
+    {
+        const uint32_t range = static_cast<uint32_t>(n);
+        uint64_t m = (word() >> 32) * range;
+        if (static_cast<uint32_t>(m) < range) {
+            const uint32_t reject = (0u - range) % range;  // 2^32 mod n
+            while (static_cast<uint32_t>(m) < reject)
+                m = (word() >> 32) * range;
+        }
+        return static_cast<int>(m >> 32);
+    }
+
+  private:
+    std::array<uint32_t, 2> key_;
+    std::array<uint32_t, 4> ctr_;
+    uint64_t out_[2] = {};
+    int next_ = 2;
 };
 
 }  // namespace magma::common

@@ -95,12 +95,4 @@ EvalEngine::fitnessOne(const sched::Mapping& m) const
     return flat_.fitness(m, scratch_[0]);
 }
 
-double
-EvalEngine::rescore(const sched::Mapping& m) const
-{
-    sched::EvalScratch& s = scratch_[0];
-    flat_.simulate(m, s);
-    return flat_.objectiveValue(m, s);
-}
-
 }  // namespace magma::exec

@@ -119,13 +119,6 @@ class EvalEngine {
      */
     double fitnessOne(const sched::Mapping& m) const;
 
-    /**
-     * Exact fitness of a candidate that a batch stopped at its bound, on
-     * the calling thread (lane 0); counts no sample, since the batch
-     * already did. Must not be called while a batch is in flight.
-     */
-    double rescore(const sched::Mapping& m) const;
-
   private:
     const sched::MappingEvaluator* eval_;
     std::unique_ptr<ThreadPool> owned_pool_;  // null when borrowing

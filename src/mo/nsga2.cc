@@ -155,15 +155,16 @@ Nsga2::evolve(int group_size, int num_accels,
     int64_t gen = 0;
     traceMoGeneration(gen, archive);
 
-    // MAGMA's operator rates as word cuts, computed once per run.
+    // MAGMA's operator rates as word cuts and its mutation gap table,
+    // built once per run.
     const common::BernoulliCut gen_cut =
         common::Rng::bernoulliCut(cfg_.ops.crossoverGenRate);
     const common::BernoulliCut rg_cut =
         common::Rng::bernoulliCut(cfg_.ops.crossoverRgRate);
     const common::BernoulliCut accel_cut =
         common::Rng::bernoulliCut(cfg_.ops.crossoverAccelRate);
-    const common::BernoulliCut mutation_cut =
-        common::Rng::bernoulliCut(cfg_.ops.mutationRate);
+    const common::GeometricSkip mutation(cfg_.ops.mutationRate,
+                                         2 * group_size);
 
     while (true) {
         std::vector<ObjectiveVector> rows = objectiveRows(pop);
@@ -202,11 +203,10 @@ Nsga2::evolve(int group_size, int num_accels,
                 opt::MagmaGa::crossoverAccel(son, pop[mi].m, num_accels,
                                              rng_);
 
-            opt::MagmaGa::mutate(son, mutation_cut, num_accels, rng_);
+            opt::MagmaGa::mutate(son, mutation, num_accels, rng_);
             children.push_back({std::move(son), {}});
             if (static_cast<int>(children.size()) < pop_size) {
-                opt::MagmaGa::mutate(daughter, mutation_cut, num_accels,
-                                     rng_);
+                opt::MagmaGa::mutate(daughter, mutation, num_accels, rng_);
                 children.push_back({std::move(daughter), {}});
             }
         }

@@ -36,7 +36,14 @@ struct MagmaConfig {
  *    re-assigning the child's displaced jobs for load balancing.
  *
  * The static `crossoverGen/Rg/Accel` and `mutate` methods expose the
- * operators directly for unit testing.
+ * operators directly for unit testing. They draw from a common::Rng (as
+ * stdGA, NSGA-II and the warm-start tiers call them) or a
+ * common::CounterRng (MAGMA's breeding).
+ *
+ * Breeding pair k of generation t draws its parent picks, crossover
+ * coins and pivots and both mutations from CounterRng(key, t, k), where
+ * the key is one rng_ word drawn after the initial population. A child is
+ * then a pure function of the ranked elites and its (t, k).
  */
 class MagmaGa : public Optimizer {
   public:
@@ -47,24 +54,30 @@ class MagmaGa : public Optimizer {
     const MagmaConfig& config() const { return cfg_; }
 
     /** Genome-wise single-pivot crossover between two children (in place). */
-    static void crossoverGen(sched::Mapping& a, sched::Mapping& b,
-                             common::Rng& rng);
+    template <class R>
+    static void crossoverGen(sched::Mapping& a, sched::Mapping& b, R& rng);
     /** Range crossover across both genomes simultaneously (in place). */
-    static void crossoverRg(sched::Mapping& a, sched::Mapping& b,
-                            common::Rng& rng);
+    template <class R>
+    static void crossoverRg(sched::Mapping& a, sched::Mapping& b, R& rng);
     /**
      * Transplant `donor`'s job set for one random sub-accelerator into
      * `child`; displaced child jobs are randomly re-assigned.
      */
+    template <class R>
     static void crossoverAccel(sched::Mapping& child,
                                const sched::Mapping& donor, int num_accels,
-                               common::Rng& rng);
-    /** Per-gene mutation at the given rate (in place). */
-    static void mutate(sched::Mapping& m, double rate, int num_accels,
-                       common::Rng& rng);
-    /** mutate() at a rate precomputed as a cut; the same draws. */
-    static void mutate(sched::Mapping& m, const common::BernoulliCut& rate,
-                       int num_accels, common::Rng& rng);
+                               R& rng);
+    /**
+     * Per-gene mutation: the 2G trials (sub-accelerator of gene 0, its
+     * priority, sub-accelerator of gene 1, ...) each mutate independently
+     * with the rate `skip` was built from. The draws are one word per
+     * geometric gap between mutated trials plus one value draw per
+     * mutation, so a child at rate 0.05 costs about 2G / 10 draws rather
+     * than 2G.
+     */
+    template <class R>
+    static void mutate(sched::Mapping& m, const common::GeometricSkip& skip,
+                       int num_accels, R& rng);
 
   protected:
     void run(const sched::MappingEvaluator& eval, const SearchOptions& opts,

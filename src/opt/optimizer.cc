@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <cmath>
 #include <numeric>
 
 #include "exec/eval_engine.h"
@@ -17,7 +17,6 @@ struct OptMetrics {
     obs::Counter& generations;
     obs::Counter& searches;
     obs::Counter& boundedChildren;
-    obs::Counter& boundRescored;
 };
 
 OptMetrics&
@@ -27,18 +26,8 @@ optMetrics()
     static OptMetrics m{reg.counter("opt.samples"),
                         reg.counter("opt.generations"),
                         reg.counter("opt.searches"),
-                        reg.counter("opt.bounded_children"),
-                        reg.counter("opt.bound_rescored")};
+                        reg.counter("opt.bounded_children")};
     return m;
-}
-
-/** Bit-for-bit genome equality: -0.0 and 0.0 priorities differ. */
-bool
-sameGenome(const sched::Mapping& a, const sched::Mapping& b)
-{
-    return a.accelSel == b.accelSel &&
-           std::memcmp(a.priority.data(), b.priority.data(),
-                       a.priority.size() * sizeof(double)) == 0;
 }
 
 }  // namespace
@@ -92,7 +81,7 @@ SearchRecorder::evaluate(const sched::Mapping& m)
 
 std::vector<double>
 SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms,
-                              double cutoff, std::span<uint8_t> bounded)
+                              double cutoff)
 {
     size_t n = static_cast<size_t>(
         std::min<int64_t>(static_cast<int64_t>(ms.size()), remaining()));
@@ -107,13 +96,16 @@ SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms,
     // The sample log (Fig. 10) holds exact fitness only.
     if (opts_.recordSamples)
         cutoff = -std::numeric_limits<double>::infinity();
-    assert(bounded.empty() || bounded.size() >= n);
+    // Bounded flags are read only by the counter.
+    const bool count_bounded = obs_counters_ &&
+        cutoff > -std::numeric_limits<double>::infinity();
+    if (count_bounded)
+        bounded_.assign(n, 0);
     std::vector<double> fitness;
     if (n > 1) {
         fitness = engine_->evaluateBatch(
-            ms.data(), n, cutoff, bounded.empty() ? nullptr : bounded.data());
+            ms.data(), n, cutoff, count_bounded ? bounded_.data() : nullptr);
     } else {
-        std::fill(bounded.begin(), bounded.end(), uint8_t{0});
         fitness.resize(n);
         for (size_t i = 0; i < n; ++i)
             fitness[i] = engine_->fitnessOne(ms[i]);
@@ -129,20 +121,12 @@ SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms,
         OptMetrics& m = optMetrics();
         m.samples.add(static_cast<int64_t>(n));
         m.generations.add();
-        if (!bounded.empty())
+        if (count_bounded)
             m.boundedChildren.add(static_cast<int64_t>(
-                std::count(bounded.begin(), bounded.begin() + n, 1)));
+                std::count(bounded_.begin(), bounded_.end(), 1)));
     }
     generation.payload(result_.bestFitness, static_cast<double>(used_));
     return fitness;
-}
-
-double
-SearchRecorder::rescore(const sched::Mapping& m)
-{
-    if (obs_counters_)
-        optMetrics().boundRescored.add();
-    return engine_->rescore(m);
 }
 
 SearchResult
@@ -154,7 +138,7 @@ SearchRecorder::finish()
 
 GaPopulation::GaPopulation(int size, const std::vector<sched::Mapping>& seeds,
                            int group_size, int num_accels, common::Rng& rng)
-    : curFit_(size), nextFit_(size), order_(size), bounded_(size)
+    : curFit_(size), nextFit_(size), order_(size)
 {
     cur_.reserve(size);
     for (const auto& s : seeds) {
@@ -176,16 +160,23 @@ GaPopulation::scoreAll(SearchRecorder& rec)
 }
 
 void
-GaPopulation::rank()
+GaPopulation::rank(int top)
 {
     std::iota(order_.begin(), order_.end(), 0);
-    auto better = [this](int a, int b) { return curFit_[a] > curFit_[b]; };
-    // At this size std::sort is this stable insertion sort; spelling it
-    // out pins the stability that eliteCutoff() relies on.
-    if (order_.size() <= static_cast<size_t>(kSmallSort))
-        smallSort(order_.begin(), order_.end(), better);
-    else
+    auto better = [this](int a, int b) {
+        const double fa = curFit_[a], fb = curFit_[b];
+        if (fa > fb || fa < fb)
+            return fa > fb;
+        // Equal, or a NaN on either side: NaN ranks below every number.
+        if (std::isnan(fa) != std::isnan(fb))
+            return std::isnan(fb);
+        return a > b;
+    };
+    if (top >= static_cast<int>(order_.size()))
         std::sort(order_.begin(), order_.end(), better);
+    else
+        std::partial_sort(order_.begin(), order_.begin() + top, order_.end(),
+                          better);
 }
 
 void
@@ -197,59 +188,18 @@ GaPopulation::carryElites(int elites)
     }
 }
 
-double
-GaPopulation::eliteCutoff(int elites) const
-{
-    // The carried elites are in rank order, so equal fitness is adjacent.
-    // A stable small sort orders such a tie by slot, whatever else the
-    // generation holds.
-    if (next_.size() > static_cast<size_t>(kSmallSort)) {
-        for (int i = 1; i < elites; ++i)
-            if (nextFit_[i] == nextFit_[i - 1] &&
-                !sameGenome(next_[i], next_[i - 1]))
-                return -std::numeric_limits<double>::infinity();
-    }
-    return nextFit_[elites - 1];
-}
-
-bool
-GaPopulation::tieAtOrAbove(double cutoff, int end)
-{
-    top_.clear();
-    for (int i = 0; i < end; ++i)
-        if (nextFit_[i] >= cutoff)
-            top_.push_back(i);
-    std::sort(top_.begin(), top_.end(),
-              [this](int a, int b) { return nextFit_[a] > nextFit_[b]; });
-    for (size_t k = 1; k < top_.size(); ++k)
-        if (nextFit_[top_[k]] == nextFit_[top_[k - 1]] &&
-            !sameGenome(next_[top_[k]], next_[top_[k - 1]]))
-            return true;
-    return false;
-}
-
 void
-GaPopulation::advance(SearchRecorder& rec, int first, double cutoff)
+GaPopulation::advance(SearchRecorder& rec, int first, bool bound)
 {
+    // A NaN cutoff (a NaN elite) bounds nothing.
+    const double cutoff = bound ? nextFit_[first - 1]
+                                : -std::numeric_limits<double>::infinity();
     // Whole-generation batch: the children are independent, so they fan
     // out over the evaluation engine's threads.
     std::span<const sched::Mapping> next(next_);
-    std::span<uint8_t> bounded = std::span<uint8_t>(bounded_).subspan(first);
     std::vector<double> fits =
-        rec.evaluateBatch(next.subspan(first), cutoff, bounded);
+        rec.evaluateBatch(next.subspan(first), cutoff);
     std::copy(fits.begin(), fits.end(), nextFit_.begin() + first);
-
-    // A bounded child sits below the cutoff either way, but std::sort's
-    // order of a tie above it depends on every value in the array.
-    const int end = first + static_cast<int>(fits.size());
-    const auto scored = bounded.first(fits.size());
-    if (next_.size() > static_cast<size_t>(kSmallSort) &&
-        std::find(scored.begin(), scored.end(), 1) != scored.end() &&
-        tieAtOrAbove(cutoff, end)) {
-        for (int i = first; i < end; ++i)
-            if (bounded_[i])
-                nextFit_[i] = rec.rescore(next_[i]);
-    }
     cur_.swap(next_);
     curFit_.swap(nextFit_);
 }

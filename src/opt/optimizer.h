@@ -1,7 +1,6 @@
 #ifndef MAGMA_OPT_OPTIMIZER_H_
 #define MAGMA_OPT_OPTIMIZER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -87,23 +86,15 @@ class SearchRecorder {
      * over the same candidates, at any thread count. Returns empty once
      * exhausted().
      *
-     * `cutoff` and `bounded` are EvalEngine::evaluateBatch's: a candidate
-     * proven to score below `cutoff` may return an upper bound below it
-     * instead of its fitness, flagged in `bounded`, which must then cover
-     * the batch. It still costs one sample, and it cannot move the
+     * `cutoff` is EvalEngine::evaluateBatch's: a candidate proven to
+     * score below it may return an upper bound below it instead of its
+     * fitness. It still costs one sample, and it cannot move the
      * incumbent when `cutoff` is at most bestFitness(). With
      * recordSamples the cutoff is ignored, so the sample log stays exact.
      */
     std::vector<double> evaluateBatch(
         std::span<const sched::Mapping> ms,
-        double cutoff = -std::numeric_limits<double>::infinity(),
-        std::span<uint8_t> bounded = {});
-
-    /**
-     * Exact fitness of a candidate a batch left at its bound; spends no
-     * budget and records nothing.
-     */
-    double rescore(const sched::Mapping& m);
+        double cutoff = -std::numeric_limits<double>::infinity());
 
     bool exhausted() const { return used_ >= opts_.sampleBudget; }
     int64_t remaining() const { return opts_.sampleBudget - used_; }
@@ -127,6 +118,7 @@ class SearchRecorder {
     // generation cursor behind the opt.generation spans.
     bool obs_counters_ = false;
     int64_t generation_ = 0;
+    std::vector<uint8_t> bounded_;  // per candidate, for the counter
 };
 
 /**
@@ -152,13 +144,14 @@ class GaPopulation {
     bool scoreAll(SearchRecorder& rec);
 
     /**
-     * Order the current generation by descending fitness. Sorting an
-     * index array with the comparator std::sort would apply to the
-     * individuals yields the same order, ties included. Populations of
-     * at most kSmallSort take smallSort(), the stable sort libstdc++'s
-     * std::sort runs at that size.
+     * Order the `top` best individuals of the current generation; ranks
+     * from `top` on are unspecified. The order is total: fitness
+     * descending, then slot descending, so of two equal scores the later
+     * slot (a child over a carried elite) ranks first, and NaN ranks
+     * below every number. The top ranks therefore depend only on the
+     * (fitness, slot) pairs that hold them.
      */
-    void rank();
+    void rank(int top);
     /** The r-th best individual as of the last rank(). */
     const sched::Mapping& ranked(int r) const { return cur_[order_[r]]; }
     double rankedFitness(int r) const { return curFit_[order_[r]]; }
@@ -169,73 +162,20 @@ class GaPopulation {
     sched::Mapping& child(int i) { return next_[i]; }
 
     /**
-     * The cutoff for advance() once carryElites(elites) has run: the
-     * fitness of the worst carried elite. A child scoring below it cannot
-     * become an elite, so its exact fitness is only needed to reproduce
-     * rank()'s order. That order needs it when std::sort sees two
-     * different genomes of equal fitness at or above the cutoff. A
-     * population above kSmallSort whose carried elites hold such a tie
-     * gets -inf, which scores every child exactly: advance() would
-     * re-score every bounded child anyway.
-     */
-    double eliteCutoff(int elites) const;
-
-    /**
      * Score next-generation slots [first, end) and make it the current
-     * generation. With a finite `cutoff` (only ever eliteCutoff()),
-     * children proven to score below it keep an upper bound instead of
-     * their fitness. If a child scored at or above the cutoff then ties a
-     * different genome there, the bounded children are re-scored exactly
-     * before the swap, so rank() orders exactly what an unbounded
-     * generation holds.
+     * generation. With `bound`, slots [0, first) hold carried elites in
+     * rank order, and a child proven to score below the last of them
+     * keeps an upper bound below it instead of its fitness. Every elite
+     * outranks such a child under either value, so rank(first) orders
+     * exactly what an unbounded generation would.
      */
-    void advance(SearchRecorder& rec, int first,
-                 double cutoff = -std::numeric_limits<double>::infinity());
-
-    /** Largest population rank() sorts with smallSort(). */
-    static constexpr int kSmallSort = 16;
+    void advance(SearchRecorder& rec, int first, bool bound = false);
 
   private:
-    /**
-     * Whether slots [0, end) of the next generation hold two different
-     * genomes of equal fitness at or above `cutoff`.
-     */
-    bool tieAtOrAbove(double cutoff, int end);
-
     std::vector<sched::Mapping> cur_, next_;
     std::vector<double> curFit_, nextFit_;
     std::vector<int> order_;
-    std::vector<uint8_t> bounded_;  // per slot, from the last advance()
-    std::vector<int> top_;          // tieAtOrAbove() scratch
 };
-
-/**
- * Sort [first, last) by `less` with the insertion sort libstdc++'s
- * std::sort runs for 16 elements or fewer (std::__insertion_sort), step
- * for step, so at that size both give the same order for any input. It
- * is stable: equal elements keep their input order.
- */
-template <class It, class Less>
-void
-smallSort(It first, It last, Less less)
-{
-    if (first == last)
-        return;
-    for (It i = first + 1; i != last; ++i) {
-        auto v = std::move(*i);
-        if (less(v, *first)) {
-            std::move_backward(first, i, i + 1);
-            *first = std::move(v);
-        } else {
-            It j = i;
-            for (It prev = j - 1; less(v, *prev); --prev) {
-                *j = std::move(*prev);
-                j = prev;
-            }
-            *j = std::move(v);
-        }
-    }
-}
 
 /**
  * Base class of every mapping-search method in M3E (Table IV): the manual

@@ -31,13 +31,13 @@ StdGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
 
     const int elites = std::max(1, static_cast<int>(pop_size *
                                                     cfg_.eliteRatio));
-    // Fixed rates as word cuts, computed once per run.
+    // Fixed rates as a word cut and a mutation gap table, built once per
+    // run.
     const common::BernoulliCut crossover_cut =
         common::Rng::bernoulliCut(cfg_.crossoverRate);
-    const common::BernoulliCut mutation_cut =
-        common::Rng::bernoulliCut(cfg_.mutationRate);
+    const common::GeometricSkip mutation(cfg_.mutationRate, 2 * g);
     while (!rec.exhausted()) {
-        pop.rank();
+        pop.rank(pop_size);
         pop.carryElites(elites);
         for (int k = elites; k < pop_size; ++k) {
             sched::Mapping& child = pop.child(k);
@@ -53,7 +53,7 @@ StdGa::run(const sched::MappingEvaluator& eval, const SearchOptions& opts,
                         child.priority[i - g] = other.priority[i - g];
                 }
             }
-            MagmaGa::mutate(child, mutation_cut, n_accels, rng_);
+            MagmaGa::mutate(child, mutation, n_accels, rng_);
         }
         // Whole-generation batch evaluation of the bred children.
         pop.advance(rec, elites);

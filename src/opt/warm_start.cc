@@ -14,6 +14,9 @@
 namespace magma::opt {
 namespace {
 
+/** Per-gene mutation rate of the warm-start seeds' perturbed copies. */
+constexpr double kSeedMutationRate = 0.05;
+
 /** Similarity bucket for job-matched transfer: task + layer type, plus
  * the log2-size class of the job's MAC count in the fine tier. The tag
  * in the top bits keeps the fine and coarse tiers apart. */
@@ -208,11 +211,12 @@ std::vector<sched::Mapping>
 seedsAround(const sched::Mapping& base, int count, int num_accels,
             common::Rng& rng)
 {
+    const common::GeometricSkip mutation(kSeedMutationRate, 2 * base.size());
     std::vector<sched::Mapping> seeds;
     seeds.push_back(base);
     while (static_cast<int>(seeds.size()) < count) {
         sched::Mapping m = base;
-        MagmaGa::mutate(m, 0.05, num_accels, rng);
+        MagmaGa::mutate(m, mutation, num_accels, rng);
         seeds.push_back(std::move(m));
     }
     return seeds;
@@ -241,9 +245,10 @@ seedsFromArchive(const std::vector<sched::Mapping>& members, int group_size,
         seeds.push_back(adaptPositional(m, group_size, num_accels));
     }
     const size_t adapted = seeds.size();
+    const common::GeometricSkip mutation(kSeedMutationRate, 2 * group_size);
     for (size_t k = 0; static_cast<int>(seeds.size()) < count; ++k) {
         sched::Mapping m = seeds[k % adapted];
-        MagmaGa::mutate(m, 0.05, num_accels, rng);
+        MagmaGa::mutate(m, mutation, num_accels, rng);
         seeds.push_back(std::move(m));
     }
     return seeds;

@@ -24,6 +24,7 @@
 #include "common/rng.h"
 #include "m3e/problem.h"
 #include "opt/magma_ga.h"
+#include "opt/warm_start.h"
 
 using namespace magma;
 using api::ExperimentSpec;
@@ -99,7 +100,9 @@ manualRun(const std::string& method, const ProblemSpec& ps,
                        : m3e::makeProblem(ps.task, ps.setting,
                                           ps.systemBwGbps, ps.groupSize,
                                           ps.workloadSeed, ss.objective);
-    auto optimizer = OptimizerRegistry::global().make(method, ss.seed);
+    // The Runner sizes MAGMA's population by the group-size rule.
+    auto optimizer = api::makeForPopulation(
+        method, ss.seed, opt::transfer::populationFor(ps.groupSize));
     opt::SearchOptions opts;
     opts.sampleBudget = ss.sampleBudget;
     return optimizer->search(problem->evaluator(), opts);

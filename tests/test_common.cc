@@ -1,6 +1,7 @@
 /** @file Unit tests for src/common: rng, stats, csv, matrix, pca. */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -310,57 +311,59 @@ TEST(Rng, BernoulliCutMatchesUniformCompare)
     EXPECT_EQ(a.engine()(), b.engine()());
 }
 
-namespace {
-
-/** MagmaGa::mutate as written with bernoulli(rate) draws. */
-void
-mutateByRate(magma::sched::Mapping& m, double rate, int accels, Rng& rng)
-{
-    for (int i = 0; i < m.size(); ++i) {
-        if (rng.bernoulli(rate))
-            m.accelSel[i] = rng.uniformInt(accels);
-        if (rng.bernoulli(rate))
-            m.priority[i] = rng.uniform();
-    }
-}
-
-}  // namespace
-
-/** MAGMA's cut-form operators breed the same children from the same word
- * stream as the bernoulli(rate) form: mutation at the dyn/serve archive
- * rate 0.05 and at a high rate, and the crossover gates of a breeding
- * step, over 100K children each. */
-TEST(Rng, CutFormOperatorsMatchBernoulliForm)
+/** The skip-sampled MagmaGa::mutate draws the same words, with the same
+ * outcomes, as its gaps written as uniform() compares with (1 - rate)^k:
+ * at the dyn/serve archive rate 0.05 and at a high rate, over 100K
+ * children each. */
+TEST(Rng, GapTableMutateMatchesCompareForm)
 {
     using magma::opt::MagmaGa;
     using magma::sched::Mapping;
     const int genes = 12;
     const int accels = 4;
+    const int trials = 2 * genes;
     for (double rate : {0.05, 0.7}) {
         SCOPED_TRACE(testing::Message() << "rate " << rate);
-        Rng by_rate(5), by_cut(5), by_static(5);
-        const BernoulliCut cut = Rng::bernoulliCut(rate);
+        Rng by_compare(5), by_table(5);
+        const GeometricSkip skip(rate, trials);
         Rng init(9);
         const Mapping parent = Mapping::random(genes, accels, init);
         for (int child = 0; child < 100000; ++child) {
-            Mapping want = parent, got = parent, via_rate = parent;
-            mutateByRate(want, rate, accels, by_rate);
-            MagmaGa::mutate(got, cut, accels, by_cut);
-            MagmaGa::mutate(via_rate, rate, accels, by_static);
+            Mapping want = parent, got = parent;
+            for (int t = 0;; ++t) {
+                const double u = by_compare.uniform();
+                double all_fail = 1.0 - rate;
+                for (int k = 0; k < trials && u < all_fail; ++k) {
+                    ++t;
+                    all_fail *= 1.0 - rate;
+                }
+                if (t >= trials)
+                    break;
+                if (t & 1)
+                    want.priority[t >> 1] = by_compare.uniform();
+                else
+                    want.accelSel[t >> 1] = by_compare.uniformInt(accels);
+            }
+            MagmaGa::mutate(got, skip, accels, by_table);
             ASSERT_EQ(got, want) << "child " << child;
-            ASSERT_EQ(via_rate, want) << "child " << child;
         }
-        const uint64_t next = by_rate.engine()();
-        EXPECT_EQ(by_cut.engine()(), next);
-        EXPECT_EQ(by_static.engine()(), next);
+        EXPECT_EQ(by_table.word(), by_compare.word());
     }
+}
 
-    // A breeding step's crossover gates and crossoverGen's fair coin.
+/** MAGMA's cut-form crossover gates and crossoverGen's fair coin draw
+ * the same words, with the same outcomes, as the bernoulli(rate) form,
+ * over 50K breeding steps. */
+TEST(Rng, CutFormCrossoverGatesMatchBernoulliForm)
+{
+    using magma::opt::MagmaGa;
+    using magma::sched::Mapping;
+    const int genes = 12;
+    const int accels = 4;
     const magma::opt::MagmaConfig cfg;
     const BernoulliCut gen_cut = Rng::bernoulliCut(cfg.crossoverGenRate);
     const BernoulliCut rg_cut = Rng::bernoulliCut(cfg.crossoverRgRate);
     const BernoulliCut accel_cut = Rng::bernoulliCut(cfg.crossoverAccelRate);
-    const BernoulliCut mut_cut = Rng::bernoulliCut(cfg.mutationRate);
     Rng by_rate(17), by_cut(17), init(3);
     const Mapping dad = Mapping::random(genes, accels, init);
     const Mapping mom = Mapping::random(genes, accels, init);
@@ -381,8 +384,6 @@ TEST(Rng, CutFormOperatorsMatchBernoulliForm)
             MagmaGa::crossoverRg(son_a, daughter_a, by_rate);
         if (by_rate.bernoulli(cfg.crossoverAccelRate))
             MagmaGa::crossoverAccel(son_a, mom, accels, by_rate);
-        mutateByRate(son_a, cfg.mutationRate, accels, by_rate);
-        mutateByRate(daughter_a, cfg.mutationRate, accels, by_rate);
 
         Mapping son_b = dad, daughter_b = mom;
         if (by_cut.bernoulli(gen_cut))
@@ -391,13 +392,139 @@ TEST(Rng, CutFormOperatorsMatchBernoulliForm)
             MagmaGa::crossoverRg(son_b, daughter_b, by_cut);
         if (by_cut.bernoulli(accel_cut))
             MagmaGa::crossoverAccel(son_b, mom, accels, by_cut);
-        MagmaGa::mutate(son_b, mut_cut, accels, by_cut);
-        MagmaGa::mutate(daughter_b, mut_cut, accels, by_cut);
 
         ASSERT_EQ(son_b, son_a) << "pair " << pair;
         ASSERT_EQ(daughter_b, daughter_a) << "pair " << pair;
     }
     EXPECT_EQ(by_rate.engine()(), by_cut.engine()());
+}
+
+// ---------------------------------------------- CounterRng and Philox ---
+
+/** Random123's known-answer vectors for Philox4x32-10 (counter, key,
+ * output). */
+TEST(Philox, KnownAnswerVectors)
+{
+    struct Kat {
+        std::array<uint32_t, 4> ctr;
+        std::array<uint32_t, 2> key;
+        std::array<uint32_t, 4> out;
+    };
+    const Kat kats[] = {
+        {{0, 0, 0, 0}, {0, 0},
+         {0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}},
+        {{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+         {0xffffffff, 0xffffffff},
+         {0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}},
+        {{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+         {0xa4093822, 0x299f31d0},
+         {0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}},
+    };
+    for (const Kat& k : kats)
+        EXPECT_EQ(philox4x32(k.ctr, k.key), k.out);
+    static_assert(philox4x32({0, 0, 0, 0}, {0, 0})[0] == 0x6627e8d5);
+}
+
+/** A stream's words are the Philox blocks of its counters, low lane in
+ * the low half; streams are pure functions of their keys. */
+TEST(CounterRng, WordsAreThePhiloxBlocksOfTheStream)
+{
+    const uint64_t key = 0x299f31d0a4093822ull;
+    CounterRng rng(key, 0x0123456789abcdefull, 7);
+    for (uint32_t block = 0; block < 4; ++block) {
+        const std::array<uint32_t, 4> r = philox4x32(
+            {block, 0x89abcdef, 0x01234567, 7}, {0xa4093822, 0x299f31d0});
+        EXPECT_EQ(rng.word(), uint64_t{r[1]} << 32 | r[0]);
+        EXPECT_EQ(rng.word(), uint64_t{r[3]} << 32 | r[2]);
+    }
+    CounterRng again(key, 0x0123456789abcdefull, 7);
+    CounterRng other_sub(key, 0x0123456789abcdefull, 8);
+    CounterRng other_stream(key, 0x0123456789abcdeeull, 7);
+    const uint64_t first = again.word();
+    EXPECT_NE(first, other_sub.word());
+    EXPECT_NE(first, other_stream.word());
+}
+
+/** uniformInt covers [0, n) evenly (n = 3 and 100, 300K draws each,
+ * within 5 sigma per bucket) and handles n = 1 and a large n. */
+TEST(CounterRng, UniformIntIsInRangeAndEven)
+{
+    for (int n : {3, 100}) {
+        CounterRng rng(11, 5, static_cast<uint32_t>(n));
+        std::vector<int> hits(n);
+        const int draws = 300000;
+        for (int i = 0; i < draws; ++i) {
+            int v = rng.uniformInt(n);
+            ASSERT_GE(v, 0);
+            ASSERT_LT(v, n);
+            ++hits[v];
+        }
+        const double p = 1.0 / n;
+        const double sigma = std::sqrt(draws * p * (1 - p));
+        for (int v = 0; v < n; ++v)
+            EXPECT_NEAR(hits[v], draws * p, 5 * sigma) << "n " << n;
+    }
+    CounterRng rng(12, 0, 0);
+    for (int i = 0; i < 1000; ++i) {
+        EXPECT_EQ(rng.uniformInt(1), 0);
+        int v = rng.uniformInt(std::numeric_limits<int>::max());
+        EXPECT_GE(v, 0);
+    }
+}
+
+// ------------------------------------------------------- GeometricSkip ---
+
+/** Gaps follow the geometric law: P(gap >= k) = (1 - p)^k within 5 sigma
+ * over 200K words, saturating at span. */
+TEST(GeometricSkip, GapsAreGeometric)
+{
+    const double p = 0.05;
+    const int span = 40;
+    GeometricSkip skip(p, span);
+    EXPECT_EQ(skip.span(), span);
+    Rng rng(21);
+    const int draws = 200000;
+    std::vector<int> at_least(span + 1);
+    for (int i = 0; i < draws; ++i) {
+        int gap = skip.gap(rng.word());
+        ASSERT_GE(gap, 0);
+        ASSERT_LE(gap, span);
+        for (int k = 0; k <= gap; ++k)
+            ++at_least[k];
+    }
+    EXPECT_EQ(at_least[0], draws);
+    for (int k = 1; k <= span; ++k) {
+        const double want = std::pow(1 - p, k);
+        const double sigma = std::sqrt(draws * want * (1 - want));
+        EXPECT_NEAR(at_least[k], draws * want, 5 * sigma) << "k " << k;
+    }
+}
+
+/** The cuts are the Bernoulli cuts of the powers (1 - p)^k by repeated
+ * multiplication; degenerate rates never or always succeed. */
+TEST(GeometricSkip, CutsAndDegenerateRates)
+{
+    GeometricSkip skip(0.25, 8);
+    double all_fail = 1.0;
+    for (int k = 1; k <= 8; ++k) {
+        all_fail *= 0.75;
+        const BernoulliCut cut = Rng::bernoulliCut(all_fail);
+        // The last word a cut admits has a gap of at least k, the first
+        // one it rejects a gap below k.
+        EXPECT_GE(skip.gap(cut.below - 1), k);
+        EXPECT_LT(skip.gap(cut.below), k);
+    }
+    for (double never : {0.0, -1.0, std::nan("")}) {
+        GeometricSkip s(never, 5);
+        EXPECT_EQ(s.gap(0), 5);
+        EXPECT_EQ(s.gap(~uint64_t{0}), 5);
+    }
+    for (double always : {1.0, 2.0}) {
+        GeometricSkip s(always, 5);
+        EXPECT_EQ(s.gap(0), 0);
+        EXPECT_EQ(s.gap(~uint64_t{0}), 0);
+    }
+    EXPECT_EQ(GeometricSkip(0.5, 0).span(), 1);
 }
 
 TEST(Rng, PermutationIsPermutation)

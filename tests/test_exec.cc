@@ -263,6 +263,7 @@ TEST(OptimizerBatchParity, De) { expectSerialBatchParity("DE"); }
 TEST(OptimizerBatchParity, Cma) { expectSerialBatchParity("CMA"); }
 TEST(OptimizerBatchParity, Tbpsa) { expectSerialBatchParity("TBPSA"); }
 TEST(OptimizerBatchParity, Random) { expectSerialBatchParity("Random"); }
+TEST(OptimizerBatchParity, Nsga2) { expectSerialBatchParity("NSGA-II"); }
 
 // ---------------------------------------------------------- CostCache ---
 

@@ -835,9 +835,6 @@ TEST(Observability, InstrumentationShapeIsPinned)
                                    400},
                                   {gen + "/opt.record", 5},
                                   {"opt.search/sched.flat.compile", 1},
-                                  // Children stopped at their load bound
-                                  // and re-scored for a fitness tie.
-                                  {"opt.search/sched.flat.simulate", 5},
                               }));
     const TraceEvent* opt_search = nullptr;
     const TraceEvent* last_generation = nullptr;

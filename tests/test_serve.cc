@@ -865,7 +865,9 @@ TEST(MappingService, WarmStartAcrossReloadReachesColdQualityAtQuarterBudget)
     // cold sample budget on a Table III setting (the Table V effect,
     // end-to-end through the service).
     const std::string path = "serve_store_roundtrip_test.txt";
+    const std::string log_path = path + ".log";
     std::remove(path.c_str());
+    std::remove(log_path.c_str());
 
     MapRequest cold = baseRequest(/*seed=*/7);
     cold.problem.groupSize = 16;
@@ -904,6 +906,7 @@ TEST(MappingService, WarmStartAcrossReloadReachesColdQualityAtQuarterBudget)
         service.stop();
     }
     std::remove(path.c_str());
+    std::remove(log_path.c_str());
 }
 
 TEST(MappingService, StoppedStoreLogResumesOnNextWriteBack)
