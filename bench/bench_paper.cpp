@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,18 +85,24 @@ struct Run {
 
 enum class Record { Nothing, Convergence, Samples };
 
-/** The search path of every figure: `method` on the problem `ps`. */
+/**
+ * The search path of every figure: `method` on the problem `ps` through
+ * the Runner, as m3e_cli runs it, so MAGMA's population is
+ * opt::transfer::populationFor(group size).
+ */
 Run
 search(const api::ProblemSpec& ps, const std::string& method,
        int64_t budget, uint64_t seed, Record record = Record::Nothing)
 {
-    opt::SearchOptions opts;
-    opts.sampleBudget = budget;
-    opts.recordConvergence = record == Record::Convergence;
-    opts.recordSamples = record == Record::Samples;
-    return {method, api::OptimizerRegistry::global()
-                        .make(method, seed)
-                        ->search(problemOf(ps).evaluator(), opts)};
+    api::SearchSpec ss;
+    ss.method = method;
+    ss.sampleBudget = budget;
+    ss.seed = seed;
+    ss.recordConvergence = record == Record::Convergence;
+    ss.recordSamples = record == Record::Samples;
+    Run run{method, {}};
+    runner.run(ps, ss, &run.result);
+    return run;
 }
 
 /**
@@ -152,8 +157,7 @@ printNormalizedByMagma(const std::string& title, const std::vector<Run>& runs,
 /** Average per-job no-stall latency and required BW over every
  * (job, sub-accelerator) cell of a problem's Job Analysis Table. */
 struct JobMeans {
-    double lat = 0.0;
-    double bw = 0.0;
+    double lat = 0.0, bw = 0.0;
 };
 
 /** `lat_scale` converts each latency before summing, so a figure that
@@ -427,8 +431,7 @@ fig10(const BenchArgs& args)
         // Subsample to keep the CSV manageable.
         std::vector<sched::Mapping> pts;
         std::vector<double> fit;
-        size_t stride =
-            std::max<size_t>(1, r.result.sampled.size() / 1000);
+        size_t stride = std::max<size_t>(1, r.result.sampled.size() / 1000);
         for (size_t i = 0; i < r.result.sampled.size(); i += stride) {
             pts.push_back(r.result.sampled[i]);
             fit.push_back(r.result.sampledFitness[i]);
@@ -779,6 +782,7 @@ fig16(const BenchArgs& args)
             cfg.enableCrossoverGen = ops >= 2;
             cfg.enableCrossoverRg = ops >= 3;
             cfg.enableCrossoverAccel = ops >= 3;
+            cfg.population = opt::transfer::populationFor(ps.groupSize);
             opt::MagmaGa magma_ga(args.seed, cfg);
             opt::SearchOptions opts;
             opts.sampleBudget = budget;
@@ -813,12 +817,8 @@ fig17(const BenchArgs& args)
     for (int gs : sizes) {
         api::ProblemSpec ps = caseSpec(args, TaskType::Mix, Setting::S2, 16.0);
         ps.groupSize = gs;
-        std::unique_ptr<opt::Optimizer> magma_ga = api::makeForPopulation(
-            "MAGMA", args.seed, opt::transfer::populationFor(gs));
-        opt::SearchOptions opts;
-        opts.sampleBudget = args.budget();
         gflops.push_back(
-            magma_ga->search(problemOf(ps).evaluator(), opts).bestFitness);
+            search(ps, "MAGMA", args.budget(), args.seed).gflops());
     }
 
     std::printf("\n  %-10s %12s %10s\n", "group", "GFLOP/s", "norm");
@@ -922,8 +922,8 @@ table05(const BenchArgs& args)
     CsvWriter csv(args.outPath("table05_warmstart.csv"),
                   {"section", "instance", "raw", "trf0", "trf1", "trf30",
                    "trf100"});
-    const int pop = args.full ? 100 : 40;
     const int group = args.groupSize();
+    const int pop = opt::transfer::populationFor(group);
 
     // ---------------- (a) Mix, S4, BW=1, Insts0..4 ----------------
     std::printf("\n(a) Mix, S4, BW=1 — normalized by Trf-100-ep\n");

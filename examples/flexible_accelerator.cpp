@@ -13,6 +13,7 @@
 #include "cost/cost_model.h"
 #include "dnn/model_zoo.h"
 #include "m3e/problem.h"
+#include "opt/warm_start.h"
 
 int
 main()
@@ -48,22 +49,25 @@ main()
     std::printf("\nMAGMA throughput (GFLOP/s), fixed S1 vs flexible S1:\n");
     std::printf("  %-8s %6s %10s %10s %8s\n", "task", "BW", "fixed",
                 "flexible", "gain");
+    // MAGMA's population follows the group size, as in m3e_cli.
+    const int group_size = 40;
+    const int population = opt::transfer::populationFor(group_size);
     for (dnn::TaskType task : {dnn::TaskType::Vision, dnn::TaskType::Mix}) {
         for (double bw : {1.0, 16.0}) {
             dnn::WorkloadGenerator gen(3);
-            dnn::JobGroup group = gen.makeGroup(task, 40);
+            dnn::JobGroup group = gen.makeGroup(task, group_size);
             m3e::Problem fixed(group,
                                accel::makeSetting(accel::Setting::S1, bw));
             m3e::Problem flexp(
                 group, accel::makeFlexibleSetting(accel::Setting::S1, bw));
             opt::SearchOptions opts;
             opts.sampleBudget = 2000;
-            const api::OptimizerRegistry& reg =
-                api::OptimizerRegistry::global();
-            double ff = reg.make("MAGMA", 1)
-                            ->search(fixed.evaluator(), opts).bestFitness;
-            double fx = reg.make("MAGMA", 1)
-                            ->search(flexp.evaluator(), opts).bestFitness;
+            double ff = api::makeForPopulation("MAGMA", 1, population)
+                            ->search(fixed.evaluator(), opts)
+                            .bestFitness;
+            double fx = api::makeForPopulation("MAGMA", 1, population)
+                            ->search(flexp.evaluator(), opts)
+                            .bestFitness;
             std::printf("  %-8s %6.0f %10.1f %10.1f %7.2fx\n",
                         dnn::taskTypeName(task).c_str(), bw, ff, fx,
                         fx / ff);

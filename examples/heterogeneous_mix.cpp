@@ -18,6 +18,7 @@
 #include "baselines/ai_mt_like.h"
 #include "baselines/herald_like.h"
 #include "m3e/problem.h"
+#include "opt/warm_start.h"
 
 int
 main()
@@ -29,16 +30,19 @@ main()
     std::printf("%8s %14s %14s %14s %10s\n", "BW(GB/s)", "Herald-like",
                 "AI-MT-like", "MAGMA", "MAGMA adv");
 
+    // MAGMA's population follows the group size, as in m3e_cli.
+    const int group_size = 48;
+    const int population = opt::transfer::populationFor(group_size);
     for (double bw : {256.0, 64.0, 16.0, 4.0, 1.0}) {
         auto problem = m3e::makeProblem(dnn::TaskType::Mix,
-                                        accel::Setting::S4, bw,
-                                        /*group_size=*/48, /*seed=*/11);
+                                        accel::Setting::S4, bw, group_size,
+                                        /*seed=*/11);
         const auto& eval = problem->evaluator();
         double herald = eval.fitness(
             baselines::HeraldLike::buildMapping(eval));
         double aimt = eval.fitness(baselines::AiMtLike::buildMapping(eval));
 
-        auto magma_opt = api::OptimizerRegistry::global().make("MAGMA", 1);
+        auto magma_opt = api::makeForPopulation("MAGMA", 1, population);
         opt::SearchOptions opts;
         opts.sampleBudget = 3000;
         double magma = magma_opt->search(eval, opts).bestFitness;
@@ -49,8 +53,8 @@ main()
 
     // Visualize the schedule MAGMA found at the tightest budget.
     auto problem = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S4,
-                                    4.0, 48, 11);
-    auto magma_opt = api::OptimizerRegistry::global().make("MAGMA", 1);
+                                    4.0, group_size, 11);
+    auto magma_opt = api::makeForPopulation("MAGMA", 1, population);
     opt::SearchOptions opts;
     opts.sampleBudget = 3000;
     opt::SearchResult best = magma_opt->search(problem->evaluator(), opts);
