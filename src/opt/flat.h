@@ -32,13 +32,6 @@ randomPoint(int dim, common::Rng& rng)
     return x;
 }
 
-/** Evaluate a flat point through the shared recorder. */
-inline double
-evaluate(SearchRecorder& rec, const std::vector<double>& x, int num_accels)
-{
-    return rec.evaluate(sched::Mapping::fromFlat(x, num_accels));
-}
-
 /** Decode a generation of flat points into mappings. */
 inline std::vector<sched::Mapping>
 toMappings(const std::vector<std::vector<double>>& xs, int num_accels)
