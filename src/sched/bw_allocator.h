@@ -1,6 +1,7 @@
 #ifndef MAGMA_SCHED_BW_ALLOCATOR_H_
 #define MAGMA_SCHED_BW_ALLOCATOR_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -47,14 +48,78 @@ std::string bwPolicyName(BwPolicy p);
 BwPolicy bwPolicyFromName(const std::string& name);
 
 /**
+ * Demand at or below which a job counts as needing no bandwidth: it runs
+ * at full speed under either policy and adds nothing to the live demand.
+ */
+inline constexpr double kZeroDemandGbps = 1e-18;
+
+/**
+ * The two clocks of the event simulation, shared by BwAllocator::run and
+ * FlatEvaluator so that both perform the same floating-point operations.
+ * `now` is wall time and `v` virtual time: the no-stall seconds every
+ * BW-bound job has progressed. While the stretch max(1, T / B) holds, wall
+ * time is w0 + (v - v0) * stretch; the anchor (w0, v0) moves when the
+ * stretch changes or a wall phase ends.
+ */
+struct EventClock {
+    double now = 0.0;
+    double v = 0.0;
+    double w0 = 0.0;
+    double v0 = 0.0;
+    double stretch = 1.0;
+
+    /**
+     * Set the summed live demand `total_req` under system BW `bw`:
+     * proportional shares (Algorithm 1) grant every BW-bound job
+     * req * B / T, so the virtual clock runs at min(1, B / T).
+     */
+    void setDemand(double total_req, double bw)
+    {
+        const double s = (total_req > bw) ? total_req / bw : 1.0;
+        if (s != stretch) {
+            w0 = now;
+            v0 = v;
+            stretch = s;
+        }
+    }
+
+    /**
+     * Advance to the next event, the earlier of the least virtual end
+     * `next_v` (slot av) and the least wall end `next_w` (slot aw), a wall
+     * end on ties. Returns the slot whose phase ends there; -1, with the
+     * clocks unchanged, when both slots are -1.
+     */
+    int advance(double next_v, int av, double next_w, int aw)
+    {
+        const double t = w0 + (next_v - v0) * stretch;
+        if (aw >= 0 && next_w <= t) {
+            if (av >= 0)
+                v = std::min(v0 + (next_w - w0) / stretch, next_v);
+            now = w0 = next_w;
+            v0 = v;
+            return aw;
+        }
+        if (av >= 0) {
+            now = t;
+            v = next_v;
+        }
+        return av;
+    }
+};
+
+/**
  * The BW Allocator (Algorithm 1).
  *
  * Event-driven simulation: at any instant the head job of every non-empty
- * sub-accelerator queue is live. If the sum of live jobs' required BW
- * exceeds the system BW, bandwidth is granted proportionally to demand and
- * each job progresses at rate alloc/req (< 1) of its no-stall speed;
- * otherwise every job runs at full speed. Time advances to the earliest
- * completion, that queue pops, and BW is re-allocated.
+ * sub-accelerator queue is live. If the summed demand T of the live jobs
+ * exceeds the system BW B, bandwidth is granted in proportion to demand,
+ * so every live job progresses at the same rate B / T of its no-stall
+ * speed; otherwise every job runs at full speed. Each BW-bound job thus
+ * ends at a fixed virtual time (EventClock), and each job completion is
+ * one event, after which the queue pops and T changes. Setup phases, jobs
+ * of zero demand and every job under the even split (whose rate
+ * min(1, (B / N) / req) is fixed at launch) end at a fixed wall time
+ * instead. docs/architecture.md gives the rule in full.
  */
 class BwAllocator {
   public:
@@ -72,8 +137,8 @@ class BwAllocator {
      * executing, its sub-accelerator sits in a setup phase of that many
      * seconds — progressing at wall-clock rate, demanding no bandwidth —
      * which models re-tiling stalls and weight reloads (src/dyn/'s
-     * ReconfigCost). Null (the default) is bitwise-identical to the
-     * pre-existing no-setup simulation.
+     * ReconfigCost). A zero entry skips the phase, so null (the default)
+     * and an all-zero vector give bitwise the same result.
      */
     ScheduleResult run(const DecodedMapping& decoded,
                        const JobAnalysisTable& table,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace magma::sched {
 
@@ -126,6 +127,20 @@ MappingEvaluator::MappingEvaluator(const dnn::JobGroup& group,
 {
     JobAnalyzer analyzer(model, cost_cache);
     table_ = analyzer.analyze(group, platform);
+}
+
+MappingEvaluator::MappingEvaluator(const dnn::JobGroup& group,
+                                   const accel::Platform& platform,
+                                   JobAnalysisTable table, BwPolicy policy,
+                                   Objective objective)
+    : group_(&group),
+      platform_(&platform),
+      table_(std::move(table)),
+      allocator_(platform.systemBwGbps, policy),
+      objective_(objective)
+{
+    assert(table_.numJobs() == group.size() &&
+           table_.numAccels() == platform.numSubAccels());
 }
 
 double

@@ -115,6 +115,17 @@ class MappingEvaluator {
                      exec::CostCache* cost_cache = nullptr,
                      Objective objective = Objective::Throughput);
 
+    /**
+     * An evaluator over a given Job Analysis Table in place of the one
+     * the Job Analyzer would build: for tests that need cells no cost
+     * model produces, such as zero demand. `table` must hold
+     * group.size() x platform.numSubAccels() cells.
+     */
+    MappingEvaluator(const dnn::JobGroup& group,
+                     const accel::Platform& platform, JobAnalysisTable table,
+                     BwPolicy policy = BwPolicy::Proportional,
+                     Objective objective = Objective::Throughput);
+
     Objective objective() const { return objective_; }
     BwPolicy bwPolicy() const { return allocator_.policy(); }
 

@@ -13,18 +13,11 @@ namespace magma::sched {
 
 namespace {
 
-/** A job completes once its remaining no-stall seconds are at most
- * kDoneEps * max(1, now); the same value guards the zero-BW and zero-rate
- * tests of a round. */
-constexpr double kDoneEps = 1e-18;
-
-// The load bound's margins; docs/architecture.md gives the argument.
-// L' = L * (1 - kBoundSlack) - G * kDoneEps * max(1, L) is a lower bound
-// on the simulated makespan for groups of at most kBoundMaxJobs jobs whose
-// busiest queue sums to at most kBoundMaxSeconds.
+// The load bound's margin; docs/architecture.md gives the argument.
+// L' = L * (1 - kBoundSlack) is a lower bound on the simulated makespan
+// for groups of at most kBoundMaxJobs jobs.
 constexpr double kBoundSlack = 1e-9;
 constexpr int kBoundMaxJobs = 100000;
-constexpr double kBoundMaxSeconds = 0x1p40;
 
 /** The makespan cutoff that bounds nothing. */
 constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
@@ -55,9 +48,9 @@ EvalScratch::ensure(int jobs, int accels)
     queue_no_stall_.resize(jobs);
     queue_req_bw_.resize(jobs);
     cursor_.resize(accels);
-    remaining_.resize(accels);
-    req_bw_.resize(accels);
-    rate_.resize(accels);
+    virt_end_.resize(accels);
+    wall_end_.resize(accels);
+    demand_.resize(accels);
     finish_.resize(jobs);
 }
 
@@ -189,20 +182,18 @@ double
 FlatEvaluator::loadBound(const Mapping& m, EvalScratch& s) const
 {
     // The per-queue sums need no queue order, so they come straight from
-    // the assignment genome; the rounds' slot array is free until then.
-    double* load = s.remaining_.data();
+    // the assignment genome; the events' slot array is free until then.
+    double* load = s.virt_end_.data();
     std::fill_n(load, accels_, 0.0);
     const double* no_stall = no_stall_seconds_.data();
     const int* sel = m.accelSel.data();
     for (int j = 0; j < jobs_; ++j)
         load[sel[j]] += no_stall[static_cast<size_t>(j) * accels_ + sel[j]];
     const double busiest = *std::max_element(load, load + accels_);
-    // Past kBoundMaxSeconds a job may need more rounds than the margin
-    // covers; 0 is a lower bound on any makespan and bounds nothing.
-    if (!(busiest <= kBoundMaxSeconds))
+    // 0 is a lower bound on any makespan and bounds nothing.
+    if (!std::isfinite(busiest))
         return 0.0;
-    return busiest * (1.0 - kBoundSlack) -
-           static_cast<double>(jobs_) * kDoneEps * std::max(1.0, busiest);
+    return busiest * (1.0 - kBoundSlack);
 }
 
 double
@@ -243,7 +234,7 @@ FlatEvaluator::makespanCutoff(double fitness_cutoff) const
 
 template <bool kRecord>
 void
-FlatEvaluator::simulateRounds(const Mapping& m, EvalScratch& s,
+FlatEvaluator::simulateEvents(const Mapping& m, EvalScratch& s,
                               bool record_timeline,
                               double makespan_cutoff) const
 {
@@ -263,7 +254,10 @@ FlatEvaluator::simulateRounds(const Mapping& m, EvalScratch& s,
 
     const int num_accels = accels_;
     const double system_bw = system_bw_;
+    // The even split's static per-core share.
+    const double share = system_bw_ / num_accels;
     const bool proportional = (policy_ == BwPolicy::Proportional);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
 
     // Raw-pointer views of the scratch keep the inner loop free of
     // vector indirection the optimizer cannot hoist past stores.
@@ -272,9 +266,9 @@ FlatEvaluator::simulateRounds(const Mapping& m, EvalScratch& s,
     const double* qns = s.queue_no_stall_.data();
     const double* qreq = s.queue_req_bw_.data();
     int32_t* cursor = s.cursor_.data();
-    double* remaining = s.remaining_.data();
-    double* req_bw = s.req_bw_.data();
-    double* rate = s.rate_.data();
+    double* virt_end = s.virt_end_.data();
+    double* wall_end = s.wall_end_.data();
+    double* demand = s.demand_.data();
     double* finish = s.finish_.data();
 
     if constexpr (kRecord) {
@@ -282,128 +276,102 @@ FlatEvaluator::simulateRounds(const Mapping& m, EvalScratch& s,
         std::fill(s.finish_.begin(), s.finish_.end(), 0.0);
     }
 
-    // The remainder replays BwAllocator::run on the flattened queues:
-    // same traversal order, same expressions, so every intermediate
-    // double is bit-identical to the reference simulation. The pass
-    // structure is fused — (demand sum) folds into the advance pass of
-    // the previous round, and unconstrained rounds skip the divisions —
-    // but only through identities that are exact in IEEE arithmetic
-    // (x / x == 1.0 for normal x, 1.0 * dt == dt, remaining / 1.0 ==
-    // remaining), so the fusion is unobservable in the results.
-    //
-    // Launch slot a's next queued job; false once its queue is drained.
-    // A drained slot leaves the live list, so its remaining/req_bw are
-    // never read again (the reference zeroes them, which only adds 0.0
-    // terms to the demand sum).
+    // The remainder replays BwAllocator::run (no setup phases) on the
+    // flattened queues: the same EventClock, the same launches and the
+    // same scans in ascending slot order, so every intermediate double is
+    // bit-identical to the reference simulation.
+    EventClock clock;
+    int walls = 0;  // live slots with a wall end
+
+    // Pop slot a's next queued job and start it now. A drained slot gets
+    // no end and no demand, and its cursor passes the queue's end by one.
     auto launchNext = [&](int a) {
-        int32_t c = cursor[a];
+        virt_end[a] = kInf;
+        wall_end[a] = kInf;
+        demand[a] = 0.0;
+        int32_t c = cursor[a]++;
         if (c == qbegin[a + 1])
-            return false;
-        remaining[a] = qns[c];
-        req_bw[a] = qreq[c];
-        cursor[a] = c + 1;
-        return true;
+            return;
+        const double req = qreq[c];
+        if (proportional && req > kZeroDemandGbps) {
+            virt_end[a] = clock.v + qns[c];
+            demand[a] = req;
+            return;
+        }
+        double seconds = qns[c];
+        if (!proportional && req > kZeroDemandGbps && req > share)
+            seconds *= req / share;
+        wall_end[a] = clock.now + seconds;
+        ++walls;
     };
 
-    // Compacted list of slots whose queue is not yet drained, in
-    // ascending sub-accelerator order. The reference iterates every slot
-    // and skips dead ones; iterating only the live slots in the same
-    // ascending order visits the same values in the same order, so every
-    // demand sum and min-reduction is unchanged.
-    int32_t* live_idx = s.fill_.data();  // decode is done; reuse
-    int live_count = 0;
-    double total_req = 0.0;
     for (int a = 0; a < num_accels; ++a) {
         cursor[a] = qbegin[a];
-        if (launchNext(a)) {
-            live_idx[live_count++] = a;
-            total_req += req_bw[a];
-        }
+        launchNext(a);
     }
 
-    double now = 0.0;
-    const double eps = kDoneEps;
-    while (live_count > 0) {
-        // Allocation + earliest-completion scan, one fused pass. In an
-        // unconstrained proportional round every live job runs at rate
-        // 1.0 (the reference computes min(1.0, req/req) == 1.0), so the
-        // divisions are skipped wholesale and nothing needs rate[].
-        double dt = std::numeric_limits<double>::infinity();
-        const bool full_speed = proportional && total_req <= system_bw;
-        if (full_speed) {
-            for (int k = 0; k < live_count; ++k)
-                dt = std::min(dt, remaining[live_idx[k]]);
-        } else {
-            for (int k = 0; k < live_count; ++k) {
-                int a = live_idx[k];
-                double alloc;
-                if (proportional) {
-                    alloc = req_bw[a] * system_bw / total_req;
-                } else {
-                    alloc = std::min(req_bw[a], system_bw / num_accels);
-                }
-                double r = (req_bw[a] <= eps)
-                               ? 1.0
-                               : std::min(1.0, alloc / req_bw[a]);
-                rate[a] = r;
-                double t = (r > eps)
-                               ? remaining[a] / r
-                               : std::numeric_limits<double>::infinity();
-                dt = std::min(dt, t);
+    while (true) {
+        double total_req = 0.0;
+        double next_v = kInf;
+        double next_w = kInf;
+        int av = -1;
+        int aw = -1;
+        for (int a = 0; a < num_accels; ++a) {
+            total_req += demand[a];
+            if (virt_end[a] < next_v) {
+                next_v = virt_end[a];
+                av = a;
             }
         }
-        assert(std::isfinite(dt));
-        dt = std::max(dt, 0.0);
+        // Wall phases are rare under the proportional policy, so their
+        // scan runs only while one is live.
+        for (int a = 0; walls > 0 && a < num_accels; ++a) {
+            if (wall_end[a] < next_w) {
+                next_w = wall_end[a];
+                aw = a;
+            }
+        }
+        clock.setDemand(total_req, system_bw);
+        const double start = clock.now;
+        const int e = clock.advance(next_v, av, next_w, aw);
+        if (e < 0)
+            break;
+        walls -= (e == aw);  // a wall phase ended
 
         if (kRecord && record_timeline) {
-            for (int k = 0; k < live_count; ++k) {
-                int a = live_idx[k];
+            for (int a = 0; a < num_accels; ++a) {
+                int32_t c = cursor[a];
+                if (c > qbegin[a + 1])
+                    continue;  // drained
                 ScheduleEvent ev;
-                ev.start = now;
-                ev.end = now + dt;
-                ev.job = qjobs[cursor[a] - 1];
+                ev.start = start;
+                ev.end = clock.now;
+                ev.job = qjobs[c - 1];
                 ev.accel = a;
-                ev.allocBw = full_speed ? req_bw[a] : rate[a] * req_bw[a];
+                const double req = qreq[c - 1];
+                if (demand[a] > 0.0)
+                    ev.allocBw = demand[a] / clock.stretch;
+                else if (!proportional && req > kZeroDemandGbps)
+                    ev.allocBw = std::min(req, share);
+                else
+                    ev.allocBw = req;
                 s.events_.push_back(ev);
             }
         }
 
-        now += dt;
-        // Advance pass, folded together with the next round's demand sum
-        // and in-place live-list compaction: req_bw[a] is final for the
-        // round once slot a has been advanced, and the reference sums
-        // demand in the same ascending order.
-        const double done_below = eps * std::max(1.0, now);
-        total_req = 0.0;
-        int write = 0;
-        for (int k = 0; k < live_count; ++k) {
-            int a = live_idx[k];
-            if (full_speed)
-                remaining[a] -= dt;
-            else {
-                double r = rate[a];
-                remaining[a] -= (r == 1.0) ? dt : r * dt;
-            }
-            if (remaining[a] <= done_below) {
-                if constexpr (kRecord)
-                    finish[qjobs[cursor[a] - 1]] = now;
-                if (!launchNext(a))
-                    continue;
-            }
-            live_idx[write++] = a;
-            total_req += req_bw[a];
-        }
-        live_count = write;
+        if constexpr (kRecord)
+            finish[qjobs[cursor[e] - 1]] = clock.now;
+        launchNext(e);
     }
 
-    s.makespan_ = now;
+    s.makespan_ = clock.now;
 }
 
 void
 FlatEvaluator::simulate(const Mapping& m, EvalScratch& s,
                         bool record_timeline) const
 {
-    simulateRounds<true>(m, s, record_timeline, kNoCutoff);
+    simulateEvents<true>(m, s, record_timeline, kNoCutoff);
 }
 
 double
@@ -430,7 +398,7 @@ FlatEvaluator::fitness(const Mapping& m, EvalScratch& s,
                        double makespan_cutoff) const
 {
     ref_->countSample();
-    simulateRounds<false>(m, s, false, makespan_cutoff);
+    simulateEvents<false>(m, s, false, makespan_cutoff);
     return objectiveValue(m, s);
 }
 
@@ -438,7 +406,7 @@ SimPoint
 FlatEvaluator::simPoint(const Mapping& m, EvalScratch& s) const
 {
     ref_->countSample();
-    simulateRounds<false>(m, s, false, kNoCutoff);
+    simulateEvents<false>(m, s, false, kNoCutoff);
     return {s.makespan_, totalJoules(m)};
 }
 

@@ -69,11 +69,13 @@ class EvalScratch {
     std::vector<double> queue_req_bw_;    // jobs: required BW
 
     // Event-driven simulation state (one slot per sub-accelerator). The
-    // live slot's job is queue_jobs_[cursor_[a] - 1].
+    // live slot's job is queue_jobs_[cursor_[a] - 1]. A BW-bound job has a
+    // virtual end and its demand; any other job has a wall end; a drained
+    // slot has both ends +inf and demand 0.
     std::vector<int32_t> cursor_;     // next queue position
-    std::vector<double> remaining_;   // no-stall seconds left of live job
-    std::vector<double> req_bw_;      // live job's required BW
-    std::vector<double> rate_;        // granted/required BW of the round
+    std::vector<double> virt_end_;    // virtual end time of live job
+    std::vector<double> wall_end_;    // wall end time of live job
+    std::vector<double> demand_;      // required BW of BW-bound live job
 
     std::vector<double> finish_;      // jobs: completion times
     std::vector<ScheduleEvent> events_;
@@ -113,7 +115,7 @@ class FlatEvaluator {
      * record-free: afterwards `s` holds only the makespan.
      *
      * `makespan_cutoff` (see makespanCutoff()) skips the decode and the
-     * rounds of a candidate proven to score below the cutoff. The load
+     * events of a candidate proven to score below the cutoff. The load
      * bound L' — the busiest queue's summed no-stall seconds, less a
      * rounding margin — is a lower bound on the makespan
      * (docs/architecture.md). When L' >= the cutoff the result is the
@@ -181,11 +183,11 @@ class FlatEvaluator {
     /**
      * The schedule simulation, written once for both uses. kRecord keeps
      * per-job finish times and (with record_timeline) the timeline;
-     * without it the rounds compute the makespan alone. Both replay the
+     * without it the events compute the makespan alone. Both replay the
      * same floating-point operations, so the makespans are identical.
      */
     template <bool kRecord>
-    void simulateRounds(const Mapping& m, EvalScratch& s,
+    void simulateEvents(const Mapping& m, EvalScratch& s,
                         bool record_timeline,
                         double makespan_cutoff) const;
 

@@ -4,6 +4,7 @@
  * the contract that lets it score every search without perturbing any
  * search trajectory. */
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -257,6 +258,99 @@ TEST(FlatEval, EdgeCasePrioritiesMatchReferenceDecodeOrder)
             EXPECT_EQ(sp.makespanSeconds, want.makespanSeconds);
             EXPECT_EQ(sp.joules, ev.totalJoules(m));
             expectSameSchedule(want, flat.evaluate(m, scratch, true));
+        }
+    }
+}
+
+/** Cells of zero demand (at or below kZeroDemandGbps) run on the wall
+ * clock beside the BW-bound jobs, the path no cost-model table exercises:
+ * a third of the cells get demand 0 or 1e-19, on both BW policies, BW
+ * starved and not, under all five objectives. */
+TEST(FlatEval, ZeroDemandCellsMatchReference)
+{
+    int shape = 0;
+    for (sched::BwPolicy policy :
+         {sched::BwPolicy::Proportional, sched::BwPolicy::EvenSplit}) {
+        for (double bw : {1.0, 16.0}) {
+            ++shape;
+            auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S4,
+                                      bw, 40, /*seed=*/shape);
+            sched::JobAnalysisTable table = p->evaluator().table();
+            common::Rng rng(700 + shape);
+            for (int j = 0; j < table.numJobs(); ++j)
+                for (int a = 0; a < table.numAccels(); ++a)
+                    if (rng.uniformInt(3) == 0)
+                        table.at(j, a).reqBwGbps =
+                            rng.bernoulli(0.5) ? 0.0 : 1e-19;
+            for (Objective obj : kObjectives) {
+                sched::MappingEvaluator ev(p->group(), p->platform(), table,
+                                           policy, obj);
+                FlatEvaluator flat(ev);
+                EvalScratch scratch;
+                for (int i = 0; i < 12; ++i) {
+                    Mapping m = Mapping::random(40, ev.numAccels(), rng);
+                    SCOPED_TRACE(testing::Message() << "shape " << shape
+                                                    << " candidate " << i);
+                    EXPECT_EQ(flat.fitness(m, scratch), ev.fitness(m));
+                    expectSameSchedule(ev.evaluate(m, true),
+                                       flat.evaluate(m, scratch, true));
+                }
+            }
+        }
+    }
+}
+
+/** With the system BW at least the summed demand nothing ever stalls, so
+ * every queue runs back to back and the makespan is, bitwise, the largest
+ * per-queue sum of no-stall seconds taken in queue order (starting from
+ * 0.0) — under proportional sharing, whose virtual clock then is the wall
+ * clock, and under the even split, whose wall ends chain exactly. */
+TEST(FlatEval, UnconstrainedMakespanIsBusiestQueuePrefixSum)
+{
+    int shape = 0;
+    for (sched::BwPolicy policy :
+         {sched::BwPolicy::Proportional, sched::BwPolicy::EvenSplit}) {
+        for (accel::Setting setting :
+             {accel::Setting::S2, accel::Setting::S4, accel::Setting::S6}) {
+            for (int g : {1, 12, 100}) {
+                ++shape;
+                auto p = m3e::makeProblem(dnn::TaskType::Mix, setting, 1e9, g,
+                                          /*seed=*/shape,
+                                          Objective::Throughput, policy);
+                const sched::MappingEvaluator& ev = p->evaluator();
+                const sched::JobAnalysisTable& table = ev.table();
+                const int accels = ev.numAccels();
+                double demand = 0.0;
+                for (int j = 0; j < g; ++j)
+                    for (int a = 0; a < accels; ++a) {
+                        ASSERT_GT(table.lookup(j, a).reqBwGbps, 1e-18);
+                        demand += table.lookup(j, a).reqBwGbps;
+                    }
+                ASSERT_LE(demand * accels, 1e9);  // even split too
+                FlatEvaluator flat(ev);
+                EvalScratch scratch;
+                common::Rng rng(800 + shape);
+                std::vector<Mapping> cases = edgeCaseMappings(g, accels, rng);
+                for (int i = 0; i < 24; ++i)
+                    cases.push_back(Mapping::random(g, accels, rng));
+                for (size_t c = 0; c < cases.size(); ++c) {
+                    const Mapping& m = cases[c];
+                    SCOPED_TRACE(testing::Message() << "shape " << shape
+                                                    << " candidate " << c);
+                    double busiest = 0.0;
+                    for (const std::vector<int>& q :
+                         sched::decode(m, accels).queues) {
+                        double sum = 0.0;
+                        for (int j : q)
+                            sum += table.lookup(j, m.accelSel[j])
+                                       .noStallSeconds;
+                        busiest = std::max(busiest, sum);
+                    }
+                    flat.fitness(m, scratch);
+                    EXPECT_EQ(scratch.makespanSeconds(), busiest);
+                    EXPECT_EQ(ev.evaluate(m).makespanSeconds, busiest);
+                }
+            }
         }
     }
 }

@@ -365,6 +365,39 @@ TEST(BwAllocator, ReallocationAfterFinishSpeedsRemainder)
     EXPECT_NEAR(r.makespanSeconds, 3.0, 1e-9);
 }
 
+TEST(BwAllocator, ProportionalCompletionOrderIgnoresSystemBw)
+{
+    // Proportional shares give every BW-bound job the same rate, so jobs
+    // complete in the merged order of their queues' no-stall prefix sums
+    // whatever the system BW; B only stretches the time between two
+    // completions. At 1e9 GB/s nothing stalls; at 1 GB/s everything
+    // does; 16 GB/s switches between the two.
+    common::Rng rng(8);
+    for (int trial = 0; trial < 20; ++trial) {
+        int jobs = 30, accels = 4;
+        JobAnalysisTable t(jobs, accels);
+        for (int j = 0; j < jobs; ++j)
+            for (int a = 0; a < accels; ++a)
+                t.at(j, a) = prof(0.1 + rng.uniform(),
+                                  0.5 + rng.uniform() * 20.0);
+        DecodedMapping d = sched::decode(Mapping::random(jobs, accels, rng),
+                                         accels);
+        auto finishOrder = [&](double bw) {
+            sched::ScheduleResult r = BwAllocator(bw).run(d, t);
+            std::vector<int> order(jobs);
+            for (int j = 0; j < jobs; ++j)
+                order[j] = j;
+            std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
+                return r.finishTime[x] < r.finishTime[y];
+            });
+            return order;
+        };
+        std::vector<int> unconstrained = finishOrder(1e9);
+        EXPECT_EQ(finishOrder(16.0), unconstrained) << "trial " << trial;
+        EXPECT_EQ(finishOrder(1.0), unconstrained) << "trial " << trial;
+    }
+}
+
 TEST(BwAllocator, ZeroBwJobsRunAtFullSpeed)
 {
     JobAnalysisTable t(2, 2);
