@@ -20,7 +20,20 @@ CsvWriter::row(const std::vector<std::string>& cells)
     for (size_t i = 0; i < cells.size(); ++i) {
         if (i)
             out_ << ',';
-        out_ << cells[i];
+        const std::string& cell = cells[i];
+        // RFC 4180: a cell holding a separator, a quote or a line break is
+        // quoted, and each quote inside it doubled.
+        if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+            out_ << cell;
+            continue;
+        }
+        out_ << '"';
+        for (char c : cell) {
+            if (c == '"')
+                out_ << '"';
+            out_ << c;
+        }
+        out_ << '"';
     }
     out_ << '\n';
 }

@@ -19,7 +19,11 @@ class CsvWriter {
     /** Open (truncate) the file at `path` and write the header row. */
     CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
-    /** Append one row; the cell count should match the header. */
+    /**
+     * Append one row; the cell count should match the header. A cell
+     * holding a comma, a double quote or a line break is written quoted
+     * (RFC 4180), with its quotes doubled.
+     */
     void row(const std::vector<std::string>& cells);
 
     /** Convenience: numeric row. */

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -656,6 +657,25 @@ TEST(Csv, WritesHeaderAndRows)
     EXPECT_EQ(line, "1,x");
     std::getline(in, line);
     EXPECT_EQ(line, "2.5,3");
+    std::remove(path.c_str());
+}
+
+TEST(Csv, QuotesCellsWithSeparators)
+{
+    std::string path = "test_csv_quoted.csv";
+    {
+        CsvWriter w(path, {"case", "gflops"});
+        w.row({"(a) Vision, S2, BW=16", "1.5"});
+        w.row({"say \"hi\"", "two\nlines"});
+        w.row({"plain", ""});
+    }
+    std::ifstream in(path);
+    std::stringstream all;
+    all << in.rdbuf();
+    EXPECT_EQ(all.str(), "case,gflops\n"
+                         "\"(a) Vision, S2, BW=16\",1.5\n"
+                         "\"say \"\"hi\"\"\",\"two\nlines\"\n"
+                         "plain,\n");
     std::remove(path.c_str());
 }
 
