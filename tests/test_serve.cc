@@ -159,6 +159,49 @@ TEST(Fingerprint, ProblemSpecOverloadMatchesPlatformOverload)
     EXPECT_NE(serve::fingerprintOf(g, flex).key, via_spec.key);
 }
 
+TEST(Fingerprint, KeyBytesPinned)
+{
+    // Store keys are persisted (snapshot and log), so their bytes must
+    // never change: a reloaded store would otherwise miss every entry.
+    // The bandwidths cover an integer, a non-integer and one large
+    // enough for the formatter's exponent form.
+    struct Case {
+        dnn::TaskType task;
+        int size;
+        uint64_t seed;
+        accel::Platform platform;
+        sched::Objective objective;
+        const char* key;
+        const char* coarse;
+    };
+    const Case cases[] = {
+        {dnn::TaskType::Mix, 16, 5,
+         accel::makeSetting(accel::Setting::S2, 16.0),
+         sched::Objective::Throughput,
+         "task=Mix|plat=S2#4@16|obj=throughput"
+         "|hist=CONV:2,DWCONV:3,FC:3,PWCONV:8|size=4:3,5:5,6:8",
+         "task=Mix|plat=S2#4@16|obj=throughput"},
+        {dnn::TaskType::Vision, 24, 3,
+         accel::makeSetting(accel::Setting::S4, 12.5),
+         sched::Objective::Energy,
+         "task=Vision|plat=S4#8@12.5|obj=energy"
+         "|hist=CONV:7,DWCONV:2,PWCONV:15|size=4:1,5:8,6:12,7:3",
+         "task=Vision|plat=S4#8@12.5|obj=energy"},
+        {dnn::TaskType::Language, 7, 11,
+         accel::makeFlexibleSetting(accel::Setting::S1, 1234567.0),
+         sched::Objective::Latency,
+         "task=Lang|plat=S1-flex#4@1.23457e+06|obj=latency"
+         "|hist=FC:7|size=6:5,7:2",
+         "task=Lang|plat=S1-flex#4@1.23457e+06|obj=latency"},
+    };
+    for (const Case& c : cases) {
+        Fingerprint fp = serve::fingerprintOf(
+            makeGroup(c.task, c.size, c.seed), c.platform, c.objective);
+        EXPECT_EQ(fp.key, c.key);
+        EXPECT_EQ(fp.coarse, c.coarse);
+    }
+}
+
 TEST(Fingerprint, SameDistributionSharesCoarseTier)
 {
     accel::Platform s2 = accel::makeSetting(accel::Setting::S2, 4.0);
