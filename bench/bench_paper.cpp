@@ -258,7 +258,7 @@ fig07(const BenchArgs& args)
     std::vector<Stats> task_means;
     for (TaskType task : tasks) {
         Stats sum{};
-        const auto models = dnn::modelsForTask(task);
+        const auto& models = dnn::modelsForTask(task);
         for (const auto& m : models) {
             Stats s{};
             int batch = dnn::defaultBatch(m.task);

@@ -31,18 +31,21 @@ taskTypeFromName(const std::string& name)
                                 "' (Vision|Lang|Recom|Mix)");
 }
 
-std::vector<Model>
+const std::vector<Model>&
 allModels()
 {
-    std::vector<Model> out = visionModels();
-    for (const auto& m : languageModels())
-        out.push_back(m);
-    for (const auto& m : recomModels())
-        out.push_back(m);
-    return out;
+    static const std::vector<Model> all = [] {
+        std::vector<Model> out = visionModels();
+        for (const auto& m : languageModels())
+            out.push_back(m);
+        for (const auto& m : recomModels())
+            out.push_back(m);
+        return out;
+    }();
+    return all;
 }
 
-std::vector<Model>
+const std::vector<Model>&
 modelsForTask(TaskType t)
 {
     switch (t) {
@@ -53,16 +56,15 @@ modelsForTask(TaskType t)
     case TaskType::Recommendation:
         return recomModels();
     case TaskType::Mix:
-        return allModels();
+        break;
     }
-    return {};
+    return allModels();
 }
 
 const Model&
 findModel(const std::string& name)
 {
-    static const std::vector<Model> all = allModels();
-    for (const auto& m : all)
+    for (const auto& m : allModels())
         if (m.name == name)
             return m;
     throw std::out_of_range("unknown model: " + name);

@@ -25,13 +25,13 @@ const std::vector<Model>& languageModels();
 const std::vector<Model>& recomModels();
 
 /** All models of all three categories. */
-std::vector<Model> allModels();
+const std::vector<Model>& allModels();
 
 /**
  * Models participating in a task. Mix returns the union of all three
  * categories (Section VI-A2's "complex task ... involved simultaneously").
  */
-std::vector<Model> modelsForTask(TaskType t);
+const std::vector<Model>& modelsForTask(TaskType t);
 
 /** Lookup by name; throws std::out_of_range for unknown names. */
 const Model& findModel(const std::string& name);

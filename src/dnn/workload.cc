@@ -34,7 +34,7 @@ WorkloadGenerator::makeGroup(TaskType task, int group_size)
 {
     JobGroup group;
     group.task = task;
-    const std::vector<Model> models = modelsForTask(task);
+    const std::vector<Model>& models = modelsForTask(task);
 
     // Walk layers of a randomly drawn model until the group is full; this
     // mimics several tenants' mini-batches queuing together while keeping

@@ -1,13 +1,13 @@
 #include "dyn/engine.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "api/registry.h"
 #include "dnn/workload.h"
+#include "exec/eval_engine.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "opt/warm_start.h"
@@ -25,6 +25,20 @@ eventSeed(uint64_t base_seed, int64_t event_index)
 {
     return base_seed +
            0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(event_index + 1);
+}
+
+/** The engine's counters, resolved once. */
+struct DynMetrics {
+    obs::Counter& events;
+    obs::Counter& remaps;
+};
+
+DynMetrics&
+dynMetrics()
+{
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+    static DynMetrics m{reg.counter("dyn.events"), reg.counter("dyn.remaps")};
+    return m;
 }
 
 }  // namespace
@@ -45,7 +59,11 @@ remapSourceName(RemapSource s)
     return "?";
 }
 
-EventEngine::EventEngine(DynConfig cfg) : cfg_(std::move(cfg)) {}
+EventEngine::EventEngine(DynConfig cfg)
+    : cfg_(std::move(cfg)),
+      pool_(std::make_unique<exec::ThreadPool>(cfg_.search.threads))
+{
+}
 
 void
 EventEngine::reset(const api::ProblemSpec& base)
@@ -57,8 +75,7 @@ EventEngine::reset(const api::ProblemSpec& base)
     bundles_.clear();
     mapping_ = sched::Mapping{};
     group_ = dnn::JobGroup{};
-    ids_.clear();
-    placement_.clear();
+    match_.clear();
 }
 
 int
@@ -70,24 +87,25 @@ EventEngine::activeJobs() const
     return total;
 }
 
-dnn::JobGroup
-EventEngine::buildGroup(std::vector<std::string>* ids) const
+EventEngine::Bundle
+EventEngine::makeBundle(std::string name, dnn::JobGroup jobs) const
 {
-    dnn::JobGroup group;
-    group.task = base_.task;
-    ids->clear();
+    Bundle b{std::move(name), {},
+             sched::JobAnalyzer(model_).analyze(jobs, platform_), -1};
+    b.jobs = std::move(jobs.jobs);
+    return b;
+}
+
+sched::JobAnalysisTable
+EventEngine::table() const
+{
+    sched::JobAnalysisTable table(activeJobs(), platform_.numSubAccels());
+    int first = 0;
     for (const Bundle& b : bundles_) {
-        for (size_t i = 0; i < b.jobs.size(); ++i) {
-            group.jobs.push_back(b.jobs[i]);
-            // Job ids are genome positions everywhere downstream
-            // (decode's tie-break, the analysis table), so re-number the
-            // concatenation; the bundle identity carries continuity.
-            group.jobs.back().id = static_cast<int>(group.jobs.size()) - 1;
-            ids->push_back(b.name + '@' + std::to_string(b.gen) + '#' +
-                           std::to_string(i));
-        }
+        table.copyRows(first, b.rows);
+        first += static_cast<int>(b.jobs.size());
     }
-    return group;
+    return table;
 }
 
 EventRecord
@@ -99,10 +117,10 @@ EventEngine::step(const WorkloadEvent& ev)
     EventRecord rec;
     rec.event = ev;
 
-    // 1. Rebuild the active set. Swap keeps the bundle's slot (and thus
-    // the group order) but regenerates its jobs, so swapped jobs look
-    // new to the reconfig bill while every other bundle's jobs keep
-    // their identities.
+    // 1. Update the active set. Swap keeps the bundle's slot (and thus
+    // the group order) but regenerates its jobs, so swapped jobs are new
+    // to the reconfig bill and the matched transfer, while every other
+    // bundle's jobs keep their place.
     auto found = std::find_if(
         bundles_.begin(), bundles_.end(),
         [&](const Bundle& b) { return b.name == ev.bundle; });
@@ -114,7 +132,7 @@ EventEngine::step(const WorkloadEvent& ev)
                 "'");
         dnn::WorkloadGenerator gen(ev.seed);
         bundles_.push_back(
-            Bundle{ev.bundle, 0, gen.makeGroup(ev.task, ev.jobs).jobs});
+            makeBundle(ev.bundle, gen.makeGroup(ev.task, ev.jobs)));
         break;
     }
     case EventKind::Depart:
@@ -130,35 +148,43 @@ EventEngine::step(const WorkloadEvent& ev)
                 "EventEngine: swap of inactive bundle '" + ev.bundle +
                 "'");
         dnn::WorkloadGenerator gen(ev.seed ^ 0x5a5a5a5aULL);
-        found->jobs = gen.makeGroup(ev.task, ev.jobs).jobs;
-        // New generation: the regenerated jobs must not inherit the old
-        // bundle's identities (they are different jobs — the reconfig
-        // bill and the matched transfer both treat them as new).
-        ++found->gen;
+        *found = makeBundle(ev.bundle, gen.makeGroup(ev.task, ev.jobs));
         break;
     }
     }
 
     const int64_t event_index = eventIndex_++;
     bool counters = obs::countersOn();
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     if (counters)
-        reg.counter("dyn.events").add();
+        dynMetrics().events.add();
 
-    std::vector<std::string> ids;
-    dnn::JobGroup group = buildGroup(&ids);
+    // The new group, and where each of its jobs sat in the running
+    // group (-1: brought in by this event).
+    dnn::JobGroup group;
+    group.task = base_.task;
+    group.jobs.reserve(static_cast<size_t>(activeJobs()));
+    match_.clear();
+    for (const Bundle& b : bundles_) {
+        for (size_t i = 0; i < b.jobs.size(); ++i) {
+            group.jobs.push_back(b.jobs[i]);
+            // Job ids are genome positions everywhere downstream
+            // (decode's tie-break, the analysis table), so re-number the
+            // concatenation; the offsets carry continuity.
+            group.jobs.back().id = static_cast<int>(group.jobs.size()) - 1;
+            match_.push_back(b.offset < 0 ? -1
+                                          : b.offset + static_cast<int>(i));
+        }
+    }
     rec.activeJobs = group.size();
     if (group.jobs.empty()) {
         // The platform drained; nothing to map until the next arrival.
         mapping_ = sched::Mapping{};
         group_ = std::move(group);
-        ids_.clear();
-        placement_.clear();
         return rec;
     }
 
-    sched::MappingEvaluator eval(group, platform_, model_, base_.bwPolicy,
-                                 nullptr, cfg_.search.objective);
+    sched::MappingEvaluator eval(group, platform_, table(), base_.bwPolicy,
+                                 cfg_.search.objective);
     const int pop = opt::transfer::populationFor(eval.groupSize());
     const int64_t warm_budget = opt::transfer::warmBudget(
         cfg_.remapBudget, pop, cfg_.search.sampleBudget);
@@ -170,21 +196,13 @@ EventEngine::step(const WorkloadEvent& ev)
     // then Pareto-archive members, then cold.
     opt::SearchOptions opts;
     opts.sampleBudget = cfg_.search.sampleBudget;
-    opts.threads = cfg_.search.threads;
     serve::Fingerprint fp =
         serve::fingerprintOf(group, platform_, cfg_.search.objective);
     std::optional<serve::MappingStore::Hit> hit;
     if (cfg_.warmRemap && mapping_.size() > 0) {
         obs::Scope scope("dyn.remap.tier_previous");
-        std::map<std::string, int> prev_index;
-        for (size_t i = 0; i < ids_.size(); ++i)
-            prev_index[ids_[i]] = static_cast<int>(i);
-        std::vector<int> match(ids.size(), -1);
-        for (size_t i = 0; i < ids.size(); ++i)
-            if (auto it = prev_index.find(ids[i]); it != prev_index.end())
-                match[i] = it->second;
         sched::Mapping base = opt::transfer::adaptMatched(
-            mapping_, group_, group, match, eval.numAccels(), adapt_rng);
+            mapping_, group_, group, match_, eval.numAccels(), adapt_rng);
         opts.seeds = opt::transfer::seedsAround(base, pop,
                                                 eval.numAccels(),
                                                 adapt_rng);
@@ -210,8 +228,9 @@ EventEngine::step(const WorkloadEvent& ev)
     }
     rec.budget = opts.sampleBudget;
 
-    // 3. Search. MAGMA keeps the paper's population-tracks-group-size
-    // rule (the registry factory uses a fixed default).
+    // 3. Search on the engine's pool. MAGMA keeps the paper's
+    // population-tracks-group-size rule (the registry factory uses a
+    // fixed default).
     std::unique_ptr<opt::Optimizer> optimizer =
         api::makeForPopulation(cfg_.search.method, seed, pop);
     opt::SearchResult res;
@@ -219,19 +238,18 @@ EventEngine::step(const WorkloadEvent& ev)
         // span payload: i = event index, a = best fitness,
         // b = samples used
         obs::Scope scope("dyn.remap.search", event_index);
+        exec::EvalEngine engine(eval, *pool_);
+        opts.engine = &engine;
         res = optimizer->search(eval, opts);
         scope.payload(res.bestFitness,
                       static_cast<double>(res.samplesUsed));
     }
-    if (counters) {
-        reg.counter("dyn.remaps").add();
-        reg.histogram("dyn.remap_samples")
-            .record(static_cast<double>(res.samplesUsed));
-    }
+    if (counters)
+        dynMetrics().remaps.add();
 
     // 4. Bill the transition and simulate the schedule with the stalls
     // inside it.
-    rec.charge = computeReconfig(placement_, ids, group, res.best,
+    rec.charge = computeReconfig(match_, mapping_.accelSel, group, res.best,
                                  base_.systemBwGbps, cfg_.reconfig);
     sched::ScheduleResult with_setup =
         eval.evaluateWithSetup(res.best, rec.charge.setupSeconds);
@@ -241,21 +259,19 @@ EventEngine::step(const WorkloadEvent& ev)
     rec.makespanSeconds = with_setup.makespanSeconds;
     rec.steadyMakespanSeconds = steady.makespanSeconds;
     rec.mapping = res.best;
-    if (counters && rec.charge.totalStallSeconds > 0.0)
-        reg.histogram("dyn.stall_seconds")
-            .record(rec.charge.totalStallSeconds);
 
     if (cfg_.store)
         cfg_.store->update(fp, group.task, res.best, group,
                            res.bestFitness, res.samplesUsed);
 
     // 5. Commit the running solution.
-    mapping_ = res.best;
+    mapping_ = std::move(res.best);
     group_ = std::move(group);
-    ids_ = std::move(ids);
-    placement_.clear();
-    for (size_t i = 0; i < ids_.size(); ++i)
-        placement_.emplace_back(ids_[i], mapping_.accelSel[i]);
+    int first = 0;
+    for (Bundle& b : bundles_) {
+        b.offset = first;
+        first += static_cast<int>(b.jobs.size());
+    }
     return rec;
 }
 

@@ -11,7 +11,9 @@
 #include "cost/cost_model.h"
 #include "dyn/reconfig.h"
 #include "dyn/trace.h"
+#include "exec/thread_pool.h"
 #include "mo/pareto.h"
+#include "sched/job_analyzer.h"
 #include "sched/mapping.h"
 #include "serve/mapping_store.h"
 
@@ -90,12 +92,20 @@ struct DynResult {
  * time through a WorkloadTrace, rebuilds the active job set at each
  * Arrive/Depart/Swap, and re-maps it incrementally — warm-started from
  * the running mapping via opt::transfer::adaptMatched (the engine knows
- * every job's bundle identity, so survivors keep their genes verbatim),
- * falling back to the MappingStore and ParetoArchive tiers, then cold.
- * Each event's ReconfigCost (re-tiling stalls + weight reloads for
- * moved/new jobs) is charged inside the schedule simulation via
- * MappingEvaluator::evaluateWithSetup, so churn shows up in makespan
- * rather than a side ledger.
+ * where every surviving job sat in the running group, so survivors keep
+ * their genes verbatim), falling back to the MappingStore and
+ * ParetoArchive tiers, then cold. Each event's ReconfigCost (re-tiling
+ * stalls + weight reloads for moved/new jobs) is charged inside the
+ * schedule simulation via MappingEvaluator::evaluateWithSetup, so churn
+ * shows up in makespan rather than a side ledger.
+ *
+ * An event changes one bundle, so each bundle carries what events do
+ * not change: its Job Analysis Table rows, analyzed once when it arrives
+ * or is swapped (the Job Analyzer is a pure function of layer, batch
+ * and core, so they are bitwise the rows a whole-group analysis gives),
+ * and its offset in the running group. A step assembles the table from
+ * the rows, derives the survivors' correspondence from the offsets, and
+ * searches on one evaluation pool owned for the engine's lifetime.
  *
  * Determinism: for a fixed trace and DynConfig the replay is bitwise
  * reproducible at any `search.threads` count — every RNG is seeded from
@@ -123,32 +133,49 @@ class EventEngine {
     int activeJobs() const;
     /** The running mapping (empty before the first non-empty remap). */
     const sched::Mapping& mapping() const { return mapping_; }
+    /** The job group the running mapping maps: live bundles' jobs in
+     * insertion order, renumbered across the concatenation. */
+    const dnn::JobGroup& group() const { return group_; }
+    /** The Job Analysis Table of the live bundles, assembled from their
+     * rows — the table the last step's search evaluated against. */
+    sched::JobAnalysisTable table() const;
+    /**
+     * The last step's job correspondence: match()[i] is the position
+     * group() job i held in the group before that event, or -1 for a
+     * job the event brought in. It seeds the previous tier
+     * (adaptMatched) and bills the reconfiguration.
+     */
+    const std::vector<int>& match() const { return match_; }
 
   private:
     struct Bundle {
         std::string name;
-        int gen = 0;  ///< bumped by Swap: swapped-in jobs are NEW jobs
         std::vector<dnn::Job> jobs;
+        /** jobs x sub-accelerators, analyzed on this bundle alone. */
+        sched::JobAnalysisTable rows;
+        /** Position of jobs[0] in group_, or -1 while the bundle's jobs
+         * are not in it (arrived or swapped since the last re-map). */
+        int offset = -1;
     };
 
-    /** Concatenate live bundles (insertion order) into a JobGroup and
-     * the parallel per-job identity list ("bundle@gen#index"). */
-    dnn::JobGroup buildGroup(std::vector<std::string>* ids) const;
+    /** A bundle of `jobs`' jobs, with its rows analyzed on the
+     * platform. */
+    Bundle makeBundle(std::string name, dnn::JobGroup jobs) const;
 
     DynConfig cfg_;
     api::ProblemSpec base_;
     accel::Platform platform_;
     cost::CostModel model_;
+    std::unique_ptr<exec::ThreadPool> pool_;  // every search's lanes
     bool ready_ = false;
     int64_t eventIndex_ = 0;
 
     std::vector<Bundle> bundles_;  // live, insertion order
-    // Running solution: the mapping over group_/ids_ plus each job's
-    // placement keyed by identity (what computeReconfig bills against).
+    // Running solution: the mapping over group_, and the last step's
+    // correspondence (match()).
     sched::Mapping mapping_;
     dnn::JobGroup group_;
-    std::vector<std::string> ids_;
-    std::vector<std::pair<std::string, int>> placement_;
+    std::vector<int> match_;
 };
 
 }  // namespace magma::dyn

@@ -6,23 +6,19 @@
 namespace magma::dyn {
 
 ReconfigCharge
-computeReconfig(
-    const std::vector<std::pair<std::string, int>>& prev_accel_of,
-    const std::vector<std::string>& ids, const dnn::JobGroup& group,
-    const sched::Mapping& next, double system_bw_gbps,
-    const ReconfigSpec& spec)
+computeReconfig(const std::vector<int>& match,
+                const std::vector<int>& prev_accel,
+                const dnn::JobGroup& group, const sched::Mapping& next,
+                double system_bw_gbps, const ReconfigSpec& spec)
 {
-    assert(static_cast<int>(ids.size()) == group.size());
+    assert(static_cast<int>(match.size()) == group.size());
     assert(next.size() == group.size());
-    std::map<std::string, int> prev(prev_accel_of.begin(),
-                                    prev_accel_of.end());
 
     ReconfigCharge charge;
-    charge.setupSeconds.assign(ids.size(), 0.0);
-    for (size_t i = 0; i < ids.size(); ++i) {
-        auto it = prev.find(ids[i]);
-        bool is_new = it == prev.end();
-        bool moved = !is_new && it->second != next.accelSel[i];
+    charge.setupSeconds.assign(match.size(), 0.0);
+    for (size_t i = 0; i < match.size(); ++i) {
+        bool is_new = match[i] < 0;
+        bool moved = !is_new && prev_accel[match[i]] != next.accelSel[i];
         if (is_new)
             ++charge.newJobs;
         else if (moved)
@@ -43,6 +39,29 @@ computeReconfig(
         charge.totalStallSeconds += setup;
     }
     return charge;
+}
+
+ReconfigCharge
+computeReconfig(
+    const std::vector<std::pair<std::string, int>>& prev_accel_of,
+    const std::vector<std::string>& ids, const dnn::JobGroup& group,
+    const sched::Mapping& next, double system_bw_gbps,
+    const ReconfigSpec& spec)
+{
+    assert(static_cast<int>(ids.size()) == group.size());
+    std::map<std::string, int> position;
+    std::vector<int> prev_accel;
+    prev_accel.reserve(prev_accel_of.size());
+    for (const auto& [id, accel] : prev_accel_of) {
+        position.emplace(id, static_cast<int>(prev_accel.size()));
+        prev_accel.push_back(accel);
+    }
+    std::vector<int> match(ids.size(), -1);
+    for (size_t i = 0; i < ids.size(); ++i)
+        if (auto it = position.find(ids[i]); it != position.end())
+            match[i] = it->second;
+    return computeReconfig(match, prev_accel, group, next, system_bw_gbps,
+                           spec);
 }
 
 }  // namespace magma::dyn

@@ -2,6 +2,7 @@
 #define MAGMA_DYN_RECONFIG_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dnn/workload.h"
@@ -47,11 +48,24 @@ struct ReconfigCharge {
 };
 
 /**
- * Bill the transition to `next` (over `group`, whose stable job
- * identities are `ids`) against the previous placement `prev_accel_of`:
- * a map from job identity to the sub-accelerator it occupied before the
- * event (jobs absent from it are new). `system_bw_gbps` converts reload
- * bytes to seconds.
+ * Bill the transition to `next` (over `group`) from a job
+ * correspondence: `match[i]` is the position job i held in the group
+ * before the event (-1 for a new job), and `prev_accel[k]` is the
+ * sub-accelerator that position occupied. `system_bw_gbps` converts
+ * reload bytes to seconds. This is what dyn::EventEngine bills.
+ */
+ReconfigCharge computeReconfig(const std::vector<int>& match,
+                               const std::vector<int>& prev_accel,
+                               const dnn::JobGroup& group,
+                               const sched::Mapping& next,
+                               double system_bw_gbps,
+                               const ReconfigSpec& spec);
+
+/**
+ * The same bill keyed by stable job identities: `ids` names the jobs of
+ * `group`, and `prev_accel_of` maps a job identity to the
+ * sub-accelerator it occupied before the event (jobs absent from it are
+ * new; of repeated identities the first counts).
  */
 ReconfigCharge computeReconfig(
     const std::vector<std::pair<std::string, int>>& prev_accel_of,

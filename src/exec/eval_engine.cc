@@ -11,7 +11,6 @@ struct EngineMetrics {
     obs::Counter& batches;
     obs::Counter& candidates;
     obs::Counter& singles;
-    obs::Histogram& batchSize;
 };
 
 EngineMetrics&
@@ -20,8 +19,7 @@ engineMetrics()
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     static EngineMetrics m{reg.counter("exec.eval.batches"),
                            reg.counter("exec.eval.candidates"),
-                           reg.counter("exec.eval.singles"),
-                           reg.histogram("exec.eval.batch_size")};
+                           reg.counter("exec.eval.singles")};
     return m;
 }
 
@@ -33,7 +31,6 @@ countBatch(size_t count)
     EngineMetrics& m = engineMetrics();
     m.batches.add();
     m.candidates.add(static_cast<int64_t>(count));
-    m.batchSize.record(static_cast<double>(count));
 }
 
 }  // namespace

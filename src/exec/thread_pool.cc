@@ -4,30 +4,9 @@
 #include <cstdlib>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/scope.h"
 
 namespace magma::exec {
-namespace {
-
-/** Pool-wide metrics, resolved once so the per-batch cost is atomics. */
-struct PoolMetrics {
-    obs::Counter& batches;
-    obs::Histogram& batchSize;
-    obs::Histogram& batchSeconds;
-};
-
-PoolMetrics&
-poolMetrics()
-{
-    static PoolMetrics m{
-        obs::MetricsRegistry::global().counter("exec.pool.batches"),
-        obs::MetricsRegistry::global().histogram("exec.pool.batch_size"),
-        obs::MetricsRegistry::global().histogram("exec.pool.batch_seconds")};
-    return m;
-}
-
-}  // namespace
 
 int
 ThreadPool::defaultThreads()
@@ -132,24 +111,11 @@ ThreadPool::parallelForLane(int64_t n,
 
     obs::Scope scope("exec.pool.dispatch");
 
-    // Observability: one branch when off; batches that throw go
-    // unrecorded (the exception is the signal there).
-    const bool measured = obs::countersOn();
-    double t0 = 0.0;
-    if (measured)
-        t0 = obs::nowSeconds();
-
     if (workers_.empty() || n == 1) {
         // Serial fast path: no locking, same iteration semantics; all
         // iterations run on the calling thread, lane 0.
         for (int64_t i = 0; i < n; ++i)
             fn(0, i);
-        if (measured) {
-            PoolMetrics& m = poolMetrics();
-            m.batches.add();
-            m.batchSize.record(static_cast<double>(n));
-            m.batchSeconds.record(obs::nowSeconds() - t0);
-        }
         return;
     }
 
@@ -172,12 +138,6 @@ ThreadPool::parallelForLane(int64_t n,
     job_ = nullptr;
     if (error_)
         std::rethrow_exception(std::exchange(error_, nullptr));
-    if (measured) {
-        PoolMetrics& m = poolMetrics();
-        m.batches.add();
-        m.batchSize.record(static_cast<double>(n));
-        m.batchSeconds.record(obs::nowSeconds() - t0);
-    }
 }
 
 }  // namespace magma::exec

@@ -22,8 +22,6 @@ namespace {
 void
 traceMoGeneration(int64_t gen, const ParetoArchive& archive)
 {
-    if (obs::countersOn())
-        obs::MetricsRegistry::global().counter("mo.generations").add();
     if (!obs::traceOn())
         return;
     double hv = std::numeric_limits<double>::quiet_NaN();

@@ -14,8 +14,6 @@ namespace {
 /** Search-level counters, resolved once. */
 struct OptMetrics {
     obs::Counter& samples;
-    obs::Counter& generations;
-    obs::Counter& searches;
     obs::Counter& boundedChildren;
 };
 
@@ -24,8 +22,6 @@ optMetrics()
 {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     static OptMetrics m{reg.counter("opt.samples"),
-                        reg.counter("opt.generations"),
-                        reg.counter("opt.searches"),
                         reg.counter("opt.bounded_children")};
     return m;
 }
@@ -34,18 +30,21 @@ optMetrics()
 
 SearchRecorder::SearchRecorder(const sched::MappingEvaluator& eval,
                                const SearchOptions& opts)
-    : opts_(opts), obs_counters_(obs::countersOn())
+    : budget_(opts.sampleBudget),
+      record_convergence_(opts.recordConvergence),
+      record_samples_(opts.recordSamples),
+      obs_counters_(obs::countersOn())
 {
-    if (opts_.recordConvergence)
-        result_.convergence.reserve(opts_.sampleBudget);
-    if (opts_.engine) {
+    if (record_convergence_)
+        result_.convergence.reserve(budget_);
+    if (opts.engine) {
         // A reused engine must wrap the evaluator this search runs on;
         // otherwise candidates would be scored against another problem.
-        assert(&opts_.engine->evaluator() == &eval);
-        engine_ = opts_.engine;
+        assert(&opts.engine->evaluator() == &eval);
+        engine_ = opts.engine;
     } else {
         owned_engine_ =
-            std::make_unique<exec::EvalEngine>(eval, opts_.threads);
+            std::make_unique<exec::EvalEngine>(eval, opts.threads);
         engine_ = owned_engine_.get();
     }
 }
@@ -60,9 +59,9 @@ SearchRecorder::record(const sched::Mapping& m, double f)
         result_.bestFitness = f;
         result_.best = m;
     }
-    if (opts_.recordConvergence)
+    if (record_convergence_)
         result_.convergence.push_back(result_.bestFitness);
-    if (opts_.recordSamples) {
+    if (record_samples_) {
         result_.sampled.push_back(m);
         result_.sampledFitness.push_back(f);
     }
@@ -94,7 +93,7 @@ SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms,
     obs::Scope generation("opt.generation", generation_++);
 
     // The sample log (Fig. 10) holds exact fitness only.
-    if (opts_.recordSamples)
+    if (record_samples_)
         cutoff = -std::numeric_limits<double>::infinity();
     // Bounded flags are read only by the counter.
     const bool count_bounded = obs_counters_ &&
@@ -120,7 +119,6 @@ SearchRecorder::evaluateBatch(std::span<const sched::Mapping> ms,
     if (obs_counters_) {
         OptMetrics& m = optMetrics();
         m.samples.add(static_cast<int64_t>(n));
-        m.generations.add();
         if (count_bounded)
             m.boundedChildren.add(static_cast<int64_t>(
                 std::count(bounded_.begin(), bounded_.end(), 1)));
@@ -214,8 +212,6 @@ Optimizer::search(const sched::MappingEvaluator& eval,
     if (!rec.exhausted())
         run(eval, opts, rec);
     SearchResult result = rec.finish();
-    if (obs::countersOn())
-        optMetrics().searches.add();
     scope.setIndex(result.samplesUsed);
     scope.payload(result.bestFitness);
     return result;

@@ -96,8 +96,8 @@ class SearchRecorder {
         std::span<const sched::Mapping> ms,
         double cutoff = -std::numeric_limits<double>::infinity());
 
-    bool exhausted() const { return used_ >= opts_.sampleBudget; }
-    int64_t remaining() const { return opts_.sampleBudget - used_; }
+    bool exhausted() const { return used_ >= budget_; }
+    int64_t remaining() const { return budget_ - used_; }
     int64_t used() const { return used_; }
     double bestFitness() const { return result_.bestFitness; }
     const sched::Mapping& best() const { return result_.best; }
@@ -109,7 +109,10 @@ class SearchRecorder {
     /** Spend one budget unit on (m, fitness) — the shared bookkeeping. */
     void record(const sched::Mapping& m, double f);
 
-    SearchOptions opts_;
+    // The SearchOptions fields the recorder reads (not the seeds).
+    int64_t budget_;
+    bool record_convergence_;
+    bool record_samples_;
     SearchResult result_;
     int64_t used_ = 0;
     std::unique_ptr<exec::EvalEngine> owned_engine_;

@@ -1,6 +1,9 @@
 #ifndef MAGMA_SCHED_JOB_ANALYZER_H_
 #define MAGMA_SCHED_JOB_ANALYZER_H_
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +49,16 @@ class JobAnalysisTable {
     JobProfile& at(int job, int accel)
     {
         return profiles_[static_cast<size_t>(job) * accels_ + accel];
+    }
+
+    /** Copy `rows`, a table over the same sub-accelerators, into this
+     * table's jobs [first_job, first_job + rows.numJobs()). */
+    void copyRows(int first_job, const JobAnalysisTable& rows)
+    {
+        assert(rows.accels_ == accels_);
+        std::copy(rows.profiles_.begin(), rows.profiles_.end(),
+                  profiles_.begin() +
+                      static_cast<std::ptrdiff_t>(first_job) * accels_);
     }
 
     int numAccels() const { return accels_; }

@@ -1,14 +1,22 @@
 #include "serve/fingerprint.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
-#include <map>
+#include <cstdio>
 #include <sstream>
 
 #include "dnn/layer.h"
 
 namespace magma::serve {
 namespace {
+
+/** dnn::LayerType's enumerator count (FullyConnected is the last). */
+constexpr int kLayerTypes =
+    static_cast<int>(dnn::LayerType::FullyConnected) + 1;
+/** sizeClass's range: log2 of an int64_t MAC count is at most 63. */
+constexpr int kSizeClasses = 16;
 
 /** 16x-wide log2 MAC-count class — coarse enough that jitter in batch or
  * spatial extent keeps similar jobs in one class. */
@@ -20,40 +28,95 @@ sizeClass(const dnn::Job& job)
     return bucket / 4;
 }
 
+/** The layer types in the order of their names: the histogram's order. */
+const std::array<dnn::LayerType, kLayerTypes>&
+typesByName()
+{
+    static const std::array<dnn::LayerType, kLayerTypes> order = [] {
+        std::array<dnn::LayerType, kLayerTypes> types;
+        for (int t = 0; t < kLayerTypes; ++t)
+            types[t] = static_cast<dnn::LayerType>(t);
+        std::sort(types.begin(), types.end(),
+                  [](dnn::LayerType a, dnn::LayerType b) {
+                      return dnn::layerTypeName(a) < dnn::layerTypeName(b);
+                  });
+        return types;
+    }();
+    return order;
+}
+
+/** Append an integer in decimal. */
+void
+append(std::string& out, int v)
+{
+    char buf[16];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/** Append a double as std::ostream's default formatting prints it: %g,
+ * six significant digits (no program here changes the C locale). */
+void
+append(std::string& out, double v)
+{
+    char buf[32];
+    out.append(buf, static_cast<size_t>(
+                        std::snprintf(buf, sizeof buf, "%g", v)));
+}
+
 }  // namespace
 
 Fingerprint
 fingerprintOf(const dnn::JobGroup& group, const accel::Platform& platform,
               sched::Objective objective)
 {
-    std::map<std::string, int> type_hist;   // layer type -> job count
-    std::map<int, int> size_hist;           // size class -> job count
+    std::array<int, kLayerTypes> type_hist{};   // layer type -> job count
+    std::array<int, kSizeClasses> size_hist{};  // size class -> job count
     for (const dnn::Job& job : group.jobs) {
-        ++type_hist[dnn::layerTypeName(job.layer.type)];
+        ++type_hist[static_cast<int>(job.layer.type)];
         ++size_hist[sizeClass(job)];
     }
 
-    std::ostringstream coarse;
-    coarse << "task=" << dnn::taskTypeName(group.task) << "|plat="
-           << platform.name << "#" << platform.numSubAccels() << "@"
-           << platform.systemBwGbps << "|obj="
-           << sched::objectiveName(objective);
+    // Store snapshots and logs persist these keys, so their bytes never
+    // change: each histogram lists its non-zero bins in ascending key
+    // order (layer-type name, size class).
+    Fingerprint fp;
+    std::string& coarse = fp.coarse;
+    coarse += "task=";
+    coarse += dnn::taskTypeName(group.task);
+    coarse += "|plat=";
+    coarse += platform.name;
+    coarse += '#';
+    append(coarse, platform.numSubAccels());
+    coarse += '@';
+    append(coarse, platform.systemBwGbps);
+    coarse += "|obj=";
+    coarse += sched::objectiveName(objective);
 
-    std::ostringstream fine;
-    fine << coarse.str() << "|hist=";
-    bool first = true;
-    for (const auto& [type, n] : type_hist) {
-        fine << (first ? "" : ",") << type << ":" << n;
-        first = false;
+    std::string& fine = fp.key;
+    fine = coarse;
+    fine += "|hist=";
+    const char* sep = "";
+    for (dnn::LayerType t : typesByName()) {
+        if (const int n = type_hist[static_cast<int>(t)]) {
+            fine += sep;
+            fine += dnn::layerTypeName(t);
+            fine += ':';
+            append(fine, n);
+            sep = ",";
+        }
     }
-    fine << "|size=";
-    first = true;
-    for (const auto& [cls, n] : size_hist) {
-        fine << (first ? "" : ",") << cls << ":" << n;
-        first = false;
+    fine += "|size=";
+    sep = "";
+    for (int cls = 0; cls < kSizeClasses; ++cls) {
+        if (const int n = size_hist[cls]) {
+            fine += sep;
+            append(fine, cls);
+            fine += ':';
+            append(fine, n);
+            sep = ",";
+        }
     }
-
-    return Fingerprint{fine.str(), coarse.str()};
+    return fp;
 }
 
 Fingerprint

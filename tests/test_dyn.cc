@@ -9,6 +9,8 @@
  */
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cost/cost_key.h"
 #include "dyn/engine.h"
 #include "dyn/reconfig.h"
 #include "dyn/runner.h"
@@ -24,6 +27,8 @@
 #include "mo/pareto.h"
 #include "obs/metrics.h"
 #include "opt/warm_start.h"
+#include "sched/job_analyzer.h"
+#include "serve/fingerprint.h"
 #include "serve/service.h"
 
 using namespace magma;
@@ -565,6 +570,208 @@ TEST(DynEngine, StepGuardsAndTierFallbacks)
     dyn::DynResult seeded = EventEngine(arch_cfg).replay(trace);
     EXPECT_EQ(dyn::RemapSource::Archive, seeded.records[0].source);
     EXPECT_EQ(300, seeded.records[0].budget);
+}
+
+namespace {
+
+/**
+ * Seeded arrive/depart/swap churn over a small name pool, with a drain
+ * to an empty platform in the middle after which earlier names arrive
+ * again.
+ */
+WorkloadTrace
+churnTrace(uint64_t seed)
+{
+    WorkloadTrace trace;
+    trace.base = smallTrace().base;
+    common::Rng rng(seed);
+    std::vector<std::string> active;
+    double t = 0.0;
+    const dnn::TaskType tasks[] = {dnn::TaskType::Vision,
+                                   dnn::TaskType::Language,
+                                   dnn::TaskType::Recommendation};
+    auto recipe = [&](WorkloadEvent e) {
+        e.task = tasks[rng.uniformInt(3)];
+        e.jobs = 1 + rng.uniformInt(5);
+        e.seed = static_cast<uint64_t>(rng.uniformInt(1000));
+        return e;
+    };
+    auto add = [&](WorkloadEvent e) {
+        t += 0.5;
+        e.timeSeconds = t;
+        trace.events.push_back(e);
+    };
+    for (int phase = 0; phase < 2; ++phase) {
+        for (int i = 0; i < 14; ++i) {
+            const int n = static_cast<int>(active.size());
+            const int u = rng.uniformInt(10);
+            if (n < 2 || (n < 4 && u < 4)) {
+                // Phase 1 re-uses phase 0's names.
+                std::string name = "b" + std::to_string(rng.uniformInt(6));
+                if (std::find(active.begin(), active.end(), name) !=
+                    active.end())
+                    continue;
+                active.push_back(name);
+                add(recipe(arrive(0.0, name, 1)));
+            } else if (u < 7) {
+                add(recipe(swap(0.0, active[rng.uniformInt(n)], 1)));
+            } else {
+                const int k = rng.uniformInt(n);
+                add(depart(0.0, active[k]));
+                active.erase(active.begin() + k);
+            }
+        }
+        while (!active.empty()) {  // drain
+            add(depart(0.0, active.back()));
+            active.pop_back();
+        }
+    }
+    trace.validate();
+    return trace;
+}
+
+}  // namespace
+
+TEST(DynEngine, StepStateMatchesIndependentRebuild)
+{
+    // Per event, the state a step works from (the assembled analysis
+    // table, the survivors' correspondence, the reconfiguration bill and
+    // the store key) must equal an independent rebuild of the active
+    // set through the public APIs, with identities spelled
+    // "bundle@generation#index" (a swap starts a new generation).
+    const WorkloadTrace trace = churnTrace(17);
+    const accel::Platform platform = api::buildPlatform(trace.base);
+    const cost::CostModel model;
+    for (bool warm : {true, false}) {
+        SCOPED_TRACE(warm ? "warm" : "no-warm");
+        serve::MappingStore store;
+        dyn::DynConfig cfg = fastConfig(60);
+        cfg.warmRemap = warm;
+        cfg.store = &store;
+        EventEngine engine(cfg);
+        engine.reset(trace.base);
+
+        struct Bundle {
+            std::string name;
+            int gen = 0;
+            std::vector<dnn::Job> jobs;
+        };
+        std::vector<Bundle> bundles;
+        std::vector<std::string> prev_ids;
+        std::vector<std::pair<std::string, int>> placement;
+        std::set<std::string> seen;
+        int drains = 0, rearrivals = 0;
+        for (size_t e = 0; e < trace.events.size(); ++e) {
+            SCOPED_TRACE("event " + std::to_string(e));
+            const WorkloadEvent& ev = trace.events[e];
+            dyn::EventRecord rec = engine.step(ev);
+
+            auto it = std::find_if(
+                bundles.begin(), bundles.end(),
+                [&](const Bundle& b) { return b.name == ev.bundle; });
+            if (ev.kind == EventKind::Arrive) {
+                rearrivals += !seen.insert(ev.bundle).second;
+                dnn::WorkloadGenerator gen(ev.seed);
+                bundles.push_back(
+                    {ev.bundle, 0, gen.makeGroup(ev.task, ev.jobs).jobs});
+            } else if (ev.kind == EventKind::Depart) {
+                bundles.erase(it);
+            } else {
+                dnn::WorkloadGenerator gen(ev.seed ^ 0x5a5a5a5aULL);
+                it->jobs = gen.makeGroup(ev.task, ev.jobs).jobs;
+                ++it->gen;
+            }
+            dnn::JobGroup group;
+            group.task = trace.base.task;
+            std::vector<std::string> ids;
+            for (const Bundle& b : bundles)
+                for (size_t i = 0; i < b.jobs.size(); ++i) {
+                    group.jobs.push_back(b.jobs[i]);
+                    group.jobs.back().id = group.size() - 1;
+                    ids.push_back(b.name + '@' + std::to_string(b.gen) +
+                                  '#' + std::to_string(i));
+                }
+
+            ASSERT_EQ(group.size(), rec.activeJobs);
+            ASSERT_EQ(group.size(), engine.group().size());
+            for (int j = 0; j < group.size(); ++j) {
+                const dnn::Job& a = engine.group().jobs[j];
+                const dnn::Job& b = group.jobs[j];
+                EXPECT_EQ(b.id, a.id);
+                EXPECT_EQ(b.model, a.model);
+                EXPECT_EQ(b.batch, a.batch);
+                EXPECT_TRUE(cost::layerKey(b.layer, b.batch) ==
+                            cost::layerKey(a.layer, a.batch));
+            }
+            if (group.jobs.empty()) {
+                ++drains;
+                prev_ids.clear();
+                placement.clear();
+                continue;
+            }
+
+            // Table: the bundles' rows, bitwise a whole-group analysis.
+            sched::JobAnalysisTable want =
+                sched::JobAnalyzer(model).analyze(group, platform);
+            sched::JobAnalysisTable got = engine.table();
+            ASSERT_EQ(want.numJobs(), got.numJobs());
+            ASSERT_EQ(want.numAccels(), got.numAccels());
+            for (int j = 0; j < want.numJobs(); ++j)
+                for (int a = 0; a < want.numAccels(); ++a) {
+                    const sched::JobProfile& w = want.lookup(j, a);
+                    const sched::JobProfile& g = got.lookup(j, a);
+                    EXPECT_EQ(w.noStallSeconds, g.noStallSeconds);
+                    EXPECT_EQ(w.reqBwGbps, g.reqBwGbps);
+                    EXPECT_EQ(w.dramBytes, g.dramBytes);
+                    EXPECT_EQ(w.energyPj, g.energyPj);
+                    EXPECT_EQ(w.macs, g.macs);
+                }
+
+            // Correspondence: a string-keyed identity map.
+            std::map<std::string, int> prev_index;
+            for (size_t k = 0; k < prev_ids.size(); ++k)
+                prev_index[prev_ids[k]] = static_cast<int>(k);
+            std::vector<int> match(ids.size(), -1);
+            for (size_t i = 0; i < ids.size(); ++i)
+                if (auto p = prev_index.find(ids[i]); p != prev_index.end())
+                    match[i] = p->second;
+            EXPECT_EQ(match, engine.match());
+
+            // Reconfiguration: the identity-keyed bill.
+            dyn::ReconfigCharge charge = dyn::computeReconfig(
+                placement, ids, group, rec.mapping,
+                trace.base.systemBwGbps, cfg.reconfig);
+            EXPECT_EQ(charge.movedJobs, rec.charge.movedJobs);
+            EXPECT_EQ(charge.newJobs, rec.charge.newJobs);
+            EXPECT_EQ(charge.keptJobs, rec.charge.keptJobs);
+            EXPECT_EQ(charge.reloadBytes, rec.charge.reloadBytes);
+            EXPECT_EQ(charge.totalStallSeconds,
+                      rec.charge.totalStallSeconds);
+            EXPECT_EQ(charge.setupSeconds, rec.charge.setupSeconds);
+
+            // Fingerprint: the step wrote its result back under the key
+            // of the rebuilt group.
+            std::optional<serve::MappingStore::Hit> hit = store.lookup(
+                serve::fingerprintOf(group, platform, cfg.search.objective));
+            ASSERT_TRUE(hit.has_value());
+            EXPECT_TRUE(hit->exact);
+
+            // And the record scores as the reference evaluator says.
+            sched::MappingEvaluator ref(group, platform, model,
+                                        trace.base.bwPolicy);
+            EXPECT_EQ(ref.fitness(rec.mapping), rec.fitness);
+            EXPECT_EQ(ref.evaluateWithSetup(rec.mapping, charge.setupSeconds)
+                          .makespanSeconds,
+                      rec.makespanSeconds);
+
+            prev_ids = ids;
+            placement.clear();
+            for (size_t i = 0; i < ids.size(); ++i)
+                placement.emplace_back(ids[i], rec.mapping.accelSel[i]);
+        }
+        EXPECT_EQ(2, drains);
+        EXPECT_GT(rearrivals, 0);
+    }
 }
 
 // ---------------------------------------------------------------------
