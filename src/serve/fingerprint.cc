@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -45,22 +44,14 @@ typesByName()
     return order;
 }
 
-/** Append an integer in decimal. */
-void
-append(std::string& out, int v)
-{
-    char buf[16];
-    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
-
-/** Append a double as std::ostream's default formatting prints it: %g,
- * six significant digits (no program here changes the C locale). */
-void
-append(std::string& out, double v)
+/** `v` as std::ostream's default formatting prints it: %g, six
+ * significant digits (no program here changes the C locale). */
+std::string
+formatG(double v)
 {
     char buf[32];
-    out.append(buf, static_cast<size_t>(
-                        std::snprintf(buf, sizeof buf, "%g", v)));
+    return std::string(buf, static_cast<size_t>(
+                                std::snprintf(buf, sizeof buf, "%g", v)));
 }
 
 }  // namespace
@@ -80,28 +71,18 @@ fingerprintOf(const dnn::JobGroup& group, const accel::Platform& platform,
     // change: each histogram lists its non-zero bins in ascending key
     // order (layer-type name, size class).
     Fingerprint fp;
-    std::string& coarse = fp.coarse;
-    coarse += "task=";
-    coarse += dnn::taskTypeName(group.task);
-    coarse += "|plat=";
-    coarse += platform.name;
-    coarse += '#';
-    append(coarse, platform.numSubAccels());
-    coarse += '@';
-    append(coarse, platform.systemBwGbps);
-    coarse += "|obj=";
-    coarse += sched::objectiveName(objective);
-
+    fp.coarse = "task=" + dnn::taskTypeName(group.task) + "|plat=" +
+                platform.name + '#' +
+                std::to_string(platform.numSubAccels()) + '@' +
+                formatG(platform.systemBwGbps) +
+                "|obj=" + sched::objectiveName(objective);
     std::string& fine = fp.key;
-    fine = coarse;
-    fine += "|hist=";
+    fine = fp.coarse + "|hist=";
     const char* sep = "";
     for (dnn::LayerType t : typesByName()) {
         if (const int n = type_hist[static_cast<int>(t)]) {
             fine += sep;
-            fine += dnn::layerTypeName(t);
-            fine += ':';
-            append(fine, n);
+            fine += dnn::layerTypeName(t) + ':' + std::to_string(n);
             sep = ",";
         }
     }
@@ -110,9 +91,7 @@ fingerprintOf(const dnn::JobGroup& group, const accel::Platform& platform,
     for (int cls = 0; cls < kSizeClasses; ++cls) {
         if (const int n = size_hist[cls]) {
             fine += sep;
-            append(fine, cls);
-            fine += ':';
-            append(fine, n);
+            fine += std::to_string(cls) + ':' + std::to_string(n);
             sep = ",";
         }
     }
