@@ -3,8 +3,8 @@
  * Registration of the built-in mapper line-up (Table IV + the Random
  * reference + NSGA-II) with the OptimizerRegistry, in the paper's plot
  * order and with the paper's hyper-parameters (each class's defaults),
- * plus the Table IV name list and the population-aware constructor the
- * warm-starting front ends use.
+ * plus the Table IV name list, and the population-aware constructor and
+ * warm-start cascade the serve and dyn front ends use.
  */
 
 #include "api/registry.h"
@@ -12,6 +12,7 @@
 #include "baselines/ai_mt_like.h"
 #include "baselines/herald_like.h"
 #include "mo/nsga2.h"
+#include "obs/scope.h"
 #include "opt/cma_es.h"
 #include "opt/de.h"
 #include "opt/magma_ga.h"
@@ -19,6 +20,7 @@
 #include "opt/random_search.h"
 #include "opt/std_ga.h"
 #include "opt/tbpsa.h"
+#include "opt/warm_start.h"
 #include "rl/a2c.h"
 #include "rl/ppo2.h"
 
@@ -44,6 +46,43 @@ makeForPopulation(const std::string& name_or_alias, uint64_t seed,
     opt::MagmaConfig cfg;
     cfg.population = population;
     return std::make_unique<opt::MagmaGa>(seed, cfg);
+}
+
+Seeding
+seedSearch(const sched::MappingEvaluator& eval, int population,
+           int64_t cold_budget, const WarmTiers& tiers)
+{
+    const int accels = eval.numAccels();
+    Seeding s;
+    s.budget = cold_budget;
+    std::optional<StoredSolution> stored;
+    if (tiers.previous && tiers.previous->size() > 0) {
+        obs::Scope scope("api.seed.previous");
+        common::Rng rng(tiers.previousSeed);
+        sched::Mapping base = opt::transfer::adaptMatched(
+            *tiers.previous, *tiers.previousGroup, eval.group(),
+            *tiers.match, accels, rng);
+        s.seeds = opt::transfer::seedsAround(base, population, accels, rng);
+        s.source = SeedSource::Previous;
+    } else if (tiers.lookup && (stored = tiers.lookup())) {
+        obs::Scope scope("api.seed.store");
+        common::Rng rng(tiers.storeSeed);
+        s.seeds = opt::transfer::seedsFromStored(
+            stored->mapping, stored->group, eval.group(), population,
+            accels, rng);
+        s.source = SeedSource::Store;
+    } else if (tiers.archive && !tiers.archive->empty()) {
+        obs::Scope scope("api.seed.archive");
+        common::Rng rng(tiers.archiveSeed);
+        s.seeds = opt::transfer::seedsFromArchive(
+            tiers.archive->seedMappings(), eval.groupSize(), population,
+            accels, rng);
+        s.source = SeedSource::Archive;
+    }
+    if (s.source == SeedSource::Previous || s.source == SeedSource::Store)
+        s.budget = opt::transfer::warmBudget(tiers.warmBudget, population,
+                                             cold_budget);
+    return s;
 }
 
 }  // namespace magma::api

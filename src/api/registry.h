@@ -5,10 +5,15 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "dnn/workload.h"
+#include "mo/pareto.h"
 #include "opt/optimizer.h"
+#include "sched/evaluator.h"
+#include "sched/mapping.h"
 
 namespace magma::api {
 
@@ -95,6 +100,62 @@ const std::vector<std::string>& tableIvMethods();
  */
 std::unique_ptr<opt::Optimizer> makeForPopulation(
     const std::string& name_or_alias, uint64_t seed, int population);
+
+/** Where a search's seed population came from (Section V-C tiers). */
+enum class SeedSource { Cold, Previous, Store, Archive };
+
+/** A stored solution the store tier transfers: its mapping and the
+ * group it maps (empty for a groupless entry). */
+struct StoredSolution {
+    sched::Mapping mapping;
+    dnn::JobGroup group;
+};
+
+/**
+ * The warm-start tiers one search may draw on, best knowledge first.
+ * Each is optional; a front end leaves a tier unset to skip it (dyn's
+ * warmRemap = false and serve's warmStart = false leave all unset).
+ */
+struct WarmTiers {
+    /** Previous tier: the running mapping over `previousGroup`, and for
+     * each job of the new group its position there (-1: new) — the
+     * inputs of opt::transfer::adaptMatched. Fires when non-empty. */
+    const sched::Mapping* previous = nullptr;
+    const dnn::JobGroup* previousGroup = nullptr;
+    const std::vector<int>* match = nullptr;
+    /** Store tier. Invoked only when the previous tier did not fire,
+     * because a lookup moves the store's LRU recency and hit counters;
+     * it fires when the callable returns a solution. */
+    std::function<std::optional<StoredSolution>()> lookup;
+    /** Archive tier: fires when non-empty. */
+    const mo::ParetoArchive* archive = nullptr;
+    /** RNG seed of each tier's transfer. */
+    uint64_t previousSeed = 0;
+    uint64_t storeSeed = 0;
+    uint64_t archiveSeed = 0;
+    /** `requested` of opt::transfer::warmBudget for the previous and
+     * store tiers (<= 0: a quarter of the cold budget). */
+    int64_t warmBudget = 0;
+};
+
+/** The seeds, budget and source of one search. */
+struct Seeding {
+    std::vector<sched::Mapping> seeds;
+    int64_t budget = 0;
+    SeedSource source = SeedSource::Cold;
+};
+
+/**
+ * The one warm-start cascade of the serve and dyn front ends: the first
+ * tier that fires, in the order previous → store → archive, yields
+ * `population` seeds. Previous and store seeds come from this group's
+ * own knowledge, so they search on opt::transfer::warmBudget; archive
+ * members are generic knowledge, a quality head start at the full
+ * `cold_budget`. With no tier firing the search is cold: no seeds,
+ * full budget. Write-back stays with the caller.
+ */
+Seeding seedSearch(const sched::MappingEvaluator& eval, int population,
+                   int64_t cold_budget, const WarmTiers& tiers);
 
 namespace detail {
 /** Defined in builtin_methods.cc; called once by global(). The explicit

@@ -186,46 +186,38 @@ EventEngine::step(const WorkloadEvent& ev)
     sched::MappingEvaluator eval(group, platform_, table(), base_.bwPolicy,
                                  cfg_.search.objective);
     const int pop = opt::transfer::populationFor(eval.groupSize());
-    const int64_t warm_budget = opt::transfer::warmBudget(
-        cfg_.remapBudget, pop, cfg_.search.sampleBudget);
     const uint64_t seed = eventSeed(cfg_.search.seed, event_index);
-    common::Rng adapt_rng(seed ^ 0xad4f7ULL);
 
-    // 2. Seed the re-map, best knowledge first: the running mapping
-    // (exact identity match), then the serve store's fingerprint tiers,
-    // then Pareto-archive members, then cold.
-    opt::SearchOptions opts;
-    opts.sampleBudget = cfg_.search.sampleBudget;
+    // 2. Seed the re-map through the shared cascade, best knowledge
+    // first: the running mapping (exact identity match), then the serve
+    // store's fingerprint tiers, then Pareto-archive members, then cold.
     serve::Fingerprint fp =
         serve::fingerprintOf(group, platform_, cfg_.search.objective);
-    std::optional<serve::MappingStore::Hit> hit;
-    if (cfg_.warmRemap && mapping_.size() > 0) {
-        obs::Scope scope("dyn.remap.tier_previous");
-        sched::Mapping base = opt::transfer::adaptMatched(
-            mapping_, group_, group, match_, eval.numAccels(), adapt_rng);
-        opts.seeds = opt::transfer::seedsAround(base, pop,
-                                                eval.numAccels(),
-                                                adapt_rng);
-        opts.sampleBudget = warm_budget;
-        rec.source = RemapSource::Previous;
-    } else if (cfg_.warmRemap && cfg_.store &&
-               (hit = cfg_.store->lookup(fp))) {
-        obs::Scope scope("dyn.remap.tier_store");
-        opts.seeds = opt::transfer::seedsFromStored(
-            hit->entry.mapping, hit->entry.group, group, pop, eval.numAccels(),
-            adapt_rng);
-        opts.sampleBudget = warm_budget;
-        rec.source = RemapSource::Store;
-    } else if (cfg_.warmRemap && cfg_.archive && !cfg_.archive->empty()) {
-        obs::Scope scope("dyn.remap.tier_archive");
-        // Archive members are generic knowledge, so this tier keeps the
-        // FULL cold budget (a quality head start, not a cost cut) — the
-        // same policy as serve::MappingService's third tier.
-        opts.seeds = opt::transfer::seedsFromArchive(
-            cfg_.archive->seedMappings(), eval.groupSize(), pop,
-            eval.numAccels(), adapt_rng);
-        rec.source = RemapSource::Archive;
+    api::WarmTiers tiers;
+    if (cfg_.warmRemap) {
+        tiers.previous = &mapping_;
+        tiers.previousGroup = &group_;
+        tiers.match = &match_;
+        if (cfg_.store)
+            tiers.lookup = [&]() -> std::optional<api::StoredSolution> {
+                std::optional<serve::MappingStore::Hit> hit =
+                    cfg_.store->lookup(fp);
+                if (!hit)
+                    return std::nullopt;
+                return api::StoredSolution{std::move(hit->entry.mapping),
+                                           std::move(hit->entry.group)};
+            };
+        tiers.archive = cfg_.archive;
+        tiers.previousSeed = tiers.storeSeed = tiers.archiveSeed =
+            seed ^ 0xad4f7ULL;
+        tiers.warmBudget = cfg_.remapBudget;
     }
+    api::Seeding seeding =
+        api::seedSearch(eval, pop, cfg_.search.sampleBudget, tiers);
+    opt::SearchOptions opts;
+    opts.sampleBudget = seeding.budget;
+    opts.seeds = std::move(seeding.seeds);
+    rec.source = seeding.source;
     rec.budget = opts.sampleBudget;
 
     // 3. Search on the engine's pool. MAGMA keeps the paper's

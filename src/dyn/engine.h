@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "accel/platform.h"
+#include "api/registry.h"
 #include "api/spec.h"
 #include "cost/cost_model.h"
 #include "dyn/reconfig.h"
@@ -45,8 +46,9 @@ struct DynConfig {
     const mo::ParetoArchive* archive = nullptr;
 };
 
-/** How an event's search was seeded (EventRecord::source). */
-enum class RemapSource { Cold, Previous, Store, Archive };
+/** How an event's search was seeded (EventRecord::source): the tier
+ * api::seedSearch drew on. */
+using RemapSource = api::SeedSource;
 
 /** Source name ("cold", "previous", "store", "archive"). */
 std::string remapSourceName(RemapSource s);

@@ -505,40 +505,45 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     MapResponse resp;
     resp.fingerprint = fp.key;
 
-    // 2. Warm start: transfer the store's solution when the fingerprint
-    // (or its coarse tier) is known.
-    opt::SearchOptions opts;
-    opts.sampleBudget = req.search.sampleBudget;
-    std::optional<MappingStore::Hit> hit;
+    // 2. Warm start through the shared cascade: the store's solution
+    // when the fingerprint (or its coarse tier) is known, else the
+    // Pareto archive's members (generic knowledge, so a full-budget
+    // quality head start; deterministic because the archive is
+    // read-only to the service), else cold.
+    api::WarmTiers tiers;
+    bool exact = false;
     if (req.search.warmStart) {
-        obs::Scope scope("serve.store_lookup");
-        hit = store_.lookup(fp);
+        tiers.lookup = [&]() -> std::optional<api::StoredSolution> {
+            std::optional<MappingStore::Hit> hit;
+            {
+                obs::Scope scope("serve.store_lookup");
+                hit = store_.lookup(fp);
+            }
+            if (!hit)
+                return std::nullopt;
+            exact = hit->exact;
+            return api::StoredSolution{std::move(hit->entry.mapping),
+                                       std::move(hit->entry.group)};
+        };
+        tiers.archive = cfg_.archive;
+        tiers.storeSeed = req.search.seed ^ 0x5eedbeefULL;
+        tiers.archiveSeed = req.search.seed ^ 0xa2c417eULL;
+        tiers.warmBudget = req.warmBudget;
     }
-    if (hit) {
-        common::Rng seed_rng(req.search.seed ^ 0x5eedbeefULL);
-        opts.seeds = opt::transfer::seedsFromStored(
-            hit->entry.mapping, hit->entry.group, problem.group(), pop,
-            eval.numAccels(), seed_rng);
-        opts.sampleBudget = opt::transfer::warmBudget(
-            req.warmBudget, pop, req.search.sampleBudget);
+    api::Seeding seeding =
+        api::seedSearch(eval, pop, req.search.sampleBudget, tiers);
+    opt::SearchOptions opts;
+    opts.sampleBudget = seeding.budget;
+    opts.seeds = std::move(seeding.seeds);
+    if (seeding.source == api::SeedSource::Store) {
         // The convergence curve gives Trf-0-ep for free: the search
         // evaluates the seeds first, so best-so-far after them is the
         // transferred quality before any refinement.
         opts.recordConvergence = true;
         resp.warmStart = true;
-        resp.exactHit = hit->exact;
-    } else if (req.search.warmStart && cfg_.archive &&
-               !cfg_.archive->empty()) {
-        // Third tier: both store tiers missed, but a Pareto archive is
-        // wired in. Its members are generic knowledge, so they seed the
-        // search WITHOUT cutting the budget — a pure quality head start,
-        // deterministic because the archive is read-only to the service.
-        common::Rng seed_rng(req.search.seed ^ 0xa2c417eULL);
-        opts.seeds = opt::transfer::seedsFromArchive(
-            cfg_.archive->seedMappings(), eval.groupSize(), pop,
-            eval.numAccels(), seed_rng);
-        resp.archiveSeeded = true;
+        resp.exactHit = exact;
     }
+    resp.archiveSeeded = seeding.source == api::SeedSource::Archive;
 
     // 3. Search on this lane's engine with the method the spec names
     // (an unknown name fails this request's future with the registry's

@@ -927,6 +927,7 @@ TEST(Observability, InstrumentationShapeIsPinned)
                   // The step compiles on its own pool's engine, before
                   // the search starts.
                   {"dyn.remap.search/sched.flat.compile", 3},
-                  {"dyn.remap.tier_previous", 2},
+                  // api::seedSearch's previous tier, twice.
+                  {"api.seed.previous", 2},
               }));
 }
