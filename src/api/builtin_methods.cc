@@ -82,6 +82,13 @@ seedSearch(const sched::MappingEvaluator& eval, int population,
     if (s.source == SeedSource::Previous || s.source == SeedSource::Store)
         s.budget = opt::transfer::warmBudget(tiers.warmBudget, population,
                                              cold_budget);
+    // Table IV's greedy baseline joins every population: an incumbent
+    // that good from the first batch on lets the load bound prune early.
+    sched::Mapping heuristic = baselines::HeraldLike::buildMapping(eval);
+    if (s.seeds.empty())
+        s.seeds.push_back(std::move(heuristic));
+    else
+        s.seeds.back() = std::move(heuristic);
     return s;
 }
 

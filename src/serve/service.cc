@@ -537,8 +537,8 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     opts.seeds = std::move(seeding.seeds);
     if (seeding.source == api::SeedSource::Store) {
         // The convergence curve gives Trf-0-ep for free: the search
-        // evaluates the seeds first, so best-so-far after them is the
-        // transferred quality before any refinement.
+        // evaluates the seeds first, so best-so-far after the
+        // transferred ones is their quality before any refinement.
         opts.recordConvergence = true;
         resp.warmStart = true;
         resp.exactHit = exact;
@@ -566,9 +566,11 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     resp.bestFitness = res.bestFitness;
     resp.samplesUsed = res.samplesUsed;
     if (resp.warmStart && !res.convergence.empty()) {
-        size_t seeds_end = std::min(opts.seeds.size(),
-                                    res.convergence.size());
-        resp.trf0Fitness = res.convergence[seeds_end - 1];
+        // The heuristic member is the last seed, so Trf-0-ep is the
+        // best-so-far one sample before it: the transferred seeds alone.
+        size_t transferred = std::min(opts.seeds.size() - 1,
+                                      res.convergence.size());
+        resp.trf0Fitness = res.convergence[transferred - 1];
     }
 
     // 4. Publish improved knowledge. Transfer quality is only meaningful

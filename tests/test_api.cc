@@ -3,15 +3,18 @@
  * RunReport exact text round-trips (property-style over random specs),
  * OptimizerRegistry completeness (every Table IV method constructible by
  * name and by every alias, did-you-mean errors), downstream
- * self-registration, the population-aware constructor the warm-starting
- * front ends use, and the acceptance-criterion parity runs: for fixed
- * seeds, every method through api::Runner must reproduce the hand-wired
- * m3e::makeProblem + OptimizerRegistry::make path bitwise.
+ * self-registration, the population-aware constructor and the warm-start
+ * cascade the serve and dyn front ends use, and the acceptance-criterion
+ * parity runs: for fixed seeds, every method through api::Runner must
+ * reproduce the hand-wired m3e::makeProblem + OptimizerRegistry::make
+ * path bitwise.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,8 +24,10 @@
 #include "api/registry.h"
 #include "api/runner.h"
 #include "api/spec.h"
+#include "baselines/herald_like.h"
 #include "common/rng.h"
 #include "m3e/problem.h"
+#include "mo/pareto.h"
 #include "opt/magma_ga.h"
 #include "opt/warm_start.h"
 
@@ -352,6 +357,79 @@ TEST(MakeForPopulation, UnknownNameThrowsDidYouMean)
         EXPECT_NE(msg.find("did you mean 'MAGMA'?"), std::string::npos)
             << msg;
     }
+}
+
+// ------------------------------------------- warm-start cascade ---
+
+TEST(SeedSearch, TiersFireInOrderAndEveryPathHasOneHeuristicMember)
+{
+    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 8.0,
+                              10, 21);
+    const sched::MappingEvaluator& eval = p->evaluator();
+    const int pop = opt::transfer::populationFor(eval.groupSize());
+    const int64_t cold = 800;
+    const sched::Mapping heuristic =
+        baselines::HeraldLike::buildMapping(eval);
+
+    common::Rng rng(3);
+    const sched::Mapping running =
+        sched::Mapping::random(eval.groupSize(), eval.numAccels(), rng);
+    const sched::Mapping none;
+    std::vector<int> match(eval.groupSize());
+    std::iota(match.begin(), match.end(), 0);
+    mo::ParetoArchive archive(
+        {sched::Objective::Throughput, sched::Objective::Energy});
+    mo::MoPoint member;
+    member.m = sched::Mapping::random(6, eval.numAccels(), rng);
+    member.objs = {1.0, 1.0};
+    ASSERT_TRUE(archive.insert(member));
+
+    int lookups = 0;
+    bool store_hits = true;
+    api::WarmTiers tiers;
+    tiers.previous = &running;
+    tiers.previousGroup = &eval.group();
+    tiers.match = &match;
+    tiers.lookup = [&]() -> std::optional<api::StoredSolution> {
+        ++lookups;
+        if (!store_hits)
+            return std::nullopt;
+        return api::StoredSolution{running, eval.group()};
+    };
+    tiers.archive = &archive;
+    tiers.previousSeed = 1;
+    tiers.storeSeed = 2;
+    tiers.archiveSeed = 3;
+    tiers.warmBudget = 300;
+
+    auto expect = [&](api::SeedSource source, int64_t budget,
+                      size_t seeds) {
+        api::Seeding s = api::seedSearch(eval, pop, cold, tiers);
+        EXPECT_EQ(source, s.source);
+        EXPECT_EQ(budget, s.budget);
+        ASSERT_EQ(seeds, s.seeds.size());
+        EXPECT_EQ(1, std::count(s.seeds.begin(), s.seeds.end(), heuristic));
+        EXPECT_EQ(heuristic, s.seeds.back());
+    };
+    const int64_t warm = opt::transfer::warmBudget(300, pop, cold);
+    // The running mapping wins, and the store is never consulted.
+    expect(api::SeedSource::Previous, warm, pop);
+    EXPECT_EQ(0, lookups);
+    // An empty running mapping (the first event) falls to the store.
+    tiers.previous = &none;
+    expect(api::SeedSource::Store, warm, pop);
+    EXPECT_EQ(1, lookups);
+    // A store miss falls to the archive, at the full budget.
+    store_hits = false;
+    expect(api::SeedSource::Archive, cold, pop);
+    EXPECT_EQ(2, lookups);
+    // No tier fires: a cold search whose only seed is the heuristic.
+    tiers.archive = nullptr;
+    expect(api::SeedSource::Cold, cold, 1);
+    EXPECT_EQ(3, lookups);
+    // So is a search with every tier unset (warm starts off).
+    tiers = api::WarmTiers{};
+    expect(api::SeedSource::Cold, cold, 1);
 }
 
 TEST(Parity, RunnerMatchesManualPathForEveryTableIvMethod)

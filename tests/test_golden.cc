@@ -196,7 +196,7 @@ TEST(Golden, DynReplayPinned)
     dyn::EventEngine engine(goldenDynConfig());
     std::string digest = replayDigest(engine.replay(goldenTrace()));
     uint64_t h = fnv1a64(digest);
-    EXPECT_EQ(h, 0x7bb6e97065f74bedull)
+    EXPECT_EQ(h, 0xd2d03e4b1e12ba2cull)
         << "actual: " << hex(h) << "\n"
         << digest;
 }
@@ -215,7 +215,7 @@ TEST(Golden, DynStoreSeededReplayPinned)
     store.save(saved);
     std::string digest = replayDigest(r) + saved.str();
     uint64_t h = fnv1a64(digest);
-    EXPECT_EQ(h, 0x4e6f84ccd89f3b9bull)
+    EXPECT_EQ(h, 0xb5d121a645cb9ab9ull)
         << "actual: " << hex(h) << "\n"
         << digest;
 }
@@ -231,7 +231,7 @@ TEST(Golden, DynArchiveSeededReplayPinned)
     ASSERT_EQ(dyn::RemapSource::Archive, r.records[0].source);
     std::string digest = replayDigest(r);
     uint64_t h = fnv1a64(digest);
-    EXPECT_EQ(h, 0xf77155b9d92b7753ull)
+    EXPECT_EQ(h, 0x58af75087eccc60eull)
         << "actual: " << hex(h) << "\n"
         << digest;
 }
@@ -296,13 +296,13 @@ servedHash(const serve::ServiceConfig& cfg, bool with_group)
 TEST(Golden, ServedJobMatchedStoreHitPinned)
 {
     uint64_t h = servedHash(serve::ServiceConfig{}, true);
-    EXPECT_EQ(h, 0xad6e5121ead242e4ull) << "actual: " << hex(h);
+    EXPECT_EQ(h, 0xadd083c455481166ull) << "actual: " << hex(h);
 }
 
 TEST(Golden, ServedGrouplessStoreHitPinned)
 {
     uint64_t h = servedHash(serve::ServiceConfig{}, false);
-    EXPECT_EQ(h, 0x8086d3ac67e641c6ull) << "actual: " << hex(h);
+    EXPECT_EQ(h, 0x6ea1606de64cae6eull) << "actual: " << hex(h);
 }
 
 TEST(Golden, ServedArchiveSeededPinned)
@@ -313,5 +313,5 @@ TEST(Golden, ServedArchiveSeededPinned)
     serve::ServiceConfig cfg;
     cfg.archive = &archive;
     uint64_t h = servedHash(cfg, false);
-    EXPECT_EQ(h, 0x86eb1e869cae9b66ull) << "actual: " << hex(h);
+    EXPECT_EQ(h, 0x05d4c85355d8c8e4ull) << "actual: " << hex(h);
 }

@@ -25,6 +25,7 @@
 
 #include "api/registry.h"
 #include "api/spec.h"
+#include "baselines/herald_like.h"
 #include "m3e/problem.h"
 #include "serve/fingerprint.h"
 #include "serve/mapping_store.h"
@@ -952,6 +953,42 @@ TEST(MappingService, WarmStartAcrossReloadReachesColdQualityAtQuarterBudget)
     std::remove(log_path.c_str());
 }
 
+TEST(MappingService, Trf0ExcludesTheHeuristicMember)
+{
+    // Every transferred seed of a serialized stored solution (all jobs
+    // on core 0) is worse than the Herald-like member the cascade adds.
+    // Trf-0-ep measures the transferred seeds alone, so it stays below
+    // the heuristic's fitness, which the search reaches one sample later.
+    MapRequest r = baseRequest(/*seed=*/5);
+    r.writeBack = false;
+    auto problem = m3e::makeProblem(r.problem.task, r.problem.setting,
+                                    r.problem.systemBwGbps,
+                                    r.problem.groupSize,
+                                    r.problem.workloadSeed);
+    const sched::MappingEvaluator& eval = problem->evaluator();
+    const double heuristic =
+        eval.fitness(baselines::HeraldLike::buildMapping(eval));
+
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    MappingService service(cfg);
+    sched::Mapping serial;
+    serial.accelSel.assign(r.problem.groupSize, 0);
+    for (int i = 0; i < r.problem.groupSize; ++i)
+        serial.priority.push_back((i + 0.5) / r.problem.groupSize);
+    service.store().update(serve::fingerprintOf(eval.group(), r.problem),
+                           eval.group().task, serial, eval.group(),
+                           eval.fitness(serial), 100);
+    MapResponse resp = service.submit(r).get();
+    service.stop();
+
+    ASSERT_TRUE(resp.warmStart);
+    EXPECT_TRUE(resp.exactHit);
+    EXPECT_GT(resp.trf0Fitness, 0.0);
+    EXPECT_LT(resp.trf0Fitness, heuristic);
+    EXPECT_GE(resp.bestFitness, heuristic);
+}
+
 TEST(MappingService, StoppedStoreLogResumesOnNextWriteBack)
 {
     // A failed append stops the store log (see
@@ -1030,7 +1067,8 @@ TEST(MappingService, ConcurrentTenantsCompoundStoreKnowledge)
 TEST(MappingService, HonorsSearchSpecMethodBitwise)
 {
     // The request's SearchSpec.method selects the optimizer: a stdGA
-    // request must reproduce the hand-wired stdGA search bitwise.
+    // request must reproduce the hand-wired stdGA search bitwise. A cold
+    // served search starts from the Herald-like member alone.
     MapRequest r = baseRequest(/*seed=*/55);
     r.search.method = "std-ga";  // aliases resolve too
     r.search.warmStart = false;
@@ -1050,6 +1088,7 @@ TEST(MappingService, HonorsSearchSpecMethodBitwise)
         api::OptimizerRegistry::global().make("stdGA", r.search.seed);
     opt::SearchOptions opts;
     opts.sampleBudget = r.search.sampleBudget;
+    opts.seeds = {baselines::HeraldLike::buildMapping(problem->evaluator())};
     opt::SearchResult manual =
         optimizer->search(problem->evaluator(), opts);
     EXPECT_EQ(resp.best, manual.best);
