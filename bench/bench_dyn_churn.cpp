@@ -132,9 +132,11 @@ main(int argc, char** argv)
         cold.totalSamples > 0
             ? static_cast<double>(warm.totalSamples) / cold.totalSamples
             : 1.0;
-    std::printf("\ncold: %lld samples, final makespan %.6f ms\n",
+    std::printf("\ncold: %lld samples, final makespan %.6f ms, stall total "
+                "%.3f ms\n",
                 static_cast<long long>(cold.totalSamples),
-                cold.finalMakespanSeconds * 1e3);
+                cold.finalMakespanSeconds * 1e3,
+                cold.totalStallSeconds * 1e3);
     std::printf("warm: %lld samples (%.0f%% of cold), final makespan "
                 "%.6f ms, stall total %.3f ms\n",
                 static_cast<long long>(warm.totalSamples),
@@ -157,6 +159,7 @@ main(int argc, char** argv)
         w.field("warm_samples", warm.totalSamples);
         w.field("cold_final_makespan_seconds", cold.finalMakespanSeconds);
         w.field("warm_final_makespan_seconds", warm.finalMakespanSeconds);
+        w.field("cold_stall_seconds", cold.totalStallSeconds);
         w.field("warm_stall_seconds", warm.totalStallSeconds);
         w.endObject();
         w.beginArray("samples");

@@ -37,10 +37,6 @@
  *                   (name argument alone) have no slots and are skipped.
  *                   --check-spans runs just this check over the roots.
  *
- *   header-standalone  (--check-headers) Every public header under src/
- *                   compiles as its own translation unit — no hidden
- *                   include-order dependencies.
- *
  *   docs-module-map (--check-docs) Every immediate subdirectory of src/
  *                   is named (as "src/<name>") in both the README module
  *                   map and docs/architecture.md — a module cannot be
@@ -68,7 +64,6 @@
  * Usage:
  *   magma_lint [--root DIR]... [FILE]...       lint files / trees
  *   magma_lint --self-test FIXTURE_DIR         verify the checker itself
- *   magma_lint --check-headers --compiler CXX --include DIR --root DIR
  *   magma_lint --check-docs --root DIR         docs/source consistency
  *   magma_lint --check-spans --root DIR        span payload comments
  *
@@ -99,11 +94,8 @@ struct Finding {
 struct Options {
     std::vector<std::string> roots;
     std::vector<std::string> files;
-    bool checkHeaders = false;
     bool checkDocs = false;
     bool checkSpans = false;
-    std::string compiler = "g++";
-    std::vector<std::string> includeDirs;
     std::string selfTestDir;
 };
 
@@ -617,76 +609,6 @@ checkSpanPayload(const FileText& ft, const AllowMap& am,
     return sites;
 }
 
-// ------------------------------------------ check: header-standalone ---
-
-int
-checkHeaders(const Options& opt, std::vector<Finding>& out)
-{
-    std::vector<std::string> headers;
-    for (const std::string& root : opt.roots) {
-        fs::path src = fs::path(root);
-        if (!fs::exists(src))
-            continue;
-        for (const auto& e : fs::recursive_directory_iterator(src)) {
-            if (!e.is_regular_file())
-                continue;
-            std::string p = e.path().string();
-            if (endsWith(p, ".h") &&
-                p.find("/fixtures/") == std::string::npos)
-                headers.push_back(p);
-        }
-    }
-    std::sort(headers.begin(), headers.end());
-
-    std::string includes;
-    for (const std::string& dir : opt.includeDirs)
-        includes += " -I '" + dir + "'";
-
-    fs::path tmpdir =
-        fs::temp_directory_path() / "magma_lint_headers";
-    std::error_code ec;
-    fs::create_directories(tmpdir, ec);
-    fs::path tu = tmpdir / "standalone_tu.cc";
-    fs::path log = tmpdir / "compile.log";
-
-    int checked = 0;
-    for (const std::string& h : headers) {
-        std::string rel = h;
-        for (const std::string& dir : opt.includeDirs) {
-            std::string prefix = dir;
-            if (!prefix.empty() && prefix.back() != '/')
-                prefix += '/';
-            if (rel.rfind(prefix, 0) == 0) {
-                rel = rel.substr(prefix.size());
-                break;
-            }
-        }
-        {
-            std::ofstream os(tu);
-            os << "#include \"" << rel << "\"\n";
-            os << "int magmaLintHeaderProbe() { return 0; }\n";
-        }
-        std::string cmd = opt.compiler + " -std=c++20 -fsyntax-only" +
-                          includes + " '" + tu.string() + "' > '" +
-                          log.string() + "' 2>&1";
-        // Single-threaded lint driver shelling out to the configured
-        // compiler; paths are quoted and come from the filesystem walk.
-        // NOLINTNEXTLINE(concurrency-mt-unsafe,cert-env33-c)
-        int rc = std::system(cmd.c_str());
-        ++checked;
-        if (rc != 0) {
-            std::ifstream is(log);
-            std::stringstream ss;
-            ss << is.rdbuf();
-            out.push_back({h, 1, "header-standalone",
-                           "does not compile standalone:\n" + ss.str()});
-        }
-    }
-    std::fprintf(stderr, "magma_lint: %d headers checked standalone\n",
-                 checked);
-    return checked;
-}
-
 // ------------------------------------------------ check: docs gates ---
 
 std::string
@@ -1026,8 +948,6 @@ usage()
         stderr,
         "usage: magma_lint [--root DIR]... [FILE]...\n"
         "       magma_lint --self-test FIXTURE_DIR\n"
-        "       magma_lint --check-headers --compiler CXX "
-        "[--include DIR]... --root DIR\n"
         "       magma_lint --check-docs --root DIR\n"
         "       magma_lint --check-spans --root DIR\n");
 }
@@ -1051,16 +971,10 @@ main(int argc, char** argv)
             opt.roots.push_back(next());
         else if (arg == "--self-test")
             opt.selfTestDir = next();
-        else if (arg == "--check-headers")
-            opt.checkHeaders = true;
         else if (arg == "--check-docs")
             opt.checkDocs = true;
         else if (arg == "--check-spans")
             opt.checkSpans = true;
-        else if (arg == "--compiler")
-            opt.compiler = next();
-        else if (arg == "--include")
-            opt.includeDirs.push_back(next());
         else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -1076,21 +990,6 @@ main(int argc, char** argv)
 
     if (!opt.selfTestDir.empty())
         return selfTest(opt.selfTestDir);
-
-    if (opt.checkHeaders) {
-        if (opt.roots.empty()) {
-            usage();
-            return 2;
-        }
-        if (opt.includeDirs.empty())
-            opt.includeDirs = opt.roots;
-        std::vector<Finding> findings;
-        if (checkHeaders(opt, findings) == 0) {
-            std::fprintf(stderr, "magma_lint: no headers found\n");
-            return 2;
-        }
-        return reportFindings(findings);
-    }
 
     if (opt.checkDocs) {
         if (opt.roots.empty()) {
