@@ -55,8 +55,11 @@ seedSearch(const sched::MappingEvaluator& eval, int population,
     const int accels = eval.numAccels();
     Seeding s;
     s.budget = cold_budget;
+    const bool previous = tiers.previous && tiers.previous->size() > 0;
     std::optional<StoredSolution> stored;
-    if (tiers.previous && tiers.previous->size() > 0) {
+    if (!previous && tiers.lookup)
+        stored = tiers.lookup();
+    if (previous) {
         obs::Scope scope("api.seed.previous");
         common::Rng rng(tiers.previousSeed);
         sched::Mapping base = opt::transfer::adaptMatched(
@@ -64,7 +67,7 @@ seedSearch(const sched::MappingEvaluator& eval, int population,
             *tiers.match, accels, rng);
         s.seeds = opt::transfer::seedsAround(base, population, accels, rng);
         s.source = SeedSource::Previous;
-    } else if (tiers.lookup && (stored = tiers.lookup())) {
+    } else if (stored) {
         obs::Scope scope("api.seed.store");
         common::Rng rng(tiers.storeSeed);
         s.seeds = opt::transfer::seedsFromStored(

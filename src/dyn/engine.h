@@ -33,9 +33,11 @@ namespace magma::dyn {
  * `store`/`archive` wire in the serve-layer warm tiers: when the running
  * mapping cannot seed an event (the first one), the engine falls back to
  * a fingerprint MappingStore lookup, then to Pareto-archive seeds, then
- * to a cold search — the same tier order serve::MappingService uses.
- * Both are optional and read (the store is also written back) only
- * between searches, never concurrently.
+ * to a cold search — api::seedSearch, the cascade serve::MappingService
+ * runs too, which also puts the Herald-like mapping into every
+ * population, the cold one included. Both are optional and read (the
+ * store is also written back) only between searches, never
+ * concurrently.
  */
 struct DynConfig {
     api::SearchSpec search;

@@ -11,13 +11,13 @@
 namespace magma::opt {
 
 /**
- * Warm start (Section V-C): solution-transfer primitives plus the seeding
- * policy the serve layer (src/serve/) and the dynamic-workload engine
- * (src/dyn/) share. Each primitive adapts a stored solution to a new
- * group, and `seedsAround` turns the adapted base into a seed population
- * (the base verbatim plus mutated copies), so the population starts
- * clustered around previous knowledge but keeps diversity for further
- * optimization (Trf-N-ep in Table V).
+ * Warm start (Section V-C): solution-transfer primitives plus the seed
+ * builders api::seedSearch runs for the serve layer (src/serve/) and the
+ * dynamic-workload engine (src/dyn/). Each primitive adapts a stored
+ * solution to a new group, and `seedsAround` turns the adapted base into
+ * a seed population (the base verbatim plus mutated copies), so the
+ * population starts clustered around previous knowledge but keeps
+ * diversity for further optimization (Trf-N-ep in Table V).
  */
 namespace transfer {
 

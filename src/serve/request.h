@@ -81,7 +81,8 @@ struct MapResponse {
      * Pareto archive (ServiceConfig::archive) at the full cold budget. */
     bool archiveSeeded = false;
     std::string fingerprint; ///< fingerprint key of the served workload
-    /** Best transferred-seed fitness before refinement (Trf-0-ep). */
+    /** Best transferred-seed fitness before refinement (Trf-0-ep); the
+     * Herald-like member api::seedSearch adds is not a transferred seed. */
     double trf0Fitness = 0.0;
 
     int64_t serveOrder = 0;      ///< global admission index (fairness probe)

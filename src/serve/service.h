@@ -151,9 +151,11 @@ struct ServiceStats {
  * adaptation) and runs on the reduced warm budget. When BOTH store
  * tiers miss and ServiceConfig::archive is set, the archive's member
  * mappings seed the search at the full cold budget (the
- * mo::ParetoArchive::seedMappings tier). Completed searches write
- * improved solutions back to the store, so concurrent tenants of one
- * workload type compound each other's knowledge.
+ * mo::ParetoArchive::seedMappings tier). The tiers run through
+ * api::seedSearch, which also puts the Herald-like mapping into every
+ * population, a cold one included. Completed searches write improved
+ * solutions back to the store, so concurrent tenants of one workload
+ * type compound each other's knowledge.
  *
  * Production controls (all off by default): request coalescing collapses
  * identical in-flight work (ServiceConfig::coalesce), admission control
