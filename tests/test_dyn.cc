@@ -9,6 +9,8 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <set>
@@ -111,6 +113,36 @@ TEST(DynTrace, EventRoundTripsExactly)
         WorkloadEvent back = WorkloadEvent::fromText(e.toText());
         EXPECT_EQ(e, back) << e.toText();
     }
+}
+
+TEST(DynTrace, ExtremeEventTimesRoundTripBitwise)
+{
+    // The smallest denormal, the largest finite double, a sum that is
+    // not its decimal literal, and a value whose %.17g needs all 17
+    // significant digits.
+    const std::vector<double> times = {
+        5e-324, 0.1 + 0.2, std::nextafter(1.0, 2.0),
+        1.7976931348623157e308};
+    WorkloadTrace t = smallTrace();
+    t.events.clear();
+    for (size_t i = 0; i < times.size(); ++i) {
+        WorkloadEvent e = arrive(times[i], "b" + std::to_string(i), 2);
+        WorkloadEvent back = WorkloadEvent::fromText(e.toText());
+        EXPECT_EQ(std::bit_cast<uint64_t>(e.timeSeconds),
+                  std::bit_cast<uint64_t>(back.timeSeconds))
+            << e.toText();
+        EXPECT_EQ(e.toText(), back.toText());
+        t.events.push_back(e);
+    }
+    EXPECT_EQ("t=1.0000000000000002 kind=arrive jobs=2 task=Vision "
+              "seed=7 name=b2",
+              t.events[2].toText());
+    WorkloadTrace back = WorkloadTrace::fromText(t.toText());
+    EXPECT_EQ(t, back);
+    EXPECT_EQ(t.toText(), back.toText());
+    for (size_t i = 0; i < times.size(); ++i)
+        EXPECT_EQ(std::bit_cast<uint64_t>(times[i]),
+                  std::bit_cast<uint64_t>(back.events[i].timeSeconds));
 }
 
 TEST(DynTrace, HostileBundleNamesSurvive)
