@@ -20,7 +20,10 @@
  *   - MAGMA's per-child mutation: a bitwise check of the skip-sampled
  *     MagmaGa::mutate, whose gaps come from a table of word cuts, against
  *     the same gaps found by comparing uniform() with (1 - rate)^k (fatal
- *     on any mismatch), and its children/s on a group-100 mapping.
+ *     on any mismatch), and its children/s on a group-100 mapping;
+ *   - dyn::WorkloadTrace::fromText on a seeded 19,500-event churn trace
+ *     (events/s), after a round-trip check of the same trace (fatal on
+ *     any difference).
  *
  * Self-timed (no google-benchmark dependency), so it always builds and
  * can run as a CI gate. Flags, on top of the shared bench_common.h set
@@ -42,6 +45,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "dyn/trace.h"
 #include "exec/cost_cache.h"
 #include "exec/eval_engine.h"
 #include "m3e/problem.h"
@@ -233,6 +237,61 @@ mutateParityCheck(uint64_t seed, double rate, int group, int accels,
     return bad;
 }
 
+/**
+ * A seeded event stream in the shape of the dyn_churn workload: epochs
+ * that open with an arrival, churn through arrivals (up to 5 bundles),
+ * swaps and departures of Mix bundles of 4-10 jobs drawn from 16
+ * recurring seeds, then drain the platform; one event every 0.25 s.
+ */
+dyn::WorkloadTrace
+churnTrace(uint64_t seed, int count)
+{
+    dyn::WorkloadTrace tr;
+    tr.base.task = dnn::TaskType::Mix;
+    tr.base.setting = accel::Setting::S2;
+    tr.base.systemBwGbps = 16.0;
+    common::Rng rng(seed);
+    int next_name = 0;
+    std::vector<std::string> active;
+    auto add = [&](dyn::EventKind kind, const std::string& name) {
+        dyn::WorkloadEvent ev;
+        ev.timeSeconds = 0.25 * static_cast<double>(tr.events.size() + 1);
+        ev.kind = kind;
+        ev.bundle = name;
+        if (kind != dyn::EventKind::Depart) {
+            ev.jobs = rng.uniformInt(4, 10);
+            ev.seed = static_cast<uint64_t>(rng.uniformInt(1, 16));
+        }
+        tr.events.push_back(ev);
+    };
+    auto arrive = [&] {
+        active.push_back("b" + std::to_string(next_name++));
+        add(dyn::EventKind::Arrive, active.back());
+    };
+    while (static_cast<int>(tr.events.size()) < count) {
+        arrive();
+        for (int churn = rng.uniformInt(16, 31); churn > 0; --churn) {
+            const int n = static_cast<int>(active.size());
+            const double u = rng.uniform();
+            if (n < 2 || (n < 5 && u < 0.35)) {
+                arrive();
+            } else if (u < 0.7) {
+                add(dyn::EventKind::Swap, active[rng.uniformInt(n)]);
+            } else {
+                const int k = rng.uniformInt(n);
+                add(dyn::EventKind::Depart, active[k]);
+                active.erase(active.begin() + k);
+            }
+        }
+        while (!active.empty()) {
+            add(dyn::EventKind::Depart, active.back());
+            active.pop_back();
+        }
+    }
+    tr.events.resize(static_cast<size_t>(count));
+    return tr;
+}
+
 }  // namespace
 
 int
@@ -292,10 +351,13 @@ main(int argc, char** argv)
         rate([&] { sink = analyzer.analyze(group, platform).numJobs(); },
              budget_s);
 
+    // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("\ncost-model query     %10.0f /s  (%.2f us)\n", q_per_s,
                 1e6 / q_per_s);
+    // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("cost-cache hit       %10.0f /s  (%.3f us)\n", hit_per_s,
                 1e6 / hit_per_s);
+    // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("job-table build      %10.2f /s  (%.1f us)\n", table_per_s,
                 1e6 / table_per_s);
 
@@ -329,8 +391,10 @@ main(int argc, char** argv)
     std::printf("rng stream parity    %lld draws -> %s\n",
                 static_cast<long long>(rng_parity_n),
                 rng_bad == 0 ? "OK (bitwise identical)" : "FAILED");
+    // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("Rng::bernoulli       %10.0f /s  (%.2f ns)\n", bern_per_s,
                 1e9 / bern_per_s);
+    // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("std engine+dist      %10.0f /s  (%.2f ns)\n",
                 std_bern_per_s, 1e9 / std_bern_per_s);
 
@@ -359,8 +423,31 @@ main(int argc, char** argv)
     std::printf("mutate parity        %lld children -> %s\n",
                 static_cast<long long>(mutate_parity_n),
                 mutate_bad == 0 ? "OK (bitwise identical)" : "FAILED");
+    // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("MagmaGa::mutate      %10.0f /s  (%.2f us per child)\n",
                 mutate_per_s, 1e6 / mutate_per_s);
+
+    // ------------------------------------------------- trace parsing ---
+    const int trace_events = 19500;
+    const dyn::WorkloadTrace churn = churnTrace(args.seed, trace_events);
+    const std::string churn_text = churn.toText();
+    const bool trace_roundtrip_ok =
+        dyn::WorkloadTrace::fromText(churn_text) == churn;
+    if (!trace_roundtrip_ok)
+        std::fprintf(stderr, "WorkloadTrace round-trip FAILED\n");
+    double trace_per_s = rate(
+        [&] {
+            sink = static_cast<double>(
+                dyn::WorkloadTrace::fromText(churn_text).events.size());
+        },
+        budget_s, trace_events);
+    std::printf("trace round-trip     %d events (%zu bytes) -> %s\n",
+                trace_events, churn_text.size(),
+                trace_roundtrip_ok ? "OK (equal)" : "FAILED");
+    // magma-lint: allow(double-format): console display, never reparsed.
+    std::printf("WorkloadTrace parse  %10.0f events/s  (%.2f ms per "
+                "trace)\n",
+                trace_per_s, 1e3 * trace_events / trace_per_s);
     (void)sink;
 
     // ------------------------------- candidate-evaluation throughput ---
@@ -400,6 +487,7 @@ main(int argc, char** argv)
         },
         budget_s, batch_size);
     samples.push_back({"reference", 1, ref_t1});
+    // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("%-10s %8d %16.0f %9.2fx\n", "reference", 1, ref_t1, 1.0);
     for (int threads : thread_counts) {
         exec::EvalEngine engine(ev, threads);
@@ -408,10 +496,12 @@ main(int argc, char** argv)
         samples.push_back({"flat", threads, eps});
         if (threads == 1)
             flat_t1 = eps;
+        // magma-lint: allow(double-format): console display, never reparsed.
         std::printf("%-10s %8d %16.0f %9.2fx\n", "flat", threads, eps,
                     eps / ref_t1);
     }
     double speedup_t1 = ref_t1 > 0.0 ? flat_t1 / ref_t1 : 0.0;
+    // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("\nflat vs reference, single thread: %.2fx\n", speedup_t1);
 
     json.beginObject("metrics");
@@ -426,6 +516,8 @@ main(int argc, char** argv)
     json.field("std_bernoulli_per_sec", std_bern_per_s);
     json.field("mutate_parity_ok", mutate_bad == 0);
     json.field("mutate_children_per_sec", mutate_per_s);
+    json.field("trace_roundtrip_ok", trace_roundtrip_ok);
+    json.field("trace_parse_events_per_sec", trace_per_s);
     json.field("ref_evals_per_sec_t1", ref_t1);
     json.field("flat_evals_per_sec_t1", flat_t1);
     json.field("speedup_t1", speedup_t1);
@@ -449,9 +541,10 @@ main(int argc, char** argv)
         std::printf("JSON telemetry written to %s\n", json_path.c_str());
     }
 
-    if (bad != 0 || rng_bad != 0 || mutate_bad != 0)
+    if (bad != 0 || rng_bad != 0 || mutate_bad != 0 || !trace_roundtrip_ok)
         return 1;
     if (check_speedup > 0.0 && speedup_t1 < check_speedup) {
+        // magma-lint: allow(double-format): console display, never reparsed.
         std::fprintf(stderr,
                      "perf floor violated: flat/reference = %.2fx < "
                      "required %.2fx\n",

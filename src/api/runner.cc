@@ -46,7 +46,7 @@ joinDoubles(const std::vector<double>& vs)
 }
 
 std::vector<double>
-splitDoubles(const std::string& key, const std::string& line)
+splitDoubles(std::string_view key, const std::string& line)
 {
     std::vector<double> out;
     std::istringstream is(line);
@@ -86,14 +86,15 @@ RunReport::toText() const
 RunReport
 RunReport::fromText(const std::string& text)
 {
-    size_t nl = text.find('\n');
-    if (trim(text.substr(0, nl)) != kReportHeader)
+    std::string_view body = text;
+    size_t nl = body.find('\n');
+    if (trim(body.substr(0, nl)) != kReportHeader)
         throw std::invalid_argument(
             "RunReport::fromText: missing 'magma-run-report v1' header");
     RunReport r;
     forEachKeyValue(
-        text.substr(nl == std::string::npos ? text.size() : nl + 1),
-        [&](const std::string& k, const std::string& v) {
+        body.substr(nl == std::string_view::npos ? body.size() : nl + 1),
+        [&](std::string_view k, std::string_view v) {
             if (k == "resolved_method") {
                 r.method = v;
                 return;
@@ -109,20 +110,20 @@ RunReport::fromText(const std::string& text)
             else if (k == "energy_joules")
                 r.energyJoules = parseDouble(k, v);
             else if (k == "samples_used")
-                r.samplesUsed = parseInt(k, v);
+                r.samplesUsed = parseNumber<int64_t>(k, v);
             else if (k == "wall_seconds")
                 r.wallSeconds = parseDouble(k, v);
             else if (k == "mapping")
-                r.best = sched::Mapping::fromText(v);
+                r.best = sched::Mapping::fromText(std::string(v));
             else if (k == "convergence")
-                r.convergence = splitDoubles(k, v);
+                r.convergence = splitDoubles(k, std::string(v));
             else if (k == "metrics_json")
                 r.metricsJson = v;
             else if (k == "front_point")
-                r.front.push_back(mo::MoPoint::fromText(v));
+                r.front.push_back(mo::MoPoint::fromText(std::string(v)));
             else
-                throw std::invalid_argument(
-                    "RunReport: unknown key '" + k + "'");
+                throw std::invalid_argument("RunReport: unknown key '" +
+                                            std::string(k) + "'");
         });
     return r;
 }

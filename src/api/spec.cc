@@ -27,22 +27,22 @@ ProblemSpec::toText() const
 }
 
 bool
-ProblemSpec::applyKey(const std::string& key, const std::string& value)
+ProblemSpec::applyKey(std::string_view key, std::string_view value)
 {
     if (key == "task")
         task = dnn::taskTypeFromName(value);
     else if (key == "setting")
-        setting = accel::settingFromName(value);
+        setting = accel::settingFromName(std::string(value));
     else if (key == "flexible")
         flexible = parseBool(key, value);
     else if (key == "system_bw_gbps")
         systemBwGbps = parseDouble(key, value);
     else if (key == "group_size")
-        groupSize = static_cast<int>(parseInt(key, value));
+        groupSize = parseNumber<int>(key, value);
     else if (key == "bw_policy")
-        bwPolicy = sched::bwPolicyFromName(value);
+        bwPolicy = sched::bwPolicyFromName(std::string(value));
     else if (key == "workload_seed")
-        workloadSeed = parseUint(key, value);
+        workloadSeed = parseNumber<uint64_t>(key, value);
     else
         return false;
     return true;
@@ -52,10 +52,10 @@ ProblemSpec
 ProblemSpec::fromText(const std::string& text)
 {
     ProblemSpec spec;
-    forEachKeyValue(text, [&](const std::string& k, const std::string& v) {
+    forEachKeyValue(text, [&](std::string_view k, std::string_view v) {
         if (!spec.applyKey(k, v))
-            throw std::invalid_argument("ProblemSpec: unknown key '" + k +
-                                        "'");
+            throw std::invalid_argument("ProblemSpec: unknown key '" +
+                                        std::string(k) + "'");
     });
     return spec;
 }
@@ -79,20 +79,20 @@ SearchSpec::toText() const
 }
 
 bool
-SearchSpec::applyKey(const std::string& key, const std::string& value)
+SearchSpec::applyKey(std::string_view key, std::string_view value)
 {
     if (key == "method")
         method = value;
     else if (key == "objective")
-        objective = sched::objectiveFromName(value);
+        objective = sched::objectiveFromName(std::string(value));
     else if (key == "objectives")
-        objectives = sched::objectiveListFromName(value);
+        objectives = sched::objectiveListFromName(std::string(value));
     else if (key == "sample_budget")
-        sampleBudget = parseInt(key, value);
+        sampleBudget = parseNumber<int64_t>(key, value);
     else if (key == "seed")
-        seed = parseUint(key, value);
+        seed = parseNumber<uint64_t>(key, value);
     else if (key == "threads")
-        threads = static_cast<int>(parseInt(key, value));
+        threads = parseNumber<int>(key, value);
     else if (key == "record_convergence")
         recordConvergence = parseBool(key, value);
     else if (key == "record_samples")
@@ -108,10 +108,10 @@ SearchSpec
 SearchSpec::fromText(const std::string& text)
 {
     SearchSpec spec;
-    forEachKeyValue(text, [&](const std::string& k, const std::string& v) {
+    forEachKeyValue(text, [&](std::string_view k, std::string_view v) {
         if (!spec.applyKey(k, v))
-            throw std::invalid_argument("SearchSpec: unknown key '" + k +
-                                        "'");
+            throw std::invalid_argument("SearchSpec: unknown key '" +
+                                        std::string(k) + "'");
     });
     return spec;
 }
@@ -128,10 +128,10 @@ ExperimentSpec
 ExperimentSpec::fromText(const std::string& text)
 {
     ExperimentSpec spec;
-    forEachKeyValue(text, [&](const std::string& k, const std::string& v) {
+    forEachKeyValue(text, [&](std::string_view k, std::string_view v) {
         if (!spec.problem.applyKey(k, v) && !spec.search.applyKey(k, v))
             throw std::invalid_argument("ExperimentSpec: unknown key '" +
-                                        k + "'");
+                                        std::string(k) + "'");
     });
     return spec;
 }

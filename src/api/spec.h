@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "accel/platform.h"
@@ -39,7 +40,7 @@ struct ProblemSpec {
      * ProblemSpec key (composite formats dispatch on this), throws on a
      * known key with a bad value.
      */
-    bool applyKey(const std::string& key, const std::string& value);
+    bool applyKey(std::string_view key, std::string_view value);
 
     bool operator==(const ProblemSpec&) const = default;
 };
@@ -75,7 +76,7 @@ struct SearchSpec {
 
     std::string toText() const;
     static SearchSpec fromText(const std::string& text);
-    bool applyKey(const std::string& key, const std::string& value);
+    bool applyKey(std::string_view key, std::string_view value);
 
     bool operator==(const SearchSpec&) const = default;
 };

@@ -1,9 +1,6 @@
 #ifndef MAGMA_API_TEXTIO_H_
 #define MAGMA_API_TEXTIO_H_
 
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -17,81 +14,62 @@ namespace magma::api::textio {
  * (ProblemSpec / SearchSpec / ExperimentSpec / RunReport): one field per
  * line, doubles printed at full precision so that fromText(toText(x))
  * round-trips bitwise — the same rule Mapping::toText established. The
- * double format pair itself lives in common/textnum.h (also used by
- * mo::ParetoArchive).
+ * number format pair itself lives in common/textnum.h (also used by
+ * mo::ParetoArchive): every number is one whole-token std::from_chars
+ * into its field's type, so an out-of-range value throws rather than
+ * wrapping.
  */
 
 using common::formatDouble;
 using common::parseDouble;
-
-inline int64_t
-parseInt(const std::string& key, const std::string& value)
-{
-    char* end = nullptr;
-    long long v = std::strtoll(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        throw std::invalid_argument(key + ": bad integer '" + value + "'");
-    return v;
-}
-
-inline uint64_t
-parseUint(const std::string& key, const std::string& value)
-{
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || value[0] == '-')
-        throw std::invalid_argument(key + ": bad unsigned integer '" +
-                                    value + "'");
-    return v;
-}
+using common::parseNumber;
 
 inline bool
-parseBool(const std::string& key, const std::string& value)
+parseBool(std::string_view key, std::string_view value)
 {
     if (value == "1" || value == "true")
         return true;
     if (value == "0" || value == "false")
         return false;
-    throw std::invalid_argument(key + ": bad boolean '" + value +
-                                "' (0|1|true|false)");
+    throw std::invalid_argument(std::string(key) + ": bad boolean '" +
+                                std::string(value) + "' (0|1|true|false)");
 }
 
-inline std::string
+/** `s` without leading and trailing spaces, tabs and carriage returns. */
+inline std::string_view
 trim(std::string_view s)
 {
     size_t b = s.find_first_not_of(" \t\r");
     if (b == std::string_view::npos)
-        return "";
+        return {};
     size_t e = s.find_last_not_of(" \t\r");
-    return std::string(s.substr(b, e - b + 1));
+    return s.substr(b, e - b + 1);
 }
 
 /**
- * Call fn(key, value) for every data line of a key=value text block.
- * Blank lines and '#' comment lines are skipped; a data line without '='
- * throws. Keys and values are whitespace-trimmed (values may contain
- * inner spaces — method names and mapping/convergence payloads do).
+ * Call fn(key, value) for every data line of a key=value text block,
+ * both as views into `text`. Blank lines and '#' comment lines are
+ * skipped; a data line without '=' throws. Keys and values are
+ * whitespace-trimmed (values may contain inner spaces — method names
+ * and mapping/convergence payloads do).
  */
 template <typename Fn>
 void
-forEachKeyValue(const std::string& text, Fn&& fn)
+forEachKeyValue(std::string_view text, Fn&& fn)
 {
     size_t pos = 0;
     while (pos <= text.size()) {
         size_t nl = text.find('\n', pos);
-        std::string_view line(text.data() + pos,
-                              (nl == std::string::npos ? text.size() : nl) -
-                                  pos);
-        pos = (nl == std::string::npos) ? text.size() + 1 : nl + 1;
-        std::string stripped = trim(line);
-        if (stripped.empty() || stripped[0] == '#')
+        size_t end = nl == std::string_view::npos ? text.size() : nl;
+        std::string_view line = trim(text.substr(pos, end - pos));
+        pos = end + 1;
+        if (line.empty() || line[0] == '#')
             continue;
-        size_t eq = stripped.find('=');
-        if (eq == std::string::npos)
+        size_t eq = line.find('=');
+        if (eq == std::string_view::npos)
             throw std::invalid_argument("bad spec line (no '='): " +
-                                        stripped);
-        fn(trim(std::string_view(stripped).substr(0, eq)),
-           trim(std::string_view(stripped).substr(eq + 1)));
+                                        std::string(line));
+        fn(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
     }
 }
 

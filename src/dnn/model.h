@@ -2,6 +2,7 @@
 #define MAGMA_DNN_MODEL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dnn/layer.h"
@@ -18,7 +19,7 @@ enum class TaskType { Vision, Language, Recommendation, Mix };
 std::string taskTypeName(TaskType t);
 
 /** Parse a taskTypeName(); throws std::invalid_argument. */
-TaskType taskTypeFromName(const std::string& name);
+TaskType taskTypeFromName(std::string_view name);
 
 /**
  * One DNN model: an ordered list of accelerator-visible layers.

@@ -4,8 +4,10 @@
 
 namespace magma::dnn {
 
-std::string
-taskTypeName(TaskType t)
+namespace {
+
+constexpr std::string_view
+taskText(TaskType t)
 {
     switch (t) {
     case TaskType::Vision:
@@ -20,14 +22,22 @@ taskTypeName(TaskType t)
     return "?";
 }
 
+}  // namespace
+
+std::string
+taskTypeName(TaskType t)
+{
+    return std::string(taskText(t));
+}
+
 TaskType
-taskTypeFromName(const std::string& name)
+taskTypeFromName(std::string_view name)
 {
     for (TaskType t : {TaskType::Vision, TaskType::Language,
                        TaskType::Recommendation, TaskType::Mix})
-        if (taskTypeName(t) == name)
+        if (taskText(t) == name)
             return t;
-    throw std::invalid_argument("unknown task '" + name +
+    throw std::invalid_argument("unknown task '" + std::string(name) +
                                 "' (Vision|Lang|Recom|Mix)");
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/spec.h"
@@ -22,7 +23,7 @@ enum class EventKind { Arrive, Depart, Swap };
 std::string eventKindName(EventKind k);
 
 /** Parse an eventKindName(); throws std::invalid_argument. */
-EventKind eventKindFromName(const std::string& name);
+EventKind eventKindFromName(std::string_view name);
 
 /**
  * One timed workload event over a named job bundle.
@@ -40,7 +41,10 @@ EventKind eventKindFromName(const std::string& name);
  * `name=` is always the LAST token and captures the rest of the line,
  * so bundle names may contain spaces, '=' and any other printable
  * characters; leading/trailing whitespace and newlines are rejected
- * (they cannot survive the trimmed key=value round-trip).
+ * (they cannot survive the trimmed key=value round-trip). Each number
+ * is one whole std::from_chars token of its field's type
+ * (common::parseNumber), so `jobs=4294967297` throws instead of
+ * wrapping to 1.
  */
 struct WorkloadEvent {
     double timeSeconds = 0.0;
@@ -60,7 +64,7 @@ struct WorkloadEvent {
 
 /** Whether `name` is a legal bundle name (non-empty, no newlines, no
  * leading/trailing whitespace — see WorkloadEvent's text form). */
-bool validBundleName(const std::string& name);
+bool validBundleName(std::string_view name);
 
 /**
  * A timed workload trace: the dynamic-scenario artifact src/dyn/ replays

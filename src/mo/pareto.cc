@@ -1,7 +1,6 @@
 #include "mo/pareto.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -345,14 +344,9 @@ ParetoArchive::fromText(const std::string& text)
         std::string value = trimBlanks(line.substr(eq + 1));
         if (key == "objectives")
             arch.objectives_ = sched::objectiveListFromName(value);
-        else if (key == "capacity") {
-            char* end = nullptr;
-            arch.capacity_ = std::strtoull(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0')
-                throw std::invalid_argument(
-                    "ParetoArchive::fromText: bad capacity '" + value +
-                    "'");
-        }
+        else if (key == "capacity")
+            arch.capacity_ = common::parseNumber<size_t>(
+                "ParetoArchive::fromText: capacity", value);
         else if (key == "point") {
             MoPoint p = MoPoint::fromText(value);
             if (p.objs.size() != arch.objectives_.size())

@@ -186,6 +186,59 @@ TEST(SpecText, RejectsUnknownKeysAndBadValues)
                  std::invalid_argument);
 }
 
+TEST(SpecText, NumbersParseWholeIntoTheirFieldType)
+{
+    // Each number is one whole std::from_chars token of its field's
+    // type: leading whitespace the line trim leaves (\v, \f), a '+'
+    // sign, a hex float and a value outside the type all throw, with the
+    // key in the message, instead of wrapping (`seed=\v-1` was read as
+    // 2^64 - 1, `group_size=4294967304` as 8). `-1` on an unsigned key
+    // and `0x10` were already rejected.
+    const struct {
+        const char* line;
+        const char* key;
+    } rejected[] = {
+        {"seed=\v-1", "seed"},
+        {"workload_seed=\f-2", "workload_seed"},
+        {"workload_seed=-1", "workload_seed"},
+        {"seed=18446744073709551616", "seed"},
+        {"seed=+7", "seed"},
+        {"group_size=4294967304", "group_size"},
+        {"group_size=2147483648", "group_size"},
+        {"group_size=+8", "group_size"},
+        {"group_size=\v8", "group_size"},
+        {"threads=4294967297", "threads"},
+        {"threads=-2147483649", "threads"},
+        {"sample_budget=9223372036854775808", "sample_budget"},
+        {"sample_budget=0x10", "sample_budget"},
+        {"system_bw_gbps=+16", "system_bw_gbps"},
+        {"system_bw_gbps=0x1p4", "system_bw_gbps"},
+        {"system_bw_gbps=\f16", "system_bw_gbps"},
+        {"system_bw_gbps=1e400", "system_bw_gbps"},
+        {"system_bw_gbps=1e-400", "system_bw_gbps"},
+    };
+    for (const auto& r : rejected) {
+        try {
+            ExperimentSpec::fromText(std::string(r.line) + "\n");
+            ADD_FAILURE() << "accepted: " << r.line;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind(std::string(r.key) + ": ",
+                                                  0),
+                      0u)
+                << r.line << " -> " << e.what();
+        }
+    }
+    ExperimentSpec e = ExperimentSpec::fromText(
+        "seed=18446744073709551615\ngroup_size=2147483647\n"
+        "threads=-2147483648\nsample_budget=9223372036854775807\n"
+        "system_bw_gbps=4.9406564584124654e-324\n");
+    EXPECT_EQ(e.search.seed, 18446744073709551615ULL);
+    EXPECT_EQ(e.problem.groupSize, 2147483647);
+    EXPECT_EQ(e.search.threads, -2147483647 - 1);
+    EXPECT_EQ(e.search.sampleBudget, 9223372036854775807LL);
+    EXPECT_EQ(e.problem.systemBwGbps, 4.9406564584124654e-324);
+}
+
 TEST(SpecText, PartialTextKeepsDefaults)
 {
     ProblemSpec s = ProblemSpec::fromText("task=Vision\n");

@@ -179,6 +179,72 @@ TEST(DynTrace, MalformedEventsRejected)
             << line;
 }
 
+TEST(DynTrace, NonCanonicalNumbersRejected)
+{
+    // Every number is one whole std::from_chars token of its field's
+    // type, so each of these throws, naming the field. All but the
+    // `-1` seed and the `0x10` job count used to be read by
+    // strtod/strtoull or wrapped by an int cast.
+    const struct {
+        std::string line;
+        const char* field;
+    } rejected[] = {
+        {"t=+1 kind=depart name=x", "event t"},
+        {"t=\t1 kind=depart name=x", "event t"},
+        {"t=\v1 kind=depart name=x", "event t"},
+        {"t=0x1p3 kind=depart name=x", "event t"},
+        {"t=1e400 kind=depart name=x", "event t"},
+        {"t=1e-400 kind=depart name=x", "event t"},
+        {std::string("t=1\0x kind=depart name=x", 24), "event t"},
+        {"t=0 kind=arrive jobs=4294967297 task=Vision seed=1 name=x",
+         "event jobs"},
+        {"t=0 kind=arrive jobs=2147483648 task=Vision seed=1 name=x",
+         "event jobs"},
+        {"t=0 kind=arrive jobs=+3 task=Vision seed=1 name=x", "event jobs"},
+        {"t=0 kind=arrive jobs=\f3 task=Vision seed=1 name=x",
+         "event jobs"},
+        {"t=0 kind=arrive jobs=0x10 task=Vision seed=1 name=x",
+         "event jobs"},
+        {"t=0 kind=arrive jobs=3 task=Vision seed=\t-1 name=x",
+         "event seed"},
+        {"t=0 kind=arrive jobs=3 task=Vision seed=-1 name=x", "event seed"},
+        {"t=0 kind=arrive jobs=3 task=Vision seed=+1 name=x", "event seed"},
+        {"t=0 kind=arrive jobs=3 task=Vision seed=18446744073709551616 "
+         "name=x",
+         "event seed"},
+    };
+    for (const auto& r : rejected) {
+        try {
+            WorkloadEvent::fromText(r.line);
+            ADD_FAILURE() << "accepted: " << r.line;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind(std::string(r.field) + ": ",
+                                                  0),
+                      0u)
+                << r.line << " -> " << e.what();
+        }
+        EXPECT_THROW(WorkloadTrace::fromText("magma-workload-trace v1\n"
+                                             "event=" + r.line + "\n"),
+                     std::invalid_argument)
+            << r.line;
+    }
+    // The base block's keys follow the same grammar.
+    for (const char* base : {"workload_seed=\v-1", "group_size=4294967304",
+                             "system_bw_gbps=+16"})
+        EXPECT_THROW(WorkloadTrace::fromText(
+                         std::string("magma-workload-trace v1\n") + base +
+                         "\n"),
+                     std::invalid_argument)
+            << base;
+
+    // The extremes of each type still parse.
+    WorkloadEvent e = WorkloadEvent::fromText(
+        "t=0 kind=arrive jobs=2147483647 task=Mix "
+        "seed=18446744073709551615 name=x");
+    EXPECT_EQ(e.jobs, 2147483647);
+    EXPECT_EQ(e.seed, 18446744073709551615ULL);
+}
+
 TEST(DynTrace, TraceTextRoundTripsBitwise)
 {
     WorkloadTrace t = smallTrace();

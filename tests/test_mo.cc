@@ -179,6 +179,14 @@ TEST(ParetoArchive, TextRoundTripIsExact)
 
     EXPECT_THROW(ParetoArchive::fromText("no header\n"),
                  std::invalid_argument);
+    // The capacity is one whole unsigned token: `-1` used to wrap to
+    // 2^64 - 1, an unbounded archive.
+    for (const char* capacity : {"-1", "\v8", "+8", "18446744073709551616"})
+        EXPECT_THROW(ParetoArchive::fromText(
+                         std::string("magma-pareto-front v1\ncapacity=") +
+                         capacity + "\n"),
+                     std::invalid_argument)
+            << capacity;
     EXPECT_THROW(ParetoArchive::load("/nonexistent/front.txt"),
                  std::runtime_error);
 }
