@@ -1,6 +1,8 @@
 /** @file Unit + property tests for the MAESTRO-like cost model. */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -251,6 +253,114 @@ TEST(CostModel, PeakGflopsFormula)
 {
     SubAccelConfig cfg = hb64();
     EXPECT_DOUBLE_EQ(cfg.peakGflops(), 2.0 * 64 * 64 * 0.2);
+}
+
+// ------------------------- bit-pattern pins ------------------------------
+
+namespace {
+
+SubAccelConfig
+flexible(DataflowStyle style, int rows)
+{
+    SubAccelConfig cfg = accel::makeSubAccel(style, rows, 2048);
+    cfg.flexibleShape = true;
+    return cfg;
+}
+
+uint64_t
+bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+/** Every CostResult field, doubles as bit patterns. */
+struct PinnedResult {
+    uint64_t noStallCycles;
+    uint64_t reqBwGbps;
+    int64_t macs;
+    uint64_t dramBytes;
+    uint64_t energyPj;
+    uint64_t utilization;
+    int usedRows;
+    int usedCols;
+};
+
+struct PinCase {
+    const char* name;
+    dnn::LayerShape layer;
+    int batch;
+    SubAccelConfig cfg;
+    PinnedResult want;
+};
+
+}  // namespace
+
+// Exact results on both branches of HB's tile search (some tile fits the
+// SG / none does), both LB weight regimes and the flexible shape search.
+// Any change to the model's arithmetic or its search order moves a bit.
+TEST(CostModel, ResultsArePinnedBitwise)
+{
+    using DS = DataflowStyle;
+    const PinCase cases[] = {
+        {"hb_conv_feasible", conv(256, 128, 14, 14, 3, 3), 4,
+         accel::makeSubAccel(DS::HB, 64, 291),
+         {0x40eb994000000000ull, 0x3ff56471f82b7eb3ull, 231211008,
+          0x4117100000000000ull, 0x41c7508c00000000ull,
+          0x3feff5465b53b578ull, 64, 64}},
+        {"hb_depthwise_feasible", depthwise(256, 28, 28, 3, 3), 2,
+         accel::makeSubAccel(DS::HB, 64, 291),
+         {0x40eb908800000000ull, 0x3fe8b2c8316e630eull, 3612672,
+          0x410a980000000000ull, 0x418aa5fc00000000ull,
+          0x3f8fff621dbefdc5ull, 64, 64}},
+        {"hb_fc_feasible", fc(1000, 2048), 8,
+         accel::makeSubAccel(DS::HB, 32, 146),
+         {0x40c0204000000000ull, 0x4048ce00c6700632ull, 16384000,
+          0x413f400000000000ull, 0x41bc1f3800000000ull,
+          0x3fef0180f80c07c0ull, 32, 64}},
+        {"hb_conv_infeasible", conv(512, 512, 7, 7, 3, 3), 4,
+         accel::makeSubAccel(DS::HB, 64, 16),
+         {0x40fb926000000000ull, 0x403d5d7bf33acd4full, 462422016,
+          0x416fa08000000000ull, 0x41f1f93f80000000ull,
+          0x3feffd3e59d444c9ull, 64, 64}},
+        {"hb_fc_infeasible", fc(4096, 4096), 4,
+         accel::makeSubAccel(DS::HB, 64, 4),
+         {0x40d8018000000000ull, 0x4061122211122211ull, 67108864,
+          0x4170020000000000ull, 0x41eb493800000000ull,
+          0x3fe5540015540015ull, 64, 64}},
+        {"lb_weights_resident", conv(64, 64, 56, 56, 3, 3), 1,
+         accel::makeSubAccel(DS::LB, 64, 218),
+         {0x41250019c0000000ull, 0x3fa4f625b00b153eull, 115605504,
+          0x4101320000000000ull, 0x41b6b97780000000ull,
+          0x3fa4ffe6401f92e5ull, 64, 64}},
+        {"lb_weights_streamed", fc(4096, 4096), 4,
+         accel::makeSubAccel(DS::LB, 64, 218),
+         {0x4170000cc0000000ull, 0x3fc99985334374bfull, 67108864,
+          0x4170000000000000ull, 0x41eb460000000000ull,
+          0x3f4fffe6801451f0ull, 64, 64}},
+        {"hb_flexible", conv(256, 128, 14, 14, 3, 3), 4,
+         flexible(DS::HB, 32),
+         {0x40fba22000000000ull, 0x3fe0acefaf79561eull, 231211008,
+          0x4112000000000000ull, 0x41c6ce3000000000ull,
+          0x3fefeb02c5de3ed5ull, 16, 128}},
+        {"lb_flexible", depthwise(128, 56, 56, 3, 3), 2,
+         flexible(DS::LB, 32),
+         {0x40d505f000000000ull, 0x400f00fc856714fdull, 7225344,
+          0x4119760000000000ull, 0x4199bca000000000ull,
+          0x3fc4fa11ad49abefull, 1, 2048}},
+    };
+    CostModel model;
+    for (const PinCase& c : cases) {
+        SCOPED_TRACE(c.name);
+        CostResult r = model.analyze(c.layer, c.batch, c.cfg);
+        EXPECT_EQ(bits(r.noStallCycles), c.want.noStallCycles);
+        EXPECT_EQ(bits(r.reqBwGbps), c.want.reqBwGbps);
+        EXPECT_EQ(r.macs, c.want.macs);
+        EXPECT_EQ(bits(r.dramBytes), c.want.dramBytes);
+        EXPECT_EQ(bits(r.energyPj), c.want.energyPj);
+        EXPECT_EQ(bits(r.utilization), c.want.utilization);
+        EXPECT_EQ(r.usedRows, c.want.usedRows);
+        EXPECT_EQ(r.usedCols, c.want.usedCols);
+    }
 }
 
 // ------------------------- parameterized sweeps --------------------------
