@@ -5,7 +5,9 @@
  * full 10K-sample search on a desktop CPU) and the flat-evaluator
  * speedup claim:
  *   - one cost-model query (cold and through the exec::CostCache),
- *   - Job Analysis Table construction (group 100 on S4),
+ *   - Job Analysis Table construction (group 100 on S4), and two
+ *     builds of the flexible-array problem from a cleared global cost
+ *     cache (one cold, one served by the cache),
  *   - candidate-evaluation throughput: a serial MappingEvaluator::fitness
  *     loop (the reference) against the flat kernel through
  *     exec::EvalEngine at threads = 1/2/4, so the exec-engine and
@@ -350,6 +352,22 @@ main(int argc, char** argv)
     double table_per_s =
         rate([&] { sink = analyzer.analyze(group, platform).numJobs(); },
              budget_s);
+    // Two builds of one flexible-array problem from a cleared global
+    // cache: the first runs every shape search, the second reads the
+    // cache. Per build, so the rate falls if the cache stops serving
+    // flexible problems.
+    double flex_table_per_s = rate(
+        [&] {
+            exec::CostCache::global().clear();
+            for (int k = 0; k < 2; ++k)
+                sink = m3e::makeFlexibleProblem(w.task, w.setting,
+                                                w.bwGbps, w.group,
+                                                args.seed)
+                           ->evaluator()
+                           .table()
+                           .numJobs();
+        },
+        budget_s, 2);
 
     // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("\ncost-model query     %10.0f /s  (%.2f us)\n", q_per_s,
@@ -360,6 +378,9 @@ main(int argc, char** argv)
     // magma-lint: allow(double-format): console display, never reparsed.
     std::printf("job-table build      %10.2f /s  (%.1f us)\n", table_per_s,
                 1e6 / table_per_s);
+    // magma-lint: allow(double-format): console display, never reparsed.
+    std::printf("flexible build       %10.2f /s  (%.1f us, cold + cached)\n",
+                flex_table_per_s, 1e6 / flex_table_per_s);
 
     // ------------------------------------------------------------- rng ---
     const int64_t rng_parity_n = 1000000;
@@ -510,6 +531,7 @@ main(int argc, char** argv)
     json.field("cost_model_query_per_sec", q_per_s);
     json.field("cost_cache_hit_per_sec", hit_per_s);
     json.field("job_table_build_per_sec", table_per_s);
+    json.field("flex_job_table_build_per_sec", flex_table_per_s);
     json.field("rng_parity_ok", rng_bad == 0);
     json.field("rng_parity_checked", rng_parity_n);
     json.field("rng_bernoulli_per_sec", bern_per_s);

@@ -1,10 +1,10 @@
 #include "cost/cost_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <vector>
 
 namespace magma::cost {
 namespace {
@@ -15,17 +15,29 @@ ceilDiv(double a, double b)
     return std::ceil(a / b);
 }
 
-/** Tile-size candidates for a dimension: dim, dim/2, dim/4, ... >= floor. */
-std::vector<int>
+/** Tile-size candidates for a dimension, held inline: an int above 1
+ * halves (rounding up) to 1 in at most 31 steps, so 32 slots hold the
+ * halvings plus the floor entry. */
+struct TileCandidates {
+    std::array<int, 32> sizes{};
+    int count = 0;
+
+    const int* begin() const { return sizes.data(); }
+    const int* end() const { return sizes.data() + count; }
+};
+
+/** dim, dim/2, dim/4, ... (rounded up) while above floor, then the floor
+ * clamped to [1, dim]. */
+TileCandidates
 tileCandidates(int dim, int floor_size)
 {
-    std::vector<int> out;
+    TileCandidates out;
     int t = dim;
-    while (t > floor_size) {
-        out.push_back(t);
-        t = (t + 1) / 2;
+    while (t > floor_size && t > 1) {
+        out.sizes[out.count++] = t;
+        t -= t / 2;
     }
-    out.push_back(std::max(std::min(floor_size, dim), 1));
+    out.sizes[out.count++] = std::max(std::min(floor_size, dim), 1);
     return out;
 }
 
@@ -73,7 +85,8 @@ activationsResident(const dnn::LayerShape& l, int batch,
  * which minimizes the number of SG refills the NoC must absorb.
  */
 Traffic
-hbTraffic(const dnn::LayerShape& l, int batch, const SubAccelConfig& cfg)
+hbTraffic(const dnn::LayerShape& l, int batch, const SubAccelConfig& cfg,
+          int rows, int cols)
 {
     double bpe = cfg.bytesPerElem;
     double w_bytes = static_cast<double>(l.weightElems()) * bpe;
@@ -85,8 +98,9 @@ hbTraffic(const dnn::LayerShape& l, int batch, const SubAccelConfig& cfg)
     double best_tiles = std::numeric_limits<double>::infinity();
     Traffic best;
     bool feasible = false;
-    for (int tk : tileCandidates(out_ch, cfg.rows)) {
-        for (int tc : tileCandidates(red_ch, cfg.cols)) {
+    const TileCandidates tcs = tileCandidates(red_ch, cols);
+    for (int tk : tileCandidates(out_ch, rows)) {
+        for (int tc : tcs) {
             double wt = static_cast<double>(tk) * tc * l.r * l.s * bpe;
             double in_strip = static_cast<double>(tc) * l.inX() * l.r * bpe;
             double out_strip = static_cast<double>(tk) * l.x * bpe;
@@ -108,8 +122,8 @@ hbTraffic(const dnn::LayerShape& l, int batch, const SubAccelConfig& cfg)
     } else {
         // SG cannot hold even the minimal tile strips; every weight tile
         // is re-streamed per output row — heavy degradation, but bounded.
-        int tk = std::min(out_ch, cfg.rows);
-        int tc = std::min(red_ch, cfg.cols);
+        int tk = std::min(out_ch, rows);
+        int tc = std::min(red_ch, cols);
         double tiles = ceilDiv(out_ch, tk) * ceilDiv(red_ch, tc) * l.y;
         best.dram_bytes = w_bytes * static_cast<double>(l.y) +
                           activationTraffic(l, batch, cfg, false);
@@ -127,7 +141,8 @@ hbTraffic(const dnn::LayerShape& l, int batch, const SubAccelConfig& cfg)
  * traffic at the price of utilization.
  */
 Traffic
-lbTraffic(const dnn::LayerShape& l, int batch, const SubAccelConfig& cfg)
+lbTraffic(const dnn::LayerShape& l, int batch, const SubAccelConfig& cfg,
+          int rows)
 {
     double bpe = cfg.bytesPerElem;
     double w_bytes = static_cast<double>(l.weightElems()) * bpe;
@@ -139,7 +154,7 @@ lbTraffic(const dnn::LayerShape& l, int batch, const SubAccelConfig& cfg)
         static_cast<double>(l.type == dnn::LayerType::DepthwiseConv2d
                                 ? l.c : l.k) * l.x * bpe;
     double strips = std::max(
-        1.0, ceilDiv(static_cast<double>(l.y) * batch, cfg.rows));
+        1.0, ceilDiv(static_cast<double>(l.y) * batch, rows));
 
     Traffic t;
     double act_traffic = activationTraffic(l, batch, cfg, resident);
@@ -208,12 +223,11 @@ CostModel::analyzeWithShape(const dnn::LayerShape& layer, int batch,
     }
 
     // --- DRAM traffic + per-tile NoC fill. ---
-    SubAccelConfig shaped = cfg;
-    shaped.rows = rows;
-    shaped.cols = cols;
+    // The traffic models take the evaluated shape as `rows`/`cols`;
+    // `cfg.rows`/`cfg.cols` hold the configured one.
     Traffic traffic = (cfg.dataflow == DataflowStyle::HB)
-                          ? hbTraffic(layer, batch, shaped)
-                          : lbTraffic(layer, batch, shaped);
+                          ? hbTraffic(layer, batch, cfg, rows, cols)
+                          : lbTraffic(layer, batch, cfg, rows);
 
     // Double-buffered SG: tile fills pipeline behind compute, so the
     // exposed latency is the max of compute and total NoC streaming time,
@@ -252,20 +266,30 @@ CostModel::analyze(const dnn::LayerShape& layer, int batch,
 
     // Flexible mode (Section VI-F): evaluate every factor pair (h, w) of
     // the PE budget and keep the fastest, mirroring "align the array shape
-    // to factors of the parallelizing tile dimensions".
-    int pes = cfg.pes();
+    // to factors of the parallelizing tile dimensions". Heights are tried
+    // in ascending order and the first fastest shape wins a tie.
+    const int pes = cfg.pes();
     CostResult best;
     bool first = true;
-    for (int h = 1; h <= pes; ++h) {
-        if (pes % h != 0)
-            continue;
-        int w = pes / h;
-        CostResult r = analyzeWithShape(layer, batch, cfg, h, w);
+    auto consider = [&](int h) {
+        CostResult r = analyzeWithShape(layer, batch, cfg, h, pes / h);
         if (first || r.noStallCycles < best.noStallCycles) {
             best = r;
             first = false;
         }
+    };
+    // The divisors up to sqrt(pes) ascending, then their cofactors
+    // ascending: every height in order, found with O(sqrt(pes))
+    // divisions instead of one per candidate height.
+    int root = 0;
+    for (int h = 1; h <= pes / h; ++h) {
+        root = h;
+        if (pes % h == 0)
+            consider(h);
     }
+    for (int h = root; h >= 1; --h)
+        if (pes % h == 0 && h != pes / h)
+            consider(pes / h);
     return best;
 }
 

@@ -104,9 +104,10 @@ class MappingEvaluator {
   public:
     /**
      * `cost_cache`, when given, memoizes the Job Analyzer's cost-model
-     * queries across evaluator instances (sweeps rebuild tables for the
-     * same layers over and over). `objective` is what `fitness`
-     * maximizes; it is fixed for the evaluator's lifetime.
+     * queries across evaluator instances; it pays only where a query
+     * costs more than a probe, as on flexible-shape platforms (see
+     * m3e::Problem). `objective` is what `fitness` maximizes; it is
+     * fixed for the evaluator's lifetime.
      */
     MappingEvaluator(const dnn::JobGroup& group,
                      const accel::Platform& platform,

@@ -18,8 +18,10 @@ JobAnalyzer::analyze(const dnn::JobGroup& group,
 
     // Number the distinct (shape, batch) pairs in first-seen job order;
     // `first_job` holds one representative job per pair.
-    // Determinism audit: keyed emplace only, never iterated — hash order
-    // cannot reach the table or any serialized output.
+    // try_emplace builds a node only for a new pair, so a repeated job
+    // costs a probe and no allocation.
+    // Determinism audit: keyed try_emplace only, never iterated — hash
+    // order cannot reach the table or any serialized output.
     std::unordered_map<cost::LayerKey, int, cost::LayerKey::Hash> ids;
     ids.reserve(static_cast<size_t>(jobs));
     std::vector<int> shape_of(static_cast<size_t>(jobs));
@@ -27,8 +29,8 @@ JobAnalyzer::analyze(const dnn::JobGroup& group,
     for (int j = 0; j < jobs; ++j) {
         const dnn::Job& job = group.jobs[j];
         auto [it, fresh] =
-            ids.emplace(cost::layerKey(job.layer, job.batch),
-                        static_cast<int>(first_job.size()));
+            ids.try_emplace(cost::layerKey(job.layer, job.batch),
+                            static_cast<int>(first_job.size()));
         if (fresh)
             first_job.push_back(j);
         shape_of[j] = it->second;

@@ -84,9 +84,10 @@ class JobAnalyzer {
   public:
     /**
      * `cache`, when given, memoizes cost-model results process-wide
-     * (exec::CostCache) so repeated analyze() calls — BW sweeps,
-     * sub-accel-combination sweeps, rebuilt problems — skip the cost
-     * model entirely on a hit.
+     * (exec::CostCache) so repeated analyze() calls over the same layers
+     * skip the cost model on a hit. It pays only where a query costs
+     * more than the probe: m3e::Problem attaches it for flexible-shape
+     * platforms alone.
      */
     explicit JobAnalyzer(const cost::CostModel& model,
                          exec::CostCache* cache = nullptr)

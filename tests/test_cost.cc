@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -360,6 +361,51 @@ TEST(CostModel, ResultsArePinnedBitwise)
         EXPECT_EQ(bits(r.utilization), c.want.utilization);
         EXPECT_EQ(r.usedRows, c.want.usedRows);
         EXPECT_EQ(r.usedCols, c.want.usedCols);
+    }
+}
+
+// The flexible search walks the divisors of the PE count in ascending
+// height order; the shape it keeps must be the one a scan of every height
+// 1..PEs keeps (first fastest wins), including PE counts that are not
+// powers of two, squares and primes.
+TEST(CostModel, FlexibleSearchMatchesScanOfEveryHeight)
+{
+    CostModel model;
+    const dnn::LayerShape layers[] = {
+        conv(256, 128, 14, 14, 3, 3), depthwise(96, 28, 28, 3, 3),
+        fc(1000, 2048), pointwise(64, 32, 56, 56), conv(3, 3, 4, 4, 1, 1)};
+    const int shapes[][2] = {{64, 64}, {48, 64}, {36, 36}, {13, 1},
+                             {7, 9},   {1, 1},   {30, 70}};
+    for (DataflowStyle style : {DataflowStyle::HB, DataflowStyle::LB}) {
+        for (const auto& shape : shapes) {
+            SubAccelConfig cfg = accel::makeSubAccel(style, shape[0], 146);
+            cfg.cols = shape[1];
+            cfg.flexibleShape = true;
+            const int pes = cfg.pes();
+            for (const dnn::LayerShape& l : layers) {
+                CostResult want;
+                bool first = true;
+                for (int h = 1; h <= pes; ++h) {
+                    if (pes % h != 0)
+                        continue;
+                    CostResult r = model.analyzeWithShape(l, 2, cfg, h,
+                                                          pes / h);
+                    if (first || r.noStallCycles < want.noStallCycles) {
+                        want = r;
+                        first = false;
+                    }
+                }
+                CostResult got = model.analyze(l, 2, cfg);
+                SCOPED_TRACE(l.toString() + " on " +
+                             std::to_string(shape[0]) + "x" +
+                             std::to_string(shape[1]));
+                EXPECT_EQ(got.usedRows, want.usedRows);
+                EXPECT_EQ(got.usedCols, want.usedCols);
+                EXPECT_EQ(bits(got.noStallCycles), bits(want.noStallCycles));
+                EXPECT_EQ(bits(got.dramBytes), bits(want.dramBytes));
+                EXPECT_EQ(bits(got.energyPj), bits(want.energyPj));
+            }
+        }
     }
 }
 

@@ -885,8 +885,6 @@ TEST(Observability, InstrumentationShapeIsPinned)
               (std::map<std::string, int64_t>{
                   {"serve.queue_wait", 2},
                   {"serve.request", 1},
-                  // 6 distinct (shape, batch) x 2 distinct S2 configs.
-                  {"serve.request/exec.cost_cache.probe", 12},
                   {"serve.request/serve.search", 1},
                   {"serve.request/serve.search/opt.search", 1},
                   {"serve.request/serve.search/opt.search/opt.breed", 24},
@@ -899,6 +897,28 @@ TEST(Observability, InstrumentationShapeIsPinned)
                   {"serve.request/serve.store_lookup", 1},
                   {"serve.request/serve.store_write_back", 1},
               }));
+
+    // 2b. The same request on the flexible variant of S2. Only
+    // flexible-shape platforms build their table through the global cost
+    // cache, so only this profile has probe nodes.
+    serve::MappingService flex_service(cfg);
+    serve::MapRequest flex_req;
+    flex_req.problem.task = dnn::TaskType::Mix;
+    flex_req.problem.groupSize = 10;
+    flex_req.problem.workloadSeed = 40;
+    flex_req.problem.setting = accel::Setting::S2;
+    flex_req.problem.systemBwGbps = 4.0;
+    flex_req.problem.flexible = true;
+    flex_req.search.sampleBudget = 200;
+    flex_req.search.seed = 40;
+    flex_service.submit(std::move(flex_req)).get();
+    flex_service.stop();
+    Shape flex_served = drainShape();
+    EXPECT_EQ(flex_served.spans, served.spans);
+    std::map<std::string, int64_t> with_probes = served.profile;
+    // 6 distinct (shape, batch) x 2 distinct S2 configs.
+    with_probes["serve.request/exec.cost_cache.probe"] = 12;
+    EXPECT_EQ(flex_served.profile, with_probes);
 
     // 3. A short dyn replay: one cold re-map, then two warm from the
     // running mapping.
