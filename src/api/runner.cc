@@ -114,7 +114,7 @@ RunReport::fromText(const std::string& text)
             else if (k == "wall_seconds")
                 r.wallSeconds = parseDouble(k, v);
             else if (k == "mapping")
-                r.best = sched::Mapping::fromText(std::string(v));
+                r.best = sched::Mapping::fromText(v);
             else if (k == "convergence")
                 r.convergence = splitDoubles(k, std::string(v));
             else if (k == "metrics_json")

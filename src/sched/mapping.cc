@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/textnum.h"
 
 namespace magma::sched {
 
@@ -67,22 +70,65 @@ Mapping::toText() const
     return os.str();
 }
 
-Mapping
-Mapping::fromText(const std::string& line)
+namespace {
+
+/** Cut the next blank-separated token off the front of `rest`; empty
+ * when only blanks remain. */
+std::string_view
+nextToken(std::string_view& rest)
 {
-    std::istringstream is(line);
-    int g = -1;
-    if (!(is >> g) || g < 0)
+    constexpr std::string_view kBlanks = " \t\n\v\f\r";
+    const size_t begin = std::min(rest.find_first_not_of(kBlanks),
+                                  rest.size());
+    const size_t end = std::min(rest.find_first_of(kBlanks, begin),
+                                rest.size());
+    std::string_view token = rest.substr(begin, end - begin);
+    rest.remove_prefix(end);
+    return token;
+}
+
+}  // namespace
+
+Mapping
+Mapping::fromText(std::string_view line)
+{
+    std::string_view rest = line;
+    const std::string_view size_token = nextToken(rest);
+    if (size_token.empty())
         throw std::invalid_argument("Mapping::fromText: bad group size");
+    const int g =
+        common::parseNumber<int>("Mapping::fromText: group size", size_token);
+    if (g < 0)
+        throw std::invalid_argument("Mapping::fromText: bad group size");
+    // Count the genes before sizing anything, so a huge declared size
+    // fails here instead of allocating for genes that are not there.
+    int64_t genes = 0;
+    for (std::string_view scan = rest; !nextToken(scan).empty();)
+        ++genes;
+    if (genes < 2 * static_cast<int64_t>(g))
+        throw std::invalid_argument(
+            "Mapping::fromText: group size " + std::to_string(g) +
+            " needs " + std::to_string(2 * static_cast<int64_t>(g)) +
+            " genes, found " + std::to_string(genes));
+    if (genes > 2 * static_cast<int64_t>(g))
+        throw std::invalid_argument(
+            "Mapping::fromText: trailing tokens after " +
+            std::to_string(2 * static_cast<int64_t>(g)) + " genes");
     Mapping m;
     m.accelSel.resize(g);
     m.priority.resize(g);
-    for (int i = 0; i < g; ++i)
-        if (!(is >> m.accelSel[i]) || m.accelSel[i] < 0)
+    for (int& a : m.accelSel) {
+        a = common::parseNumber<int>("Mapping::fromText: accel gene",
+                                     nextToken(rest));
+        if (a < 0)
             throw std::invalid_argument("Mapping::fromText: bad accel gene");
-    for (int i = 0; i < g; ++i)
-        if (!(is >> m.priority[i]))
+    }
+    for (double& p : m.priority) {
+        p = common::parseNumber<double>("Mapping::fromText: priority",
+                                        nextToken(rest));
+        if (!std::isfinite(p))
             throw std::invalid_argument("Mapping::fromText: bad priority");
+    }
     return m;
 }
 

@@ -2,6 +2,7 @@
 #define MAGMA_SCHED_MAPPING_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -45,8 +46,13 @@ struct Mapping {
      */
     std::string toText() const;
 
-    /** Parse a toText() line; throws std::invalid_argument on bad input. */
-    static Mapping fromText(const std::string& line);
+    /**
+     * Parse a toText() line: blank-separated tokens, each read whole by
+     * common::parseNumber, exactly 2*G genes after the size, accel genes
+     * non-negative and priorities finite. Throws std::invalid_argument
+     * otherwise, before allocating when the size outruns the genes.
+     */
+    static Mapping fromText(std::string_view line);
 
     bool operator==(const Mapping& o) const = default;
 };

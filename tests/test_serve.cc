@@ -100,6 +100,46 @@ TEST(MappingText, RejectsGarbage)
                  std::invalid_argument);
 }
 
+TEST(MappingText, RejectsHostileLines)
+{
+    const char* const bad[] = {
+        "10000000",                      // size the genes cannot fill
+        "2 0 1 0.5 0.25 trailing junk",  // trailing tokens
+        "2 0 1 0.5 0.25 7",
+        "2 0 1 +0.5 0.25",               // '+' sign
+        "+2 0 1 0.5 0.25",
+        "1 1.5 0.5",                     // fractional accel gene
+        "1 0x1 0.5",
+        "1 0 0x1p-2",                    // hex float
+        "1 0 1e400",                     // overflows a double
+        "1 0 nan",
+        "1 0 inf",
+        "1 -1 0.5",                      // negative accel gene
+        "2147483648 0 0",                // size outside int
+        "1 0 0.5junk",
+    };
+    for (const char* line : bad)
+        EXPECT_THROW(sched::Mapping::fromText(line), std::invalid_argument)
+            << line;
+    try {
+        sched::Mapping::fromText("10000000");
+        FAIL() << "accepted a size with no genes";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("needs 20000000 genes, found 0"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(MappingText, AcceptsBlankRunsAroundTokens)
+{
+    sched::Mapping m;
+    m.accelSel = {0, 1};
+    m.priority = {0.5, 0.25};
+    EXPECT_EQ(sched::Mapping::fromText(" 2 0 1 0.5 0.25 "), m);
+    EXPECT_EQ(sched::Mapping::fromText("2\t0  1 0.5\t0.25\n"), m);
+}
+
 // ---------------------------------------------------- fingerprinting ---
 
 TEST(Fingerprint, DeterministicAndSensitive)
