@@ -66,6 +66,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "analysis/timeline.h"
 #include "api/registry.h"
 #include "api/runner.h"
@@ -75,6 +76,8 @@
 #include "obs/trace_export.h"
 
 using namespace magma;
+using cli::numberOrDie;
+using cli::parseOrDie;
 
 namespace {
 
@@ -88,19 +91,6 @@ struct CliArgs {
     std::string metricsPath;
     std::string tracePath;
 };
-
-/** Parse via fn, mapping std::invalid_argument to a usage error. */
-template <typename Fn>
-auto
-parseOrDie(Fn&& fn, const std::string& value)
-{
-    try {
-        return fn(value);
-    } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-    }
-}
 
 void
 listMethods()
@@ -143,15 +133,15 @@ parse(int argc, char** argv)
             a.exp.problem.setting =
                 parseOrDie(accel::settingFromName, need(i++));
         else if (flag == "--bw")
-            a.exp.problem.systemBwGbps = std::stod(need(i++));
+            a.exp.problem.systemBwGbps = numberOrDie<double>(flag, need(i++));
         else if (flag == "--group")
-            a.exp.problem.groupSize = std::stoi(need(i++));
+            a.exp.problem.groupSize = numberOrDie<int>(flag, need(i++));
         else if (flag == "--budget")
-            a.exp.search.sampleBudget = std::stoll(need(i++));
+            a.exp.search.sampleBudget = numberOrDie<int64_t>(flag, need(i++));
         else if (flag == "--seed") {
             // One --seed drives both the workload draw and the search,
             // exactly as before the api/ redesign.
-            uint64_t seed = std::stoull(need(i++));
+            uint64_t seed = numberOrDie<uint64_t>(flag, need(i++));
             a.exp.problem.workloadSeed = seed;
             a.exp.search.seed = seed;
         } else if (flag == "--method")
@@ -173,7 +163,7 @@ parse(int argc, char** argv)
         else if (flag == "--stats")
             a.stats = true;
         else if (flag == "--threads")
-            a.exp.search.threads = std::stoi(need(i++));
+            a.exp.search.threads = numberOrDie<int>(flag, need(i++));
         else if (flag == "--report")
             a.reportPath = need(i++);
         else if (flag == "--metrics-out")
@@ -367,8 +357,8 @@ main(int argc, char** argv)
             snap.findGauge("exec.cost_cache.hit_rate");
         // magma-lint: allow(double-format): console stats, never
         // reparsed (the machine-readable path is --metrics-out).
-        std::printf("\ncost cache: %lld hits / %lld misses (%.1f%% hit "
-                    "rate), %lld entries\n",
+        std::printf("\ncost cache (flexible-shape problems only): %lld "
+                    "hits / %lld misses (%.1f%% hit rate), %lld entries\n",
                     gauge("exec.cost_cache.hits"),
                     gauge("exec.cost_cache.misses"),
                     100.0 * (rate ? rate->value : 0.0),

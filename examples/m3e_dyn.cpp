@@ -38,6 +38,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cli_flags.h"
 #include "common/textnum.h"
 #include "dyn/runner.h"
 #include "obs/snapshot.h"
@@ -45,6 +46,8 @@
 #include "sched/evaluator.h"
 
 using namespace magma;
+using cli::numberOrDie;
+using cli::parseOrDie;
 
 namespace {
 
@@ -58,18 +61,6 @@ struct DynArgs {
     std::string chromeTracePath;
     bool quiet = false;
 };
-
-template <typename Fn>
-auto
-parseOrDie(Fn&& fn, const std::string& value)
-{
-    try {
-        return fn(value);
-    } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-    }
-}
 
 DynArgs
 parse(int argc, char** argv)
@@ -93,17 +84,18 @@ parse(int argc, char** argv)
             a.cfg.search.objective =
                 parseOrDie(sched::objectiveFromName, need(i++));
         else if (flag == "--budget")
-            a.cfg.search.sampleBudget = std::stoll(need(i++));
+            a.cfg.search.sampleBudget = numberOrDie<int64_t>(flag, need(i++));
         else if (flag == "--remap-budget")
-            a.cfg.remapBudget = std::stoll(need(i++));
+            a.cfg.remapBudget = numberOrDie<int64_t>(flag, need(i++));
         else if (flag == "--no-warm")
             a.cfg.warmRemap = false;
         else if (flag == "--threads")
-            a.cfg.search.threads = std::stoi(need(i++));
+            a.cfg.search.threads = numberOrDie<int>(flag, need(i++));
         else if (flag == "--seed")
-            a.cfg.search.seed = std::stoull(need(i++));
+            a.cfg.search.seed = numberOrDie<uint64_t>(flag, need(i++));
         else if (flag == "--stall")
-            a.cfg.reconfig.retileStallSeconds = std::stod(need(i++));
+            a.cfg.reconfig.retileStallSeconds =
+                numberOrDie<double>(flag, need(i++));
         else if (flag == "--no-reload")
             a.cfg.reconfig.chargeWeightReload = false;
         else if (flag == "--store")

@@ -53,12 +53,14 @@
 
 #include <chrono>
 
-#include "exec/cost_cache.h"
+#include "cli_flags.h"
 #include "obs/snapshot.h"
 #include "obs/trace_export.h"
 #include "serve/service.h"
 
 using namespace magma;
+using cli::numberOrDie;
+using cli::parseOrDie;
 
 namespace {
 
@@ -81,19 +83,6 @@ struct ServeArgs {
     std::string tracePath;
 };
 
-/** Parse via fn, mapping std::invalid_argument to a usage error. */
-template <typename Fn>
-auto
-parseOrDie(Fn&& fn, const std::string& value)
-{
-    try {
-        return fn(value);
-    } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-    }
-}
-
 ServeArgs
 parse(int argc, char** argv)
 {
@@ -109,26 +98,26 @@ parse(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         std::string flag = argv[i];
         if (flag == "--requests")
-            a.requests = std::stoi(need(i++));
+            a.requests = numberOrDie<int>(flag, need(i++));
         else if (flag == "--tenants")
-            a.tenants = std::stoi(need(i++));
+            a.tenants = numberOrDie<int>(flag, need(i++));
         else if (flag == "--workers")
-            a.workers = std::stoi(need(i++));
+            a.workers = numberOrDie<int>(flag, need(i++));
         else if (flag == "--threads")
-            a.threads = std::stoi(need(i++));
+            a.threads = numberOrDie<int>(flag, need(i++));
         else if (flag == "--task")
             a.problem.task = parseOrDie(dnn::taskTypeFromName, need(i++));
         else if (flag == "--setting")
             a.problem.setting =
                 parseOrDie(accel::settingFromName, need(i++));
         else if (flag == "--bw")
-            a.problem.systemBwGbps = std::stod(need(i++));
+            a.problem.systemBwGbps = numberOrDie<double>(flag, need(i++));
         else if (flag == "--group")
-            a.problem.groupSize = std::stoi(need(i++));
+            a.problem.groupSize = numberOrDie<int>(flag, need(i++));
         else if (flag == "--budget")
-            a.budget = std::stoll(need(i++));
+            a.budget = numberOrDie<int64_t>(flag, need(i++));
         else if (flag == "--seed")
-            a.seed = std::stoull(need(i++));
+            a.seed = numberOrDie<uint64_t>(flag, need(i++));
         else if (flag == "--objective")
             a.objective = parseOrDie(sched::objectiveFromName, need(i++));
         else if (flag == "--store")
@@ -140,9 +129,9 @@ parse(int argc, char** argv)
         else if (flag == "--coalesce")
             a.coalesce = true;
         else if (flag == "--max-queue")
-            a.maxQueue = std::stoll(need(i++));
+            a.maxQueue = numberOrDie<int64_t>(flag, need(i++));
         else if (flag == "--deadline")
-            a.deadline = std::stod(need(i++));
+            a.deadline = numberOrDie<double>(flag, need(i++));
         else if (flag == "--metrics-out")
             a.metricsPath = need(i++);
         else if (flag == "--trace-out")
@@ -237,7 +226,6 @@ main(int argc, char** argv)
 
     serve::ServiceStats s = service.stats();
     serve::StoreStats st = service.store().stats();
-    exec::CostCacheStats cc = exec::CostCache::global().stats();
     std::printf("\nserved %lld requests in %.2f s (%.1f req/s): %lld cold, "
                 "%lld warm\n",
                 static_cast<long long>(s.served), wall,
@@ -261,11 +249,6 @@ main(int argc, char** argv)
                 static_cast<long long>(st.coarseHits),
                 static_cast<long long>(st.lookups),
                 st.meanTransferQuality());
-    std::printf("cost cache: %lld hits / %lld misses (%.0f%% hit rate), "
-                "%lld entries\n",
-                static_cast<long long>(cc.hits),
-                static_cast<long long>(cc.misses), 100.0 * cc.hitRate(),
-                static_cast<long long>(cc.entries));
 
     service.stop();
 
