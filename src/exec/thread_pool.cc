@@ -1,7 +1,10 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "obs/scope.h"
@@ -12,11 +15,16 @@ int
 ThreadPool::defaultThreads()
 {
     // getenv is safe here: read before any pool thread starts, and
-    // nothing in this process calls setenv.
+    // nothing in the library calls setenv.
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
     if (const char* env = std::getenv("MAGMA_THREADS")) {
-        int v = std::atoi(env);
-        if (v > 0)
+        // One whole decimal token in int's range; a sign, blanks or
+        // trailing bytes fall through to the hardware default.
+        const std::string_view text(env);
+        int v = 0;
+        const auto [end, ec] =
+            std::from_chars(text.data(), text.data() + text.size(), v);
+        if (ec == std::errc() && end == text.data() + text.size() && v > 0)
             return v;
     }
     unsigned hw = std::thread::hardware_concurrency();

@@ -66,7 +66,8 @@ class ThreadPool {
 
     /**
      * Thread count picked when none is given: the MAGMA_THREADS
-     * environment variable if set to a positive integer, otherwise
+     * environment variable if it is one whole positive decimal integer
+     * ("4", not "4abc", "+4" or " 4"), otherwise
      * std::thread::hardware_concurrency().
      */
     static int defaultThreads();

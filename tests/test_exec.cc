@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -104,6 +106,36 @@ TEST(ThreadPool, PropagatesException)
     std::atomic<int> n{0};
     pool.parallelFor(8, [&](int64_t) { n.fetch_add(1); });
     EXPECT_EQ(n.load(), 8);
+}
+
+// Reads MAGMA_THREADS through defaultThreads() only; no pool is ever
+// built from these values.
+TEST(ThreadPool, DefaultThreadsTakesOnlyWholePositiveDecimals)
+{
+    // NOLINTBEGIN(concurrency-mt-unsafe): no pool thread runs here.
+    const char* saved = std::getenv("MAGMA_THREADS");
+    const std::string restore = saved ? saved : "";
+    unsetenv("MAGMA_THREADS");
+    const int fallback = exec::ThreadPool::defaultThreads();
+    EXPECT_GE(fallback, 1);
+
+    // A count the fallback cannot equal, so a misread prefix shows.
+    const std::string n = std::to_string(fallback + 1);
+    setenv("MAGMA_THREADS", n.c_str(), 1);
+    EXPECT_EQ(exec::ThreadPool::defaultThreads(), fallback + 1);
+    for (const std::string& bad :
+         {n + "abc", "+" + n, " " + n, n + " ", n + ".0", "-" + n,
+          std::string("0"), std::string(""), std::string("0x3"),
+          std::string("99999999999999999999")}) {
+        setenv("MAGMA_THREADS", bad.c_str(), 1);
+        EXPECT_EQ(exec::ThreadPool::defaultThreads(), fallback)
+            << "'" << bad << "'";
+    }
+    if (saved)
+        setenv("MAGMA_THREADS", restore.c_str(), 1);
+    else
+        unsetenv("MAGMA_THREADS");
+    // NOLINTEND(concurrency-mt-unsafe)
 }
 
 TEST(ThreadPool, EmptyBatchIsNoop)
