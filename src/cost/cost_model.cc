@@ -279,8 +279,7 @@ CostModel::analyze(const dnn::LayerShape& layer, int batch,
         }
     };
     // The divisors up to sqrt(pes) ascending, then their cofactors
-    // ascending: every height in order, found with O(sqrt(pes))
-    // divisions instead of one per candidate height.
+    // ascending: every height in order, with O(sqrt(pes)) divisions.
     int root = 0;
     for (int h = 1; h <= pes / h; ++h) {
         root = h;

@@ -93,11 +93,8 @@ Mapping
 Mapping::fromText(std::string_view line)
 {
     std::string_view rest = line;
-    const std::string_view size_token = nextToken(rest);
-    if (size_token.empty())
-        throw std::invalid_argument("Mapping::fromText: bad group size");
-    const int g =
-        common::parseNumber<int>("Mapping::fromText: group size", size_token);
+    const int g = common::parseNumber<int>("Mapping::fromText: group size",
+                                           nextToken(rest));
     if (g < 0)
         throw std::invalid_argument("Mapping::fromText: bad group size");
     // Count the genes before sizing anything, so a huge declared size
@@ -105,15 +102,11 @@ Mapping::fromText(std::string_view line)
     int64_t genes = 0;
     for (std::string_view scan = rest; !nextToken(scan).empty();)
         ++genes;
-    if (genes < 2 * static_cast<int64_t>(g))
+    if (genes != 2 * static_cast<int64_t>(g))
         throw std::invalid_argument(
             "Mapping::fromText: group size " + std::to_string(g) +
             " needs " + std::to_string(2 * static_cast<int64_t>(g)) +
             " genes, found " + std::to_string(genes));
-    if (genes > 2 * static_cast<int64_t>(g))
-        throw std::invalid_argument(
-            "Mapping::fromText: trailing tokens after " +
-            std::to_string(2 * static_cast<int64_t>(g)) + " genes");
     Mapping m;
     m.accelSel.resize(g);
     m.priority.resize(g);
