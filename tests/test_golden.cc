@@ -278,16 +278,29 @@ responseDigest(const serve::MapResponse& r)
     return d;
 }
 
+/** What the service holds before the golden request arrives. */
+enum class Prior { Empty, JobMatched, Groupless, Archive };
+
+/** The golden request's response digest hash, served on a lane of
+ * `threads` evaluation lanes; every result field must not depend on it. */
 uint64_t
-servedHash(const serve::ServiceConfig& cfg, bool with_group)
+servedHash(Prior prior, int threads)
 {
+    // Five 8-job members for a 12-job request: tiled positionally and
+    // topped up round-robin to the population of 12.
+    mo::ParetoArchive archive = goldenArchive({8, 8, 8, 8, 8}, 23);
+    serve::ServiceConfig cfg;
+    cfg.threadsPerRequest = threads;
+    if (prior == Prior::Archive)
+        cfg.archive = &archive;
     serve::MappingService service(cfg);
-    if (cfg.archive == nullptr)
-        seedStore(service.store(), with_group);
+    if (prior == Prior::JobMatched || prior == Prior::Groupless)
+        seedStore(service.store(), prior == Prior::JobMatched);
     serve::MapResponse r = service.submit(goldenRequest()).get();
-    EXPECT_EQ(cfg.archive == nullptr, r.warmStart);
+    EXPECT_EQ(prior == Prior::JobMatched || prior == Prior::Groupless,
+              r.warmStart);
     EXPECT_FALSE(r.exactHit);
-    EXPECT_EQ(cfg.archive != nullptr, r.archiveSeeded);
+    EXPECT_EQ(prior == Prior::Archive, r.archiveSeeded);
     return fnv1a64(responseDigest(r));
 }
 
@@ -295,23 +308,38 @@ servedHash(const serve::ServiceConfig& cfg, bool with_group)
 
 TEST(Golden, ServedJobMatchedStoreHitPinned)
 {
-    uint64_t h = servedHash(serve::ServiceConfig{}, true);
-    EXPECT_EQ(h, 0xadd083c455481166ull) << "actual: " << hex(h);
+    for (int threads : {1, 2}) {
+        uint64_t h = servedHash(Prior::JobMatched, threads);
+        EXPECT_EQ(h, 0xadd083c455481166ull)
+            << "threads " << threads << " actual: " << hex(h);
+    }
 }
 
 TEST(Golden, ServedGrouplessStoreHitPinned)
 {
-    uint64_t h = servedHash(serve::ServiceConfig{}, false);
-    EXPECT_EQ(h, 0x6ea1606de64cae6eull) << "actual: " << hex(h);
+    for (int threads : {1, 2}) {
+        uint64_t h = servedHash(Prior::Groupless, threads);
+        EXPECT_EQ(h, 0x6ea1606de64cae6eull)
+            << "threads " << threads << " actual: " << hex(h);
+    }
 }
 
 TEST(Golden, ServedArchiveSeededPinned)
 {
-    // Five 8-job members for a 12-job request: tiled positionally and
-    // topped up round-robin to the population of 12.
-    mo::ParetoArchive archive = goldenArchive({8, 8, 8, 8, 8}, 23);
-    serve::ServiceConfig cfg;
-    cfg.archive = &archive;
-    uint64_t h = servedHash(cfg, false);
-    EXPECT_EQ(h, 0x05d4c85355d8c8e4ull) << "actual: " << hex(h);
+    for (int threads : {1, 2}) {
+        uint64_t h = servedHash(Prior::Archive, threads);
+        EXPECT_EQ(h, 0x05d4c85355d8c8e4ull)
+            << "threads " << threads << " actual: " << hex(h);
+    }
+}
+
+TEST(Golden, ServedColdPinned)
+{
+    // An empty store and no archive: the Herald-like member is the only
+    // seed of a full-budget search.
+    for (int threads : {1, 2}) {
+        uint64_t h = servedHash(Prior::Empty, threads);
+        EXPECT_EQ(h, 0xa14d3b4983195bc3ull)
+            << "threads " << threads << " actual: " << hex(h);
+    }
 }
