@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "api/runner.h"
 #include "bench/bench_common.h"
 #include "dyn/trace.h"
 #include "exec/cost_cache.h"
@@ -356,13 +357,18 @@ main(int argc, char** argv)
     // cache: the first runs every shape search, the second reads the
     // cache. Per build, so the rate falls if the cache stops serving
     // flexible problems.
+    api::ProblemSpec flex;
+    flex.task = w.task;
+    flex.setting = w.setting;
+    flex.flexible = true;
+    flex.systemBwGbps = w.bwGbps;
+    flex.groupSize = w.group;
+    flex.workloadSeed = args.seed;
     double flex_table_per_s = rate(
         [&] {
             exec::CostCache::global().clear();
             for (int k = 0; k < 2; ++k)
-                sink = m3e::makeFlexibleProblem(w.task, w.setting,
-                                                w.bwGbps, w.group,
-                                                args.seed)
+                sink = api::buildProblem(flex)
                            ->evaluator()
                            .table()
                            .numJobs();

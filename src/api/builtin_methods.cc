@@ -3,14 +3,18 @@
  * Registration of the built-in mapper line-up (Table IV + the Random
  * reference + NSGA-II) with the OptimizerRegistry, in the paper's plot
  * order and with the paper's hyper-parameters (each class's defaults),
- * plus the Table IV name list, and the population-aware constructor and
- * warm-start cascade the serve and dyn front ends use.
+ * plus the Table IV name list, the population-aware constructor, the
+ * warm-start cascade and the one search pipeline of every front end.
  */
 
 #include "api/registry.h"
 
+#include <algorithm>
+#include <chrono>
+
 #include "baselines/ai_mt_like.h"
 #include "baselines/herald_like.h"
+#include "exec/eval_engine.h"
 #include "mo/nsga2.h"
 #include "obs/scope.h"
 #include "opt/cma_es.h"
@@ -93,6 +97,46 @@ seedSearch(const sched::MappingEvaluator& eval, int population,
     else
         s.seeds.back() = std::move(heuristic);
     return s;
+}
+
+Solved
+solve(const sched::MappingEvaluator& eval, const SearchSpec& spec,
+      const WarmTiers* tiers, exec::ThreadPool& pool)
+{
+    const int population = opt::transfer::populationFor(eval.groupSize());
+    Seeding seeding{{}, spec.sampleBudget, SeedSource::Cold};
+    if (tiers)
+        seeding = seedSearch(eval, population, spec.sampleBudget, *tiers);
+    Solved out;
+    out.source = seeding.source;
+    out.budget = seeding.budget;
+    out.seeds = seeding.seeds.size();
+    opt::SearchOptions opts;
+    opts.sampleBudget = seeding.budget;
+    opts.seeds = std::move(seeding.seeds);
+    // The search scores the seeds first, so the convergence curve gives
+    // Trf-0-ep for free.
+    const bool store = out.source == SeedSource::Store;
+    opts.recordConvergence = spec.recordConvergence || store;
+    opts.recordSamples = spec.recordSamples;
+
+    std::unique_ptr<opt::Optimizer> optimizer =
+        makeForPopulation(spec.method, spec.seed, population);
+    auto t0 = std::chrono::steady_clock::now();
+    exec::EvalEngine engine(eval, pool);
+    opts.engine = &engine;
+    out.result = optimizer->search(eval, opts);
+    out.searchSeconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    const std::vector<double>& curve = out.result.convergence;
+    if (store && !curve.empty()) {
+        // The Herald-like member is the last seed, so Trf-0-ep is the
+        // best-so-far one sample before it: the transferred seeds alone.
+        size_t transferred = std::min(out.seeds - 1, curve.size());
+        out.trf0Fitness = curve[transferred - 1];
+    }
+    return out;
 }
 
 }  // namespace magma::api

@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "api/spec.h"
 #include "dnn/workload.h"
+#include "exec/thread_pool.h"
 #include "mo/pareto.h"
 #include "opt/optimizer.h"
 #include "sched/evaluator.h"
@@ -93,10 +95,10 @@ bool registerOptimizer(std::string name, std::vector<std::string> aliases,
 const std::vector<std::string>& tableIvMethods();
 
 /**
- * Construct `name_or_alias` for a search of the given population — the
- * serve and dyn front ends pass opt::transfer::populationFor(group size).
- * MAGMA takes `population`; every other method keeps its registry
- * default. Throws the registry's did-you-mean error on an unknown name.
+ * Construct `name_or_alias` for a search of the given population — solve()
+ * passes opt::transfer::populationFor(group size). MAGMA takes
+ * `population`; every other method keeps its registry default. Throws the
+ * registry's did-you-mean error on an unknown name.
  */
 std::unique_ptr<opt::Optimizer> makeForPopulation(
     const std::string& name_or_alias, uint64_t seed, int population);
@@ -146,7 +148,8 @@ struct Seeding {
 };
 
 /**
- * The one warm-start cascade of the serve and dyn front ends: the first
+ * The one warm-start cascade of solve() for the serve and dyn front
+ * ends: the first
  * tier that fires, in the order previous → store → archive, yields
  * `population` seeds. Previous and store seeds come from this group's
  * own knowledge, so they search on opt::transfer::warmBudget; archive
@@ -162,6 +165,28 @@ struct Seeding {
  */
 Seeding seedSearch(const sched::MappingEvaluator& eval, int population,
                    int64_t cold_budget, const WarmTiers& tiers);
+
+/** The outcome of one solve(). */
+struct Solved {
+    opt::SearchResult result;
+    SeedSource source = SeedSource::Cold;
+    int64_t budget = 0;          ///< sample budget granted to the search
+    size_t seeds = 0;            ///< seeds the population started from
+    double searchSeconds = 0.0;  ///< engine build to end of search
+    double trf0Fitness = 0.0;    ///< Trf-0-ep of a store-seeded search
+};
+
+/**
+ * The one search pipeline of api::Runner, serve::MappingService and
+ * dyn::EventEngine: populationFor, seedSearch (only when `tiers` is
+ * given; the Runner passes none and keeps the paper's random MAGMA
+ * start), makeForPopulation(spec.method, spec.seed), then the search on
+ * an exec::EvalEngine over `pool`. `spec.threads` is not read; the
+ * record* flags reach the search, and convergence is also recorded when
+ * the store tier fires, for Trf-0-ep.
+ */
+Solved solve(const sched::MappingEvaluator& eval, const SearchSpec& spec,
+             const WarmTiers* tiers, exec::ThreadPool& pool);
 
 namespace detail {
 /** Defined in builtin_methods.cc; called once by global(). The explicit

@@ -6,6 +6,7 @@
 
 #include "api/registry.h"
 #include "api/textio.h"
+#include "exec/thread_pool.h"
 #include "mo/nsga2.h"
 #include "obs/snapshot.h"
 #include "opt/warm_start.h"
@@ -214,15 +215,10 @@ RunReport::summaryLine() const
 std::unique_ptr<m3e::Problem>
 buildProblem(const ProblemSpec& spec, sched::Objective objective)
 {
-    return spec.flexible
-               ? m3e::makeFlexibleProblem(spec.task, spec.setting,
-                                          spec.systemBwGbps, spec.groupSize,
-                                          spec.workloadSeed, objective,
-                                          spec.bwPolicy)
-               : m3e::makeProblem(spec.task, spec.setting,
-                                  spec.systemBwGbps, spec.groupSize,
-                                  spec.workloadSeed, objective,
-                                  spec.bwPolicy);
+    dnn::WorkloadGenerator gen(spec.workloadSeed);
+    return std::make_unique<m3e::Problem>(
+        gen.makeGroup(spec.task, spec.groupSize), buildPlatform(spec),
+        spec.bwPolicy, objective);
 }
 
 // ------------------------------------------------------------ Runner ---
@@ -252,22 +248,15 @@ Runner::run(const ProblemSpec& ps, const SearchSpec& ss,
     m3e::Problem& prob = problem(ps, primary);
     sched::MappingEvaluator& eval = prob.evaluator();
 
-    std::unique_ptr<opt::Optimizer> optimizer = makeForPopulation(
-        ss.method, ss.seed,
-        opt::transfer::populationFor(prob.group().size()));
-
-    opt::SearchOptions opts;
-    opts.sampleBudget = ss.sampleBudget;
-    opts.threads = ss.threads;
-    opts.recordConvergence = ss.recordConvergence;
-    opts.recordSamples = ss.recordSamples;
-
     RunReport rep;
     rep.problem = ps;
     rep.search = ss;
-    rep.method = optimizer->name();
+    rep.method = OptimizerRegistry::global().resolve(ss.method);
 
     if (multi) {
+        std::unique_ptr<opt::Optimizer> optimizer = makeForPopulation(
+            ss.method, ss.seed,
+            opt::transfer::populationFor(eval.groupSize()));
         auto* mo_method = dynamic_cast<mo::MultiObjective*>(optimizer.get());
         if (!mo_method)
             throw std::invalid_argument(
@@ -275,6 +264,9 @@ Runner::run(const ProblemSpec& ps, const SearchSpec& ss,
                 "' is single-objective; a SearchSpec with objectives= "
                 "needs a mo::MultiObjective method (e.g. method=nsga2)");
 
+        opt::SearchOptions opts;
+        opts.sampleBudget = ss.sampleBudget;
+        opts.threads = ss.threads;
         auto t0 = std::chrono::steady_clock::now();
         mo::MoSearchResult res =
             mo_method->searchMo(eval, ss.objectives, opts);
@@ -305,21 +297,17 @@ Runner::run(const ProblemSpec& ps, const SearchSpec& ss,
         return rep;
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    opt::SearchResult res = optimizer->search(eval, opts);
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-
+    exec::ThreadPool pool(ss.threads);
+    Solved solved = solve(eval, ss, nullptr, pool);
+    opt::SearchResult& res = solved.result;
     sched::ScheduleResult sim = eval.evaluate(res.best);
-
     rep.best = res.best;
     rep.bestFitness = res.bestFitness;
     rep.makespanSeconds = sim.makespanSeconds;
     rep.throughputGflops = eval.throughputGflops(sim.makespanSeconds);
     rep.energyJoules = eval.totalJoules(res.best);
     rep.samplesUsed = res.samplesUsed;
-    rep.wallSeconds = wall;
+    rep.wallSeconds = solved.searchSeconds;
     rep.convergence = res.convergence;
     rep.metricsJson = captureMetricsJson();
     if (raw)

@@ -51,7 +51,7 @@ struct ProblemSpec {
  * and seed. Same text discipline as ProblemSpec.
  *
  * Keys: method, objective, objectives, sample_budget, seed, threads,
- * eval, record_convergence, record_samples, warm_start.
+ * record_convergence, record_samples, warm_start.
  */
 struct SearchSpec {
     std::string method = "MAGMA";  ///< registry name or alias

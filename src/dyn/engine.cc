@@ -7,10 +7,8 @@
 
 #include "api/registry.h"
 #include "dnn/workload.h"
-#include "exec/eval_engine.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
-#include "opt/warm_start.h"
 #include "sched/evaluator.h"
 #include "serve/fingerprint.h"
 
@@ -185,7 +183,6 @@ EventEngine::step(const WorkloadEvent& ev)
 
     sched::MappingEvaluator eval(group, platform_, table(), base_.bwPolicy,
                                  cfg_.search.objective);
-    const int pop = opt::transfer::populationFor(eval.groupSize());
     const uint64_t seed = eventSeed(cfg_.search.seed, event_index);
 
     // 2. Seed the re-map through the shared cascade, best knowledge
@@ -212,30 +209,25 @@ EventEngine::step(const WorkloadEvent& ev)
             seed ^ 0xad4f7ULL;
         tiers.warmBudget = cfg_.remapBudget;
     }
-    api::Seeding seeding =
-        api::seedSearch(eval, pop, cfg_.search.sampleBudget, tiers);
-    opt::SearchOptions opts;
-    opts.sampleBudget = seeding.budget;
-    opts.seeds = std::move(seeding.seeds);
-    rec.source = seeding.source;
-    rec.budget = opts.sampleBudget;
 
-    // 3. Search on the engine's pool. MAGMA keeps the paper's
-    // population-tracks-group-size rule (the registry factory uses a
-    // fixed default).
-    std::unique_ptr<opt::Optimizer> optimizer =
-        api::makeForPopulation(cfg_.search.method, seed, pop);
-    opt::SearchResult res;
+    // 3. Search on the engine's pool, at this event's seed. A replay
+    // records nothing, so the spec's record* keys (like its threads)
+    // stay out of the search.
+    api::SearchSpec spec = cfg_.search;
+    spec.seed = seed;
+    spec.recordConvergence = spec.recordSamples = false;
+    api::Solved solved;
     {
         // span payload: i = event index, a = best fitness,
         // b = samples used
         obs::Scope scope("dyn.remap.search", event_index);
-        exec::EvalEngine engine(eval, *pool_);
-        opts.engine = &engine;
-        res = optimizer->search(eval, opts);
-        scope.payload(res.bestFitness,
-                      static_cast<double>(res.samplesUsed));
+        solved = api::solve(eval, spec, &tiers, *pool_);
+        scope.payload(solved.result.bestFitness,
+                      static_cast<double>(solved.result.samplesUsed));
     }
+    opt::SearchResult& res = solved.result;
+    rec.source = solved.source;
+    rec.budget = solved.budget;
     if (counters)
         dynMetrics().remaps.add();
 

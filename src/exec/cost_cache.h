@@ -44,8 +44,9 @@ struct CostCacheStats {
  * for contexts that discriminate cost by memory-bandwidth regime (the
  * analytical model itself is BW-independent — bandwidth is applied later
  * by the BW Allocator — so callers pass 0 today). Doubles are keyed by
- * bit pattern. A probe packs and hashes the key without formatting text,
- * so a hit is cheaper than the query it skips.
+ * bit pattern. A hit beats the query it skips only on a flexible array
+ * (a query searches every array shape); a fixed-array query costs about
+ * one probe, so m3e::Problem attaches the cache to flexible ones only.
  *
  * Thread-safe: lookups take the shared lock, inserts the exclusive
  * lock; concurrent misses on the same key may both compute (results are

@@ -53,8 +53,8 @@ class EvalEngine {
     }
 
     /**
-     * Borrow an external pool instead of owning one — lets a long-lived
-     * service (src/serve/) reuse a single worker-lane pool across many
+     * Borrow an external pool instead of owning one — api::solve does,
+     * so a serve lane or a dyn engine reuses one pool across many
      * back-to-back searches over different evaluators, avoiding thread
      * churn per request. The pool must outlive the engine and must not
      * have another batch in flight during evaluateBatch.

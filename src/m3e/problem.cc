@@ -36,16 +36,4 @@ makeProblem(dnn::TaskType task, accel::Setting setting,
         accel::makeSetting(setting, system_bw_gbps), policy, objective);
 }
 
-std::unique_ptr<Problem>
-makeFlexibleProblem(dnn::TaskType task, accel::Setting setting,
-                    double system_bw_gbps, int group_size, uint64_t seed,
-                    sched::Objective objective, sched::BwPolicy policy)
-{
-    dnn::WorkloadGenerator gen(seed);
-    return std::make_unique<Problem>(
-        gen.makeGroup(task, group_size),
-        accel::makeFlexibleSetting(setting, system_bw_gbps), policy,
-        objective);
-}
-
 }  // namespace magma::m3e

@@ -42,17 +42,10 @@ class Problem {
 
 /**
  * Convenience factory: generate a task group (seeded) on a Table III
- * setting with a given system BW, optimizing `objective` under
- * `policy`-governed bandwidth allocation.
+ * setting with a given system BW, optimizing `objective` under `policy`
+ * (api::buildProblem also builds the Fig. 14 flexible variant).
  */
 std::unique_ptr<Problem> makeProblem(
-    dnn::TaskType task, accel::Setting setting, double system_bw_gbps,
-    int group_size, uint64_t seed = 1,
-    sched::Objective objective = sched::Objective::Throughput,
-    sched::BwPolicy policy = sched::BwPolicy::Proportional);
-
-/** Same, but on the flexible-array variant of the setting (Fig. 14). */
-std::unique_ptr<Problem> makeFlexibleProblem(
     dnn::TaskType task, accel::Setting setting, double system_bw_gbps,
     int group_size, uint64_t seed = 1,
     sched::Objective objective = sched::Objective::Throughput,

@@ -12,8 +12,8 @@ namespace magma::opt {
 
 /**
  * Warm start (Section V-C): solution-transfer primitives plus the seed
- * builders api::seedSearch runs for the serve layer (src/serve/) and the
- * dynamic-workload engine (src/dyn/). Each primitive adapts a stored
+ * builders api::seedSearch runs inside api::solve for the serve layer
+ * (src/serve/) and the dynamic-workload engine (src/dyn/). Each primitive adapts a stored
  * solution to a new group, and `seedsAround` turns the adapted base into
  * a seed population (the base verbatim plus mutated copies), so the
  * population starts clustered around previous knowledge but keeps

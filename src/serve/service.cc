@@ -7,12 +7,11 @@
 #include <stdexcept>
 
 #include "api/registry.h"
-#include "exec/eval_engine.h"
+#include "api/runner.h"
 #include "exec/thread_pool.h"
 #include "m3e/problem.h"
 #include "mo/pareto.h"
 #include "obs/scope.h"
-#include "opt/warm_start.h"
 #include "serve/fingerprint.h"
 
 namespace magma::serve {
@@ -330,11 +329,8 @@ MappingService::workerLoop()
 {
     // Each lane owns its evaluation pool for its whole lifetime, so
     // back-to-back requests reuse warm threads instead of spawning a
-    // pool per search. threadsPerRequest == 1 keeps the serial path.
-    std::unique_ptr<exec::ThreadPool> lane_pool;
-    if (cfg_.threadsPerRequest != 1)
-        lane_pool =
-            std::make_unique<exec::ThreadPool>(cfg_.threadsPerRequest);
+    // pool per search. A 1-lane pool starts no thread.
+    exec::ThreadPool lane_pool(cfg_.threadsPerRequest);
 
     while (true) {
         Pending p;
@@ -384,7 +380,7 @@ MappingService::workerLoop()
             // b = service seconds
             obs::Scope scope("serve.request", serve_order);
             try {
-                resp = serveOne(p.req, lane_pool.get());
+                resp = serveOne(p.req, lane_pool);
                 resp.serveOrder = serve_order;
                 resp.waitSeconds = wait_seconds;
                 resp.serviceSeconds = secondsSince(t0);
@@ -475,7 +471,7 @@ MappingService::recordServed(const std::string& tenant, bool failed,
 }
 
 MapResponse
-MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
+MappingService::serveOne(const MapRequest& req, exec::ThreadPool& lane_pool)
 {
     // Multi-objective specs are an offline (api::Runner) feature for
     // now: the serve response carries a single mapping, not a front.
@@ -488,19 +484,14 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
 
     // 1. Materialize the workload and platform from the request's
     // declarative specs.
-    dnn::JobGroup group = req.group;
-    if (group.jobs.empty()) {
-        dnn::WorkloadGenerator gen(req.problem.workloadSeed);
-        group = gen.makeGroup(req.problem.task, req.problem.groupSize);
-    }
-    accel::Platform platform = api::buildPlatform(req.problem);
-    Fingerprint fp = fingerprintOf(group, platform, req.search.objective);
-
-    m3e::Problem problem(std::move(group), std::move(platform),
-                         req.problem.bwPolicy, req.search.objective);
-    sched::MappingEvaluator& eval = problem.evaluator();
-
-    const int pop = opt::transfer::populationFor(eval.groupSize());
+    std::unique_ptr<m3e::Problem> problem =
+        req.group.jobs.empty()
+            ? api::buildProblem(req.problem, req.search.objective)
+            : std::make_unique<m3e::Problem>(
+                  req.group, api::buildPlatform(req.problem),
+                  req.problem.bwPolicy, req.search.objective);
+    Fingerprint fp = fingerprintOf(problem->group(), problem->platform(),
+                                   req.search.objective);
 
     MapResponse resp;
     resp.fingerprint = fp.key;
@@ -511,7 +502,6 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
     // quality head start; deterministic because the archive is
     // read-only to the service), else cold.
     api::WarmTiers tiers;
-    bool exact = false;
     if (req.search.warmStart) {
         tiers.lookup = [&]() -> std::optional<api::StoredSolution> {
             std::optional<MappingStore::Hit> hit;
@@ -521,7 +511,7 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
             }
             if (!hit)
                 return std::nullopt;
-            exact = hit->exact;
+            resp.exactHit = hit->exact;
             return api::StoredSolution{std::move(hit->entry.mapping),
                                        std::move(hit->entry.group)};
         };
@@ -530,63 +520,40 @@ MappingService::serveOne(const MapRequest& req, exec::ThreadPool* lane_pool)
         tiers.archiveSeed = req.search.seed ^ 0xa2c417eULL;
         tiers.warmBudget = req.warmBudget;
     }
-    api::Seeding seeding =
-        api::seedSearch(eval, pop, req.search.sampleBudget, tiers);
-    opt::SearchOptions opts;
-    opts.sampleBudget = seeding.budget;
-    opts.seeds = std::move(seeding.seeds);
-    if (seeding.source == api::SeedSource::Store) {
-        // The convergence curve gives Trf-0-ep for free: the search
-        // evaluates the seeds first, so best-so-far after the
-        // transferred ones is their quality before any refinement.
-        opts.recordConvergence = true;
-        resp.warmStart = true;
-        resp.exactHit = exact;
-    }
-    resp.archiveSeeded = seeding.source == api::SeedSource::Archive;
 
-    // 3. Search on this lane's engine with the method the spec names
-    // (an unknown name fails this request's future with the registry's
-    // did-you-mean error). MAGMA — the default — keeps the paper's rule
-    // of population tracking group size.
-    std::unique_ptr<exec::EvalEngine> engine;
-    if (lane_pool) {
-        engine = std::make_unique<exec::EvalEngine>(eval, *lane_pool);
-        opts.engine = engine.get();
-    }
-    std::unique_ptr<opt::Optimizer> optimizer =
-        api::makeForPopulation(req.search.method, req.search.seed, pop);
-    opt::SearchResult res;
+    // 3. Search on this lane's pool with the method the spec names (an
+    // unknown name fails this request's future with the registry's
+    // did-you-mean error). The service records nothing, so the spec's
+    // record* keys (like its threads) stay out of the search.
+    api::SearchSpec spec = req.search;
+    spec.recordConvergence = spec.recordSamples = false;
+    api::Solved solved;
     {
         obs::Scope scope("serve.search");
-        res = optimizer->search(eval, opts);
+        solved = api::solve(problem->evaluator(), spec, &tiers, lane_pool);
     }
-
+    const opt::SearchResult& res = solved.result;
     resp.best = res.best;
     resp.bestFitness = res.bestFitness;
     resp.samplesUsed = res.samplesUsed;
-    if (resp.warmStart && !res.convergence.empty()) {
-        // The heuristic member is the last seed, so Trf-0-ep is the
-        // best-so-far one sample before it: the transferred seeds alone.
-        size_t transferred = std::min(opts.seeds.size() - 1,
-                                      res.convergence.size());
-        resp.trf0Fitness = res.convergence[transferred - 1];
-    }
+    resp.warmStart = solved.source == api::SeedSource::Store;
+    resp.archiveSeeded = solved.source == api::SeedSource::Archive;
+    resp.trf0Fitness = solved.trf0Fitness;
 
     // 4. Publish improved knowledge. Transfer quality is only meaningful
     // when refinement actually ran past the seeds — otherwise trf0 and
     // the final fitness are the same number by construction.
     if (req.writeBack) {
         obs::Scope scope("serve.store_write_back");
-        store_.update(fp, problem.group().task, res.best, problem.group(),
+        store_.update(fp, problem->group().task, res.best, problem->group(),
                       res.bestFitness, res.samplesUsed);
         // A failed append stops the log. Folding the live store into a
         // fresh snapshot restarts it; if that fails too, the log stays
         // stopped and the next write-back retries.
         if (!cfg_.storePath.empty() && store_.logStopped())
             store_.compact(cfg_.storePath);
-        bool refined = res.samplesUsed >
-                       static_cast<int64_t>(opts.seeds.size());
+        bool refined =
+            res.samplesUsed > static_cast<int64_t>(solved.seeds);
         if (resp.warmStart && refined && res.bestFitness > 0.0)
             store_.recordTransferQuality(resp.trf0Fitness /
                                          res.bestFitness);

@@ -151,8 +151,8 @@ struct ServiceStats {
  * adaptation) and runs on the reduced warm budget. When BOTH store
  * tiers miss and ServiceConfig::archive is set, the archive's member
  * mappings seed the search at the full cold budget (the
- * mo::ParetoArchive::seedMappings tier). The tiers run through
- * api::seedSearch, which also puts the Herald-like mapping into every
+ * mo::ParetoArchive::seedMappings tier). Every request runs api::solve,
+ * whose seedSearch cascade also puts the Herald-like mapping into every
  * population, a cold one included. Completed searches write improved
  * solutions back to the store, so concurrent tenants of one workload
  * type compound each other's knowledge.
@@ -215,9 +215,8 @@ class MappingService {
     /** Whether the tenant has a waiting request. Caller holds mu_. */
     bool tenantQueued(const std::string& tenant) const;
     bool queueEmpty() const;  ///< caller holds mu_
-    /** Serve one request on this lane's (possibly null) shared pool. */
-    MapResponse serveOne(const MapRequest& req,
-                         exec::ThreadPool* lane_pool);
+    /** Serve one request on this lane's pool. */
+    MapResponse serveOne(const MapRequest& req, exec::ThreadPool& lane_pool);
 
     /** Record one finished request into the registry (see cfg.registry). */
     void recordServed(const std::string& tenant, bool failed,

@@ -26,6 +26,7 @@
 #include "api/spec.h"
 #include "baselines/herald_like.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "m3e/problem.h"
 #include "mo/pareto.h"
 #include "opt/magma_ga.h"
@@ -98,13 +99,12 @@ opt::SearchResult
 manualRun(const std::string& method, const ProblemSpec& ps,
           const SearchSpec& ss)
 {
-    auto problem = ps.flexible
-                       ? m3e::makeFlexibleProblem(
-                             ps.task, ps.setting, ps.systemBwGbps,
-                             ps.groupSize, ps.workloadSeed, ss.objective)
-                       : m3e::makeProblem(ps.task, ps.setting,
-                                          ps.systemBwGbps, ps.groupSize,
-                                          ps.workloadSeed, ss.objective);
+    dnn::WorkloadGenerator gen(ps.workloadSeed);
+    auto problem = std::make_unique<m3e::Problem>(
+        gen.makeGroup(ps.task, ps.groupSize),
+        ps.flexible ? accel::makeFlexibleSetting(ps.setting, ps.systemBwGbps)
+                    : accel::makeSetting(ps.setting, ps.systemBwGbps),
+        ps.bwPolicy, ss.objective);
     // The Runner sizes MAGMA's population by the group-size rule.
     auto optimizer = api::makeForPopulation(
         method, ss.seed, opt::transfer::populationFor(ps.groupSize));
@@ -483,6 +483,75 @@ TEST(SeedSearch, TiersFireInOrderAndEveryPathHasOneHeuristicMember)
     // So is a search with every tier unset (warm starts off).
     tiers = api::WarmTiers{};
     expect(api::SeedSource::Cold, cold, 1);
+}
+
+// ------------------------------------------------- solve pipeline ---
+
+TEST(Solve, StoreSeededSearchMatchesTheHandWiredSequence)
+{
+    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 8.0,
+                              12, 23);
+    const sched::MappingEvaluator& eval = p->evaluator();
+    common::Rng rng(5);
+    const sched::Mapping stored =
+        sched::Mapping::random(eval.groupSize(), eval.numAccels(), rng);
+    api::WarmTiers tiers;
+    tiers.lookup = [&]() -> std::optional<api::StoredSolution> {
+        return api::StoredSolution{stored, eval.group()};
+    };
+    tiers.storeSeed = 6;
+    SearchSpec spec;
+    spec.sampleBudget = 800;
+    spec.seed = 7;
+
+    // The same steps, wired by hand.
+    const int pop = opt::transfer::populationFor(eval.groupSize());
+    api::Seeding seeding = api::seedSearch(eval, pop, 800, tiers);
+    ASSERT_EQ(api::SeedSource::Store, seeding.source);
+    opt::SearchOptions opts;
+    opts.sampleBudget = seeding.budget;
+    opts.seeds = seeding.seeds;
+    opts.recordConvergence = true;
+    opt::SearchResult expect =
+        api::makeForPopulation("MAGMA", 7, pop)->search(eval, opts);
+
+    for (int threads : {1, 2}) {
+        exec::ThreadPool pool(threads);
+        api::Solved solved = api::solve(eval, spec, &tiers, pool);
+        EXPECT_EQ(api::SeedSource::Store, solved.source);
+        EXPECT_EQ(seeding.budget, solved.budget);
+        EXPECT_EQ(seeding.seeds.size(), solved.seeds);
+        EXPECT_EQ(expect.best, solved.result.best);
+        EXPECT_EQ(expect.bestFitness, solved.result.bestFitness);
+        EXPECT_EQ(expect.samplesUsed, solved.result.samplesUsed);
+        // Trf-0-ep: best-so-far before the Herald-like last seed.
+        EXPECT_EQ(expect.convergence[seeding.seeds.size() - 2],
+                  solved.trf0Fitness);
+        EXPECT_GE(solved.searchSeconds, 0.0);
+    }
+}
+
+TEST(Solve, WithoutTiersSeedsNothingAndRecordsOnlyWhatTheSpecAsks)
+{
+    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 8.0,
+                              10, 3);
+    SearchSpec spec;
+    spec.sampleBudget = 300;
+    exec::ThreadPool pool(1);
+    api::Solved cold = api::solve(p->evaluator(), spec, nullptr, pool);
+    EXPECT_EQ(api::SeedSource::Cold, cold.source);
+    EXPECT_EQ(300, cold.budget);
+    EXPECT_EQ(0u, cold.seeds);
+    EXPECT_EQ(0.0, cold.trf0Fitness);
+    EXPECT_TRUE(cold.result.convergence.empty());
+    EXPECT_TRUE(cold.result.sampled.empty());
+
+    spec.recordConvergence = spec.recordSamples = true;
+    api::Solved recorded = api::solve(p->evaluator(), spec, nullptr, pool);
+    EXPECT_EQ(cold.result.best, recorded.result.best);
+    EXPECT_EQ(cold.result.bestFitness, recorded.result.bestFitness);
+    EXPECT_EQ(300u, recorded.result.convergence.size());
+    EXPECT_EQ(300u, recorded.result.sampled.size());
 }
 
 TEST(Parity, RunnerMatchesManualPathForEveryTableIvMethod)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "api/registry.h"
+#include "api/runner.h"
 #include "m3e/problem.h"
 
 using namespace magma;
@@ -36,8 +37,12 @@ TEST(Problem, SameSeedSameWorkload)
 
 TEST(Problem, FlexibleProblemUsesFlexiblePlatform)
 {
-    auto p = m3e::makeFlexibleProblem(dnn::TaskType::Mix,
-                                      accel::Setting::S1, 16.0, 10, 2);
+    api::ProblemSpec spec;
+    spec.setting = accel::Setting::S1;
+    spec.flexible = true;
+    spec.groupSize = 10;
+    spec.workloadSeed = 2;
+    auto p = api::buildProblem(spec);
     for (const auto& sub : p->platform().subAccels)
         EXPECT_TRUE(sub.flexibleShape);
     EXPECT_NE(p->platform().name.find("flex"), std::string::npos);
