@@ -148,20 +148,19 @@ struct Seeding {
 };
 
 /**
- * The one warm-start cascade of solve() for the serve and dyn front
- * ends: the first
- * tier that fires, in the order previous → store → archive, yields
- * `population` seeds. Previous and store seeds come from this group's
- * own knowledge, so they search on opt::transfer::warmBudget; archive
- * members are generic knowledge, a quality head start at the full
- * `cold_budget`. With no tier firing the search is cold, at the full
- * budget.
+ * The one warm-start cascade, run by solve() for the serve and dyn front
+ * ends: the first tier that fires, in the order previous → store →
+ * archive, yields `population` seeds. Previous and store seeds come from
+ * this group's own knowledge, so they search on
+ * opt::transfer::warmBudget; archive members are generic knowledge, a
+ * quality head start at the full `cold_budget`. With no tier firing the
+ * search is cold, at the full budget.
  *
  * Every population also gets the Herald-like heuristic mapping
  * (baselines::HeraldLike::buildMapping) as its last seed: it replaces
  * the last transferred seed, and it is the only seed of a cold search.
- * api::Runner does not seed, so offline searches keep the paper's
- * random MAGMA start. Write-back stays with the caller.
+ * api::Runner passes solve() no tiers, so offline searches keep the
+ * paper's random MAGMA start. Write-back stays with the caller.
  */
 Seeding seedSearch(const sched::MappingEvaluator& eval, int population,
                    int64_t cold_budget, const WarmTiers& tiers);
