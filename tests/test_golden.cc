@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "api/registry.h"
+#include "api/runner.h"
 #include "api/spec.h"
 #include "dyn/engine.h"
 #include "dyn/runner.h"
@@ -126,6 +127,38 @@ TEST(Golden, Nsga2FrontPinned)
     uint64_t h = fnv1a64(r.front.toText());
     EXPECT_EQ(r.samplesUsed, 400);
     EXPECT_EQ(h, 0xe0397bf5b0bd7852ull) << "actual: " << hex(h);
+}
+
+TEST(Golden, RunnerParetoReportPinned)
+{
+    // goldenProblem()'s spec through api::Runner's Pareto path: the
+    // front, the member it reports as best and the samples it spent.
+    api::ProblemSpec ps;
+    ps.task = dnn::TaskType::Mix;
+    ps.setting = accel::Setting::S2;
+    ps.systemBwGbps = 4.0;
+    ps.groupSize = 16;
+    ps.workloadSeed = 11;
+    api::SearchSpec ss;
+    ss.method = "nsga2";
+    ss.objectives = {sched::Objective::Throughput, sched::Objective::Energy};
+    ss.sampleBudget = 400;
+    ss.seed = kSeed;
+    for (int threads : {1, 2}) {
+        ss.threads = threads;
+        api::RunReport r = api::Runner().run(ps, ss);
+        ASSERT_FALSE(r.front.empty());
+        EXPECT_EQ(r.samplesUsed, 400);
+        std::string digest;
+        for (const mo::MoPoint& p : r.front)
+            digest += p.toText() + "\n";
+        digest += r.best.toText();
+        digest += " fitness=" + hex(bitsOf(r.bestFitness));
+        digest += " samples=" + std::to_string(r.samplesUsed);
+        uint64_t h = fnv1a64(digest);
+        EXPECT_EQ(h, 0xde438fb73ec35b9eull)
+            << "threads " << threads << " actual: " << hex(h);
+    }
 }
 
 namespace {
