@@ -57,10 +57,15 @@ remapSourceName(RemapSource s)
     return "?";
 }
 
-EventEngine::EventEngine(DynConfig cfg)
-    : cfg_(std::move(cfg)),
-      pool_(std::make_unique<exec::ThreadPool>(cfg_.search.threads))
+EventEngine::EventEngine(DynConfig cfg) : cfg_(std::move(cfg))
 {
+    // A re-map commits one running mapping, not a front; rejecting the
+    // objectives list beats silently replaying a scalar search.
+    if (!cfg_.search.objectives.empty())
+        throw std::invalid_argument(
+            "EventEngine: SearchSpec objectives= (multi-objective) is not "
+            "replayed; use api::Runner for Pareto-front searches");
+    pool_ = std::make_unique<exec::ThreadPool>(cfg_.search.threads);
 }
 
 void

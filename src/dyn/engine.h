@@ -121,6 +121,8 @@ struct DynResult {
  */
 class EventEngine {
   public:
+    /** Throws std::invalid_argument when `cfg.search.objectives` is
+     * non-empty: a replay runs scalar searches only. */
     explicit EventEngine(DynConfig cfg);
 
     /** Start over on a trace's base problem (platform, policy, BW). */

@@ -631,6 +631,19 @@ TEST(DynEngine, EventAccountingAndEmptyPlatform)
     EXPECT_EQ(0.0, r.finalMakespanSeconds);
 }
 
+TEST(DynEngine, ParetoSpecIsRejected)
+{
+    // A re-map commits one mapping; an objectives list would otherwise
+    // run a scalar search and drop the list without a word.
+    dyn::DynConfig cfg = fastConfig();
+    cfg.search.method = "nsga2";
+    cfg.search.objectives = {sched::Objective::Throughput,
+                             sched::Objective::Energy};
+    EXPECT_THROW(EventEngine{cfg}, std::invalid_argument);
+    cfg.search.objectives.clear();
+    EXPECT_NO_THROW(EventEngine{cfg});
+}
+
 TEST(DynEngine, StepGuardsAndTierFallbacks)
 {
     EventEngine engine(fastConfig());
