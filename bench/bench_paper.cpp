@@ -36,6 +36,7 @@
 #include "cost/cost_model.h"
 #include "dnn/model_zoo.h"
 #include "dnn/workload.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "opt/magma_ga.h"
 #include "opt/warm_start.h"
@@ -788,7 +789,8 @@ fig16(const BenchArgs& args)
             opts.sampleBudget = budget;
             opts.recordConvergence = true;
             opt::SearchResult r =
-                magma_ga.search(problemOf(ps).evaluator(), opts);
+                magma_ga.search(exec::EvalEngine(problemOf(ps).evaluator(), 1),
+                                opts);
             convergenceRow(csv, label, names[ops - 1], r.convergence,
                            budget, 99);
         }
@@ -858,7 +860,7 @@ magmaEpochs(m3e::Problem& p, int epochs, int pop,
     opt::SearchOptions opts;
     opts.sampleBudget = static_cast<int64_t>(pop) * (1 + epochs);
     opts.seeds = seeds;
-    return magma_ga.search(p.evaluator(), opts);
+    return magma_ga.search(exec::EvalEngine(p.evaluator(), 1), opts);
 }
 
 /** A Table V row: Raw, Trf-0-ep, Trf-1-ep and Trf-30-ep, each normalized

@@ -31,6 +31,7 @@
 
 #include "bench/bench_common.h"
 #include "api/runner.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "mo/nsga2.h"
 #include "mo/vector_fitness.h"
@@ -73,7 +74,8 @@ main(int argc, char** argv)
         sched::Objective::Throughput, sched::Objective::Latency,
         sched::Objective::Energy, sched::Objective::EnergyDelay,
         sched::Objective::PerfPerWatt};
-    mo::VectorFitness vf(problem->evaluator(), objectives);
+    exec::EvalEngine engine(problem->evaluator(), 1);
+    mo::VectorFitness vf(engine, objectives);
 
     // --- Five scalar MAGMA runs, one per reporting lens. ------------
     std::vector<mo::ObjectiveVector> optima_vecs;
@@ -87,7 +89,7 @@ main(int argc, char** argv)
         opt::SearchOptions opts;
         opts.sampleBudget = budget;
         double t0 = nowSeconds();
-        opt::SearchResult r = ga.search(scalar, opts);
+        opt::SearchResult r = ga.search(exec::EvalEngine(scalar, 1), opts);
         scalar_wall += nowSeconds() - t0;
         optima.push_back(r.best);
         optima_vecs.push_back(vf.evaluate(r.best));
@@ -104,7 +106,8 @@ main(int argc, char** argv)
     mo_opts.seeds = optima;  // fronts seed warm starts; searches extend them
     double t0 = nowSeconds();
     mo::MoSearchResult res =
-        nsga.searchMo(problem->evaluator(), objectives, mo_opts);
+        nsga.searchMo(exec::EvalEngine(problem->evaluator(), 1),
+                      objectives, mo_opts);
     double mo_wall = nowSeconds() - t0;
 
     const auto& pts = res.front.points();

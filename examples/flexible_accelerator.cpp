@@ -12,6 +12,7 @@
 #include "api/registry.h"
 #include "cost/cost_model.h"
 #include "dnn/model_zoo.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "opt/warm_start.h"
 
@@ -63,10 +64,12 @@ main()
             opt::SearchOptions opts;
             opts.sampleBudget = 2000;
             double ff = api::makeForPopulation("MAGMA", 1, population)
-                            ->search(fixed.evaluator(), opts)
+                            ->search(exec::EvalEngine(fixed.evaluator(), 1),
+                                     opts)
                             .bestFitness;
             double fx = api::makeForPopulation("MAGMA", 1, population)
-                            ->search(flexp.evaluator(), opts)
+                            ->search(exec::EvalEngine(flexp.evaluator(), 1),
+                                     opts)
                             .bestFitness;
             std::printf("  %-8s %6.0f %10.1f %10.1f %7.2fx\n",
                         dnn::taskTypeName(task).c_str(), bw, ff, fx,

@@ -17,6 +17,7 @@
 #include "api/registry.h"
 #include "baselines/ai_mt_like.h"
 #include "baselines/herald_like.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "opt/warm_start.h"
 
@@ -45,7 +46,8 @@ main()
         auto magma_opt = api::makeForPopulation("MAGMA", 1, population);
         opt::SearchOptions opts;
         opts.sampleBudget = 3000;
-        double magma = magma_opt->search(eval, opts).bestFitness;
+        double magma =
+            magma_opt->search(exec::EvalEngine(eval, 1), opts).bestFitness;
 
         std::printf("%8.0f %14.1f %14.1f %14.1f %9.2fx\n", bw, herald,
                     aimt, magma, magma / std::max(herald, aimt));
@@ -57,7 +59,8 @@ main()
     auto magma_opt = api::makeForPopulation("MAGMA", 1, population);
     opt::SearchOptions opts;
     opts.sampleBudget = 3000;
-    opt::SearchResult best = magma_opt->search(problem->evaluator(), opts);
+    opt::SearchResult best =
+        magma_opt->search(exec::EvalEngine(problem->evaluator(), 1), opts);
     sched::ScheduleResult sim =
         problem->evaluator().evaluate(best.best, /*record_timeline=*/true);
     analysis::TimelineExporter tl(sim, problem->group(),

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "mo/nsga2.h"
 #include "mo/vector_fitness.h"
@@ -62,8 +63,9 @@ main(int argc, char** argv)
 
     // Step 1: the five scalar optima, each reported under every lens
     // (one simulation per mapping via VectorFitness).
-    mo::VectorFitness lens_vf(problem->evaluator(), lenses);
-    mo::VectorFitness pair_vf(problem->evaluator(), pair);
+    exec::EvalEngine engine(problem->evaluator(), 1);
+    mo::VectorFitness lens_vf(engine, lenses);
+    mo::VectorFitness pair_vf(engine, pair);
     std::printf("%-24s %12s %12s %12s %12s %12s\n", "scalar optimum of",
                 "throughput", "latency", "energy", "1/EDP", "perf/W");
     std::vector<sched::Mapping> optima;
@@ -75,7 +77,7 @@ main(int argc, char** argv)
         opt::MagmaGa ga(seed);
         opt::SearchOptions opts;
         opts.sampleBudget = budget;
-        opt::SearchResult r = ga.search(scalar, opts);
+        opt::SearchResult r = ga.search(exec::EvalEngine(scalar, 1), opts);
         mo::ObjectiveVector v = lens_vf.evaluate(r.best);
         std::printf("%-24s %12.5g %12.5g %12.5g %12.5g %12.5g\n",
                     sched::objectiveName(o).c_str(), v[0], v[1], v[2],
@@ -92,8 +94,7 @@ main(int argc, char** argv)
     opt::SearchOptions opts;
     opts.sampleBudget = budget;
     opts.seeds = optima;
-    mo::MoSearchResult res =
-        nsga.searchMo(problem->evaluator(), pair, opts);
+    mo::MoSearchResult res = nsga.searchMo(engine, pair, opts);
     const auto& pts = res.front.points();
 
     std::printf("\nNSGA-II throughput/energy front (%zu points, %lld "

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "baselines/ai_mt_like.h"
 #include "baselines/herald_like.h"
@@ -122,10 +123,19 @@ solve(const sched::MappingEvaluator& eval, const SearchSpec& spec,
 
     std::unique_ptr<opt::Optimizer> optimizer =
         makeForPopulation(spec.method, spec.seed, population);
+    const bool pareto = !spec.objectives.empty();
+    auto* mo_method = dynamic_cast<mo::MultiObjective*>(optimizer.get());
+    if (pareto && !mo_method)
+        throw std::invalid_argument(
+            "method '" + optimizer->name() +
+            "' is single-objective; a SearchSpec with objectives= "
+            "needs a mo::MultiObjective method (e.g. method=nsga2)");
     auto t0 = std::chrono::steady_clock::now();
     exec::EvalEngine engine(eval, pool);
-    opts.engine = &engine;
-    out.result = optimizer->search(eval, opts);
+    if (pareto)
+        out.pareto = mo_method->searchMo(engine, spec.objectives, opts);
+    else
+        out.result = optimizer->search(engine, opts);
     out.searchSeconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();

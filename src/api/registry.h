@@ -12,6 +12,7 @@
 #include "api/spec.h"
 #include "dnn/workload.h"
 #include "exec/thread_pool.h"
+#include "mo/nsga2.h"
 #include "mo/pareto.h"
 #include "opt/optimizer.h"
 #include "sched/evaluator.h"
@@ -167,7 +168,8 @@ Seeding seedSearch(const sched::MappingEvaluator& eval, int population,
 
 /** The outcome of one solve(). */
 struct Solved {
-    opt::SearchResult result;
+    opt::SearchResult result;   ///< a scalar search's (empty for Pareto)
+    mo::MoSearchResult pareto;  ///< a Pareto search's (empty for scalar)
     SeedSource source = SeedSource::Cold;
     int64_t budget = 0;          ///< sample budget granted to the search
     size_t seeds = 0;            ///< seeds the population started from
@@ -180,9 +182,12 @@ struct Solved {
  * dyn::EventEngine: populationFor, seedSearch (only when `tiers` is
  * given; the Runner passes none and keeps the paper's random MAGMA
  * start), makeForPopulation(spec.method, spec.seed), then the search on
- * an exec::EvalEngine over `pool`. `spec.threads` is not read; the
- * record* flags reach the search, and convergence is also recorded when
- * the store tier fires, for Trf-0-ep.
+ * an exec::EvalEngine over `pool`. A non-empty `spec.objectives` runs
+ * the method's mo::MultiObjective::searchMo instead of its scalar
+ * search, and throws std::invalid_argument for a single-objective
+ * method. `spec.threads` is not read; the record* flags reach the
+ * scalar search, and convergence is also recorded when the store tier
+ * fires, for Trf-0-ep.
  */
 Solved solve(const sched::MappingEvaluator& eval, const SearchSpec& spec,
              const WarmTiers* tiers, exec::ThreadPool& pool);

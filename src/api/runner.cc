@@ -1,15 +1,12 @@
 #include "api/runner.h"
 
-#include <chrono>
 #include <sstream>
 #include <stdexcept>
 
 #include "api/registry.h"
 #include "api/textio.h"
 #include "exec/thread_pool.h"
-#include "mo/nsga2.h"
 #include "obs/snapshot.h"
-#include "opt/warm_start.h"
 
 namespace magma::api {
 
@@ -253,29 +250,13 @@ Runner::run(const ProblemSpec& ps, const SearchSpec& ss,
     rep.search = ss;
     rep.method = OptimizerRegistry::global().resolve(ss.method);
 
+    exec::ThreadPool pool(ss.threads);
+    Solved solved = solve(eval, ss, nullptr, pool);
+    opt::SearchResult& res = solved.result;
+    rep.wallSeconds = solved.searchSeconds;
     if (multi) {
-        std::unique_ptr<opt::Optimizer> optimizer = makeForPopulation(
-            ss.method, ss.seed,
-            opt::transfer::populationFor(eval.groupSize()));
-        auto* mo_method = dynamic_cast<mo::MultiObjective*>(optimizer.get());
-        if (!mo_method)
-            throw std::invalid_argument(
-                "method '" + rep.method +
-                "' is single-objective; a SearchSpec with objectives= "
-                "needs a mo::MultiObjective method (e.g. method=nsga2)");
-
-        opt::SearchOptions opts;
-        opts.sampleBudget = ss.sampleBudget;
-        opts.threads = ss.threads;
-        auto t0 = std::chrono::steady_clock::now();
-        mo::MoSearchResult res =
-            mo_method->searchMo(eval, ss.objectives, opts);
-        rep.wallSeconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-
-        rep.front = res.front.points();
-        rep.samplesUsed = res.samplesUsed;
+        rep.front = solved.pareto.front.points();
+        rep.samplesUsed = solved.pareto.samplesUsed;
         // `best` is the front member maximizing the primary objective
         // (first wins ties — insertion order is deterministic).
         if (!rep.front.empty()) {
@@ -285,30 +266,19 @@ Runner::run(const ProblemSpec& ps, const SearchSpec& ss,
                     bi = i;
             rep.best = rep.front[bi].m;
             rep.bestFitness = rep.front[bi].objs[0];
-            sched::ScheduleResult sim = eval.evaluate(rep.best);
-            rep.makespanSeconds = sim.makespanSeconds;
-            rep.throughputGflops =
-                eval.throughputGflops(sim.makespanSeconds);
-            rep.energyJoules = eval.totalJoules(rep.best);
         }
-        rep.metricsJson = captureMetricsJson();
-        if (raw)
-            *raw = opt::SearchResult{};
-        return rep;
+    } else {
+        rep.best = res.best;
+        rep.bestFitness = res.bestFitness;
+        rep.samplesUsed = res.samplesUsed;
+        rep.convergence = res.convergence;
     }
-
-    exec::ThreadPool pool(ss.threads);
-    Solved solved = solve(eval, ss, nullptr, pool);
-    opt::SearchResult& res = solved.result;
-    sched::ScheduleResult sim = eval.evaluate(res.best);
-    rep.best = res.best;
-    rep.bestFitness = res.bestFitness;
-    rep.makespanSeconds = sim.makespanSeconds;
-    rep.throughputGflops = eval.throughputGflops(sim.makespanSeconds);
-    rep.energyJoules = eval.totalJoules(res.best);
-    rep.samplesUsed = res.samplesUsed;
-    rep.wallSeconds = solved.searchSeconds;
-    rep.convergence = res.convergence;
+    if (!multi || !rep.front.empty()) {
+        sched::ScheduleResult sim = eval.evaluate(rep.best);
+        rep.makespanSeconds = sim.makespanSeconds;
+        rep.throughputGflops = eval.throughputGflops(sim.makespanSeconds);
+        rep.energyJoules = eval.totalJoules(rep.best);
+    }
     rep.metricsJson = captureMetricsJson();
     if (raw)
         *raw = std::move(res);

@@ -58,7 +58,7 @@ struct SearchSpec {
     sched::Objective objective = sched::Objective::Throughput;
     /**
      * Multi-objective mode: a non-empty list ("objectives=throughput,
-     * energy") makes the Runner search for the Pareto front of ALL
+     * energy") makes api::solve search for the Pareto front of ALL
      * listed objectives at once (the method must implement
      * mo::MultiObjective, e.g. method=nsga2); entry 0 is the primary
      * used for scalar summaries, and the scalar `objective` key is
@@ -67,7 +67,9 @@ struct SearchSpec {
     std::vector<sched::Objective> objectives;
     int64_t sampleBudget = 10000;  ///< paper's main-experiment budget
     uint64_t seed = 1;             ///< optimizer seed
-    int threads = 1;  ///< evaluation lanes (0 = auto, see SearchOptions)
+    /** Evaluation lanes of the Runner's pool (0 = auto: MAGMA_THREADS,
+     * else hardware concurrency); results are identical at any count. */
+    int threads = 1;
     bool recordConvergence = false;
     bool recordSamples = false;
     /** Allow store-seeded warm starts when served (serve::MapRequest);

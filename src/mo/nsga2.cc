@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "exec/eval_engine.h"
 #include "mo/vector_fitness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -226,7 +227,7 @@ Nsga2::evolve(int group_size, int num_accels,
 }
 
 MoSearchResult
-Nsga2::searchMo(const sched::MappingEvaluator& eval,
+Nsga2::searchMo(const exec::EvalEngine& engine,
                 const std::vector<sched::Objective>& objectives,
                 const opt::SearchOptions& opts)
 {
@@ -234,7 +235,8 @@ Nsga2::searchMo(const sched::MappingEvaluator& eval,
         throw std::invalid_argument(
             "NSGA-II: objectives list must be non-empty");
 
-    VectorFitness vf(eval, objectives, opts.threads, opts.engine);
+    const sched::MappingEvaluator& eval = engine.evaluator();
+    VectorFitness vf(engine, objectives);
     MoSearchResult res;
     res.front = ParetoArchive(objectives, cfg_.archiveCapacity);
 

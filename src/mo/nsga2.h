@@ -26,7 +26,7 @@ struct MoSearchResult {
 
 /**
  * Interface of mapping methods that can optimize an objective VECTOR.
- * api::Runner dispatches here when a SearchSpec carries a non-empty
+ * api::solve dispatches here when a SearchSpec carries a non-empty
  * `objectives` list; registry methods that don't implement it are
  * rejected with a clear error.
  */
@@ -35,15 +35,16 @@ class MultiObjective {
     virtual ~MultiObjective() = default;
 
     /**
-     * Search `eval`'s problem for the Pareto front of `objectives`
-     * (order defines the reported vectors; entry 0 is the primary used
-     * for scalar summaries). Spends opts.sampleBudget simulations total
-     * — each candidate is simulated once for ALL objectives. Uses
-     * opts.threads/engine/seeds; recordConvergence and
+     * Search `engine.evaluator()`'s problem for the Pareto front of
+     * `objectives` (order defines the reported vectors; entry 0 is the
+     * primary used for scalar summaries), scoring every candidate on
+     * `engine`. Spends opts.sampleBudget simulations total — each
+     * candidate is simulated once for ALL objectives. Uses
+     * opts.sampleBudget and opts.seeds; recordConvergence and
      * recordSamples are scalar-path knobs and are ignored.
      */
     virtual MoSearchResult searchMo(
-        const sched::MappingEvaluator& eval,
+        const exec::EvalEngine& engine,
         const std::vector<sched::Objective>& objectives,
         const opt::SearchOptions& opts = {}) = 0;
 };
@@ -89,7 +90,7 @@ class Nsga2 : public opt::Optimizer, public MultiObjective {
     std::string name() const override { return "NSGA-II"; }
     const Nsga2Config& config() const { return cfg_; }
 
-    MoSearchResult searchMo(const sched::MappingEvaluator& eval,
+    MoSearchResult searchMo(const exec::EvalEngine& engine,
                             const std::vector<sched::Objective>& objectives,
                             const opt::SearchOptions& opts = {}) override;
 

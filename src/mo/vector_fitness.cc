@@ -1,30 +1,16 @@
 #include "mo/vector_fitness.h"
 
-#include <cassert>
-
 #include "exec/eval_engine.h"
 
 namespace magma::mo {
 
-VectorFitness::VectorFitness(const sched::MappingEvaluator& eval,
-                             std::vector<sched::Objective> objectives,
-                             int threads, exec::EvalEngine* engine)
-    : eval_(&eval),
+VectorFitness::VectorFitness(const exec::EvalEngine& engine,
+                             std::vector<sched::Objective> objectives)
+    : engine_(&engine),
       objectives_(std::move(objectives)),
-      engine_(engine),
-      total_flops_(eval.group().totalFlops())
+      total_flops_(engine.evaluator().group().totalFlops())
 {
-    if (engine_) {
-        // A borrowed engine must wrap the same evaluator, like
-        // SearchOptions::engine.
-        assert(&engine_->evaluator() == &eval);
-    } else {
-        owned_engine_ = std::make_unique<exec::EvalEngine>(eval, threads);
-        engine_ = owned_engine_.get();
-    }
 }
-
-VectorFitness::~VectorFitness() = default;
 
 ObjectiveVector
 VectorFitness::fromSimPoint(const sched::SimPoint& sp) const

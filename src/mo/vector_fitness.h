@@ -1,7 +1,6 @@
 #ifndef MAGMA_MO_VECTOR_FITNESS_H_
 #define MAGMA_MO_VECTOR_FITNESS_H_
 
-#include <memory>
 #include <vector>
 
 #include "mo/pareto.h"
@@ -34,21 +33,17 @@ namespace magma::mo {
 class VectorFitness {
   public:
     /**
-     * `threads` follows opt::SearchOptions semantics (0 = auto). Pass
-     * `engine` to borrow an existing exec::EvalEngine (overrides
-     * threads; must wrap `eval` and outlive this).
+     * Scores `engine.evaluator()`'s problem on `engine`, which must
+     * outlive this.
      */
-    VectorFitness(const sched::MappingEvaluator& eval,
-                  std::vector<sched::Objective> objectives, int threads = 1,
-                  exec::EvalEngine* engine = nullptr);
-    ~VectorFitness();
+    VectorFitness(const exec::EvalEngine& engine,
+                  std::vector<sched::Objective> objectives);
 
     const std::vector<sched::Objective>& objectives() const
     {
         return objectives_;
     }
     int arity() const { return static_cast<int>(objectives_.size()); }
-    const sched::MappingEvaluator& evaluator() const { return *eval_; }
 
     /**
      * Objective vectors of a whole generation, submission order; one
@@ -64,10 +59,8 @@ class VectorFitness {
     ObjectiveVector fromSimPoint(const sched::SimPoint& sp) const;
 
   private:
-    const sched::MappingEvaluator* eval_;
+    const exec::EvalEngine* engine_;
     std::vector<sched::Objective> objectives_;
-    std::unique_ptr<exec::EvalEngine> owned_engine_;
-    exec::EvalEngine* engine_;
     int64_t total_flops_;
 };
 

@@ -28,28 +28,17 @@ optMetrics()
 
 }  // namespace
 
-SearchRecorder::SearchRecorder(const sched::MappingEvaluator& eval,
+SearchRecorder::SearchRecorder(const exec::EvalEngine& engine,
                                const SearchOptions& opts)
     : budget_(opts.sampleBudget),
       record_convergence_(opts.recordConvergence),
       record_samples_(opts.recordSamples),
+      engine_(&engine),
       obs_counters_(obs::countersOn())
 {
     if (record_convergence_)
         result_.convergence.reserve(budget_);
-    if (opts.engine) {
-        // A reused engine must wrap the evaluator this search runs on;
-        // otherwise candidates would be scored against another problem.
-        assert(&opts.engine->evaluator() == &eval);
-        engine_ = opts.engine;
-    } else {
-        owned_engine_ =
-            std::make_unique<exec::EvalEngine>(eval, opts.threads);
-        engine_ = owned_engine_.get();
-    }
 }
-
-SearchRecorder::~SearchRecorder() = default;
 
 void
 SearchRecorder::record(const sched::Mapping& m, double f)
@@ -203,14 +192,13 @@ GaPopulation::advance(SearchRecorder& rec, int first, bool bound)
 }
 
 SearchResult
-Optimizer::search(const sched::MappingEvaluator& eval,
-                  const SearchOptions& opts)
+Optimizer::search(const exec::EvalEngine& engine, const SearchOptions& opts)
 {
     // span payload: i = samples used, a = best fitness
     obs::Scope scope("opt.search", 0);
-    SearchRecorder rec(eval, opts);
+    SearchRecorder rec(engine, opts);
     if (!rec.exhausted())
-        run(eval, opts, rec);
+        run(engine.evaluator(), opts, rec);
     SearchResult result = rec.finish();
     scope.setIndex(result.samplesUsed);
     scope.payload(result.bestFitness);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,19 +30,6 @@ struct SearchOptions {
     bool recordSamples = false;
     /** Warm-start seeds injected into the initial population (Section V-C). */
     std::vector<sched::Mapping> seeds;
-    /**
-     * Evaluation lanes of the exec::EvalEngine the search scores through
-     * (1 = serial: a 1-lane pool spawns no thread; 0 = auto via the
-     * MAGMA_THREADS env var, else hardware concurrency). The fitness
-     * values, budget accounting and convergence curves are identical at
-     * every thread count — only wall-clock changes.
-     */
-    int threads = 1;
-    /**
-     * External batch engine to reuse across searches (overrides
-     * `threads`). Must outlive the search and wrap the same evaluator.
-     */
-    exec::EvalEngine* engine = nullptr;
 };
 
 /** Outcome of one search run. */
@@ -62,13 +48,13 @@ struct SearchResult {
 /**
  * Budget meter + incumbent tracker every optimizer funnels its fitness
  * calls through, so budget accounting and convergence curves are uniform
- * across methods.
+ * across methods. Candidates are scored on `engine`, which must outlive
+ * the recorder; its lane count changes only wall-clock, never a fitness
+ * value, the budget accounting or a convergence curve.
  */
 class SearchRecorder {
   public:
-    SearchRecorder(const sched::MappingEvaluator& eval,
-                   const SearchOptions& opts);
-    ~SearchRecorder();
+    SearchRecorder(const exec::EvalEngine& engine, const SearchOptions& opts);
 
     /**
      * Evaluate a candidate, spend one budget unit, update the incumbent.
@@ -115,8 +101,7 @@ class SearchRecorder {
     bool record_samples_;
     SearchResult result_;
     int64_t used_ = 0;
-    std::unique_ptr<exec::EvalEngine> owned_engine_;
-    exec::EvalEngine* engine_ = nullptr;
+    const exec::EvalEngine* engine_;
     // Counters on for this search (the level read once), plus the
     // generation cursor behind the opt.generation spans.
     bool obs_counters_ = false;
@@ -193,8 +178,11 @@ class Optimizer {
     /** Method name as the paper's plots label it. */
     virtual std::string name() const = 0;
 
-    /** Run the search against an evaluator under the given options. */
-    SearchResult search(const sched::MappingEvaluator& eval,
+    /**
+     * Run the search against `engine.evaluator()` under the given
+     * options, scoring every candidate on `engine`.
+     */
+    SearchResult search(const exec::EvalEngine& engine,
                         const SearchOptions& opts = {});
 
   protected:

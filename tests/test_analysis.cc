@@ -6,6 +6,7 @@
 #include "analysis/convergence.h"
 #include "analysis/projection.h"
 #include "analysis/timeline.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "opt/random_search.h"
 
@@ -134,8 +135,8 @@ TEST(Projector, ProjectsAllSeriesTo2D)
     opts.sampleBudget = 60;
     opts.recordSamples = true;
     opt::RandomSearch r1(1), r2(2);
-    opt::SearchResult a = r1.search(p->evaluator(), opts);
-    opt::SearchResult b = r2.search(p->evaluator(), opts);
+    opt::SearchResult a = r1.search(exec::EvalEngine(p->evaluator(), 1), opts);
+    opt::SearchResult b = r2.search(exec::EvalEngine(p->evaluator(), 1), opts);
 
     analysis::MapSpaceProjector proj;
     auto series = proj.project({"A", "B"}, {a.sampled, b.sampled},

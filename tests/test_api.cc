@@ -26,8 +26,10 @@
 #include "api/spec.h"
 #include "baselines/herald_like.h"
 #include "common/rng.h"
+#include "exec/eval_engine.h"
 #include "exec/thread_pool.h"
 #include "m3e/problem.h"
+#include "mo/nsga2.h"
 #include "mo/pareto.h"
 #include "opt/magma_ga.h"
 #include "opt/warm_start.h"
@@ -110,7 +112,7 @@ manualRun(const std::string& method, const ProblemSpec& ps,
         method, ss.seed, opt::transfer::populationFor(ps.groupSize));
     opt::SearchOptions opts;
     opts.sampleBudget = ss.sampleBudget;
-    return optimizer->search(problem->evaluator(), opts);
+    return optimizer->search(exec::EvalEngine(problem->evaluator(), 1), opts);
 }
 
 }  // namespace
@@ -352,7 +354,7 @@ TEST(Registry, DownstreamSelfRegistrationWorks)
                               8, 17);
     auto o = OptimizerRegistry::global().make("rr", 1);
     EXPECT_EQ(o->name(), "RoundRobin-test");
-    opt::SearchResult r = o->search(p->evaluator());
+    opt::SearchResult r = o->search(exec::EvalEngine(p->evaluator(), 1));
     EXPECT_GT(r.bestFitness, 0.0);
     EXPECT_EQ(r.samplesUsed, 1);
     // Duplicate registration is refused.
@@ -369,17 +371,20 @@ TEST(MakeForPopulation, MagmaTakesThePopulationBitwise)
     opt::SearchOptions opts;
     opts.sampleBudget = 200;
     auto helper = api::makeForPopulation("magma-ga", 42, 24);
-    opt::SearchResult ours = helper->search(p->evaluator(), opts);
+    opt::SearchResult ours =
+        helper->search(exec::EvalEngine(p->evaluator(), 1), opts);
     opt::MagmaConfig cfg;
     cfg.population = 24;
     opt::MagmaGa direct(42, cfg);
-    opt::SearchResult expect = direct.search(p->evaluator(), opts);
+    opt::SearchResult expect =
+        direct.search(exec::EvalEngine(p->evaluator(), 1), opts);
     EXPECT_EQ(ours.best, expect.best);
     EXPECT_EQ(ours.bestFitness, expect.bestFitness);
     EXPECT_EQ(ours.samplesUsed, expect.samplesUsed);
     // The registry default population differs, so the override is real.
     auto registry_default = OptimizerRegistry::global().make("MAGMA", 42);
-    opt::SearchResult other = registry_default->search(p->evaluator(), opts);
+    opt::SearchResult other =
+        registry_default->search(exec::EvalEngine(p->evaluator(), 1), opts);
     EXPECT_NE(ours.best, other.best);
 }
 
@@ -392,8 +397,10 @@ TEST(MakeForPopulation, OtherMethodsKeepTheirRegistryDefault)
     for (const char* name : {"PSO", "cma-es", "stdGA", "Random"}) {
         auto helper = api::makeForPopulation(name, 42, 24);
         auto registry = OptimizerRegistry::global().make(name, 42);
-        opt::SearchResult ours = helper->search(p->evaluator(), opts);
-        opt::SearchResult expect = registry->search(p->evaluator(), opts);
+        opt::SearchResult ours =
+            helper->search(exec::EvalEngine(p->evaluator(), 1), opts);
+        opt::SearchResult expect =
+            registry->search(exec::EvalEngine(p->evaluator(), 1), opts);
         EXPECT_EQ(ours.best, expect.best) << name;
         EXPECT_EQ(ours.bestFitness, expect.bestFitness) << name;
         EXPECT_EQ(ours.samplesUsed, expect.samplesUsed) << name;
@@ -512,8 +519,8 @@ TEST(Solve, StoreSeededSearchMatchesTheHandWiredSequence)
     opts.sampleBudget = seeding.budget;
     opts.seeds = seeding.seeds;
     opts.recordConvergence = true;
-    opt::SearchResult expect =
-        api::makeForPopulation("MAGMA", 7, pop)->search(eval, opts);
+    opt::SearchResult expect = api::makeForPopulation("MAGMA", 7, pop)
+                                   ->search(exec::EvalEngine(eval, 1), opts);
 
     for (int threads : {1, 2}) {
         exec::ThreadPool pool(threads);
@@ -552,6 +559,37 @@ TEST(Solve, WithoutTiersSeedsNothingAndRecordsOnlyWhatTheSpecAsks)
     EXPECT_EQ(cold.result.bestFitness, recorded.result.bestFitness);
     EXPECT_EQ(300u, recorded.result.convergence.size());
     EXPECT_EQ(300u, recorded.result.sampled.size());
+}
+
+TEST(Solve, ParetoSpecRunsSearchMoOnTheCallersPool)
+{
+    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 8.0,
+                              10, 3);
+    SearchSpec spec;
+    spec.method = "nsga2";
+    spec.objectives = {sched::Objective::Throughput,
+                       sched::Objective::Energy};
+    spec.sampleBudget = 300;
+    spec.seed = 6;
+    mo::Nsga2 direct(6);
+    opt::SearchOptions opts;
+    opts.sampleBudget = 300;
+    mo::MoSearchResult expect = direct.searchMo(
+        exec::EvalEngine(p->evaluator(), 1), spec.objectives, opts);
+    for (int threads : {1, 2}) {
+        exec::ThreadPool pool(threads);
+        api::Solved solved = api::solve(p->evaluator(), spec, nullptr, pool);
+        EXPECT_EQ(expect.front, solved.pareto.front) << threads;
+        EXPECT_EQ(300, solved.pareto.samplesUsed);
+        EXPECT_EQ(0, solved.result.samplesUsed);
+        EXPECT_EQ(0, solved.result.best.size());
+    }
+
+    // A single-objective method cannot search a front.
+    spec.method = "MAGMA";
+    exec::ThreadPool pool(1);
+    EXPECT_THROW(api::solve(p->evaluator(), spec, nullptr, pool),
+                 std::invalid_argument);
 }
 
 TEST(Parity, RunnerMatchesManualPathForEveryTableIvMethod)

@@ -5,6 +5,7 @@
 #include "api/runner.h"
 #include "baselines/ai_mt_like.h"
 #include "baselines/herald_like.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 
 using namespace magma;
@@ -42,10 +43,10 @@ TEST(Baselines, SearchUsesExactlyOneSample)
     auto p = m3e::makeProblem(dnn::TaskType::Vision, accel::Setting::S1,
                               16.0, 20, 3);
     HeraldLike herald(1);
-    opt::SearchResult r = herald.search(p->evaluator());
+    opt::SearchResult r = herald.search(exec::EvalEngine(p->evaluator(), 1));
     EXPECT_EQ(r.samplesUsed, 1);
     AiMtLike aimt(1);
-    r = aimt.search(p->evaluator());
+    r = aimt.search(exec::EvalEngine(p->evaluator(), 1));
     EXPECT_EQ(r.samplesUsed, 1);
 }
 

@@ -183,7 +183,8 @@ TEST(SearchRecorderBatch, TruncatesToRemainingBudget)
     auto p = smallProblem();
     SearchOptions opts;
     opts.sampleBudget = 10;
-    opt::SearchRecorder rec(p->evaluator(), opts);
+    exec::EvalEngine engine(p->evaluator(), 1);
+    opt::SearchRecorder rec(engine, opts);
     std::vector<Mapping> batch = randomBatch(p->evaluator(), 25, 3);
 
     std::vector<double> fits = rec.evaluateBatch(batch);
@@ -202,15 +203,15 @@ TEST(SearchRecorderBatch, BitwiseIdenticalToSerialLoop)
     SearchOptions serial_opts;
     serial_opts.sampleBudget = 40;
     serial_opts.recordConvergence = true;
-    opt::SearchRecorder serial(p->evaluator(), serial_opts);
+    exec::EvalEngine serial_engine(p->evaluator(), 1);
+    opt::SearchRecorder serial(serial_engine, serial_opts);
     std::vector<double> serial_fits;
     for (const Mapping& m : batch)
         serial_fits.push_back(serial.evaluate(m));
     SearchResult sr = serial.finish();
 
-    SearchOptions batch_opts = serial_opts;
-    batch_opts.threads = 4;
-    opt::SearchRecorder batched(p->evaluator(), batch_opts);
+    exec::EvalEngine batch_engine(p->evaluator(), 4);
+    opt::SearchRecorder batched(batch_engine, serial_opts);
     std::vector<double> batch_fits = batched.evaluateBatch(batch);
     SearchResult br = batched.finish();
 
@@ -225,8 +226,8 @@ TEST(SearchRecorderBatch, BitwiseIdenticalToSerialLoop)
         EXPECT_EQ(br.convergence[i], sr.convergence[i]);
 }
 
-/** A recorder given an engine compiles no flat kernel of its own; one
- * without builds its own engine, which compiles one. */
+/** A recorder scores on its caller's engine: it compiles no flat kernel
+ * of its own. */
 TEST(SearchRecorderBatch, ExternalEngineIsUsed)
 {
     const obs::MetricsLevel saved = obs::metricsLevel();
@@ -237,17 +238,12 @@ TEST(SearchRecorderBatch, ExternalEngineIsUsed)
     exec::EvalEngine engine(p->evaluator(), 2);
     SearchOptions opts;
     opts.sampleBudget = 20;
-    opts.engine = &engine;
     const int64_t before = compiles.value();
-    opt::SearchRecorder rec(p->evaluator(), opts);
-    EXPECT_EQ(compiles.value(), before);
+    opt::SearchRecorder rec(engine, opts);
     std::vector<double> fits =
         rec.evaluateBatch(randomBatch(p->evaluator(), 20, 1));
     EXPECT_EQ(fits.size(), 20u);
-
-    opts.engine = nullptr;
-    opt::SearchRecorder own(p->evaluator(), opts);
-    EXPECT_EQ(compiles.value(), before + 1);
+    EXPECT_EQ(compiles.value(), before);
     obs::setMetricsLevel(saved);
 }
 
@@ -270,11 +266,12 @@ expectSerialBatchParity(const std::string& method)
 
     const api::OptimizerRegistry& reg = api::OptimizerRegistry::global();
     auto serial_opt = reg.make(method, /*seed=*/42);
-    SearchResult serial = serial_opt->search(p->evaluator(), opts);
+    SearchResult serial =
+        serial_opt->search(exec::EvalEngine(p->evaluator(), 1), opts);
 
-    opts.threads = 4;
     auto batch_opt = reg.make(method, /*seed=*/42);
-    SearchResult batched = batch_opt->search(p->evaluator(), opts);
+    SearchResult batched =
+        batch_opt->search(exec::EvalEngine(p->evaluator(), 4), opts);
 
     EXPECT_EQ(batched.bestFitness, serial.bestFitness) << method;
     EXPECT_EQ(batched.best, serial.best) << method;

@@ -26,6 +26,7 @@
 #include "dyn/engine.h"
 #include "dyn/runner.h"
 #include "dyn/trace.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "mo/nsga2.h"
 #include "mo/pareto.h"
@@ -105,7 +106,8 @@ TEST(Golden, SearchResultsPinned)
         auto opt = api::OptimizerRegistry::global().make(pin.method, kSeed);
         opt::SearchOptions opts;
         opts.sampleBudget = pin.budget;
-        opt::SearchResult r = opt->search(p->evaluator(), opts);
+        opt::SearchResult r =
+            opt->search(exec::EvalEngine(p->evaluator(), 1), opts);
         uint64_t fb = bitsOf(r.bestFitness);
         uint64_t bh = fnv1a64(r.best.toText());
         EXPECT_EQ(r.samplesUsed, pin.budget) << pin.method;
@@ -122,7 +124,7 @@ TEST(Golden, Nsga2FrontPinned)
     opt::SearchOptions opts;
     opts.sampleBudget = 400;
     mo::MoSearchResult r = nsga.searchMo(
-        p->evaluator(),
+        exec::EvalEngine(p->evaluator(), 1),
         {sched::Objective::Throughput, sched::Objective::Energy}, opts);
     uint64_t h = fnv1a64(r.front.toText());
     EXPECT_EQ(r.samplesUsed, 400);

@@ -8,6 +8,7 @@
 #include "api/registry.h"
 #include "baselines/ai_mt_like.h"
 #include "baselines/herald_like.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "opt/magma_ga.h"
 #include "opt/std_ga.h"
@@ -23,7 +24,7 @@ runMethod(const std::string& method, m3e::Problem& p, int64_t budget,
     auto o = api::OptimizerRegistry::global().make(method, seed);
     opt::SearchOptions opts;
     opts.sampleBudget = budget;
-    return o->search(p.evaluator(), opts).bestFitness;
+    return o->search(exec::EvalEngine(p.evaluator(), 1), opts).bestFitness;
 }
 
 }  // namespace
@@ -177,7 +178,7 @@ TEST(PaperClaims, SearchTimeIsSubSecondPerEpoch)
     opt::SearchOptions opts;
     opts.sampleBudget = 1000;  // 10 epochs at population 100
     auto t0 = std::chrono::steady_clock::now();
-    magma_ga.search(p->evaluator(), opts);
+    magma_ga.search(exec::EvalEngine(p->evaluator(), 1), opts);
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0).count();
     EXPECT_LT(secs / 10.0, 2.5);  // per-epoch bound
@@ -194,7 +195,8 @@ TEST(PaperClaims, GroupLargerThanCoresUsesAllCores)
     opt::MagmaGa magma_ga(3);
     opt::SearchOptions opts;
     opts.sampleBudget = 1500;
-    opt::SearchResult r = magma_ga.search(p->evaluator(), opts);
+    opt::SearchResult r =
+        magma_ga.search(exec::EvalEngine(p->evaluator(), 1), opts);
     sched::DecodedMapping d =
         sched::decode(r.best, p->evaluator().numAccels());
     int used = 0;

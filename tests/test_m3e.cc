@@ -4,6 +4,7 @@
 
 #include "api/registry.h"
 #include "api/runner.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 
 using namespace magma;
@@ -89,7 +90,8 @@ TEST(Factory, EveryMethodConstructsAndRunsOnce)
         auto o = api::OptimizerRegistry::global().make(m, 23);
         opt::SearchOptions opts;
         opts.sampleBudget = 30;
-        opt::SearchResult r = o->search(p->evaluator(), opts);
+        opt::SearchResult r =
+            o->search(exec::EvalEngine(p->evaluator(), 1), opts);
         EXPECT_GT(r.bestFitness, 0.0) << m;
         EXPECT_LE(r.samplesUsed, 30) << m;
     }

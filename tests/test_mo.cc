@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/runner.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "mo/nsga2.h"
 #include "mo/pareto.h"
@@ -253,7 +254,8 @@ TEST(VectorFitness, BitwiseEqualsPerObjectiveScalarEvaluation)
     auto base = mixS2Problem(group);
     common::Rng rng(42);
 
-    mo::VectorFitness vf(base->evaluator(), kAllObjectives);
+    exec::EvalEngine engine(base->evaluator(), 1);
+    mo::VectorFitness vf(engine, kAllObjectives);
     std::vector<sched::Mapping> batch;
     for (int i = 0; i < 16; ++i)
         batch.push_back(sched::Mapping::random(
@@ -265,7 +267,8 @@ TEST(VectorFitness, BitwiseEqualsPerObjectiveScalarEvaluation)
 TEST(VectorFitness, OneSamplePerCandidateNotPerObjective)
 {
     auto p = mixS2Problem(16);
-    mo::VectorFitness vf(p->evaluator(), kAllObjectives);
+    exec::EvalEngine engine(p->evaluator(), 1);
+    mo::VectorFitness vf(engine, kAllObjectives);
     p->evaluator().resetSampleCount();
     common::Rng rng(5);
     std::vector<sched::Mapping> batch;
@@ -284,8 +287,10 @@ TEST(VectorFitness, BatchIsThreadCountInvariant)
     for (int i = 0; i < 32; ++i)
         batch.push_back(
             sched::Mapping::random(18, p->evaluator().numAccels(), rng));
-    mo::VectorFitness serial(p->evaluator(), kAllObjectives, 1);
-    mo::VectorFitness parallel(p->evaluator(), kAllObjectives, 4);
+    exec::EvalEngine serial_engine(p->evaluator(), 1);
+    exec::EvalEngine parallel_engine(p->evaluator(), 4);
+    mo::VectorFitness serial(serial_engine, kAllObjectives);
+    mo::VectorFitness parallel(parallel_engine, kAllObjectives);
     EXPECT_EQ(serial.evaluateBatch(batch), parallel.evaluateBatch(batch));
 }
 
@@ -298,7 +303,7 @@ TEST(Nsga2, FrontIsMutuallyNonDominated)
     opt::SearchOptions opts;
     opts.sampleBudget = 1500;
     mo::MoSearchResult res = nsga.searchMo(
-        p->evaluator(),
+        exec::EvalEngine(p->evaluator(), 1),
         {sched::Objective::Throughput, sched::Objective::Energy}, opts);
     const auto& pts = res.front.points();
     ASSERT_GE(pts.size(), 2u);  // BW-starved Mix/S2 has a real trade-off
@@ -323,8 +328,8 @@ TEST(Nsga2, BitwiseIdenticalAcrossThreadCountsAndToScalarEvaluators)
         mo::Nsga2 nsga(7);
         opt::SearchOptions opts;
         opts.sampleBudget = 1200;
-        opts.threads = threads;
-        return nsga.searchMo(p->evaluator(), objectives, opts);
+        return nsga.searchMo(exec::EvalEngine(p->evaluator(), threads),
+                             objectives, opts);
     };
 
     mo::MoSearchResult serial = run(1);
@@ -349,7 +354,7 @@ TEST(Nsga2, BudgetTruncationMidGeneration)
     opt::SearchOptions opts;
     opts.sampleBudget = 150;  // pop 100: truncates the second generation
     mo::MoSearchResult res = nsga.searchMo(
-        p->evaluator(),
+        exec::EvalEngine(p->evaluator(), 1),
         {sched::Objective::Throughput, sched::Objective::Energy}, opts);
     EXPECT_EQ(res.samplesUsed, 150);
     EXPECT_FALSE(res.front.empty());
@@ -366,7 +371,8 @@ TEST(Nsga2, FrontCoversOrBeatsAllFiveScalarOptima)
     opt::SearchOptions scalar_opts;
     scalar_opts.sampleBudget = 800;
 
-    mo::VectorFitness vf(p->evaluator(), kAllObjectives);
+    exec::EvalEngine engine(p->evaluator(), 1);
+    mo::VectorFitness vf(engine, kAllObjectives);
     std::vector<sched::Mapping> optima;
     std::vector<ObjectiveVector> optima_vecs;
     for (sched::Objective o : kAllObjectives) {
@@ -375,7 +381,8 @@ TEST(Nsga2, FrontCoversOrBeatsAllFiveScalarOptima)
                                        sched::BwPolicy::Proportional,
                                        nullptr, o);
         opt::MagmaGa ga(11);
-        opt::SearchResult r = ga.search(scalar, scalar_opts);
+        opt::SearchResult r =
+            ga.search(exec::EvalEngine(scalar, 1), scalar_opts);
         optima.push_back(r.best);
         optima_vecs.push_back(vf.evaluate(r.best));
     }
@@ -387,7 +394,7 @@ TEST(Nsga2, FrontCoversOrBeatsAllFiveScalarOptima)
     mo_opts.sampleBudget = 2000;
     mo_opts.seeds = optima;
     mo::MoSearchResult res =
-        nsga.searchMo(p->evaluator(), kAllObjectives, mo_opts);
+        nsga.searchMo(engine, kAllObjectives, mo_opts);
     const auto& pts = res.front.points();
     ASSERT_FALSE(pts.empty());
 
@@ -412,16 +419,17 @@ TEST(Nsga2, ScalarModeBehavesLikeAnOptimizer)
     opt::SearchOptions opts;
     opts.sampleBudget = 600;
     mo::Nsga2 a(5), b(5);
-    opt::SearchResult ra = a.search(p->evaluator(), opts);
-    opt::SearchResult rb = b.search(p->evaluator(), opts);
+    opt::SearchResult ra = a.search(exec::EvalEngine(p->evaluator(), 1), opts);
+    opt::SearchResult rb = b.search(exec::EvalEngine(p->evaluator(), 1), opts);
     EXPECT_EQ(ra.best, rb.best);
     EXPECT_EQ(ra.bestFitness, rb.bestFitness);
     EXPECT_EQ(ra.samplesUsed, 600);
     EXPECT_GT(ra.bestFitness, 0.0);
 
     mo::Nsga2 empty(5);
-    EXPECT_THROW(empty.searchMo(p->evaluator(), {}, opts),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        empty.searchMo(exec::EvalEngine(p->evaluator(), 1), {}, opts),
+        std::invalid_argument);
 }
 
 // ------------------------------------------------- api/ wiring ---

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "opt/magma_ga.h"
 
@@ -138,11 +139,13 @@ TEST(Objectives, SearchUnderEnergyPrefersLowEnergyMappings)
 
     auto p_tp = problem(9, Objective::Throughput);
     opt::MagmaGa m1(1);
-    sched::Mapping best_tp = m1.search(p_tp->evaluator(), opts).best;
+    sched::Mapping best_tp =
+        m1.search(exec::EvalEngine(p_tp->evaluator(), 1), opts).best;
 
     auto p_en = problem(9, Objective::Energy);
     opt::MagmaGa m2(1);
-    sched::Mapping best_en = m2.search(p_en->evaluator(), opts).best;
+    sched::Mapping best_en =
+        m2.search(exec::EvalEngine(p_en->evaluator(), 1), opts).best;
 
     EXPECT_LE(p_en->evaluator().totalJoules(best_en),
               p_en->evaluator().totalJoules(best_tp) * 1.0001);

@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "dyn/engine.h"
 #include "dyn/trace.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -496,7 +497,8 @@ TEST(Observability, FixedSeedSearchBitwiseIdenticalOffVsTrace)
         opt::MagmaGa ga(9);
         opt::SearchOptions opts;
         opts.sampleBudget = 400;
-        opt::SearchResult r = ga.search(problem->evaluator(), opts);
+        opt::SearchResult r =
+            ga.search(exec::EvalEngine(problem->evaluator(), 1), opts);
         Tracer::global().drain();  // don't leak spans into later tests
         return r;
     };
@@ -729,7 +731,8 @@ TEST(Observability, FixedSeedSearchBitwiseIdenticalOffVsProfile)
         opt::MagmaGa ga(9);
         opt::SearchOptions opts;
         opts.sampleBudget = 400;
-        opt::SearchResult r = ga.search(problem->evaluator(), opts);
+        opt::SearchResult r =
+            ga.search(exec::EvalEngine(problem->evaluator(), 1), opts);
         Tracer::global().drain();  // don't leak spans into later tests
         obs::Profiler::global().reset();
         return r;
@@ -816,7 +819,8 @@ TEST(Observability, InstrumentationShapeIsPinned)
     opt::MagmaGa ga(9);
     opt::SearchOptions opts;
     opts.sampleBudget = 400;
-    opt::SearchResult result = ga.search(problem->evaluator(), opts);
+    opt::SearchResult result =
+        ga.search(exec::EvalEngine(problem->evaluator(), 1), opts);
     std::vector<TraceEvent> events;
     Shape search = drainShape(&events);
     EXPECT_EQ(search.spans, (std::map<std::string, int>{
@@ -834,7 +838,9 @@ TEST(Observability, InstrumentationShapeIsPinned)
                                   {gen + "/exec.eval.batch/sched.flat.simulate",
                                    400},
                                   {gen + "/opt.record", 5},
-                                  {"opt.search/sched.flat.compile", 1},
+                                  // The caller builds the engine, so the
+                                  // kernel compiles before the search.
+                                  {"sched.flat.compile", 1},
                               }));
     const TraceEvent* opt_search = nullptr;
     const TraceEvent* last_generation = nullptr;

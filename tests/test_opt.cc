@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "api/registry.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "obs/metrics.h"
 #include "opt/cma_es.h"
@@ -62,7 +63,8 @@ TEST(SearchRecorder, EnforcesBudgetAndTracksBest)
     auto p = smallProblem();
     SearchOptions opts;
     opts.sampleBudget = 7;
-    opt::SearchRecorder rec(p->evaluator(), opts);
+    exec::EvalEngine engine(p->evaluator(), 1);
+    opt::SearchRecorder rec(engine, opts);
     common::Rng rng(1);
     double best = -1e300;
     for (int i = 0; i < 7; ++i) {
@@ -85,7 +87,7 @@ TEST(SearchRecorder, ConvergenceCurveMonotone)
     opts.sampleBudget = 50;
     opts.recordConvergence = true;
     opt::RandomSearch rs(3);
-    SearchResult r = rs.search(p->evaluator(), opts);
+    SearchResult r = rs.search(exec::EvalEngine(p->evaluator(), 1), opts);
     ASSERT_EQ(r.convergence.size(), 50u);
     for (size_t i = 1; i < r.convergence.size(); ++i)
         EXPECT_GE(r.convergence[i], r.convergence[i - 1]);
@@ -99,7 +101,7 @@ TEST(SearchRecorder, RecordsSamplesWhenAsked)
     opts.sampleBudget = 20;
     opts.recordSamples = true;
     opt::RandomSearch rs(4);
-    SearchResult r = rs.search(p->evaluator(), opts);
+    SearchResult r = rs.search(exec::EvalEngine(p->evaluator(), 1), opts);
     EXPECT_EQ(r.sampled.size(), 20u);
     EXPECT_EQ(r.sampledFitness.size(), 20u);
 }
@@ -115,7 +117,8 @@ TEST_P(BudgetSweep, EveryMethodRespectsBudget)
     auto optimizer = make(GetParam(), 5);
     SearchOptions opts;
     opts.sampleBudget = 120;
-    SearchResult r = optimizer->search(p->evaluator(), opts);
+    SearchResult r =
+        optimizer->search(exec::EvalEngine(p->evaluator(), 1), opts);
     EXPECT_LE(r.samplesUsed, 120);
     EXPECT_GT(r.samplesUsed, 0);
     EXPECT_EQ(p->evaluator().sampleCount(), r.samplesUsed);
@@ -138,8 +141,8 @@ TEST_P(SeedDeterminism, SameSeedSameResult)
     opts.sampleBudget = 150;
     auto o1 = make(GetParam(), 99);
     auto o2 = make(GetParam(), 99);
-    SearchResult r1 = o1->search(p->evaluator(), opts);
-    SearchResult r2 = o2->search(p->evaluator(), opts);
+    SearchResult r1 = o1->search(exec::EvalEngine(p->evaluator(), 1), opts);
+    SearchResult r2 = o2->search(exec::EvalEngine(p->evaluator(), 1), opts);
     EXPECT_DOUBLE_EQ(r1.bestFitness, r2.bestFitness);
     EXPECT_EQ(r1.best, r2.best);
 }
@@ -161,7 +164,8 @@ TEST_P(BeatsEarlyRandom, SearchImprovesOverFirstSamples)
     opts.sampleBudget = 600;
     opts.recordConvergence = true;
     auto optimizer = make(GetParam(), 13);
-    SearchResult r = optimizer->search(p->evaluator(), opts);
+    SearchResult r =
+        optimizer->search(exec::EvalEngine(p->evaluator(), 1), opts);
     // The incumbent after the full budget must beat the best of the first
     // 20 samples (i.e. the method actually searches).
     double early = r.convergence[19];
@@ -180,8 +184,10 @@ TEST(MagmaQuality, BeatsRandomSearchOnMixS2)
     opts.sampleBudget = 800;
     opt::MagmaGa magma_ga(7);
     opt::RandomSearch random(7);
-    double fm = magma_ga.search(p->evaluator(), opts).bestFitness;
-    double fr = random.search(p->evaluator(), opts).bestFitness;
+    double fm =
+        magma_ga.search(exec::EvalEngine(p->evaluator(), 1), opts).bestFitness;
+    double fr =
+        random.search(exec::EvalEngine(p->evaluator(), 1), opts).bestFitness;
     EXPECT_GE(fm, fr);
 }
 
@@ -223,9 +229,8 @@ magmaSearch(const sched::MappingEvaluator& ev, int threads, int population,
     opts.sampleBudget = budget;
     opts.recordConvergence = true;
     opts.recordSamples = record_samples;
-    opts.threads = threads;
     opts.seeds = seeds;
-    return ga.search(ev, opts);
+    return ga.search(exec::EvalEngine(ev, threads), opts);
 }
 
 /** Bitwise equality of two searches: best genome (its exact text),
@@ -357,7 +362,8 @@ TEST(GaPopulation, RankBreaksTiesByLaterSlot)
         seeds.push_back(i % 2 ? b : a);
     opt::GaPopulation pop(size, seeds, 16, ev.numAccels(), rng);
     SearchOptions opts;
-    opt::SearchRecorder rec(ev, opts);
+    exec::EvalEngine engine(ev, 1);
+    opt::SearchRecorder rec(engine, opts);
     ASSERT_TRUE(pop.scoreAll(rec));
     pop.rank(size);
     for (int r = 0; r < size; ++r)
@@ -559,7 +565,7 @@ TEST(MagmaOperators, AblationSwitchesDisableCrossovers)
     opt::MagmaGa mut_only(3, cfg);
     SearchOptions opts;
     opts.sampleBudget = 300;
-    SearchResult r = mut_only.search(p->evaluator(), opts);
+    SearchResult r = mut_only.search(exec::EvalEngine(p->evaluator(), 1), opts);
     EXPECT_LE(r.samplesUsed, 300);
     EXPECT_GT(r.bestFitness, 0.0);
 }
@@ -753,7 +759,8 @@ TEST(WarmStart, JobMatchedTransferBeatsRandomInitOnAverage)
     opt::SearchOptions opts;
     opts.sampleBudget = 1200;
     opt::MagmaGa magma_ga(5);
-    opt::SearchResult solved = magma_ga.search(p1->evaluator(), opts);
+    opt::SearchResult solved =
+        magma_ga.search(exec::EvalEngine(p1->evaluator(), 1), opts);
 
     common::Rng rng(87);
     const int accels = p2->evaluator().numAccels();
@@ -778,7 +785,8 @@ TEST(WarmStart, SeedsImproveInitialFitness)
     SearchOptions opts;
     opts.sampleBudget = 800;
     opt::MagmaGa magma_ga(5);
-    SearchResult solved = magma_ga.search(p1->evaluator(), opts);
+    SearchResult solved =
+        magma_ga.search(exec::EvalEngine(p1->evaluator(), 1), opts);
 
     common::Rng rng(73);
     const int accels = p2->evaluator().numAccels();

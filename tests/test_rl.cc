@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "rl/a2c.h"
 #include "rl/actor_critic.h"
@@ -273,7 +274,8 @@ TEST(ActorCritic, RolloutChargesOneSample)
                               8, 22);
     opt::SearchOptions opts;
     opts.sampleBudget = 3;
-    opt::SearchRecorder rec(p->evaluator(), opts);
+    exec::EvalEngine engine(p->evaluator(), 1);
+    opt::SearchRecorder rec(engine, opts);
     rl::ActorCritic ac(p->evaluator(), 5, /*hidden=*/16);
     common::Rng rng(5);
     rl::Episode ep = ac.rollout(rng, rec);
@@ -303,7 +305,8 @@ TEST(A2c, RunsWithinBudgetAndReturnsValidMapping)
     rl::A2c agent(3, cfg);
     opt::SearchOptions opts;
     opts.sampleBudget = 60;
-    opt::SearchResult r = agent.search(p->evaluator(), opts);
+    opt::SearchResult r =
+        agent.search(exec::EvalEngine(p->evaluator(), 1), opts);
     EXPECT_LE(r.samplesUsed, 60);
     EXPECT_GT(r.samplesUsed, 0);
     EXPECT_GT(r.bestFitness, 0.0);
@@ -325,7 +328,8 @@ TEST(Ppo2, RunsWithinBudgetAndReturnsValidMapping)
     rl::Ppo2 agent(4, cfg);
     opt::SearchOptions opts;
     opts.sampleBudget = 60;
-    opt::SearchResult r = agent.search(p->evaluator(), opts);
+    opt::SearchResult r =
+        agent.search(exec::EvalEngine(p->evaluator(), 1), opts);
     EXPECT_LE(r.samplesUsed, 60);
     EXPECT_GT(r.bestFitness, 0.0);
     EXPECT_EQ(r.best.size(), 10);
@@ -344,7 +348,8 @@ TEST(A2c, PolicyImprovesOverEpisodes)
     opt::SearchOptions opts;
     opts.sampleBudget = 500;
     opts.recordSamples = true;
-    opt::SearchResult r = agent.search(p->evaluator(), opts);
+    opt::SearchResult r =
+        agent.search(exec::EvalEngine(p->evaluator(), 1), opts);
     ASSERT_EQ(r.sampledFitness.size(), 500u);
     double early = 0.0, late = 0.0;
     for (int i = 0; i < 100; ++i) {

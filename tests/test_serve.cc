@@ -26,6 +26,7 @@
 #include "api/registry.h"
 #include "api/spec.h"
 #include "baselines/herald_like.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 #include "serve/fingerprint.h"
 #include "serve/mapping_store.h"
@@ -1130,7 +1131,7 @@ TEST(MappingService, HonorsSearchSpecMethodBitwise)
     opts.sampleBudget = r.search.sampleBudget;
     opts.seeds = {baselines::HeraldLike::buildMapping(problem->evaluator())};
     opt::SearchResult manual =
-        optimizer->search(problem->evaluator(), opts);
+        optimizer->search(exec::EvalEngine(problem->evaluator(), 1), opts);
     EXPECT_EQ(resp.best, manual.best);
     EXPECT_EQ(resp.bestFitness, manual.bestFitness);
     EXPECT_EQ(resp.samplesUsed, manual.samplesUsed);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "api/registry.h"
+#include "exec/eval_engine.h"
 #include "m3e/problem.h"
 
 using namespace magma;
@@ -74,7 +75,8 @@ TEST_P(SyntheticOptimum, ReachesNearOptimalLoadBalance)
         api::OptimizerRegistry::global().make(GetParam(), 7);
     opt::SearchOptions opts;
     opts.sampleBudget = 1500;
-    double found = optimizer->search(p->evaluator(), opts).bestFitness;
+    double found = optimizer->search(exec::EvalEngine(p->evaluator(), 1),
+                                     opts).bestFitness;
 
     // Certified bound: nobody can beat the optimum...
     EXPECT_LE(found, optimal * (1.0 + 1e-9))
@@ -125,7 +127,8 @@ TEST(SyntheticExhaustive, MagmaMatchesExhaustiveAssignmentSearch)
     auto magma_opt = api::OptimizerRegistry::global().make("MAGMA", 5);
     opt::SearchOptions opts;
     opts.sampleBudget = 4000;
-    double found = magma_opt->search(p->evaluator(), opts).bestFitness;
+    double found = magma_opt->search(exec::EvalEngine(p->evaluator(), 1),
+                                     opts).bestFitness;
     EXPECT_GE(found, 0.98 * exhaustive);
 }
 
@@ -157,7 +160,8 @@ TEST(SyntheticBw, OptimizersExploitTheLowBwCore)
     auto magma_opt = api::OptimizerRegistry::global().make("MAGMA", 3);
     opt::SearchOptions opts;
     opts.sampleBudget = 2000;
-    opt::SearchResult r = magma_opt->search(p.evaluator(), opts);
+    opt::SearchResult r =
+        magma_opt->search(exec::EvalEngine(p.evaluator(), 1), opts);
     int on_lb = 0;
     for (int a : r.best.accelSel)
         on_lb += (a == 1);
