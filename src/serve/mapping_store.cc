@@ -14,20 +14,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/textnum.h"
+#include "dnn/model.h"
+
 namespace magma::serve {
 namespace {
-
-dnn::TaskType
-taskTypeFromName(const std::string& name)
-{
-    for (dnn::TaskType t :
-         {dnn::TaskType::Vision, dnn::TaskType::Language,
-          dnn::TaskType::Recommendation, dnn::TaskType::Mix})
-        if (dnn::taskTypeName(t) == name)
-            return t;
-    throw std::invalid_argument("MappingStore: unknown task '" + name +
-                                "'");
-}
 
 dnn::LayerType
 layerTypeFromName(const std::string& name)
@@ -39,14 +30,6 @@ layerTypeFromName(const std::string& name)
             return t;
     throw std::invalid_argument("MappingStore: unknown layer type '" +
                                 name + "'");
-}
-
-std::string
-fullPrecision(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 /** FNV-1a 64-bit — the log-record payload checksum. */
@@ -79,7 +62,7 @@ writeEntry(std::ostream& os, const StoreEntry& e)
     os << "key " << e.key << "\n";
     os << "coarse " << e.coarse << "\n";
     os << "task " << dnn::taskTypeName(e.task) << "\n";
-    os << "fitness " << fullPrecision(e.fitness) << "\n";
+    os << "fitness " << common::formatDouble(e.fitness) << "\n";
     os << "samples " << e.samplesInvested << "\n";
     os << "mapping " << e.mapping.toText() << "\n";
     os << "jobs " << e.group.size() << "\n";
@@ -125,7 +108,7 @@ parseEntry(std::istream& is)
     std::string task_name;
     if (!(field("task") >> task_name))
         fail("bad task");
-    e.task = taskTypeFromName(task_name);
+    e.task = dnn::taskTypeFromName(task_name);
     if (!(field("fitness") >> e.fitness))
         fail("bad fitness");
     if (!(field("samples") >> e.samplesInvested))
@@ -139,7 +122,8 @@ parseEntry(std::istream& is)
     if (!(field("jobs") >> jobs) || jobs < 0)
         fail("bad job count");
     e.group.task = e.task;
-    e.group.jobs.reserve(jobs);
+    // The jobs vector grows as job lines parse: a declared count is not
+    // trusted with an allocation.
     for (int64_t j = 0; j < jobs; ++j) {
         auto line_is = field("job");
         dnn::Job job;
@@ -148,7 +132,7 @@ parseEntry(std::istream& is)
         if (!(line_is >> job.id >> jtask >> jtype >> l.k >> l.c >> l.y >>
               l.x >> l.r >> l.s >> l.stride >> job.batch))
             fail("bad job line '" + line + "'");
-        job.task = taskTypeFromName(jtask);
+        job.task = dnn::taskTypeFromName(jtask);
         l.type = layerTypeFromName(jtype);
         std::getline(line_is >> std::ws, job.model);
         e.group.jobs.push_back(std::move(job));
@@ -359,16 +343,18 @@ MappingStore::load(std::istream& is)
     if (!std::getline(is, line))
         fail("empty stream");
     std::istringstream header(line);
-    std::string magic, version;
-    size_t count = 0;
-    if (!(header >> magic >> version >> count) ||
+    std::string magic, version, count_text;
+    if (!(header >> magic >> version >> count_text) ||
         magic != "magma-store-snapshot" || version != "v1")
         fail("bad header '" + line + "'");
+    const size_t count =
+        common::parseNumber<size_t>("MappingStore::load: count", count_text);
 
     // Parse the whole stream before touching the store, so a malformed
-    // stream leaves the current content intact (atomic replace).
+    // stream leaves the current content intact (atomic replace). The
+    // vector grows as entries parse: the declared count is not trusted
+    // with an allocation.
     std::vector<StoreEntry> parsed;
-    parsed.reserve(count);
     for (size_t n = 0; n < count; ++n)
         parsed.push_back(parseEntry(is));
 

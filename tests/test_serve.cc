@@ -513,6 +513,83 @@ saveText(const MappingStore& store)
 
 }  // namespace
 
+TEST(MappingStore, LoadRejectsHugeDeclaredCounts)
+{
+    // Every declared count must fail as a malformed stream, not as an
+    // allocation of the size it claims.
+    accel::Platform s2 = accel::makeSetting(accel::Setting::S2, 4.0);
+    dnn::JobGroup g = makeGroup(dnn::TaskType::Mix, 8, 1);
+    Fingerprint f = serve::fingerprintOf(g, s2);
+    MappingStore store;
+    store.update(f, g.task, randomMapping(8, 4, 1), g, 5.0, 10);
+    std::ostringstream saved;
+    store.save(saved);
+    const std::string text = saved.str();
+    const std::string body = text.substr(text.find('\n') + 1);
+    ASSERT_NE(body.find("jobs 8\n"), std::string::npos);
+    std::string huge_jobs = text;
+    huge_jobs.replace(huge_jobs.find("jobs 8\n"), 7, "jobs 1000000000000\n");
+
+    for (const std::string& bad :
+         {"magma-store-snapshot v1 -1\n" + body,
+          "magma-store-snapshot v1 1000000000000\n" + body, huge_jobs}) {
+        std::stringstream is(bad);
+        EXPECT_THROW(store.load(is), std::invalid_argument) << bad;
+    }
+    EXPECT_EQ(saveText(store), text);
+}
+
+/** A put record whose entry declares a huge job count passes the
+ * checksum, so the entry parser must reject it: it ends the replay like
+ * any other invalid record. */
+TEST(MappingStoreLog, HugeJobCountRecordEndsReplay)
+{
+    const std::string log_path = "serve_store_huge_jobs_test.log";
+    std::remove(log_path.c_str());
+    dnn::JobGroup g = makeGroup(dnn::TaskType::Mix, 8, 1);
+    MappingStore store;
+    ASSERT_TRUE(store.openLog(log_path));
+    store.update(Fingerprint{"a", "coarse"}, g.task, randomMapping(8, 4, 1),
+                 g, 1.0, 5);
+    const std::string prefix = saveText(store);
+    const size_t good = slurp(log_path).size();
+    store.update(Fingerprint{"b", "coarse"}, g.task, randomMapping(8, 4, 2),
+                 g, 2.0, 5);
+    const size_t second = slurp(log_path).size();
+    store.update(Fingerprint{"c", "coarse"}, g.task, randomMapping(8, 4, 3),
+                 g, 3.0, 5);
+    store.closeLog();
+
+    // Rewrite the second record's entry with a huge job count and a
+    // matching byte count and checksum.
+    const std::string log = slurp(log_path);
+    const std::string record = log.substr(good, second - good);
+    std::string body = record.substr(record.find('\n') + 1);
+    ASSERT_NE(body.find("jobs 8\n"), std::string::npos);
+    body.replace(body.find("jobs 8\n"), 7, "jobs 1000000000000\n");
+    uint64_t h = 1469598103934665603ull;  // FNV-1a 64, as the log
+    for (unsigned char c : body) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    char sum[24];
+    std::snprintf(sum, sizeof sum, "%016llx",
+                  static_cast<unsigned long long>(h));
+    {
+        std::ofstream os(log_path, std::ios::binary | std::ios::trunc);
+        os << log.substr(0, good) << "put " << body.size() << " " << sum
+           << "\n"
+           << body << log.substr(second);
+    }
+
+    MappingStore recovered;
+    EXPECT_EQ(recovered.recover("serve_store_huge_jobs_no_snapshot",
+                                log_path),
+              1);
+    EXPECT_EQ(saveText(recovered), prefix);
+    std::remove(log_path.c_str());
+}
+
 TEST(MappingStoreLog, RecoveryAtEveryTruncationYieldsPrecrashPrefix)
 {
     // The kill -9 contract, exhaustively: truncate the append-log at
