@@ -88,9 +88,9 @@ std::unique_ptr<m3e::Problem> buildProblem(
  * The one-call facade from specs to a RunReport: builds the problem,
  * runs api::solve on `search.threads` lanes with no warm tiers (the
  * paper's random MAGMA start), picks `best` from the front of a Pareto
- * search, scores the best mapping and fills the report. For fixed seeds the result is bitwise identical to
- * hand-wiring m3e::makeProblem + makeForPopulation (tests/test_api.cc
- * locks this in).
+ * search, scores the best mapping and fills the report. For fixed seeds
+ * the result is bitwise identical to hand-wiring m3e::makeProblem +
+ * makeForPopulation (tests/test_api.cc locks this in).
  *
  * The Runner caches the problem of the last (ProblemSpec, objective)
  * pair, so sweeping methods over one workload (m3e_cli --all) re-uses

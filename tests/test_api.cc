@@ -584,12 +584,6 @@ TEST(Solve, ParetoSpecRunsSearchMoOnTheCallersPool)
         EXPECT_EQ(0, solved.result.samplesUsed);
         EXPECT_EQ(0, solved.result.best.size());
     }
-
-    // A single-objective method cannot search a front.
-    spec.method = "MAGMA";
-    exec::ThreadPool pool(1);
-    EXPECT_THROW(api::solve(p->evaluator(), spec, nullptr, pool),
-                 std::invalid_argument);
 }
 
 TEST(Parity, RunnerMatchesManualPathForEveryTableIvMethod)
