@@ -93,10 +93,10 @@ struct Workload {
 };
 
 /**
- * Bitwise parity self-check: flat vs reference fitness and full
- * ScheduleResult on `n` random candidates per objective, plus one
- * 4-thread EvalEngine batch per objective against the serial reference
- * loop. Returns the number of mismatching candidates (0 = pass).
+ * Bitwise parity self-check: flat vs reference fitness, makespan and
+ * energy on `n` random candidates per objective, plus one 4-thread
+ * EvalEngine batch per objective against the serial reference loop.
+ * Returns the number of mismatching candidates (0 = pass).
  */
 int64_t
 parityCheck(const Workload& w, uint64_t seed, int n, int64_t* checked)
@@ -121,21 +121,13 @@ parityCheck(const Workload& w, uint64_t seed, int n, int64_t* checked)
 
         for (const sched::Mapping& m : batch) {
             ++*checked;
-            if (ev.fitness(m) != flat.fitness(m, scratch)) {
-                ++bad;
-                continue;
-            }
-            sched::ScheduleResult a = ev.evaluate(m, true);
-            sched::ScheduleResult b = flat.evaluate(m, scratch, true);
-            bool events_equal = a.events.size() == b.events.size();
-            for (size_t e = 0; events_equal && e < a.events.size(); ++e)
-                events_equal = a.events[e].start == b.events[e].start &&
-                               a.events[e].end == b.events[e].end &&
-                               a.events[e].job == b.events[e].job &&
-                               a.events[e].accel == b.events[e].accel &&
-                               a.events[e].allocBw == b.events[e].allocBw;
-            if (a.makespanSeconds != b.makespanSeconds ||
-                a.finishTime != b.finishTime || !events_equal)
+            const double makespan = ev.evaluate(m).makespanSeconds;
+            const bool fitness_equal =
+                flat.fitness(m, scratch) == ev.fitness(m) &&
+                scratch.makespanSeconds() == makespan;
+            sched::SimPoint sp = flat.simPoint(m, scratch);
+            if (!fitness_equal || sp.makespanSeconds != makespan ||
+                sp.joules != ev.totalJoules(m))
                 ++bad;
         }
 

@@ -127,40 +127,6 @@ RunReport::fromText(const std::string& text)
 }
 
 std::string
-RunReport::csvHeader()
-{
-    return "task,setting,flexible,system_bw_gbps,group_size,bw_policy,"
-           "workload_seed,method,objective,sample_budget,seed,threads,"
-           "best_fitness,makespan_seconds,throughput_gflops,energy_joules,"
-           "samples_used,wall_seconds";
-}
-
-std::string
-RunReport::csvRow() const
-{
-    // In multi-objective mode bestFitness is the PRIMARY objective
-    // (objectives[0]); label it as such, not with the ignored scalar key.
-    sched::Objective reported = search.objectives.empty()
-                                    ? search.objective
-                                    : search.objectives[0];
-    std::ostringstream os;
-    os << dnn::taskTypeName(problem.task) << ','
-       << accel::settingName(problem.setting) << ','
-       << (problem.flexible ? 1 : 0) << ','
-       << formatDouble(problem.systemBwGbps) << ',' << problem.groupSize
-       << ',' << sched::bwPolicyName(problem.bwPolicy) << ','
-       << problem.workloadSeed << ',' << method << ','
-       << sched::objectiveName(reported) << ','
-       << search.sampleBudget << ',' << search.seed << ','
-       << search.threads << ',' << formatDouble(bestFitness) << ','
-       << formatDouble(makespanSeconds) << ','
-       << formatDouble(throughputGflops) << ','
-       << formatDouble(energyJoules) << ',' << samplesUsed << ','
-       << formatDouble(wallSeconds);
-    return os.str();
-}
-
-std::string
 RunReport::frontCsv() const
 {
     if (front.empty())
@@ -236,9 +202,9 @@ Runner::run(const ProblemSpec& ps, const SearchSpec& ss,
             opt::SearchResult* raw)
 {
     // Multi-objective mode: the evaluator is fixed on the PRIMARY
-    // objective (entry 0) so scalar summaries — bestFitness, samples on
-    // the shared meter — read consistently; the search itself scores
-    // all objectives from one simulation per candidate.
+    // objective (entry 0) so the scalar bestFitness reads consistently;
+    // the search itself scores all objectives from one simulation per
+    // candidate.
     const bool multi = !ss.objectives.empty();
     sched::Objective primary = multi ? ss.objectives[0] : ss.objective;
 

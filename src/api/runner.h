@@ -20,8 +20,7 @@ namespace magma::api {
  * Text form: "magma-run-report v1" header, then the key=value blocks of
  * both specs followed by the result keys — exact round-trip
  * (fromText(toText(r)) == r bitwise), so reports are durable artifacts
- * the same way specs and the MappingStore are. csvRow()/csvHeader() give
- * the one-line spreadsheet form.
+ * the same way specs and the MappingStore are.
  */
 struct RunReport {
     ProblemSpec problem;
@@ -59,9 +58,6 @@ struct RunReport {
     std::string toText() const;
     /** Exact inverse of toText(); throws std::invalid_argument. */
     static RunReport fromText(const std::string& text);
-
-    static std::string csvHeader();
-    std::string csvRow() const;
 
     /**
      * CSV of the Pareto front: "point,<objective names...>,mapping"

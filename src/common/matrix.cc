@@ -47,29 +47,11 @@ Matrix::multiply(const std::vector<double>& v) const
     return out;
 }
 
-Matrix
-Matrix::transposed() const
-{
-    Matrix out(cols_, rows_);
-    for (size_t i = 0; i < rows_; ++i)
-        for (size_t j = 0; j < cols_; ++j)
-            out.at(j, i) = at(i, j);
-    return out;
-}
-
 void
 Matrix::scale(double s)
 {
     for (double& x : data_)
         x *= s;
-}
-
-void
-Matrix::addScaled(const Matrix& other, double s)
-{
-    assert(rows_ == other.rows_ && cols_ == other.cols_);
-    for (size_t i = 0; i < data_.size(); ++i)
-        data_[i] += s * other.data_[i];
 }
 
 namespace {

@@ -39,14 +39,8 @@ class Matrix {
     /** Matrix-vector product. v.size() must equal cols(). */
     std::vector<double> multiply(const std::vector<double>& v) const;
 
-    /** Transpose. */
-    Matrix transposed() const;
-
     /** Element-wise in-place scale. */
     void scale(double s);
-
-    /** this += s * other (same shape). */
-    void addScaled(const Matrix& other, double s);
 
   private:
     size_t rows_ = 0;

@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace magma::common {
 namespace {
@@ -80,39 +79,6 @@ GeometricSkip::GeometricSkip(double p, int span)
             --g;
         floor_[b] = g;
     }
-}
-
-std::vector<int>
-Rng::permutation(int n)
-{
-    std::vector<int> p(n);
-    std::iota(p.begin(), p.end(), 0);
-    std::shuffle(p.begin(), p.end(), engine_);
-    return p;
-}
-
-std::vector<int>
-Rng::sampleWithoutReplacement(int n, int k)
-{
-    std::vector<int> p = permutation(n);
-    p.resize(k);
-    return p;
-}
-
-int
-Rng::weightedChoice(const std::vector<double>& weights)
-{
-    double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-    if (total <= 0.0)
-        return uniformInt(static_cast<int>(weights.size()));
-    double r = uniform() * total;
-    double acc = 0.0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (r < acc)
-            return static_cast<int>(i);
-    }
-    return static_cast<int>(weights.size()) - 1;
 }
 
 }  // namespace magma::common

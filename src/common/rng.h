@@ -86,8 +86,8 @@ struct BernoulliCut {
  *    the same value, decided by an integer compare: toUnit is monotone in
  *    the word, so uniform() < p exactly when the word is below the
  *    smallest word whose toUnit is at least p;
- *  - uniformInt, gauss and permutation still go through the std
- *    distributions and std::shuffle over that word stream.
+ *  - uniformInt and gauss still go through the std distributions over
+ *    that word stream.
  *
  * CounterRng (below) is the second generator: a counter-based stream
  * keyed by (key, stream, substream) that MAGMA's breeding draws from, one
@@ -183,21 +183,6 @@ class Rng {
             w - static_cast<uint64_t>(std::bit_cast<double>(bits - 1));
         return {w - gap / 2 + (bits & 1), false};
     }
-
-    /** Random permutation of [0, n). */
-    std::vector<int> permutation(int n);
-
-    /**
-     * Sample k distinct indices from [0, n) without replacement.
-     * k must be <= n.
-     */
-    std::vector<int> sampleWithoutReplacement(int n, int k);
-
-    /**
-     * Draw an index from an unnormalized non-negative weight vector.
-     * Falls back to uniform choice when all weights are zero.
-     */
-    int weightedChoice(const std::vector<double>& weights);
 
     /** Access to the raw engine for std distributions. */
     Mt19937_64& engine() { return engine_; }

@@ -192,27 +192,6 @@ WorkloadTrace::validate() const
     }
 }
 
-int
-WorkloadTrace::finalActiveJobs() const
-{
-    std::map<std::string, int> active;
-    for (const WorkloadEvent& ev : events) {
-        switch (ev.kind) {
-        case EventKind::Arrive:
-        case EventKind::Swap:
-            active[ev.bundle] = ev.jobs;
-            break;
-        case EventKind::Depart:
-            active.erase(ev.bundle);
-            break;
-        }
-    }
-    int total = 0;
-    for (const auto& [name, jobs] : active)
-        total += jobs;
-    return total;
-}
-
 std::string
 WorkloadTrace::toText() const
 {

@@ -95,9 +95,6 @@ struct WorkloadTrace {
      */
     void validate() const;
 
-    /** Number of jobs active after replaying every event. */
-    int finalActiveJobs() const;
-
     std::string toText() const;
     /** Exact inverse of toText(); validates; throws
      * std::invalid_argument. */

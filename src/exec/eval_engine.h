@@ -26,12 +26,10 @@ namespace magma::exec {
  * MappingEvaluator::fitness on every candidate (its parity contract);
  * the MappingEvaluator stays the oracle the tests compare against.
  *
- * Why this is safe without per-candidate locking: after construction a
- * MappingEvaluator is immutable — `fitness` reads the Job Analysis Table
- * and runs the BW-Allocator simulation on purely local state — except for
- * the sample meter, which is a relaxed atomic shared with the flat kernel.
- * Each lane owns its scratch exclusively (ThreadPool::parallelForLane),
- * so there is no per-thread evaluator clone to keep in sync.
+ * Why this is safe without per-candidate locking: the flat kernel is
+ * immutable after construction, and each lane owns its scratch
+ * exclusively (ThreadPool::parallelForLane), so there is no per-thread
+ * evaluator clone to keep in sync.
  *
  * Determinism: result[i] is always the fitness of batch[i], computed by
  * code bitwise-equal to the serial reference path, so a batch evaluation
@@ -71,8 +69,7 @@ class EvalEngine {
 
     /**
      * Fitness of `batch[first..first+count)`; result[i] corresponds to
-     * batch[first + i]. Each evaluated mapping counts one sample on the
-     * evaluator's meter, exactly like serial `fitness` calls.
+     * batch[first + i].
      *
      * `cutoff` is a fitness: the flat kernel may stop a candidate proven
      * to score below it at its load bound (FlatEvaluator::fitness), and
@@ -99,9 +96,9 @@ class EvalEngine {
      * substrate of mo::VectorFitness: every Section IV-C objective is a
      * closed-form function of the (makespan, joules) pair
      * (sched::objectiveFromSimulation), so a whole objective vector
-     * costs a single simulation instead of one per objective. Counts one
-     * sample per candidate, exactly like evaluateBatch; the makespans
-     * are bitwise identical to MappingEvaluator's at any thread count.
+     * costs a single simulation instead of one per objective. The
+     * makespans are bitwise identical to MappingEvaluator's at any thread
+     * count.
      */
     std::vector<sched::SimPoint> simulateBatch(const sched::Mapping* batch,
                                                size_t count) const;
@@ -114,8 +111,8 @@ class EvalEngine {
 
     /**
      * Score a single candidate on the calling thread (lane 0) — the
-     * serial path of SearchRecorder. Counts one sample. Must not be
-     * called while a batch is in flight on the same engine.
+     * serial path of SearchRecorder. Must not be called while a batch is
+     * in flight on the same engine.
      */
     double fitnessOne(const sched::Mapping& m) const;
 

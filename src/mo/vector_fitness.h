@@ -26,9 +26,8 @@ namespace magma::mo {
  * switch), so a multi-objective run costs one simulation per candidate
  * instead of one per objective with zero quality drift.
  *
- * Budget accounting: one sample per candidate on the evaluator's shared
- * meter, like every scalar path. Results are in submission order and
- * identical at any thread count.
+ * Budget accounting: one sample per candidate, like every scalar path.
+ * Results are in submission order and identical at any thread count.
  */
 class VectorFitness {
   public:

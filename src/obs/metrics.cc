@@ -237,30 +237,6 @@ Histogram::quantile(double q) const
 }
 
 void
-Histogram::merge(const Histogram& other)
-{
-    for (int i = 0; i < kNumBuckets; ++i) {
-        uint64_t c = other.buckets_[i].load(std::memory_order_relaxed);
-        if (c != 0)
-            buckets_[i].fetch_add(c, std::memory_order_relaxed);
-    }
-    count_.fetch_add(other.count(), std::memory_order_relaxed);
-    sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-    if (other.count() > 0) {
-        double omin = other.min_.load(std::memory_order_relaxed);
-        double cur = min_.load(std::memory_order_relaxed);
-        while (omin < cur && !min_.compare_exchange_weak(
-                                 cur, omin, std::memory_order_relaxed)) {
-        }
-        double omax = other.max_.load(std::memory_order_relaxed);
-        cur = max_.load(std::memory_order_relaxed);
-        while (omax > cur && !max_.compare_exchange_weak(
-                                 cur, omax, std::memory_order_relaxed)) {
-        }
-    }
-}
-
-void
 Histogram::reset()
 {
     for (auto& b : buckets_)

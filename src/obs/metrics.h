@@ -126,8 +126,7 @@ using HistogramBuckets = std::vector<std::pair<int32_t, uint64_t>>;
  * underflow bucket 0.
  *
  * Thread-safety: record() is lock-free — one relaxed atomic add on the
- * bucket plus relaxed count/sum and CAS min/max updates. merge() folds
- * another histogram in (the per-thread-shard pattern); snapshots taken
+ * bucket plus relaxed count/sum and CAS min/max updates. Snapshots taken
  * while writers are active are internally consistent per-bucket but may
  * trail in-flight records, which is fine for telemetry.
  *
@@ -170,9 +169,6 @@ class Histogram {
      * (<= ~3.2% relative error) in between. 0 when empty.
      */
     double quantile(double q) const;
-
-    /** Fold `other` into this (per-thread shard merge). */
-    void merge(const Histogram& other);
 
     /** Drop every sample. Not safe against concurrent record(). */
     void reset();

@@ -32,9 +32,6 @@ class Linear {
 
     void zeroGrad();
 
-    int inDim() const { return in_; }
-    int outDim() const { return out_; }
-
     /** Flattened parameter / gradient views (weights then biases). */
     std::vector<double*> paramPtrs();
     std::vector<double*> gradPtrs();
@@ -65,9 +62,6 @@ class Mlp {
     void zeroGrad();
     std::vector<double*> paramPtrs();
     std::vector<double*> gradPtrs();
-
-    int inDim() const { return layers_.front().inDim(); }
-    int outDim() const { return layers_.back().outDim(); }
 
   private:
     std::vector<Linear> layers_;

@@ -156,7 +156,6 @@ ScheduleResult
 MappingEvaluator::evaluate(const Mapping& m, bool record_timeline) const
 {
     assert(m.size() == group_->size());
-    samples_.fetch_add(1, std::memory_order_relaxed);
     DecodedMapping d = decode(m, numAccels());
     return allocator_.run(d, table_, record_timeline);
 }
@@ -169,7 +168,6 @@ MappingEvaluator::evaluateWithSetup(const Mapping& m,
 {
     assert(m.size() == group_->size());
     assert(static_cast<int>(setup_seconds.size()) == group_->size());
-    samples_.fetch_add(1, std::memory_order_relaxed);
     DecodedMapping d = decode(m, numAccels());
     return allocator_.run(d, table_, record_timeline, &setup_seconds);
 }

@@ -1,7 +1,6 @@
 #ifndef MAGMA_SCHED_EVALUATOR_H_
 #define MAGMA_SCHED_EVALUATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -95,10 +94,8 @@ bool objectiveNeedsEnergy(Objective o);
  * parameter, threaded through m3e::Problem/makeProblem and the api::
  * specs).
  *
- * Thread-safety: after construction the evaluator is immutable except for
- * the sample meter (a relaxed atomic), so `fitness`/`evaluate` may be
- * called concurrently from many threads — the property exec::EvalEngine
- * builds batch evaluation on.
+ * Thread-safety: the evaluator is immutable after construction, so
+ * `fitness`/`evaluate` may be called concurrently from many threads.
  */
 class MappingEvaluator {
   public:
@@ -130,7 +127,7 @@ class MappingEvaluator {
     Objective objective() const { return objective_; }
     BwPolicy bwPolicy() const { return allocator_.policy(); }
 
-    /** Objective value of an encoded mapping. Counts one sample. */
+    /** Objective value of an encoded mapping. */
     double fitness(const Mapping& m) const;
 
     /** Full simulation; optionally records the Fig. 15 timeline. */
@@ -156,23 +153,6 @@ class MappingEvaluator {
     int groupSize() const { return group_->size(); }
     int numAccels() const { return platform_->numSubAccels(); }
 
-    /** Samples (fitness calls) consumed so far — the search budget meter. */
-    int64_t sampleCount() const
-    {
-        return samples_.load(std::memory_order_relaxed);
-    }
-    void resetSampleCount() { samples_.store(0, std::memory_order_relaxed); }
-
-    /**
-     * Spend one unit of the sample meter without evaluating — how the
-     * FlatEvaluator fast path keeps budget accounting on the shared
-     * meter. Not intended for callers outside evaluation kernels.
-     */
-    void countSample() const
-    {
-        samples_.fetch_add(1, std::memory_order_relaxed);
-    }
-
     /** Throughput implied by a makespan for this group. */
     double throughputGflops(double makespan_seconds) const;
 
@@ -182,24 +162,15 @@ class MappingEvaluator {
      */
     double totalJoules(const Mapping& m) const;
 
+  private:
     /** Objective value from a simulated schedule + mapping. */
     double objectiveValue(const Mapping& m, const ScheduleResult& r) const;
 
-  private:
     const dnn::JobGroup* group_;
     const accel::Platform* platform_;
     JobAnalysisTable table_;
     BwAllocator allocator_;
     Objective objective_ = Objective::Throughput;
-    /**
-     * Sample meter. Memory order: relaxed is correct — the meter is a
-     * standalone budget count with no data published through it; every
-     * exact read happens after the batch quiesces (EvalEngine's
-     * parallelFor returns only once all lanes finished, which orders
-     * the adds before the read via the pool's batch-done mutex). See
-     * docs/concurrency.md.
-     */
-    mutable std::atomic<int64_t> samples_{0};
 };
 
 }  // namespace magma::sched

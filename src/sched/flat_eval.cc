@@ -39,7 +39,6 @@ EvalScratch::ensure(int jobs, int accels)
         return;
     jobs_ = jobs;
     accels_ = accels;
-    queue_jobs_.resize(jobs);
     queue_begin_.resize(accels + 1);
     fill_.resize(accels);
     order_.resize(jobs);
@@ -51,12 +50,10 @@ EvalScratch::ensure(int jobs, int accels)
     virt_end_.resize(accels);
     wall_end_.resize(accels);
     demand_.resize(accels);
-    finish_.resize(jobs);
 }
 
 FlatEvaluator::FlatEvaluator(const MappingEvaluator& ref)
-    : ref_(&ref),
-      jobs_(ref.groupSize()),
+    : jobs_(ref.groupSize()),
       accels_(ref.numAccels()),
       system_bw_(ref.platform().systemBwGbps),
       policy_(ref.bwPolicy()),
@@ -162,7 +159,6 @@ FlatEvaluator::decodeInto(const Mapping& m, EvalScratch& s) const
     const double* no_stall = no_stall_seconds_.data();
     const double* req = req_bw_gbps_.data();
     int32_t* fill = s.fill_.data();
-    int32_t* q = s.queue_jobs_.data();
     double* qns = s.queue_no_stall_.data();
     double* qreq = s.queue_req_bw_.data();
     for (int a = 0; a < accels; ++a)
@@ -172,7 +168,6 @@ FlatEvaluator::decodeInto(const Mapping& m, EvalScratch& s) const
         int a = sel[job];
         int32_t pos = fill[a]++;
         size_t cell = static_cast<size_t>(job) * accels + a;
-        q[pos] = job;
         qns[pos] = no_stall[cell];
         qreq[pos] = req[cell];
     }
@@ -232,17 +227,15 @@ FlatEvaluator::makespanCutoff(double fitness_cutoff) const
     return cut;
 }
 
-template <bool kRecord>
 void
 FlatEvaluator::simulateEvents(const Mapping& m, EvalScratch& s,
-                              bool record_timeline,
                               double makespan_cutoff) const
 {
     assert(m.size() == jobs_);
     obs::Scope scope("sched.flat.simulate");
     s.ensure(jobs_, accels_);
     s.bounded_ = false;
-    if (!kRecord && makespan_cutoff < kNoCutoff) {
+    if (makespan_cutoff < kNoCutoff) {
         double bound = loadBound(m, s);
         if (bound >= makespan_cutoff) {
             s.makespan_ = bound;
@@ -261,7 +254,6 @@ FlatEvaluator::simulateEvents(const Mapping& m, EvalScratch& s,
 
     // Raw-pointer views of the scratch keep the inner loop free of
     // vector indirection the optimizer cannot hoist past stores.
-    const int32_t* qjobs = s.queue_jobs_.data();
     const int32_t* qbegin = s.queue_begin_.data();
     const double* qns = s.queue_no_stall_.data();
     const double* qreq = s.queue_req_bw_.data();
@@ -269,12 +261,6 @@ FlatEvaluator::simulateEvents(const Mapping& m, EvalScratch& s,
     double* virt_end = s.virt_end_.data();
     double* wall_end = s.wall_end_.data();
     double* demand = s.demand_.data();
-    double* finish = s.finish_.data();
-
-    if constexpr (kRecord) {
-        s.events_.clear();
-        std::fill(s.finish_.begin(), s.finish_.end(), 0.0);
-    }
 
     // The remainder replays BwAllocator::run (no setup phases) on the
     // flattened queues: the same EventClock, the same launches and the
@@ -284,7 +270,7 @@ FlatEvaluator::simulateEvents(const Mapping& m, EvalScratch& s,
     int walls = 0;  // live slots with a wall end
 
     // Pop slot a's next queued job and start it now. A drained slot gets
-    // no end and no demand, and its cursor passes the queue's end by one.
+    // no end and no demand.
     auto launchNext = [&](int a) {
         virt_end[a] = kInf;
         wall_end[a] = kInf;
@@ -332,46 +318,14 @@ FlatEvaluator::simulateEvents(const Mapping& m, EvalScratch& s,
             }
         }
         clock.setDemand(total_req, system_bw);
-        const double start = clock.now;
         const int e = clock.advance(next_v, av, next_w, aw);
         if (e < 0)
             break;
         walls -= (e == aw);  // a wall phase ended
-
-        if (kRecord && record_timeline) {
-            for (int a = 0; a < num_accels; ++a) {
-                int32_t c = cursor[a];
-                if (c > qbegin[a + 1])
-                    continue;  // drained
-                ScheduleEvent ev;
-                ev.start = start;
-                ev.end = clock.now;
-                ev.job = qjobs[c - 1];
-                ev.accel = a;
-                const double req = qreq[c - 1];
-                if (demand[a] > 0.0)
-                    ev.allocBw = demand[a] / clock.stretch;
-                else if (!proportional && req > kZeroDemandGbps)
-                    ev.allocBw = std::min(req, share);
-                else
-                    ev.allocBw = req;
-                s.events_.push_back(ev);
-            }
-        }
-
-        if constexpr (kRecord)
-            finish[qjobs[cursor[e] - 1]] = clock.now;
         launchNext(e);
     }
 
     s.makespan_ = clock.now;
-}
-
-void
-FlatEvaluator::simulate(const Mapping& m, EvalScratch& s,
-                        bool record_timeline) const
-{
-    simulateEvents<true>(m, s, record_timeline, kNoCutoff);
 }
 
 double
@@ -397,30 +351,15 @@ double
 FlatEvaluator::fitness(const Mapping& m, EvalScratch& s,
                        double makespan_cutoff) const
 {
-    ref_->countSample();
-    simulateEvents<false>(m, s, false, makespan_cutoff);
+    simulateEvents(m, s, makespan_cutoff);
     return objectiveValue(m, s);
 }
 
 SimPoint
 FlatEvaluator::simPoint(const Mapping& m, EvalScratch& s) const
 {
-    ref_->countSample();
-    simulateEvents<false>(m, s, false, kNoCutoff);
+    simulateEvents(m, s, kNoCutoff);
     return {s.makespan_, totalJoules(m)};
-}
-
-ScheduleResult
-FlatEvaluator::evaluate(const Mapping& m, EvalScratch& s,
-                        bool record_timeline) const
-{
-    ref_->countSample();
-    simulate(m, s, record_timeline);
-    ScheduleResult r;
-    r.makespanSeconds = s.makespan_;
-    r.finishTime = s.finish_;
-    r.events = s.events_;
-    return r;
 }
 
 }  // namespace magma::sched

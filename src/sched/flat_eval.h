@@ -18,12 +18,10 @@ namespace magma::sched {
  * must only be used by one thread at a time; exec::EvalEngine keeps one
  * per worker lane.
  *
- * After a simulate()/evaluate() call the scratch holds the schedule
- * outcome (makespan, per-job finish times, optional timeline events)
- * until the next call overwrites it. fitness() and simPoint() take the
- * record-free path: after them only the makespan is defined, and the
- * finish times and events are stale. After a fitness() that stopped at
- * its makespan cutoff, the makespan is the load bound (bounded()).
+ * After a fitness() or simPoint() call the scratch holds the candidate's
+ * makespan until the next call overwrites it. After a fitness() that
+ * stopped at its makespan cutoff, the makespan is the load bound
+ * (bounded()).
  */
 class EvalScratch {
   public:
@@ -33,10 +31,6 @@ class EvalScratch {
     void ensure(int jobs, int accels);
 
     double makespanSeconds() const { return makespan_; }
-    /** Per-job completion times of the last simulated candidate. */
-    const std::vector<double>& finishTime() const { return finish_; }
-    /** Timeline of the last simulate(record_timeline=true) call. */
-    const std::vector<ScheduleEvent>& events() const { return events_; }
     /**
      * Whether the last call stopped at the load bound instead of
      * simulating: makespanSeconds() is then the bound, not the makespan.
@@ -49,11 +43,10 @@ class EvalScratch {
     int jobs_ = -1;
     int accels_ = -1;
 
-    // Decoded queues, flattened: queue_jobs_[queue_begin_[a] ..
-    // queue_begin_[a+1]) is sub-accelerator a's job queue in ascending
+    // Decoded queues, flattened: positions [queue_begin_[a] ..
+    // queue_begin_[a+1]) are sub-accelerator a's job queue in ascending
     // priority order (ties in job-id order) — the contiguous form of
     // DecodedMapping::queues.
-    std::vector<int32_t> queue_jobs_;   // jobs
     std::vector<int32_t> queue_begin_;  // accels + 1
     std::vector<int32_t> fill_;         // accels: decode fill cursors
     // Decode's global sort: every job in (priority, job id) order, built
@@ -63,22 +56,19 @@ class EvalScratch {
     std::vector<int32_t> bucket_begin_;  // buckets + 1
     // The Job Analysis Table cells of each queue position's (job,
     // sub-accelerator) pair, gathered in queue order by the decode, so a
-    // launch reads position `cursor` directly instead of indexing the
-    // table through queue_jobs_.
+    // launch reads position `cursor` directly.
     std::vector<double> queue_no_stall_;  // jobs: no-stall seconds
     std::vector<double> queue_req_bw_;    // jobs: required BW
 
     // Event-driven simulation state (one slot per sub-accelerator). The
-    // live slot's job is queue_jobs_[cursor_[a] - 1]. A BW-bound job has a
-    // virtual end and its demand; any other job has a wall end; a drained
-    // slot has both ends +inf and demand 0.
+    // live slot's job sits at queue position cursor_[a] - 1. A BW-bound
+    // job has a virtual end and its demand; any other job has a wall end;
+    // a drained slot has both ends +inf and demand 0.
     std::vector<int32_t> cursor_;     // next queue position
     std::vector<double> virt_end_;    // virtual end time of live job
     std::vector<double> wall_end_;    // wall end time of live job
     std::vector<double> demand_;      // required BW of BW-bound live job
 
-    std::vector<double> finish_;      // jobs: completion times
-    std::vector<ScheduleEvent> events_;
     double makespan_ = 0.0;
     bool bounded_ = false;
 };
@@ -92,27 +82,29 @@ class EvalScratch {
  * allocation and no virtual dispatch in the inner schedule-simulation
  * loop.
  *
- * Parity contract: for every mapping, fitness()/evaluate() return results
- * bitwise identical to the reference MappingEvaluator — the simulation
- * replays the exact floating-point operation sequence of
- * BwAllocator::run and MappingEvaluator::objectiveValue, so every
- * search scores exactly as it would through the reference evaluator.
+ * It only scores: the full simulations (finish times, the Fig. 15
+ * timeline, reconfiguration stalls) run on the reference evaluator.
+ *
+ * Parity contract: for every mapping, fitness() and simPoint() return
+ * results bitwise identical to the reference MappingEvaluator's fitness,
+ * makespan and totalJoules — the simulation replays the exact
+ * floating-point operation sequence of BwAllocator::run and
+ * MappingEvaluator::objectiveValue, so every search scores exactly as it
+ * would through the reference evaluator.
  *
  * Thread-safety: immutable after construction; concurrent calls are safe
- * as long as each thread passes its own EvalScratch. Samples are counted
- * on the reference evaluator's meter so budget accounting is shared
- * between both kernels.
+ * as long as each thread passes its own EvalScratch.
  *
- * Lifetime: keeps a pointer to the reference evaluator (for the sample
- * meter only); the reference must outlive the FlatEvaluator.
+ * Lifetime: the compiled columns are copies, so the FlatEvaluator keeps
+ * no reference to the evaluator it was built from.
  */
 class FlatEvaluator {
   public:
     explicit FlatEvaluator(const MappingEvaluator& ref);
 
     /**
-     * Objective value of a candidate; counts one sample. Zero-alloc and
-     * record-free: afterwards `s` holds only the makespan.
+     * Objective value of a candidate. Zero-alloc: afterwards `s` holds
+     * only the makespan.
      *
      * `makespan_cutoff` (see makespanCutoff()) skips the decode and the
      * events of a candidate proven to score below the cutoff. The load
@@ -137,38 +129,8 @@ class FlatEvaluator {
      */
     double makespanCutoff(double fitness_cutoff) const;
 
-    /**
-     * Makespan and energy of a candidate for the multi-objective layer;
-     * counts one sample. Record-free like fitness().
-     */
+    /** Makespan and energy of a candidate for the multi-objective layer. */
     SimPoint simPoint(const Mapping& m, EvalScratch& s) const;
-
-    /**
-     * Full simulation into `s` (makespan, finish times, optional
-     * timeline); counts no sample (evaluate() does). Zero-alloc in
-     * steady state: the scratch's buffers are reused across calls.
-     */
-    void simulate(const Mapping& m, EvalScratch& s,
-                  bool record_timeline = false) const;
-
-    /**
-     * Reference-shaped result for parity checks and cold paths; same
-     * numbers as simulate(), materialized as a ScheduleResult (allocates
-     * the result vectors, so not for the hot loop).
-     */
-    ScheduleResult evaluate(const Mapping& m, EvalScratch& s,
-                            bool record_timeline = false) const;
-
-    /** Objective value of the candidate simulated last into `s`. */
-    double objectiveValue(const Mapping& m, const EvalScratch& s) const;
-
-    /** Total energy (Joules) of a mapping; same sum order as reference. */
-    double totalJoules(const Mapping& m) const;
-
-    int numJobs() const { return jobs_; }
-    int numAccels() const { return accels_; }
-    Objective objective() const { return objective_; }
-    const MappingEvaluator& reference() const { return *ref_; }
 
   private:
     /**
@@ -181,20 +143,21 @@ class FlatEvaluator {
     void decodeInto(const Mapping& m, EvalScratch& s) const;
 
     /**
-     * The schedule simulation, written once for both uses. kRecord keeps
-     * per-job finish times and (with record_timeline) the timeline;
-     * without it the events compute the makespan alone. Both replay the
-     * same floating-point operations, so the makespans are identical.
+     * The schedule simulation into `s.makespan_`, or the load bound when
+     * it reaches `makespan_cutoff` (see fitness()).
      */
-    template <bool kRecord>
     void simulateEvents(const Mapping& m, EvalScratch& s,
-                        bool record_timeline,
                         double makespan_cutoff) const;
+
+    /** Objective value of the candidate simulated last into `s`. */
+    double objectiveValue(const Mapping& m, const EvalScratch& s) const;
+
+    /** Total energy (Joules) of a mapping; same sum order as reference. */
+    double totalJoules(const Mapping& m) const;
 
     /** The load bound L' of `m`; uses `s`'s slot arrays as scratch. */
     double loadBound(const Mapping& m, EvalScratch& s) const;
 
-    const MappingEvaluator* ref_;
     int jobs_ = 0;
     int accels_ = 0;
     double system_bw_ = 0.0;

@@ -97,16 +97,17 @@ MappingService::submit(MapRequest req)
     // generator and platform build outside the queue lock. This mirrors
     // serveOne()'s fingerprint exactly, so a follower adopts precisely
     // the result its own search would have produced (apart from seed).
+    // The group goes into the request, so serveOne() does not generate
+    // it again.
     std::string coalesce_key;
     if (cfg_.coalesce) {
-        dnn::JobGroup group = p.req.group;
-        if (group.jobs.empty()) {
+        if (p.req.group.jobs.empty()) {
             dnn::WorkloadGenerator gen(p.req.problem.workloadSeed);
-            group = gen.makeGroup(p.req.problem.task,
-                                  p.req.problem.groupSize);
+            p.req.group = gen.makeGroup(p.req.problem.task,
+                                        p.req.problem.groupSize);
         }
-        Fingerprint fp =
-            fingerprintOf(group, p.req.problem, p.req.search.objective);
+        Fingerprint fp = fingerprintOf(p.req.group, p.req.problem,
+                                       p.req.search.objective);
         coalesce_key = coalesceKeyOf(fp, p.req.search, p.req.writeBack,
                                      p.req.warmBudget);
     }

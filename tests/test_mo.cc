@@ -19,6 +19,7 @@
 #include "mo/nsga2.h"
 #include "mo/pareto.h"
 #include "mo/vector_fitness.h"
+#include "obs/metrics.h"
 #include "opt/magma_ga.h"
 
 using namespace magma;
@@ -269,14 +270,22 @@ TEST(VectorFitness, OneSamplePerCandidateNotPerObjective)
     auto p = mixS2Problem(16);
     exec::EvalEngine engine(p->evaluator(), 1);
     mo::VectorFitness vf(engine, kAllObjectives);
-    p->evaluator().resetSampleCount();
     common::Rng rng(5);
     std::vector<sched::Mapping> batch;
     for (int i = 0; i < 10; ++i)
         batch.push_back(
             sched::Mapping::random(16, p->evaluator().numAccels(), rng));
+    const obs::MetricsLevel saved = obs::metricsLevel();
+    obs::setMetricsLevel(obs::MetricsLevel::Counters);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+    auto scored = [&] {
+        return reg.counter("exec.eval.candidates").value() +
+               reg.counter("exec.eval.singles").value();
+    };
+    const int64_t before = scored();
     vf.evaluateBatch(batch);
-    EXPECT_EQ(p->evaluator().sampleCount(), 10);
+    EXPECT_EQ(scored() - before, 10);
+    obs::setMetricsLevel(saved);
 }
 
 TEST(VectorFitness, BatchIsThreadCountInvariant)

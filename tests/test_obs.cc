@@ -144,28 +144,6 @@ TEST(Histogram, NonPositiveAndNonFiniteLandInUnderflowBucket)
     EXPECT_EQ(b[0].second, 4u);
 }
 
-TEST(Histogram, ShardMergeEqualsCombinedRecording)
-{
-    Histogram shard_a, shard_b, combined;
-    common::Rng rng(11);
-    for (int i = 0; i < 4000; ++i) {
-        double v = std::exp(rng.uniform() * 20.0 - 10.0);
-        (i % 2 ? shard_a : shard_b).record(v);
-        combined.record(v);
-    }
-    shard_a.merge(shard_b);
-    EXPECT_EQ(shard_a.count(), combined.count());
-    // Sums accumulate in different orders; only bucket placement and the
-    // exact extremes are order-independent.
-    EXPECT_NEAR(shard_a.sum(), combined.sum(),
-                std::abs(combined.sum()) * 1e-12);
-    EXPECT_EQ(shard_a.min(), combined.min());
-    EXPECT_EQ(shard_a.max(), combined.max());
-    EXPECT_EQ(shard_a.buckets(), combined.buckets());
-    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_EQ(shard_a.quantile(q), combined.quantile(q));
-}
-
 TEST(Histogram, QuantileRelativeAccuracy)
 {
     // Uniform grid: the exact quantile is known, the histogram answer

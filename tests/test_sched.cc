@@ -511,18 +511,6 @@ TEST(Evaluator, FitnessIsFlopsOverMakespan)
     EXPECT_NEAR(problem->evaluator().fitness(m), expect, expect * 1e-12);
 }
 
-TEST(Evaluator, SampleCountTracksCalls)
-{
-    auto problem = m3e::makeProblem(dnn::TaskType::Vision,
-                                    accel::Setting::S1, 16.0, 8, 8);
-    auto& eval = problem->evaluator();
-    eval.resetSampleCount();
-    common::Rng rng(8);
-    for (int i = 0; i < 5; ++i)
-        eval.fitness(Mapping::random(8, eval.numAccels(), rng));
-    EXPECT_EQ(eval.sampleCount(), 5);
-}
-
 TEST(Evaluator, ThroughputNeverExceedsPeak)
 {
     auto problem = m3e::makeProblem(dnn::TaskType::Mix, accel::Setting::S2,
