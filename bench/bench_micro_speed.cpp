@@ -13,8 +13,10 @@
  *     exec::EvalEngine at threads = 1/2/4, so the exec-engine and
  *     FlatEvaluator speedups are measured rather than asserted,
  *   - a flat-vs-reference bitwise parity self-check over randomized
- *     candidates and all five objectives — the bench exits non-zero on
- *     any mismatch, which is what the CI perf-smoke step gates on;
+ *     candidates and all five objectives, one at a time and through
+ *     EvalEngine batches — the bench exits non-zero on any mismatch,
+ *     which is what the CI perf-smoke step gates on; the JSON's
+ *     lane_kernel metric is 1 when the batches ran the AVX2 lane kernel;
  *   - common::Rng: a bitwise check of its stream against
  *     std::mt19937_64 and the std distributions (also fatal on any
  *     mismatch) and the Bernoulli-draw rate MAGMA's mutation runs on,
@@ -94,9 +96,11 @@ struct Workload {
 
 /**
  * Bitwise parity self-check: flat vs reference fitness, makespan and
- * energy on `n` random candidates per objective, plus one 4-thread
- * EvalEngine batch per objective against the serial reference loop.
- * Returns the number of mismatching candidates (0 = pass).
+ * energy on `n` random candidates per objective, plus per objective the
+ * EvalEngine's batches against the serial reference loop: fitness at 1
+ * lane (the lane kernel where the host has AVX2) and 4 lanes, and
+ * makespan and energy at 1 lane. Returns the number of mismatching
+ * candidates (0 = pass).
  */
 int64_t
 parityCheck(const Workload& w, uint64_t seed, int n, int64_t* checked)
@@ -131,12 +135,23 @@ parityCheck(const Workload& w, uint64_t seed, int n, int64_t* checked)
                 ++bad;
         }
 
-        // Batch path: 4 flat lanes vs the serial reference loop.
-        exec::EvalEngine engine(ev, 4);
-        std::vector<double> fits = engine.evaluateBatch(batch);
+        // Batch paths vs the serial reference loop.
+        for (int lanes : {1, 4}) {
+            exec::EvalEngine engine(ev, lanes);
+            std::vector<double> fits = engine.evaluateBatch(batch);
+            for (size_t i = 0; i < batch.size(); ++i) {
+                ++*checked;
+                if (fits[i] != ev.fitness(batch[i]))
+                    ++bad;
+            }
+        }
+        exec::EvalEngine engine(ev, 1);
+        std::vector<sched::SimPoint> sims = engine.simulateBatch(batch);
         for (size_t i = 0; i < batch.size(); ++i) {
             ++*checked;
-            if (fits[i] != ev.fitness(batch[i]))
+            if (sims[i].makespanSeconds !=
+                    ev.evaluate(batch[i]).makespanSeconds ||
+                sims[i].joules != ev.totalJoules(batch[i]))
                 ++bad;
         }
     }
@@ -312,9 +327,13 @@ main(int argc, char** argv)
     // ---------------------------------------------------------- parity ---
     int64_t checked = 0;
     int64_t bad = parityCheck(w, args.seed, parity_n, &checked);
+    const bool lane_kernel = sched::FlatEvaluator::laneKernel();
     std::printf("parity self-check: %lld candidates x 5 objectives -> %s\n",
                 static_cast<long long>(checked),
                 bad == 0 ? "OK (bitwise identical)" : "FAILED");
+    std::printf("batch kernel: %s\n",
+                lane_kernel ? "AVX2 lane kernel, four candidates per pass"
+                            : "one-candidate kernel (no AVX2)");
     if (bad != 0)
         std::fprintf(stderr, "flat/reference parity FAILED on %lld of %lld "
                              "checks\n",
@@ -526,6 +545,7 @@ main(int argc, char** argv)
     json.beginObject("metrics");
     json.field("parity_ok", bad == 0);
     json.field("parity_checked", checked);
+    json.field("lane_kernel", lane_kernel ? 1 : 0);
     json.field("cost_model_query_per_sec", q_per_s);
     json.field("cost_cache_hit_per_sec", hit_per_s);
     json.field("job_table_build_per_sec", table_per_s);

@@ -5,7 +5,10 @@
  * Drives a synthetic multi-tenant request trace through a
  * serve::MappingService: `--requests` mapping requests from `--tenants`
  * round-robin tenants, each an independently drawn group of the chosen
- * task, served on `--workers` concurrent lanes. Requests whose workload
+ * task, served on `--workers` concurrent lanes. The whole trace is
+ * queued before the workers start, so at `--workers 1` the serve order
+ * (every 5th request is priority 0 and goes first) and the output
+ * repeat run to run. Requests whose workload
  * fingerprint is already in the MappingStore are warm-started on a
  * quarter of the cold budget (Section V-C / Table V, now end-to-end).
  *
@@ -28,7 +31,8 @@
  *
  * Production controls (docs/serving.md): --coalesce collapses identical
  * in-flight requests into one search, --max-queue N bounds the waiting
- * queue (overflow sheds the oldest lowest-priority request), --deadline
+ * queue (overflow sheds the oldest lowest-priority request; the trace is
+ * queued whole, so N below --requests sheds the excess), --deadline
  * SEC sheds requests that waited past SEC at dequeue. Shed/coalesced
  * requests show in the per-request table and a summary line — emitted
  * only when these flags are used, so default output is unchanged.
@@ -161,6 +165,10 @@ main(int argc, char** argv)
     cfg.storePath = args.storePath;
     cfg.coalesce = args.coalesce;
     cfg.maxQueueDepth = args.maxQueue;
+    // The workers start once the whole trace is queued, so the serve
+    // order, and with it the store each warm request sees, follows from
+    // the queue policy alone: at --workers 1 the output repeats exactly.
+    cfg.autoStart = false;
     serve::MappingService service(cfg);
     const bool production_knobs =
         args.coalesce || args.maxQueue > 0 || args.deadline > 0.0;
@@ -198,6 +206,7 @@ main(int argc, char** argv)
         req.deadlineSeconds = args.deadline;
         futures.push_back(service.submit(std::move(req)));
     }
+    service.start();
 
     if (!args.quiet)
         std::printf("\n%-4s %-10s %4s %-6s %12s %9s %9s %9s\n", "id",

@@ -1,5 +1,7 @@
 #include "exec/eval_engine.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/scope.h"
 
@@ -33,7 +35,40 @@ countBatch(size_t count)
     m.candidates.add(static_cast<int64_t>(count));
 }
 
+/**
+ * Candidates per pool iteration: each lane gets one contiguous chunk, a
+ * whole number of lane-kernel packs where the batch allows, so pooled
+ * lanes step four candidates per pass too.
+ */
+size_t
+chunkSize(size_t count, int lanes)
+{
+    constexpr size_t kPack = sched::EvalScratch::kLanes;
+    const size_t packs = (count + kPack - 1) / kPack;
+    return kPack * ((packs + lanes - 1) / static_cast<size_t>(lanes));
+}
+
 }  // namespace
+
+template <class Score>
+void
+EvalEngine::forEachChunk(size_t count, const Score& score) const
+{
+    if (pool_->numThreads() == 1) {
+        // Serial path: skip the pool's std::function dispatch — the
+        // whole batch on lane 0's scratch.
+        score(0, count, scratch_[0]);
+        return;
+    }
+    const size_t chunk = chunkSize(count, pool_->numThreads());
+    if (chunk == 0)
+        return;  // an empty batch
+    const int64_t chunks = static_cast<int64_t>((count + chunk - 1) / chunk);
+    pool_->parallelForLane(chunks, [&](int lane, int64_t c) {
+        const size_t first = static_cast<size_t>(c) * chunk;
+        score(first, std::min(chunk, count - first), scratch_[lane]);
+    });
+}
 
 std::vector<double>
 EvalEngine::evaluateBatch(const sched::Mapping* batch, size_t count,
@@ -44,23 +79,11 @@ EvalEngine::evaluateBatch(const sched::Mapping* batch, size_t count,
     obs::Scope scope("exec.eval.batch", static_cast<int64_t>(count));
     std::vector<double> fitness(count);
     const double makespan_cutoff = flat_.makespanCutoff(cutoff);
-    auto score = [&](size_t i, sched::EvalScratch& s) {
-        fitness[i] = flat_.fitness(batch[i], s, makespan_cutoff);
-        if (bounded)
-            bounded[i] = s.bounded();
-    };
-    if (pool_->numThreads() == 1) {
-        // Serial path: skip the pool's std::function dispatch — one
-        // tight loop over lane 0's scratch.
-        sched::EvalScratch& s = scratch_[0];
-        for (size_t i = 0; i < count; ++i)
-            score(i, s);
-    } else {
-        pool_->parallelForLane(
-            static_cast<int64_t>(count), [&](int lane, int64_t i) {
-                score(static_cast<size_t>(i), scratch_[lane]);
-            });
-    }
+    forEachChunk(count, [&](size_t first, size_t n, sched::EvalScratch& s) {
+        flat_.fitnessBatch(batch + first, n, makespan_cutoff, s,
+                           fitness.data() + first,
+                           bounded ? bounded + first : nullptr);
+    });
     return fitness;
 }
 
@@ -71,16 +94,9 @@ EvalEngine::simulateBatch(const sched::Mapping* batch, size_t count) const
     // span payload: i = batch size
     obs::Scope scope("exec.eval.sim_batch", static_cast<int64_t>(count));
     std::vector<sched::SimPoint> out(count);
-    if (pool_->numThreads() == 1) {
-        sched::EvalScratch& s = scratch_[0];
-        for (size_t i = 0; i < count; ++i)
-            out[i] = flat_.simPoint(batch[i], s);
-    } else {
-        pool_->parallelForLane(
-            static_cast<int64_t>(count), [&](int lane, int64_t i) {
-                out[i] = flat_.simPoint(batch[i], scratch_[lane]);
-            });
-    }
+    forEachChunk(count, [&](size_t first, size_t n, sched::EvalScratch& s) {
+        flat_.simPointBatch(batch + first, n, s, out.data() + first);
+    });
     return out;
 }
 

@@ -22,7 +22,10 @@ namespace magma::exec {
  * sched::FlatEvaluator — the engine compiles the evaluator's tables
  * once at construction and keeps one reusable sched::EvalScratch per
  * worker lane, so a whole generation is evaluated without a single heap
- * allocation in the inner loop. The flat kernel is bitwise identical to
+ * allocation in the inner loop. A batch is one FlatEvaluator batch call
+ * on the serial path and one per contiguous chunk on the pool, so every
+ * lane runs the lane kernel (four candidates per pass where the host has
+ * AVX2). The flat kernel is bitwise identical to
  * MappingEvaluator::fitness on every candidate (its parity contract);
  * the MappingEvaluator stays the oracle the tests compare against.
  *
@@ -117,6 +120,14 @@ class EvalEngine {
     double fitnessOne(const sched::Mapping& m) const;
 
   private:
+    /**
+     * Calls `score(first, n, scratch)` on the batch's contiguous chunks:
+     * the whole batch on lane 0 when the pool has one lane, else one
+     * chunk per pool iteration with the running lane's scratch.
+     */
+    template <class Score>
+    void forEachChunk(size_t count, const Score& score) const;
+
     const sched::MappingEvaluator* eval_;
     std::unique_ptr<ThreadPool> owned_pool_;  // null when borrowing
     ThreadPool* pool_;

@@ -14,7 +14,7 @@ namespace magma::obs {
  * once at construction and, from one clock read at entry and one at
  * exit, feeds both sinks.
  *
- *   obs::Scope scope("sched.flat.simulate");        // profile only
+ *   obs::Scope scope("exec.cost_cache.probe");      // profile only
  *
  *   // span payload: i = batch size
  *   obs::Scope scope("exec.eval.batch", count);     // span + profile

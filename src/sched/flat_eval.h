@@ -1,6 +1,7 @@
 #ifndef MAGMA_SCHED_FLAT_EVAL_H_
 #define MAGMA_SCHED_FLAT_EVAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -21,10 +22,17 @@ namespace magma::sched {
  * After a fitness() or simPoint() call the scratch holds the candidate's
  * makespan until the next call overwrites it. After a fitness() that
  * stopped at its makespan cutoff, the makespan is the load bound
- * (bounded()).
+ * (bounded()). A batch call leaves neither value defined.
+ *
+ * The decode and slot buffers hold kLanes candidates, so the lane
+ * kernel of FlatEvaluator::fitnessBatch can step four at once; the
+ * one-candidate kernel uses lane 0.
  */
 class EvalScratch {
   public:
+    /** Candidates the lane kernel steps together. */
+    static constexpr int kLanes = 4;
+
     EvalScratch() = default;
 
     /** Size every buffer for a (jobs x accels) problem; idempotent. */
@@ -46,8 +54,10 @@ class EvalScratch {
     // Decoded queues, flattened: positions [queue_begin_[a] ..
     // queue_begin_[a+1]) are sub-accelerator a's job queue in ascending
     // priority order (ties in job-id order) — the contiguous form of
-    // DecodedMapping::queues.
-    std::vector<int32_t> queue_begin_;  // accels + 1
+    // DecodedMapping::queues. Lane l's offsets sit at l * (accels + 1)
+    // and count from l * jobs, where its part of the queue-ordered
+    // columns below starts.
+    std::vector<int32_t> queue_begin_;  // kLanes * (accels + 1)
     std::vector<int32_t> fill_;         // accels: decode fill cursors
     // Decode's global sort: every job in (priority, job id) order, built
     // by a counting sort on priority buckets and an insertion fix-up.
@@ -57,14 +67,16 @@ class EvalScratch {
     // The Job Analysis Table cells of each queue position's (job,
     // sub-accelerator) pair, gathered in queue order by the decode, so a
     // launch reads position `cursor` directly.
-    std::vector<double> queue_no_stall_;  // jobs: no-stall seconds
-    std::vector<double> queue_req_bw_;    // jobs: required BW
+    std::vector<double> queue_no_stall_;  // kLanes * jobs: no-stall s
+    std::vector<double> queue_req_bw_;    // kLanes * jobs: required BW
 
     // Event-driven simulation state (one slot per sub-accelerator). The
     // live slot's job sits at queue position cursor_[a] - 1. A BW-bound
     // job has a virtual end and its demand; any other job has a wall end;
-    // a drained slot has both ends +inf and demand 0.
-    std::vector<int32_t> cursor_;     // next queue position
+    // a drained slot has both ends +inf and demand 0. The lane kernel
+    // interleaves the lanes, slot a of lane l at a * kLanes + l, so one
+    // vector load reads a slot of every lane.
+    std::vector<int32_t> cursor_;     // kLanes * accels: next position
     std::vector<double> virt_end_;    // virtual end time of live job
     std::vector<double> wall_end_;    // wall end time of live job
     std::vector<double> demand_;      // required BW of BW-bound live job
@@ -132,25 +144,69 @@ class FlatEvaluator {
     /** Makespan and energy of a candidate for the multi-objective layer. */
     SimPoint simPoint(const Mapping& m, EvalScratch& s) const;
 
+    /**
+     * fitness() of `ms[0..n)` into `out[0..n)`, bitwise equal to n
+     * fitness() calls on the same cutoff. When `bounded` is non-null,
+     * bounded[i] says whether candidate i stopped at its load bound.
+     * Candidates the bound does not stop run through the lane kernel
+     * four at a time where laneKernel() holds; the rest, and every
+     * candidate elsewhere, run through the one-candidate kernel.
+     */
+    void fitnessBatch(const Mapping* ms, size_t n, double makespan_cutoff,
+                      EvalScratch& s, double* out,
+                      uint8_t* bounded = nullptr) const;
+
+    /** simPoint() of `ms[0..n)` into `out[0..n)`, as fitnessBatch(). */
+    void simPointBatch(const Mapping* ms, size_t n, EvalScratch& s,
+                       SimPoint* out) const;
+
+    /**
+     * Whether the batch calls step four candidates per pass on this
+     * host: an x86-64 CPU with AVX2, checked once per process.
+     */
+    static bool laneKernel();
+
   private:
     /**
-     * Decode `m` into s's flattened queues (exact decode() order) and
-     * gather each position's table cells into the queue-ordered columns.
-     * Linear passes: a counting sort of all jobs on priority buckets, an
-     * insertion fix-up within buckets, then one distribute walk into the
-     * queues (docs/architecture.md gives the exactness argument).
+     * Decode `m` into lane `lane` of s's flattened queues (exact decode()
+     * order) and gather each position's table cells into the lane's
+     * queue-ordered columns. Linear passes: a counting sort of all jobs
+     * on priority buckets, an insertion fix-up within buckets, then one
+     * distribute walk into the queues (docs/architecture.md gives the
+     * exactness argument).
      */
-    void decodeInto(const Mapping& m, EvalScratch& s) const;
+    void decodeInto(const Mapping& m, EvalScratch& s, int lane) const;
+
+    /** The schedule simulation of `m` into `s.makespan_`. */
+    void simulateEvents(const Mapping& m, EvalScratch& s) const;
 
     /**
-     * The schedule simulation into `s.makespan_`, or the load bound when
-     * it reaches `makespan_cutoff` (see fitness()).
+     * The makespans of `lane[0..kLanes)` into `makespan`: one lockstep
+     * event loop over all of them where laneKernel() holds, else one
+     * simulateEvents() each.
      */
-    void simulateEvents(const Mapping& m, EvalScratch& s,
-                        double makespan_cutoff) const;
+    void simulateLanes(const Mapping* const* lane, EvalScratch& s,
+                       double* makespan) const;
 
-    /** Objective value of the candidate simulated last into `s`. */
-    double objectiveValue(const Mapping& m, const EvalScratch& s) const;
+    /**
+     * Calls `sink(i, makespan, bounded)` once for every candidate of
+     * `ms[0..n)`: the load bound when it reaches `makespan_cutoff`, else
+     * the simulated makespan.
+     */
+    template <class Sink>
+    void forEachMakespan(const Mapping* ms, size_t n,
+                         double makespan_cutoff, EvalScratch& s,
+                         Sink&& sink) const;
+
+    /**
+     * Sets `s.makespan_` to the load bound and returns true when the
+     * bound reaches `makespan_cutoff` (see fitness()).
+     */
+    bool stopsAtBound(const Mapping& m, EvalScratch& s,
+                      double makespan_cutoff) const;
+
+    /** Objective value of `m` at makespan `makespan`. */
+    double objectiveValue(const Mapping& m, double makespan) const;
 
     /** Total energy (Joules) of a mapping; same sum order as reference. */
     double totalJoules(const Mapping& m) const;

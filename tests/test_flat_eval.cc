@@ -5,7 +5,10 @@
  * search trajectory. */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -23,6 +26,9 @@ using sched::Mapping;
 using sched::Objective;
 
 namespace {
+
+/** The makespan cutoff of fitness() that bounds nothing. */
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
 
 constexpr Objective kObjectives[] = {
     Objective::Throughput, Objective::Latency, Objective::Energy,
@@ -232,7 +238,8 @@ TEST(FlatEval, EdgeCasePrioritiesMatchReferenceDecodeOrder)
 /** Cells of zero demand (at or below kZeroDemandGbps) run on the wall
  * clock beside the BW-bound jobs, the path no cost-model table exercises:
  * a third of the cells get demand 0 or 1e-19, on both BW policies, BW
- * starved and not, under all five objectives. */
+ * starved and not, under all five objectives. The batch calls score the
+ * same candidates, so the lane kernel mixes wall and virtual phases. */
 TEST(FlatEval, ZeroDemandCellsMatchReference)
 {
     int shape = 0;
@@ -254,11 +261,27 @@ TEST(FlatEval, ZeroDemandCellsMatchReference)
                                            policy, obj);
                 FlatEvaluator flat(ev);
                 EvalScratch scratch;
+                std::vector<Mapping> batch;
                 for (int i = 0; i < 12; ++i) {
                     Mapping m = Mapping::random(40, ev.numAccels(), rng);
                     SCOPED_TRACE(testing::Message() << "shape " << shape
                                                     << " candidate " << i);
                     expectParity(ev, flat, m, scratch);
+                    batch.push_back(m);
+                }
+                std::vector<double> fits(batch.size());
+                std::vector<sched::SimPoint> sims(batch.size());
+                flat.fitnessBatch(batch.data(), batch.size(), kNoBound,
+                                  scratch, fits.data());
+                flat.simPointBatch(batch.data(), batch.size(), scratch,
+                                   sims.data());
+                for (size_t i = 0; i < batch.size(); ++i) {
+                    SCOPED_TRACE(testing::Message() << "shape " << shape
+                                                    << " batch " << i);
+                    EXPECT_EQ(fits[i], ev.fitness(batch[i]));
+                    EXPECT_EQ(sims[i].makespanSeconds,
+                              ev.evaluate(batch[i]).makespanSeconds);
+                    EXPECT_EQ(sims[i].joules, ev.totalJoules(batch[i]));
                 }
             }
         }
@@ -466,3 +489,205 @@ TEST(FlatEval, EvalEngineFourThreadBatchMatchesSerialReference)
         EXPECT_EQ(flat4.fitnessOne(batch[i]), ev.fitness(batch[i]));
 }
 
+namespace {
+
+uint64_t
+bits(double x)
+{
+    return std::bit_cast<uint64_t>(x);
+}
+
+/** The kernel's candidates scored in consecutive batches of 1, 2, ...,
+ * 9, 1, 2, ... candidates, so every pack remainder (0-3) and every
+ * split of packed and bounded candidates occurs. */
+template <class Batch>
+void
+inVaryingBatches(size_t n, Batch batch)
+{
+    size_t size = 1;
+    for (size_t first = 0; first < n; first += size, size = size % 9 + 1)
+        batch(first, std::min(size, n - first));
+}
+
+/** Candidates scored and how many stopped at the bound. */
+struct BatchCounts {
+    int64_t bounded = 0;
+    int64_t simulated = 0;
+};
+
+/** The batch calls on `cases` equal fitness(), simPoint() and the
+ * reference bit for bit, uncut and at the cutoff of the median fitness,
+ * bounded flags included; with `engine`, so do the EvalEngine's batches
+ * at 1 and 4 lanes. */
+BatchCounts
+expectBatchParity(const sched::MappingEvaluator& ev,
+                  const std::vector<Mapping>& cases, bool engine)
+{
+    const double kInf = std::numeric_limits<double>::infinity();
+    FlatEvaluator flat(ev);
+    EvalScratch one;
+    EvalScratch batch;
+    const size_t n = cases.size();
+    BatchCounts counts;
+
+    std::vector<double> exact(n);
+    std::vector<sched::SimPoint> point(n);
+    for (size_t i = 0; i < n; ++i) {
+        exact[i] = flat.fitness(cases[i], one);
+        point[i] = flat.simPoint(cases[i], one);
+        EXPECT_EQ(bits(exact[i]), bits(ev.fitness(cases[i])))
+            << "candidate " << i;
+        EXPECT_EQ(bits(point[i].makespanSeconds),
+                  bits(ev.evaluate(cases[i]).makespanSeconds))
+            << "candidate " << i;
+        EXPECT_EQ(bits(point[i].joules), bits(ev.totalJoules(cases[i])))
+            << "candidate " << i;
+    }
+    std::vector<double> sorted = exact;
+    std::sort(sorted.begin(), sorted.end());
+    const double fit_cut = sorted[n / 2];
+    const double mid = flat.makespanCutoff(fit_cut);
+    EXPECT_LT(mid, kInf);
+
+    std::vector<sched::SimPoint> points(n);
+    inVaryingBatches(n, [&](size_t first, size_t k) {
+        flat.simPointBatch(cases.data() + first, k, batch,
+                           points.data() + first);
+    });
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(bits(points[i].makespanSeconds),
+                  bits(point[i].makespanSeconds))
+            << "candidate " << i;
+        EXPECT_EQ(bits(points[i].joules), bits(point[i].joules))
+            << "candidate " << i;
+    }
+
+    for (double cutoff : {kInf, mid}) {
+        std::vector<double> got(n);
+        std::vector<uint8_t> flags(n, 2);
+        inVaryingBatches(n, [&](size_t first, size_t k) {
+            flat.fitnessBatch(cases.data() + first, k, cutoff, batch,
+                              got.data() + first, flags.data() + first);
+        });
+        for (size_t i = 0; i < n; ++i) {
+            SCOPED_TRACE(testing::Message() << cutoff << " #" << i);
+            EXPECT_EQ(bits(got[i]), bits(flat.fitness(cases[i], one, cutoff)));
+            EXPECT_EQ(flags[i], one.bounded() ? 1 : 0);
+            if (!one.bounded()) {
+                EXPECT_EQ(bits(got[i]), bits(exact[i]));
+            }
+            counts.bounded += one.bounded();
+            counts.simulated += !one.bounded();
+        }
+    }
+    if (!engine)
+        return counts;
+
+    // The engine chunks pooled batches per lane; every candidate still
+    // scores as fitness() does.
+    for (int lanes : {1, 4}) {
+        exec::EvalEngine eng(ev, lanes);
+        for (size_t k : {n, size_t{7}, size_t{1}}) {
+            SCOPED_TRACE(testing::Message() << lanes << " lanes, batch " << k);
+            std::vector<uint8_t> flags(k, 2);
+            std::vector<double> got =
+                eng.evaluateBatch(cases.data(), k, fit_cut, flags.data());
+            std::vector<double> uncut = eng.evaluateBatch(cases.data(), k);
+            std::vector<sched::SimPoint> sims =
+                eng.simulateBatch(cases.data(), k);
+            for (size_t i = 0; i < k; ++i) {
+                SCOPED_TRACE(testing::Message() << "candidate " << i);
+                EXPECT_EQ(bits(got[i]),
+                          bits(flat.fitness(cases[i], one, mid)));
+                EXPECT_EQ(flags[i], one.bounded() ? 1 : 0);
+                EXPECT_EQ(bits(uncut[i]), bits(exact[i]));
+                EXPECT_EQ(bits(sims[i].makespanSeconds),
+                          bits(point[i].makespanSeconds));
+                EXPECT_EQ(bits(sims[i].joules), bits(point[i].joules));
+            }
+        }
+    }
+    return counts;
+}
+
+}  // namespace
+
+/** The batch calls — the AVX2 lane kernel, four candidates per pass,
+ * where the host has it — equal per-candidate fitness() and simPoint()
+ * and the reference bit for bit: S1-S6, both BW policies, BW-starved
+ * and not, groups of 1 to 300, random and edge-case mappings (jobs piled
+ * on one sub-accelerator among them), in batches of 1 to 9. Each batch
+ * is scored uncut and at a mid cutoff, where the bounded flags must
+ * match too. The EvalEngine at 1 and 4 lanes is checked on the same
+ * candidates. Tables of three job profiles on identical sub-accelerators,
+ * one profile of zero demand, make end-time ties common: between slots,
+ * and between a wall end and a virtual end. */
+TEST(FlatEval, LaneBatchMatchesScalarBitwise)
+{
+    std::printf("[          ] batch kernel: %s\n",
+                FlatEvaluator::laneKernel()
+                    ? "AVX2 lane kernel, four candidates per pass"
+                    : "one-candidate kernel (no AVX2)");
+    const accel::Setting settings[] = {
+        accel::Setting::S1, accel::Setting::S2, accel::Setting::S3,
+        accel::Setting::S4, accel::Setting::S5, accel::Setting::S6};
+    int shape = 0;
+    BatchCounts total;
+    auto add = [&](BatchCounts c) {
+        total.bounded += c.bounded;
+        total.simulated += c.simulated;
+    };
+    for (accel::Setting setting : settings) {
+        for (sched::BwPolicy policy :
+             {sched::BwPolicy::Proportional, sched::BwPolicy::EvenSplit}) {
+            for (double bw : {1.0, 16.0}) {
+                for (int g : {1, 3, 24, 100, 300}) {
+                    ++shape;
+                    SCOPED_TRACE(testing::Message() << "shape " << shape);
+                    auto p = m3e::makeProblem(dnn::TaskType::Mix, setting,
+                                              bw, g, /*seed=*/shape,
+                                              Objective::Throughput, policy);
+                    const sched::MappingEvaluator& ev = p->evaluator();
+                    const int accels = ev.numAccels();
+                    common::Rng rng(900 + shape);
+                    std::vector<Mapping> cases =
+                        edgeCaseMappings(g, accels, rng);
+                    for (int i = 0; i < 27; ++i)
+                        cases.push_back(Mapping::random(g, accels, rng));
+                    add(expectBatchParity(ev, cases, g == 24 || g == 100));
+                }
+            }
+        }
+    }
+
+    for (accel::Setting setting : {accel::Setting::S1, accel::Setting::S3}) {
+        for (sched::BwPolicy policy :
+             {sched::BwPolicy::Proportional, sched::BwPolicy::EvenSplit}) {
+            for (double bw : {1.0, 1e9}) {
+                ++shape;
+                SCOPED_TRACE(testing::Message() << "tied shape " << shape);
+                auto p = m3e::makeProblem(dnn::TaskType::Mix, setting, bw,
+                                          24, /*seed=*/shape);
+                sched::JobAnalysisTable table = p->evaluator().table();
+                for (int j = 3; j < table.numJobs(); ++j)
+                    for (int a = 0; a < table.numAccels(); ++a)
+                        table.at(j, a) = table.lookup(j % 3, 0);
+                for (int a = 0; a < table.numAccels(); ++a) {
+                    for (int j = 0; j < 3; ++j)
+                        table.at(j, a) = table.lookup(j, 0);
+                    table.at(2, a).reqBwGbps = 0.0;
+                }
+                sched::MappingEvaluator ev(p->group(), p->platform(), table,
+                                           policy, Objective::Throughput);
+                common::Rng rng(950 + shape);
+                std::vector<Mapping> cases;
+                for (int i = 0; i < 40; ++i)
+                    cases.push_back(Mapping::random(24, ev.numAccels(), rng));
+                add(expectBatchParity(ev, cases, true));
+            }
+        }
+    }
+    // Both sides of the cutoff are exercised.
+    EXPECT_GT(total.bounded, 1000);
+    EXPECT_GT(total.simulated, 1000);
+}

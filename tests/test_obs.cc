@@ -813,8 +813,6 @@ TEST(Observability, InstrumentationShapeIsPinned)
                                   {"opt.search/opt.breed", 4},
                                   {gen, 5},
                                   {gen + "/exec.eval.batch", 5},
-                                  {gen + "/exec.eval.batch/sched.flat.simulate",
-                                   400},
                                   {gen + "/opt.record", 5},
                                   // The caller builds the engine, so the
                                   // kernel compiles before the search.
@@ -874,7 +872,6 @@ TEST(Observability, InstrumentationShapeIsPinned)
                   {"serve.request/serve.search/opt.search/opt.breed", 24},
                   {sgen, 25},
                   {sgen + "/exec.eval.batch", 25},
-                  {sgen + "/exec.eval.batch/sched.flat.simulate", 200},
                   {sgen + "/opt.record", 25},
                   // api::solve compiles on the lane pool's engine before
                   // the search starts, and seeds (so looks the store up)
@@ -928,7 +925,6 @@ TEST(Observability, InstrumentationShapeIsPinned)
                   {"dyn.remap.search/opt.search/opt.breed", 36},
                   {dgen, 39},
                   {dgen + "/exec.eval.batch", 39},
-                  {dgen + "/exec.eval.batch/sched.flat.simulate", 240},
                   {dgen + "/opt.record", 39},
                   // The step compiles on its own pool's engine, before
                   // the search starts.
